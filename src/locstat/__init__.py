@@ -72,7 +72,6 @@ from .isotonic import (
     sieve_pava,
 )
 from .likelihood import (
-    SpectrumField,
     ar_log_spectrum_integral,
     conditional_likelihood,
     divergence_sandwich,
@@ -83,6 +82,7 @@ from .likelihood import (
 )
 from .process import (
     DEFAULT_BURN_IN,
+    SpectrumField,
     TimeSeries,
     TvARModel,
     check_stability,
@@ -125,6 +125,7 @@ __all__ = [
     # process
     "TvARModel",
     "TimeSeries",
+    "SpectrumField",
     "simulate_tvar",
     "check_stability",
     "spectral_density",
@@ -149,7 +150,6 @@ __all__ = [
     "NormReport",
     "ResourceLimitError",
     # likelihood
-    "SpectrumField",
     "whittle_contrast",
     "kl_contrast",
     "kl_divergence",

@@ -36,24 +36,66 @@ from .espec import (
 from .estimator import FitConfig, fit_monotone_tvar
 from .harness import (
     RateStudySpec,
+    default_rate_model,
     likelihood_equivalence_decay,
     rate_study,
     write_metadata,
     write_rows_csv,
 )
-from .likelihood import SpectrumField, conditional_likelihood, whittle_contrast
-from .process import TimeSeries, TvARModel, model_from_json, model_to_json, simulate_tvar
+from .likelihood import conditional_likelihood, whittle_contrast
+from .process import (
+    SpectrumField,
+    TimeSeries,
+    TvARModel,
+    model_from_json,
+    model_to_json,
+    simulate_tvar,
+    white_noise_model,
+)
 from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant_weight, lag_curve_weight
 
 __all__ = ["main", "build_parser"]
 
 
-def _read_config(args):
+MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
+DEFAULT_TAIL_ETAS = [0.5 * k for k in range(1, 11)]  # the acceptance suite's tail thresholds
+
+
+def _reject_unknown(args, config, allowed):
+    unknown = sorted(set(config) - set(allowed))
+    if unknown:
+        allowed = ", ".join(allowed)
+        raise SystemExit(f"{args.command}: unknown config key(s) {', '.join(unknown)}; allowed: {allowed}")
+
+
+def _read_config(args, allowed):
+    """The --config JSON object ({} without --config) and its text; exits on
+    a top-level key outside ``allowed`` unless that is None."""
     if args.config is None:
-        return None, ""
+        return {}, ""
     with open(args.config) as fh:
         text = fh.read()
-    return json.loads(text), text
+    config = json.loads(text)
+    if not isinstance(config, dict):
+        raise SystemExit(f"{args.command}: --config must hold a JSON object")
+    if allowed is not None:
+        _reject_unknown(args, config, allowed)
+    return config, text
+
+
+def _seed(args, config, default):
+    return args.seed if args.seed is not None else int(config.get("seed", default))
+
+
+def _config_model(config, default=None):
+    return model_from_json(config["model"]) if "model" in config else default
+
+
+def _thread_count(text):
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
 
 
 def _ensure_out(args):
@@ -84,12 +126,8 @@ def _weight_from_spec(spec, model=None):
 
 
 def _cmd_simulate(args):
-    config, text = _read_config(args)
-    model = model_from_json(config) if config is not None else None
-    if model is None:
-        from .harness import default_rate_model
-
-        model = default_rate_model()
+    config, text = _read_config(args, MODEL_KEYS)
+    model = model_from_json(config) if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
     out = _ensure_out(args)
@@ -128,11 +166,12 @@ def _cmd_preperiodogram(args):
 
 def _cmd_likelihood_eval(args):
     x = TimeSeries.from_csv(args.series)
-    config, text = _read_config(args)
-    if config is None:
+    if args.config is None:
         raise SystemExit("likelihood-eval needs --config with a candidate model")
+    config, text = _read_config(args, None)
     if "sigma2" not in config and "model" in config:
         config = config["model"]  # accept fit.json output directly
+    _reject_unknown(args, config, MODEL_KEYS)
     model = model_from_json(config)
     g = SpectrumField.from_model(model)
     whittle = whittle_contrast(x, g)
@@ -165,8 +204,7 @@ def _cmd_likelihood_eval(args):
 
 def _cmd_fit(args):
     x = TimeSeries.from_csv(args.series)
-    config, text = _read_config(args)
-    config = config or {}
+    config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol", "bounds"))
     cfg = FitConfig(
         p=int(config.get("p", 1)),
         k_n=config.get("k_n"),
@@ -210,15 +248,13 @@ def _cmd_fit(args):
 
 
 def _cmd_rate_study(args):
-    config, text = _read_config(args)
-    config = config or {}
-    model = model_from_json(config["model"]) if "model" in config else None
-    seed = args.seed if args.seed is not None else int(config.get("seed", 2026))
+    config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
+    seed = _seed(args, config, 2026)
     spec = RateStudySpec(
         n_list=tuple(config.get("n_list", (256, 512, 1024, 2048, 4096))),
         replications=int(config.get("replications", 50)),
         seed=seed,
-        model=model,
+        model=_config_model(config),
         p=int(config.get("p", 1)),
     )
     result = rate_study(spec, threads=args.threads)
@@ -243,13 +279,12 @@ def _cmd_rate_study(args):
 
 
 def _cmd_tail_study(args):
-    config, text = _read_config(args)
-    config = config or {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
+    seed = _seed(args, config, 0)
     design = config.get("design", "unit")
     n = int(config.get("n", 1024))
     replications = int(config.get("replications", 200000))
-    etas = config.get("etas")
+    etas = config.get("etas", DEFAULT_TAIL_ETAS)
     if design == "unit":
         spec = TailStudySpec.unit_design(n, replications=replications, etas=etas, seed=seed)
     elif design == "linear":
@@ -271,15 +306,9 @@ def _cmd_tail_study(args):
 
 
 def _cmd_clt_study(args):
-    config, text = _read_config(args)
-    config = config or {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    if "model" in config:
-        model = model_from_json(config["model"])
-    else:
-        from .process import white_noise_model
-
-        model = white_noise_model()
+    config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
+    seed = _seed(args, config, 0)
+    model = _config_model(config, white_noise_model())
     phi = _weight_from_spec(config.get("phi", {"type": "constant", "value": 1.0}), model)
     n = int(config.get("n", 512))
     replications = int(config.get("replications", 2000))
@@ -316,15 +345,9 @@ def _cmd_clt_study(args):
 
 
 def _cmd_prop33(args):
-    config, text = _read_config(args)
-    config = config or {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    if "model" in config:
-        model = model_from_json(config["model"])
-    else:
-        from .process import white_noise_model
-
-        model = white_noise_model()
+    config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
+    seed = _seed(args, config, 0)
+    model = _config_model(config, white_noise_model())
     phi = _weight_from_spec(config.get("phi", {"type": "constant", "value": 1.0}), model)
     n_list = tuple(int(n) for n in config.get("n_list", (64, 128, 256, 512)))
     replications = int(config.get("replications", 400))
@@ -343,10 +366,10 @@ def _cmd_prop33(args):
 
 
 def _cmd_equivalence(args):
-    config, text = _read_config(args)
-    config = config or {}
-    seed = args.seed if args.seed is not None else int(config.get("seed", 7))
+    config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
+    seed = _seed(args, config, 7)
     rows = likelihood_equivalence_decay(
+        model=_config_model(config),
         n_list=tuple(config.get("n_list", (256, 2048))),
         replications=int(config.get("replications", 20)),
         seed=seed,
@@ -368,7 +391,9 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed (default per subcommand)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    common.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads where supported (>= 1)"
+    )
     common.add_argument("--out", default=".", help="output directory (created if missing)")
     common.add_argument("--config", default=None, help="path to a JSON config file")
 

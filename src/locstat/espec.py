@@ -16,8 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .process import simulate_tvar
-from .spectral import FrequencyGrid, spectral_functional, spectral_functional_limit
+from .process import as_field, simulate_tvar, spectral_density
+from .spectral import (
+    FrequencyGrid,
+    _time_grid,
+    quadratic_form_matrix,
+    spectral_functional,
+    spectral_functional_limit,
+)
 
 __all__ = [
     "TailStudySpec",
@@ -253,12 +259,10 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
     phi_j, phi_k : TestFunction
     f : SpectrumField, TvARModel, or callable
     """
-    from .likelihood import _field
-
-    f = _field(f)
+    f = as_field(f)
     if grid is None:
         grid = FrequencyGrid()
-    u = (np.arange(int(u_grid_size)) + 0.5) / int(u_grid_size)
+    u = _time_grid(int(u_grid_size))
     lam = grid.nodes
     pj = phi_j.values(u[:, None], lam[None, :])
     pk = phi_k.values(u[:, None], lam[None, :])
@@ -314,9 +318,6 @@ def expected_functional_trace(model, phi, n, grid=None):
     constant-coefficient models (stationary case, long burn-in);
     an approximation otherwise.  Capped at n = 256.
     """
-    from .spectral import quadratic_form_matrix
-    from .process import spectral_density
-
     n = int(n)
     if n > TRACE_MAX_N:
         raise ValueError(f"trace path capped at n = {TRACE_MAX_N}")

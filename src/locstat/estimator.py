@@ -20,9 +20,9 @@ import numpy as np
 
 from .curves import Curve, FourierCurve, MonotoneStepCurve
 from .isotonic import sieve_pava
-from .likelihood import conditional_likelihood
+from .likelihood import _mesh_values, conditional_likelihood
 from .process import check_stability
-from .spectral import _series_values
+from .spectral import _series_values, _time_grid
 
 __all__ = [
     "DegenerateDataError",
@@ -377,29 +377,14 @@ def fit_fourier_tvar(series, k_n=1, eps=None, max_iter=200, rel_tol=1e-8, check_
     return FourierFitResult(curve, float(s2), float(current), sweeps, converged)
 
 
-def _as_field(g):
-    from .likelihood import SpectrumField, _field
-
-    return _field(g) if not isinstance(g, SpectrumField) else g
-
-
 def inverse_l2_distance(g, f, grid=None, u_grid_size=512):
     """L2 distance of the inverse spectra on (0,1] x [-pi, pi].
 
     sqrt( int int (1/g - 1/f)^2 dlam du ), computed on a midpoint mesh;
     doubling both resolutions moves the value by O(mesh variation) only.
     """
-    from .spectral import FrequencyGrid
-
-    g, f = _as_field(g), _as_field(f)
-    if grid is None:
-        grid = FrequencyGrid()
-    u = (np.arange(int(u_grid_size)) + 0.5) / int(u_grid_size)
-    gv = g.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError("spectra must be strictly positive on the mesh")
-    return float(np.sqrt(np.sum((1.0 / gv - 1.0 / fv) ** 2) * grid.weight / len(u)))
+    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
+    return float(np.sqrt(np.sum((1.0 / gv - 1.0 / fv) ** 2) * grid.weight / cells))
 
 
 def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):
@@ -408,7 +393,7 @@ def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):
     The 2 pi factor makes a time-only function comparable with the
     time-frequency distance above (constant in frequency).
     """
-    u = (np.arange(int(u_grid_size)) + 0.5) / int(u_grid_size)
+    u = _time_grid(int(u_grid_size))
     v1 = c1.values(u) if isinstance(c1, Curve) else np.full(u.shape, float(c1))
     v2 = c2.values(u) if isinstance(c2, Curve) else np.full(u.shape, float(c2))
     if np.min(v1) <= 0 or np.min(v2) <= 0:

@@ -17,12 +17,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .curves import ConstantCurve, FourierCurve, SampledCurve
 from .espec import replication_seed
-from .estimator import FitConfig, curve_inverse_l2_distance, fit_monotone_tvar, inverse_l2_distance
-from .likelihood import SpectrumField, conditional_likelihood, whittle_contrast
-from .process import TvARModel, simulate_tvar
+from .estimator import (
+    FitConfig,
+    curve_inverse_l2_distance,
+    default_eps,
+    fit_monotone_tvar,
+    inverse_l2_distance,
+)
+from .likelihood import conditional_likelihood, whittle_contrast
+from .process import SpectrumField, TvARModel, simulate_tvar
+from .spectral import FrequencyGrid
 
 __all__ = [
     "default_rate_model",
@@ -101,8 +109,6 @@ class RateStudySpec:
         return self.model if self.model is not None else default_rate_model()
 
     def fit_config_for(self, n):
-        from .estimator import default_eps
-
         return FitConfig(p=self.p, k_n=study_knots(n), eps=default_eps(n))
 
 
@@ -131,8 +137,6 @@ def _rate_one(spec, model, truth_field, n, r):
     # than independent per-n draws
     x = simulate_tvar(model, n, replication_seed(spec.seed, r))
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
-    from .spectral import FrequencyGrid
-
     grid = FrequencyGrid(spec.lambda_grid_size)
     fitted_field = SpectrumField.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     err_spec = inverse_l2_distance(fitted_field, truth_field, grid=grid, u_grid_size=spec.u_grid_size)
@@ -295,8 +299,6 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
     Records the command, a hash of the configuration it ran with, the seed,
     and library versions; no timestamps, so reruns produce identical files.
     """
-    import scipy
-
     from . import __version__
 
     payload = {

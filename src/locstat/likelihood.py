@@ -17,11 +17,11 @@ provided for the fitting algorithms, together with the population contrast
 import numpy as np
 
 from .curves import ConstantCurve, Curve
-from .process import TvARModel, check_stability, spectral_density
-from .spectral import FrequencyGrid, PrePeriodogram, _series_values
+from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
+from .spectral import FrequencyGrid, PrePeriodogram, _series_values, _time_grid
 
 __all__ = [
-    "SpectrumField",
+    "SpectrumField",  # defined in locstat.process
     "whittle_contrast",
     "kl_contrast",
     "kl_divergence",
@@ -32,77 +32,6 @@ __all__ = [
 ]
 
 KL_TIME_GRID = 4096
-
-
-class SpectrumField:
-    """Strictly positive candidate spectrum g(u, lam).
-
-    Either wraps a TvARModel (enabling exact likelihood evaluation) or an
-    arbitrary positive function of (u, lam).
-    """
-
-    def __init__(self, fn=None, model=None, label=""):
-        if (fn is None) == (model is None):
-            raise ValueError("provide exactly one of fn or model")
-        self._fn = fn
-        self.ar_model = model
-        self.label = label
-
-    @classmethod
-    def from_model(cls, model, label=""):
-        return cls(model=model, label=label or "tvAR spectrum")
-
-    @classmethod
-    def from_function(cls, fn, label=""):
-        return cls(fn=fn, label=label)
-
-    @classmethod
-    def from_coefficients(cls, alpha, sigma2, validate=True, label=""):
-        """AR-backed field from a constant coefficient vector and a variance curve."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if not isinstance(sigma2, Curve):
-            sigma2 = ConstantCurve(float(sigma2))
-        model = TvARModel(
-            len(alpha),
-            [ConstantCurve(a) for a in alpha],
-            sigma2,
-            validate=validate,
-        )
-        return cls(model=model, label=label or "fitted tvAR spectrum")
-
-    def values(self, u, lam):
-        if self.ar_model is not None:
-            return spectral_density(self.ar_model, u, lam)
-        u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        return np.asarray(self._fn(u, lam), dtype=float)
-
-    def __repr__(self):
-        kind = "model" if self.ar_model is not None else "function"
-        return f"SpectrumField({kind}, label={self.label!r})"
-
-
-def _field(g):
-    if isinstance(g, SpectrumField):
-        return g
-    if isinstance(g, TvARModel):
-        return SpectrumField.from_model(g)
-    if callable(g):
-        return SpectrumField.from_function(g)
-    raise ValueError("expected a SpectrumField, TvARModel, or callable")
-
-
-def _coeff_autocorr(model, u, m):
-    """sum_i a_i(u) a_{i+|m|}(u) for the sequence (1, alpha_1(u), ..., alpha_p(u))."""
-    u = np.asarray(u, dtype=float)
-    p = model.p
-    a = model.alpha_matrix(u)
-    coeff = [np.ones(u.shape)] + [a[..., j] for j in range(p)]
-    m = abs(int(m))
-    acc = np.zeros(u.shape)
-    for i in range(0, p - m + 1):
-        acc = acc + coeff[i] * coeff[i + m]
-    return acc
 
 
 def whittle_contrast(series, g, grid=None):
@@ -124,7 +53,7 @@ def whittle_contrast(series, g, grid=None):
     -------
     float
     """
-    g = _field(g)
+    g = as_field(g)
     J = series if isinstance(series, PrePeriodogram) else PrePeriodogram(series)
     n = J.n
     t_over_n = np.arange(1, n + 1) / n
@@ -141,7 +70,7 @@ def whittle_contrast(series, g, grid=None):
             if len(t) == 0:
                 continue
             u = t / n
-            gam = _coeff_autocorr(model, u, d)
+            gam = coeff_autocorr(model, u, d)
             quad += float(np.dot(gam / model.sigma2.values(u), prods))
         return log_part + quad / (2 * n)
 
@@ -155,8 +84,21 @@ def whittle_contrast(series, g, grid=None):
     return float(np.sum(integrand) * grid.weight / (4 * np.pi * n))
 
 
-def _time_grid(size):
-    return (np.arange(size) + 0.5) / size
+def _mesh_values(g, f, grid, u_grid_size):
+    """Both fields on the midpoint mesh (u_grid_size cells) x grid nodes.
+
+    Returns (grid, number of time cells, g values, f values); grid defaults
+    to the 1024-node FrequencyGrid.  Raises unless both are positive.
+    """
+    g, f = as_field(g), as_field(f)
+    if grid is None:
+        grid = FrequencyGrid()
+    u = _time_grid(int(u_grid_size))
+    gv = g.values(u[:, None], grid.nodes[None, :])
+    fv = f.values(u[:, None], grid.nodes[None, :])
+    if np.min(gv) <= 0 or np.min(fv) <= 0:
+        raise ValueError("spectra must be strictly positive on the mesh")
+    return grid, len(u), gv, fv
 
 
 def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
@@ -165,15 +107,8 @@ def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     This is the almost-sure limit of the Whittle contrast when f is the true
     spectrum; it is minimized over positive candidates at g = f.
     """
-    g, f = _field(g), _field(f)
-    if grid is None:
-        grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
-    gv = g.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError("spectra must be strictly positive on the grid")
-    return float(np.sum(np.log(gv) + fv / gv) * grid.weight / (4 * np.pi * len(u)))
+    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
+    return float(np.sum(np.log(gv) + fv / gv) * grid.weight / (4 * np.pi * cells))
 
 
 def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
@@ -183,16 +118,9 @@ def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     the result is nonnegative up to rounding even when the two contrasts are
     individually large.
     """
-    g, f = _field(g), _field(f)
-    if grid is None:
-        grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
-    gv = g.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError("spectra must be strictly positive on the grid")
+    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
     r = fv / gv
-    return float(np.sum(np.log(1.0 / r) + r - 1.0) * grid.weight / (4 * np.pi * len(u)))
+    return float(np.sum(np.log(1.0 / r) + r - 1.0) * grid.weight / (4 * np.pi * cells))
 
 
 def divergence_sandwich(g, f, grid=None, u_grid_size=512):
@@ -212,15 +140,8 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     -------
     dict with keys divergence, rho_sq, lower, upper, m_star, omega.
     """
-    g, f = _field(g), _field(f)
-    if grid is None:
-        grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
-    gv = g.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError("spectra must be strictly positive on the grid")
-    cell = grid.weight / len(u)
+    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
+    cell = grid.weight / cells
     r = fv / gv
     divergence = float(np.sum(np.log(1.0 / r) + r - 1.0) * cell / (4 * np.pi))
     rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
@@ -285,7 +206,7 @@ def log_riemann_remainder(g, n, grid=None, u_grid_size=KL_TIME_GRID):
     It vanishes whenever g does not vary in time and decays like the
     variation of g over a 1/n mesh otherwise.
     """
-    g = _field(g)
+    g = as_field(g)
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -313,12 +234,8 @@ def ar_log_spectrum_integral(alpha, grid_size=4096):
     condition; a direct numerical check of the identity that makes the
     AR-backed contrast path exact.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     grid = FrequencyGrid(grid_size)
-    acc = np.ones(grid.size, dtype=complex)
-    for j in range(1, alpha.size + 1):
-        acc = acc + alpha[j - 1] * np.exp(1j * grid.nodes * j)
-    w = np.abs(acc) ** 2
+    w = transfer_abs2(alpha, grid.nodes)
     if np.min(w) <= 0:
         raise ValueError("transfer function vanishes at a grid node")
     return float(np.sum(np.log(w)) * grid.weight)

@@ -14,6 +14,11 @@ lag-one autocorrelation has a negative alpha_1 here.  The local spectral
 density at rescaled time u is
 
     f(u, lam) = sigma^2(u) / (2 pi) * |1 + sum_j alpha_j(u) e^{i lam j}|^{-2}.
+
+This module is the one place that evaluates such spectra: the transfer
+polynomial, the coefficient autocorrelation that turns frequency integrals
+against 1/f into finite lag sums, and the SpectrumField wrapper every
+population functional and contrast accepts.
 """
 
 import csv
@@ -26,8 +31,12 @@ from .curves import ConstantCurve, Curve, curve_from_spec, curve_to_spec
 __all__ = [
     "TimeSeries",
     "TvARModel",
+    "SpectrumField",
+    "as_field",
     "check_stability",
     "simulate_tvar",
+    "transfer_abs2",
+    "coeff_autocorr",
     "spectral_density",
     "tv_covariance",
     "white_noise_model",
@@ -269,13 +278,37 @@ def simulate_tvar(model, n, seed, burn_in=None):
 
 
 def transfer_abs2(coeffs, lam):
-    """|1 + sum_j coeffs[j] e^{i lam (j+1)}|^2 for an array of frequencies."""
+    """|1 + sum_j coeffs[..., j-1] e^{i lam j}|^2.
+
+    The last axis of coeffs holds alpha_1, ..., alpha_p; the leading axes
+    broadcast against lam, so one call evaluates a constant coefficient
+    vector on a frequency array or per-point coefficients on a mesh.
+    """
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     lam = np.asarray(lam, dtype=float)
-    acc = np.ones(lam.shape, dtype=complex)
-    for j in range(1, coeffs.size + 1):
-        acc = acc + coeffs[j - 1] * np.exp(1j * lam * j)
+    acc = np.ones(np.broadcast_shapes(coeffs.shape[:-1], lam.shape), dtype=complex)
+    for j in range(1, coeffs.shape[-1] + 1):
+        acc = acc + coeffs[..., j - 1] * np.exp(1j * lam * j)
     return np.abs(acc) ** 2
+
+
+def coeff_autocorr(model, u, m):
+    """sum_i a_i(u) a_{i+|m|}(u) for the sequence (1, alpha_1(u), ..., alpha_p(u)).
+
+    These are the lag coefficients c(u, m) of the squared transfer
+    polynomial, |1 + sum_j alpha_j(u) e^{i lam j}|^2 = sum_{|m|<=p} c(u, m)
+    e^{i lam m}, so integrals against 1/f reduce to sums over |m| <= p.
+    Zero for |m| > p.
+    """
+    u = np.asarray(u, dtype=float)
+    p = model.p
+    a = model.alpha_matrix(u)
+    coeff = [np.ones(u.shape)] + [a[..., j] for j in range(p)]
+    m = abs(int(m))
+    acc = np.zeros(u.shape)
+    for i in range(0, p - m + 1):
+        acc = acc + coeff[i] * coeff[i + m]
+    return acc
 
 
 def spectral_density(model, u, lam):
@@ -300,11 +333,70 @@ def spectral_density(model, u, lam):
     s2 = model.sigma2.values(ub)
     if model.p == 0:
         return s2 / (2 * np.pi) * np.ones(lb.shape)
-    a = model.alpha_matrix(ub)
-    acc = np.ones(lb.shape, dtype=complex)
-    for j in range(1, model.p + 1):
-        acc = acc + a[..., j - 1] * np.exp(1j * lb * j)
-    return s2 / (2 * np.pi) / np.abs(acc) ** 2
+    # a separate statement: folded into the return expression, s2 / (2 pi)
+    # would stay allocated through the transfer loop, one more mesh-sized
+    # array at peak
+    w = transfer_abs2(model.alpha_matrix(ub), lb)
+    return s2 / (2 * np.pi) / w
+
+
+class SpectrumField:
+    """Strictly positive candidate spectrum g(u, lam).
+
+    Either wraps a TvARModel (enabling exact likelihood evaluation) or an
+    arbitrary positive function of (u, lam).
+    """
+
+    def __init__(self, fn=None, model=None, label=""):
+        if (fn is None) == (model is None):
+            raise ValueError("provide exactly one of fn or model")
+        self._fn = fn
+        self.ar_model = model
+        self.label = label
+
+    @classmethod
+    def from_model(cls, model, label=""):
+        return cls(model=model, label=label or "tvAR spectrum")
+
+    @classmethod
+    def from_function(cls, fn, label=""):
+        return cls(fn=fn, label=label)
+
+    @classmethod
+    def from_coefficients(cls, alpha, sigma2, validate=True, label=""):
+        """AR-backed field from a constant coefficient vector and a variance curve."""
+        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        if not isinstance(sigma2, Curve):
+            sigma2 = ConstantCurve(float(sigma2))
+        model = TvARModel(
+            len(alpha),
+            [ConstantCurve(a) for a in alpha],
+            sigma2,
+            validate=validate,
+        )
+        return cls(model=model, label=label or "fitted tvAR spectrum")
+
+    def values(self, u, lam):
+        if self.ar_model is not None:
+            return spectral_density(self.ar_model, u, lam)
+        u = np.asarray(u, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        return np.asarray(self._fn(u, lam), dtype=float)
+
+    def __repr__(self):
+        kind = "model" if self.ar_model is not None else "function"
+        return f"SpectrumField({kind}, label={self.label!r})"
+
+
+def as_field(g):
+    """The SpectrumField of a SpectrumField, TvARModel, or callable g(u, lam)."""
+    if isinstance(g, SpectrumField):
+        return g
+    if isinstance(g, TvARModel):
+        return SpectrumField.from_model(g)
+    if callable(g):
+        return SpectrumField.from_function(g)
+    raise ValueError("expected a SpectrumField, TvARModel, or callable")
 
 
 def tv_covariance(model, u, k, grid=None):

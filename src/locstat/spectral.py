@@ -21,13 +21,15 @@ and norm bounds in this module are stated for that convention.
 
 import numpy as np
 
+from .curves import ConstantCurve, Curve
+from .process import as_field, coeff_autocorr, spectral_density
+
 __all__ = [
     "FrequencyGrid",
     "PrePeriodogram",
     "TestFunction",
     "NormReport",
     "ResourceLimitError",
-    "preperiodogram",
     "periodogram",
     "spectral_functional",
     "spectral_functional_limit",
@@ -69,6 +71,11 @@ class FrequencyGrid:
 
     def __repr__(self):
         return f"FrequencyGrid(size={self.size})"
+
+
+def _time_grid(size):
+    """Midpoints (i + 1/2)/size, i = 0..size-1, of a uniform grid on (0, 1)."""
+    return (np.arange(size) + 0.5) / size
 
 
 def _series_values(series):
@@ -154,11 +161,6 @@ class PrePeriodogram:
         return self.x ** 2
 
 
-def preperiodogram(series):
-    """Build the PrePeriodogram of a series."""
-    return PrePeriodogram(series)
-
-
 def periodogram(series, lam):
     """Ordinary periodogram I(lam) = |sum_t x_t e^{-i lam t}|^2 / (2 pi n).
 
@@ -214,15 +216,6 @@ class TestFunction:
             return np.zeros(u.shape)
         return np.asarray(self._lag_fn(u, int(j)), dtype=float)
 
-    def scaled(self, c):
-        c = float(c)
-        return TestFunction(
-            lambda u, lam: c * self._values_fn(u, lam),
-            lambda u, j: c * self._lag_fn(u, j),
-            lag_support=self.lag_support,
-            label=f"{c} * {self.label}" if self.label else "",
-        )
-
     def __repr__(self):
         return f"TestFunction(lag_support={self.lag_support}, label={self.label!r})"
 
@@ -252,8 +245,6 @@ def lag_curve_weight(curves, label=""):
         The field is phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j},
         real and even in lam.
     """
-    from .curves import ConstantCurve, Curve
-
     table = {}
     for j, c in curves.items():
         j = int(j)
@@ -293,27 +284,14 @@ def ar_inverse_weight(model, scale=1.0):
     p = model.p
     scale = float(scale)
 
-    def gamma(u, m):
-        # autocorrelation of the coefficient sequence (1, alpha_1(u), ...)
-        u = np.asarray(u, dtype=float)
-        a = model.alpha_matrix(u)
-        coeff = [np.ones(u.shape)] + [a[..., j] for j in range(p)]
-        m = abs(int(m))
-        acc = np.zeros(u.shape)
-        for i in range(0, p - m + 1):
-            acc = acc + coeff[i] * coeff[i + m]
-        return acc
-
     def values_fn(u, lam):
-        from .process import spectral_density
-
         return scale / spectral_density(model, u, lam)
 
     def lag_fn(u, j):
         if abs(int(j)) > p:
             return np.zeros(np.shape(u))
         u = np.asarray(u, dtype=float)
-        return scale * (4 * np.pi ** 2) * gamma(u, j) / model.sigma2.values(u)
+        return scale * (4 * np.pi ** 2) * coeff_autocorr(model, u, j) / model.sigma2.values(u)
 
     return TestFunction(values_fn, lag_fn, lag_support=p, label=f"{scale} / f")
 
@@ -408,22 +386,11 @@ def spectral_functional_limit(phi, f, grid=None, u_grid_size=512):
     """
     if grid is None:
         grid = FrequencyGrid()
-    fvals = _field_values(f)
-    u = (np.arange(u_grid_size) + 0.5) / u_grid_size
+    f = as_field(f)
+    u = _time_grid(u_grid_size)
     phiv = phi.values(u[:, None], grid.nodes[None, :])
-    fv = fvals(u[:, None], grid.nodes[None, :])
+    fv = f.values(u[:, None], grid.nodes[None, :])
     return float(np.sum(phiv * fv) * grid.weight / u_grid_size)
-
-
-def _field_values(f):
-    if callable(f) and not hasattr(f, "values"):
-        return f
-    if hasattr(f, "values") and not hasattr(f, "p"):
-        return f.values
-    # TvARModel
-    from .process import spectral_density
-
-    return lambda u, lam: spectral_density(f, u, lam)
 
 
 class NormReport:

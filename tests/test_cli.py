@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from locstat.cli import main
+from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve
-from locstat.harness import read_rows_csv
+from locstat.harness import likelihood_equivalence_decay, read_rows_csv
 from locstat.process import TvARModel, model_to_json
 
 
@@ -203,3 +203,75 @@ def test_equivalence_subcommand(tmp_path):
     run("equivalence", "--config", str(cfg), "--out", str(out))
     rows = read_rows_csv(out / "equivalence_rows.csv")
     assert rows[1]["median_gap"] < rows[0]["median_gap"]
+
+
+def test_tail_study_default_thresholds(tmp_path):
+    cfg = tmp_path / "tail.json"
+    cfg.write_text(json.dumps({"n": 16, "replications": 1000}))
+    out = tmp_path / "tail"
+    run("tail-study", "--config", str(cfg), "--seed", "1", "--out", str(out))
+    rows = read_rows_csv(out / "tail_rows.csv")
+    assert [r["eta"] for r in rows] == [0.5 * k for k in range(1, 11)]
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("simulate", ["--n", "16"]),
+        ("fit", None),
+        ("likelihood-eval", None),
+        ("rate-study", []),
+        ("tail-study", []),
+        ("clt-study", []),
+        ("prop33", []),
+        ("equivalence", []),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, command, extra):
+    if extra is None:
+        extra = ["--series", str(simulate_into(tmp_path, n=16))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kn": 4}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="unknown config key.*kn"):
+        main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_equivalence_passes_model_through(tmp_path):
+    model = TvARModel(1, [ConstantCurve(-0.3)], ConstantCurve(1.5))
+    cfg = tmp_path / "eq.json"
+    cfg.write_text(json.dumps({"model": json.loads(model_to_json(model)), "n_list": [64, 128], "replications": 2}))
+    out = tmp_path / "eq"
+    run("equivalence", "--config", str(cfg), "--seed", "3", "--out", str(out))
+    rows = read_rows_csv(out / "equivalence_rows.csv")
+    expected = likelihood_equivalence_decay(model=model, n_list=(64, 128), replications=2, seed=3)
+    assert [r["median_gap"] for r in rows] == [r["median_gap"] for r in expected]
+    default = likelihood_equivalence_decay(n_list=(64, 128), replications=2, seed=3)
+    assert expected != default
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_rejected_at_parse_time(tmp_path, value):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit):
+        main(["simulate", "--n", "16", "--threads", value, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "16"],
+        ["preperiodogram", "--series", "x.csv"],
+        ["likelihood-eval", "--series", "x.csv"],
+        ["fit", "--series", "x.csv"],
+        ["rate-study"],
+        ["tail-study"],
+        ["clt-study"],
+        ["prop33"],
+        ["equivalence"],
+    ],
+)
+def test_threads_one_accepted_everywhere(argv):
+    assert build_parser().parse_args([*argv, "--threads", "1"]).threads == 1

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
+from locstat.espec import limit_covariance
+from locstat.estimator import inverse_l2_distance
+from locstat.likelihood import divergence_sandwich, kl_divergence
 from locstat.process import (
+    SpectrumField,
     TimeSeries,
     TvARModel,
     check_stability,
@@ -16,6 +20,7 @@ from locstat.process import (
     tv_covariance,
     white_noise_model,
 )
+from locstat.spectral import FrequencyGrid, ar_inverse_weight, constant_weight, spectral_functional_limit
 
 
 def test_check_stability_known_polynomials():
@@ -109,6 +114,47 @@ def test_transfer_and_spectral_density_closed_form():
     np.testing.assert_allclose(
         spectral_density(m, u, lam), 1.3 / (2 * np.pi) / (1.25 + np.cos(lam)), atol=1e-14
     )
+
+
+def test_transfer_abs2_broadcasts_coefficient_rows():
+    m = TvARModel(2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], ConstantCurve(1.0))
+    u = (np.arange(9) + 0.5) / 9
+    lam = FrequencyGrid(16).nodes
+    coeffs = m.alpha_matrix(u)[:, None, :]  # (U, 1, p)
+    expected = np.empty((len(u), len(lam)))
+    for row, c in enumerate(coeffs[:, 0, :]):
+        acc = np.ones(lam.shape, dtype=complex)
+        for j in range(1, len(c) + 1):
+            acc = acc + c[j - 1] * np.exp(1j * lam * j)
+        expected[row] = np.abs(acc) ** 2
+    np.testing.assert_array_equal(transfer_abs2(coeffs, lam), expected)
+
+
+def _tv_ar2():
+    return TvARModel(2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0]))
+
+
+_OTHER = SpectrumField.from_coefficients([0.4], 1.2)
+_GRID = FrequencyGrid(32)
+_PHI = constant_weight(1.5)
+_FIELD_CONSUMERS = {
+    "kl_divergence": lambda f: kl_divergence(_OTHER, f, grid=_GRID, u_grid_size=16),
+    "divergence_sandwich": lambda f: divergence_sandwich(f, _OTHER, grid=_GRID, u_grid_size=16),
+    "inverse_l2_distance": lambda f: inverse_l2_distance(_OTHER, f, grid=_GRID, u_grid_size=16),
+    "spectral_functional_limit": lambda f: spectral_functional_limit(
+        ar_inverse_weight(_tv_ar2()), f, grid=_GRID, u_grid_size=16
+    ),
+    "limit_covariance": lambda f: limit_covariance(_PHI, _PHI, f, grid=_GRID, u_grid_size=16),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_FIELD_CONSUMERS))
+def test_model_field_and_callable_give_equal_results(consumer):
+    model = _tv_ar2()
+    compute = _FIELD_CONSUMERS[consumer]
+    from_model = compute(model)
+    assert compute(SpectrumField.from_model(model)) == from_model
+    assert compute(lambda u, lam: spectral_density(model, u, lam)) == from_model
 
 
 def test_tv_covariance_stationary_ar1_closed_form():
