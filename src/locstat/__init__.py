@@ -85,6 +85,7 @@ from .process import (
     SpectrumField,
     TimeSeries,
     TvARModel,
+    ar_autocov,
     check_stability,
     model_from_json,
     model_to_json,
@@ -131,6 +132,7 @@ __all__ = [
     "spectral_density",
     "transfer_abs2",
     "tv_covariance",
+    "ar_autocov",
     "model_to_json",
     "model_from_json",
     "white_noise_model",

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .curves import ConstantCurve, curve_from_spec, curve_to_spec
+from .curves import ConstantCurve, check_spec_keys, curve_from_spec, curve_to_spec
 from .espec import (
     TailStudySpec,
     bias_scaling_study,
@@ -57,15 +57,16 @@ from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant
 __all__ = ["main", "build_parser"]
 
 
-MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
 DEFAULT_TAIL_ETAS = [0.5 * k for k in range(1, 11)]  # the acceptance suite's tail thresholds
 
 
-def _reject_unknown(args, config, allowed):
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        allowed = ", ".join(allowed)
-        raise SystemExit(f"{args.command}: unknown config key(s) {', '.join(unknown)}; allowed: {allowed}")
+def _exit_on_bad_config(args, build, *spec):
+    """build(*spec), exiting with the command name and the message of a
+    ValueError, such as one naming an unknown key."""
+    try:
+        return build(*spec)
+    except ValueError as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 def _read_config(args, allowed):
@@ -79,7 +80,7 @@ def _read_config(args, allowed):
     if not isinstance(config, dict):
         raise SystemExit(f"{args.command}: --config must hold a JSON object")
     if allowed is not None:
-        _reject_unknown(args, config, allowed)
+        _exit_on_bad_config(args, check_spec_keys, config, allowed, "config")
     return config, text
 
 
@@ -87,8 +88,13 @@ def _seed(args, config, default):
     return args.seed if args.seed is not None else int(config.get("seed", default))
 
 
-def _config_model(config, default=None):
-    return model_from_json(config["model"]) if "model" in config else default
+def _config_model(args, config, default=None):
+    return _exit_on_bad_config(args, model_from_json, config["model"]) if "model" in config else default
+
+
+def _config_phi(args, config, model):
+    spec = config.get("phi", {"type": "constant", "value": 1.0})
+    return _exit_on_bad_config(args, _weight_from_spec, spec, model)
 
 
 def _thread_count(text):
@@ -103,31 +109,39 @@ def _ensure_out(args):
     return args.out
 
 
+WEIGHT_KEYS = {"constant": ("type", "value"), "ar_inverse": ("type", "scale"), "lag_curves": ("type", "curves")}
+
+
 def _weight_from_spec(spec, model=None):
     """Build a spectral weight function from its JSON description.
 
     {"type": "constant", "value": v}
     {"type": "ar_inverse", "scale": s}        -- needs a model in context
     {"type": "lag_curves", "curves": {"0": <curve spec or number>, ...}}
+
+    Raises ValueError on an unknown type or key.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("weight spec must be a JSON object")
     kind = spec.get("type", "constant")
+    if kind not in WEIGHT_KEYS:
+        raise ValueError(f"unknown weight type {kind!r}")
+    check_spec_keys(spec, WEIGHT_KEYS[kind], f"{kind} weight")
     if kind == "constant":
         return constant_weight(float(spec.get("value", 1.0)))
     if kind == "ar_inverse":
         if model is None:
             raise ValueError("ar_inverse weight needs a model")
         return ar_inverse_weight(model, scale=float(spec.get("scale", 1.0)))
-    if kind == "lag_curves":
-        curves = {}
-        for key, val in spec["curves"].items():
-            curves[int(key)] = val if isinstance(val, (int, float)) else curve_from_spec(val)
-        return lag_curve_weight(curves)
-    raise ValueError(f"unknown weight type {kind!r}")
+    curves = {}
+    for key, val in spec["curves"].items():
+        curves[int(key)] = val if isinstance(val, (int, float)) else curve_from_spec(val)
+    return lag_curve_weight(curves)
 
 
 def _cmd_simulate(args):
-    config, text = _read_config(args, MODEL_KEYS)
-    model = model_from_json(config) if config else default_rate_model()
+    config, text = _read_config(args, None)  # the config is the model
+    model = _exit_on_bad_config(args, model_from_json, config, "config") if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
     out = _ensure_out(args)
@@ -171,8 +185,7 @@ def _cmd_likelihood_eval(args):
     config, text = _read_config(args, None)
     if "sigma2" not in config and "model" in config:
         config = config["model"]  # accept fit.json output directly
-    _reject_unknown(args, config, MODEL_KEYS)
-    model = model_from_json(config)
+    model = _exit_on_bad_config(args, model_from_json, config, "config")
     g = SpectrumField.from_model(model)
     whittle = whittle_contrast(x, g)
 
@@ -254,7 +267,7 @@ def _cmd_rate_study(args):
         n_list=tuple(config.get("n_list", (256, 512, 1024, 2048, 4096))),
         replications=int(config.get("replications", 50)),
         seed=seed,
-        model=_config_model(config),
+        model=_config_model(args, config),
         p=int(config.get("p", 1)),
     )
     result = rate_study(spec, threads=args.threads)
@@ -308,8 +321,8 @@ def _cmd_tail_study(args):
 def _cmd_clt_study(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
     seed = _seed(args, config, 0)
-    model = _config_model(config, white_noise_model())
-    phi = _weight_from_spec(config.get("phi", {"type": "constant", "value": 1.0}), model)
+    model = _config_model(args, config, white_noise_model())
+    phi = _config_phi(args, config, model)
     n = int(config.get("n", 512))
     replications = int(config.get("replications", 2000))
     sample = spectral_process_sample(
@@ -347,8 +360,8 @@ def _cmd_clt_study(args):
 def _cmd_prop33(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
     seed = _seed(args, config, 0)
-    model = _config_model(config, white_noise_model())
-    phi = _weight_from_spec(config.get("phi", {"type": "constant", "value": 1.0}), model)
+    model = _config_model(args, config, white_noise_model())
+    phi = _config_phi(args, config, model)
     n_list = tuple(int(n) for n in config.get("n_list", (64, 128, 256, 512)))
     replications = int(config.get("replications", 400))
     rows = bias_scaling_study(model, phi, n_list, replications, seed)
@@ -369,7 +382,7 @@ def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
     seed = _seed(args, config, 7)
     rows = likelihood_equivalence_decay(
-        model=_config_model(config),
+        model=_config_model(args, config),
         n_list=tuple(config.get("n_list", (256, 2048))),
         replications=int(config.get("replications", 20)),
         seed=seed,

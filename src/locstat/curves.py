@@ -16,7 +16,16 @@ __all__ = [
     "MonotoneStepCurve",
     "curve_to_spec",
     "curve_from_spec",
+    "check_spec_keys",
 ]
+
+# the keys curve_to_spec writes for each curve type
+SPEC_KEYS = {
+    "constant": ("type", "value"),
+    "fourier": ("type", "a0", "a", "b"),
+    "monotone_step": ("type", "values", "eps"),
+    "sampled": ("type", "values"),
+}
 
 
 def _as_unit_time(u):
@@ -195,17 +204,28 @@ def curve_to_spec(curve):
     raise ValueError(f"cannot serialize curve of type {type(curve).__name__}")
 
 
+def check_spec_keys(spec, allowed, what):
+    """Raise ValueError naming the keys of the dict spec outside allowed."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}")
+
+
 def curve_from_spec(spec):
-    """Deserialize a curve from the dict produced by :func:`curve_to_spec`."""
+    """Deserialize a curve from the dict produced by :func:`curve_to_spec`.
+
+    Raises ValueError on a key that curve_to_spec does not write for the type.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("curve spec must be a dict with a 'type' key")
     kind = spec["type"]
+    if kind not in SPEC_KEYS:
+        raise ValueError(f"unknown curve type {kind!r}")
+    check_spec_keys(spec, SPEC_KEYS[kind], f"{kind} curve")
     if kind == "constant":
         return ConstantCurve(spec["value"])
     if kind == "fourier":
         return FourierCurve(spec.get("a0", 0.0), spec.get("a", ()), spec.get("b", ()))
     if kind == "monotone_step":
         return MonotoneStepCurve(spec["values"], spec["eps"])
-    if kind == "sampled":
-        return SampledCurve(spec["values"])
-    raise ValueError(f"unknown curve type {kind!r}")
+    return SampledCurve(spec["values"])

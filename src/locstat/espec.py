@@ -195,7 +195,6 @@ def spectral_process_sample(
     replications,
     seed,
     centering="analytic",
-    grid=None,
     u_grid_size=4096,
     burn_in=None,
 ):
@@ -232,7 +231,7 @@ def spectral_process_sample(
         values[r] = spectral_functional(x, phi, path="lag")
 
     if centering == "analytic":
-        center = spectral_functional_limit(phi, model, grid=grid, u_grid_size=u_grid_size)
+        center = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
     else:
         center = math.fsum(values) / replications
     deviations = math.sqrt(n) * (values - center)
@@ -272,7 +271,7 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
     return float(2 * np.pi * val)
 
 
-def bias_scaling_study(model, phi, n_list, replications, seed, grid=None, u_grid_size=4096):
+def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096):
     """Bias of the mean functional against the population functional.
 
     For each n, estimates E[functional] by Monte Carlo and reports the
@@ -289,7 +288,7 @@ def bias_scaling_study(model, phi, n_list, replications, seed, grid=None, u_grid
     rows = []
     for n in n_list:
         n = int(n)
-        limit = spectral_functional_limit(phi, model, grid=grid, u_grid_size=u_grid_size)
+        limit = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
         values = np.empty(int(replications))
         for r in range(int(replications)):
             x = simulate_tvar(model, n, replication_seed(seed, n, r))

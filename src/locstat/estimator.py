@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import Curve, FourierCurve, MonotoneStepCurve
 from .isotonic import sieve_pava
-from .likelihood import _mesh_values, conditional_likelihood
+from .likelihood import _inverse_distance_sq, conditional_likelihood
 from .process import check_stability
 from .spectral import _series_values, _time_grid
 
@@ -380,11 +380,14 @@ def fit_fourier_tvar(series, k_n=1, eps=None, max_iter=200, rel_tol=1e-8, check_
 def inverse_l2_distance(g, f, grid=None, u_grid_size=512):
     """L2 distance of the inverse spectra on (0,1] x [-pi, pi].
 
-    sqrt( int int (1/g - 1/f)^2 dlam du ), computed on a midpoint mesh;
-    doubling both resolutions moves the value by O(mesh variation) only.
+    sqrt( int int (1/g - 1/f)^2 dlam du ), the time integral a midpoint rule
+    with u_grid_size cells.  For two AR-backed fields the frequency integral
+    is an exact lag sum and grid is not used; the value equals the mesh sum
+    for any grid with more than 2p nodes.  Callables are evaluated on the
+    u_grid_size x grid mesh, where doubling both resolutions moves the value
+    by O(mesh variation) only.
     """
-    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-    return float(np.sqrt(np.sum((1.0 / gv - 1.0 / fv) ** 2) * grid.weight / cells))
+    return float(np.sqrt(_inverse_distance_sq(g, f, grid, u_grid_size)))
 
 
 def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):

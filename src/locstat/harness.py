@@ -30,7 +30,6 @@ from .estimator import (
 )
 from .likelihood import conditional_likelihood, whittle_contrast
 from .process import SpectrumField, TvARModel, simulate_tvar
-from .spectral import FrequencyGrid
 
 __all__ = [
     "default_rate_model",
@@ -94,7 +93,6 @@ class RateStudySpec:
     model: TvARModel | None = None
     p: int = 1
     u_grid_size: int = 2048
-    lambda_grid_size: int = 512
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -137,9 +135,8 @@ def _rate_one(spec, model, truth_field, n, r):
     # than independent per-n draws
     x = simulate_tvar(model, n, replication_seed(spec.seed, r))
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
-    grid = FrequencyGrid(spec.lambda_grid_size)
     fitted_field = SpectrumField.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
-    err_spec = inverse_l2_distance(fitted_field, truth_field, grid=grid, u_grid_size=spec.u_grid_size)
+    err_spec = inverse_l2_distance(fitted_field, truth_field, u_grid_size=spec.u_grid_size)
     err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2, u_grid_size=spec.u_grid_size)
     return {
         "err_spectrum": err_spec,

@@ -84,6 +84,9 @@ def whittle_contrast(series, g, grid=None):
     return float(np.sum(integrand) * grid.weight / (4 * np.pi * n))
 
 
+_NOT_POSITIVE = "spectra must be strictly positive on the mesh"
+
+
 def _mesh_values(g, f, grid, u_grid_size):
     """Both fields on the midpoint mesh (u_grid_size cells) x grid nodes.
 
@@ -97,15 +100,91 @@ def _mesh_values(g, f, grid, u_grid_size):
     gv = g.values(u[:, None], grid.nodes[None, :])
     fv = f.values(u[:, None], grid.nodes[None, :])
     if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError("spectra must be strictly positive on the mesh")
+        raise ValueError(_NOT_POSITIVE)
     return grid, len(u), gv, fv
+
+
+def _positive_variance(model, u):
+    s2 = model.sigma2.values(u)
+    if np.min(s2) <= 0:
+        raise ValueError(_NOT_POSITIVE)
+    return s2
+
+
+def _separable(g, f, grid, u_grid_size):
+    """Factors of two AR fields whose coefficient rows are constant in u.
+
+    Such a field is sigma^2(u) h(lam) with h = 1 / (2 pi |1 + sum_j alpha_j
+    e^{i lam j}|^2), so every sum and sup over the mesh is a product of sums
+    and sups over u and over lam.  Returns (grid, number of time cells,
+    (sigma^2_g, h_g), (sigma^2_f, h_f)) on the midpoint u-grid and the grid
+    nodes, or None when either field is a callable or has time-varying
+    coefficients.  Raises unless both variances are positive.
+    """
+    g, f = as_field(g), as_field(f)
+    if g.ar_model is None or f.ar_model is None:
+        return None
+    if grid is None:
+        grid = FrequencyGrid()
+    u = _time_grid(int(u_grid_size))
+    rows = [m.alpha_matrix(u) for m in (g.ar_model, f.ar_model)]
+    if any(np.any(a != a[:1]) for a in rows):
+        return None
+    factors = [
+        (_positive_variance(m, u), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
+        for m, a in zip((g.ar_model, f.ar_model), rows)
+    ]
+    return grid, len(u), *factors
+
+
+def _phi_sum(x):
+    # sum of x - 1 - log x, the divergence integrand at ratio x
+    return np.sum(np.log(1.0 / x) + x - 1.0)
+
+
+def _separable_divergence(grid, cells, g_factors, f_factors):
+    # with r = f/g = s(u) q(lam): phi(s q) = phi(s) + phi(q) + (s - 1)(q - 1),
+    # so the mesh sum of phi(r) needs sums over u and over lam only
+    s = f_factors[0] / g_factors[0]
+    q = f_factors[1] / g_factors[1]
+    total = grid.size * _phi_sum(s) + cells * _phi_sum(q) + np.sum(s - 1.0) * np.sum(q - 1.0)
+    return float(total * grid.weight / (4 * np.pi * cells))
+
+
+def _inverse_lags(model, u, order):
+    # c(u, m) / sigma^2(u) for m = 0..order: 1/f(u, lam) is 2 pi times the
+    # trigonometric polynomial with these coefficients at lags +-m
+    s2 = _positive_variance(model, u)
+    return np.stack([coeff_autocorr(model, u, m) for m in range(order + 1)], axis=-1) / s2[:, None]
+
+
+def _inverse_distance_sq(g, f, grid, u_grid_size):
+    """Mean over the midpoint u-grid of int (1/g - 1/f)^2 dlam.
+
+    For two AR fields, Parseval gives (2 pi)^3 sum_{|m|<=p} d(u, m)^2 with d
+    the per-lag difference of the :func:`_inverse_lags`: exact, free of
+    cancellation when g is close to f, and independent of grid.  Equal to
+    the mesh value whenever grid has more than 2p nodes, because the
+    midpoint grid integrates the degree-2p integrand exactly.  Otherwise
+    the mesh sum.
+    """
+    g, f = as_field(g), as_field(f)
+    if g.ar_model is None or f.ar_model is None:
+        grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
+        return float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * grid.weight / cells)
+    u = _time_grid(int(u_grid_size))
+    order = max(g.ar_model.p, f.ar_model.p)
+    d = _inverse_lags(g.ar_model, u, order) - _inverse_lags(f.ar_model, u, order)
+    per_u = d[:, 0] ** 2 + 2 * np.sum(d[:, 1:] ** 2, axis=1)
+    return float((2 * np.pi) ** 3 * np.mean(per_u))
 
 
 def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     """Population contrast (1/4 pi) int int { log g + f/g } dlam du.
 
     This is the almost-sure limit of the Whittle contrast when f is the true
-    spectrum; it is minimized over positive candidates at g = f.
+    spectrum; it is minimized over positive candidates at g = f.  Evaluated
+    as a midpoint sum on the u_grid_size x grid mesh for every input.
     """
     grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
     return float(np.sum(np.log(gv) + fv / gv) * grid.weight / (4 * np.pi * cells))
@@ -116,11 +195,11 @@ def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
 
     Computed in difference form, whose integrand is pointwise nonnegative, so
     the result is nonnegative up to rounding even when the two contrasts are
-    individually large.
+    individually large.  Evaluated as a midpoint sum on the u_grid_size x
+    grid mesh for every input.
     """
     grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-    r = fv / gv
-    return float(np.sum(np.log(1.0 / r) + r - 1.0) * grid.weight / (4 * np.pi * cells))
+    return float(_phi_sum(fv / gv) * grid.weight / (4 * np.pi * cells))
 
 
 def divergence_sandwich(g, f, grid=None, u_grid_size=512):
@@ -136,17 +215,31 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     larger of the two spectrum sups, both taken on the same mesh.  The chain
     holds pointwise on the mesh, so the inequalities are exact up to rounding.
 
+    Two AR fields whose coefficients are constant in u take the exact path:
+    rho^2 as a lag sum (equal to the mesh sum whenever grid has more than 2p
+    nodes), the divergence from separate sums over u and lam, and M* and
+    Omega as products of the maxima of the positive time and frequency
+    factors, which are the mesh sups.  Other inputs are evaluated on the
+    mesh.
+
     Returns
     -------
     dict with keys divergence, rho_sq, lower, upper, m_star, omega.
     """
-    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-    cell = grid.weight / cells
-    r = fv / gv
-    divergence = float(np.sum(np.log(1.0 / r) + r - 1.0) * cell / (4 * np.pi))
-    rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
-    m_star = float(max(np.max(1.0 / gv), np.max(1.0 / fv)))
-    omega = float(max(np.max(gv), np.max(fv)))
+    sep = _separable(g, f, grid, u_grid_size)
+    if sep is not None:
+        divergence = _separable_divergence(*sep)
+        rho_sq = _inverse_distance_sq(g, f, grid, u_grid_size)
+        factors = sep[2:]
+        m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
+        omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
+    else:
+        grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
+        cell = grid.weight / cells
+        divergence = float(_phi_sum(fv / gv) * cell / (4 * np.pi))
+        rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
+        m_star = float(max(np.max(1.0 / gv), np.max(1.0 / fv)))
+        omega = float(max(np.max(gv), np.max(fv)))
     return {
         "divergence": divergence,
         "rho_sq": rho_sq,

@@ -17,8 +17,9 @@ density at rescaled time u is
 
 This module is the one place that evaluates such spectra: the transfer
 polynomial, the coefficient autocorrelation that turns frequency integrals
-against 1/f into finite lag sums, and the SpectrumField wrapper every
-population functional and contrast accepts.
+against 1/f into finite lag sums, the Yule-Walker autocovariances that do the
+same for integrals against f, and the SpectrumField wrapper every population
+functional and contrast accepts.
 """
 
 import csv
@@ -26,7 +27,7 @@ import json
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve, curve_from_spec, curve_to_spec
+from .curves import ConstantCurve, Curve, check_spec_keys, curve_from_spec, curve_to_spec
 
 __all__ = [
     "TimeSeries",
@@ -37,6 +38,7 @@ __all__ = [
     "simulate_tvar",
     "transfer_abs2",
     "coeff_autocorr",
+    "ar_autocov",
     "spectral_density",
     "tv_covariance",
     "white_noise_model",
@@ -46,6 +48,7 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 STABILITY_GRID = 512
+MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
 
 
 def check_stability(coeffs, delta=0.0):
@@ -193,7 +196,10 @@ class TvARModel:
             raise ValueError("sigma2 must be strictly positive on (0, 1]")
         if self.p:
             coeffs = self.alpha_matrix(u)
-            for i in range(grid_size):
+            # one root check per distinct row, taken in order of first
+            # occurrence so that the error names the first violating u
+            _, first = np.unique(coeffs, axis=0, return_index=True)
+            for i in np.sort(first):
                 if not check_stability(coeffs[i], self.delta):
                     raise ValueError(
                         f"AR polynomial violates the root condition at u={u[i]:.6f}"
@@ -311,6 +317,52 @@ def coeff_autocorr(model, u, m):
     return acc
 
 
+def ar_autocov(model, u, max_lag):
+    """Local autocovariances c_f(u, k) = int f(u, lam) e^{i lam k} dlam.
+
+    For k = 0..max_lag, from the Yule-Walker equations
+    c(k) + sum_j alpha_j c(|k - j|) = sigma^2 [k = 0], k = 0..p, and the
+    recursion c(k) = -sum_j alpha_j c(k - j) beyond lag p.  The
+    (p+1) x (p+1) system is solved once per distinct coefficient row at unit
+    variance and scaled by sigma^2(u), so a constant-coefficient model costs
+    one solve however long u is.  The equations hold for stable coefficients
+    only, so an unvalidated model is validated first.
+
+    Parameters
+    ----------
+    model : TvARModel
+    u : array_like
+        Rescaled times in (0, 1].
+    max_lag : int
+        Largest lag returned, >= 0.
+
+    Returns
+    -------
+    ndarray of shape u.shape + (max_lag + 1,)
+    """
+    u = np.asarray(u, dtype=float)
+    max_lag = int(max_lag)
+    if max_lag < 0:
+        raise ValueError("max_lag must be nonnegative")
+    if not model.validated:
+        model.validate()
+    p = model.p
+    rows, inverse = np.unique(model.alpha_matrix(u).reshape(u.size, p), axis=0, return_inverse=True)
+    a = np.concatenate([np.ones((len(rows), 1)), rows], axis=1)  # (1, alpha_1, ..., alpha_p)
+    system = np.zeros((len(rows), p + 1, p + 1))
+    for k in range(p + 1):
+        for j in range(p + 1):
+            system[:, k, abs(k - j)] += a[:, j]
+    rhs = np.zeros((len(rows), p + 1, 1))
+    rhs[:, 0, 0] = 1.0
+    cov = np.zeros((len(rows), max(max_lag, p) + 1))
+    cov[:, : p + 1] = np.linalg.solve(system, rhs)[..., 0]
+    for k in range(p + 1, max_lag + 1):
+        cov[:, k] = np.sum(-a[:, 1:] * cov[:, k - p : k][:, ::-1], axis=1)
+    out = cov[inverse.reshape(-1), : max_lag + 1].reshape(u.shape + (max_lag + 1,))
+    return model.sigma2.values(u)[..., None] * out
+
+
 def spectral_density(model, u, lam):
     """Local spectral density f(u, lam) of a TvARModel.
 
@@ -399,11 +451,10 @@ def as_field(g):
     raise ValueError("expected a SpectrumField, TvARModel, or callable")
 
 
-def tv_covariance(model, u, k, grid=None):
+def tv_covariance(model, u, k):
     """Local covariance c(u, k) = int f(u, lam) e^{i lam k} dlam.
 
-    Computed by midpoint quadrature on a symmetric frequency grid; for AR
-    spectra the quadrature error decays exponentially in the grid size.
+    Exact: one Yule-Walker solve through :func:`ar_autocov`.
 
     Parameters
     ----------
@@ -412,21 +463,13 @@ def tv_covariance(model, u, k, grid=None):
         Rescaled time in (0, 1].
     k : int
         Lag; c(u, -k) = c(u, k).
-    grid : FrequencyGrid, optional
-        Defaults to the spectral module's 1024-point grid.
 
     Returns
     -------
     float
     """
-    if grid is None:
-        from .spectral import FrequencyGrid
-
-        grid = FrequencyGrid()
-    k = int(k)
-    f = spectral_density(model, float(u), grid.nodes)
-    val = np.sum(f * np.exp(1j * grid.nodes * k)) * grid.weight
-    return float(val.real)
+    k = abs(int(k))
+    return float(ar_autocov(model, np.array([float(u)]), k)[0, k])
 
 
 def model_to_json(model, path=None):
@@ -439,8 +482,12 @@ def model_to_json(model, path=None):
     return text
 
 
-def model_from_json(source):
-    """Load a TvARModel from a JSON string, dict, or file path."""
+def model_from_json(source, what="model"):
+    """Load a TvARModel from a JSON string, dict, or file path.
+
+    Raises ValueError on a key that :meth:`TvARModel.describe` does not write;
+    the message calls such keys "unknown <what> key(s)".
+    """
     if isinstance(source, dict):
         payload = source
     else:
@@ -449,6 +496,7 @@ def model_from_json(source):
             with open(text) as fh:
                 text = fh.read()
         payload = json.loads(text)
+    check_spec_keys(payload, MODEL_KEYS, what)
     alpha = [curve_from_spec(s) for s in payload.get("alpha", [])]
     sigma2 = curve_from_spec(payload["sigma2"])
     return TvARModel(

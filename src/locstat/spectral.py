@@ -22,7 +22,7 @@ and norm bounds in this module are stated for that convention.
 import numpy as np
 
 from .curves import ConstantCurve, Curve
-from .process import as_field, coeff_autocorr, spectral_density
+from .process import ar_autocov, as_field, coeff_autocorr, spectral_density
 
 __all__ = [
     "FrequencyGrid",
@@ -376,18 +376,30 @@ def spectral_functional(series, phi, path="lag", grid=None):
 def spectral_functional_limit(phi, f, grid=None, u_grid_size=512):
     """Population functional int_0^1 int phi(u, lam) f(u, lam) dlam du.
 
+    For a weight with finite lag support and an AR-backed f the frequency
+    integral is exact by Parseval: (1/2 pi) sum_{|j|<=J} c_phi(u, j) c_f(u, j)
+    with the local autocovariances c_f of :func:`~locstat.process.ar_autocov`,
+    and grid is not used.  Otherwise phi f is summed on the u_grid_size x grid
+    mesh.
+
     Parameters
     ----------
     phi : TestFunction
     f : SpectrumField, TvARModel, or callable f(u, lam)
     grid : FrequencyGrid, optional
+        Frequency grid of the mesh path; defaults to 1024 nodes.
     u_grid_size : int
         Midpoint rule resolution in rescaled time.
     """
-    if grid is None:
-        grid = FrequencyGrid()
     f = as_field(f)
     u = _time_grid(u_grid_size)
+    if phi.lag_support is not None and f.ar_model is not None:
+        J = phi.lag_support
+        cov = ar_autocov(f.ar_model, u, J)
+        total = sum(phi.lag(u, j) * cov[:, abs(j)] for j in range(-J, J + 1))
+        return float(np.mean(total) / (2 * np.pi))
+    if grid is None:
+        grid = FrequencyGrid()
     phiv = phi.values(u[:, None], grid.nodes[None, :])
     fv = f.values(u[:, None], grid.nodes[None, :])
     return float(np.sum(phiv * fv) * grid.weight / u_grid_size)

@@ -275,3 +275,39 @@ def test_threads_below_one_rejected_at_parse_time(tmp_path, value):
 )
 def test_threads_one_accepted_everywhere(argv):
     assert build_parser().parse_args([*argv, "--threads", "1"]).threads == 1
+
+
+def test_fit_json_feeds_likelihood_eval(tmp_path):
+    series = simulate_into(tmp_path, n=256)
+    fit_out = tmp_path / "fit"
+    run("fit", "--series", str(series), "--out", str(fit_out))
+    out = tmp_path / "lik"
+    run("likelihood-eval", "--series", str(series), "--config", str(fit_out / "fit.json"), "--out", str(out))
+    res = json.loads((out / "likelihood.json").read_text())
+    assert res["constant_alpha"] is True
+    assert np.isfinite(res["whittle"]) and np.isfinite(res["conditional"])
+
+
+_MODEL = {"p": 1, "alpha": [{"type": "constant", "value": 0.5}], "sigma2": {"type": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "command, config, unknown",
+    [
+        ("clt-study", {"phi": {"type": "constant", "valu": 2.0}}, "valu"),
+        ("clt-study", {"model": {**_MODEL, "burnin": 5}}, "burnin"),
+        ("clt-study", {"model": _MODEL, "phi": {"type": "ar_inverse", "scal": 2.0}}, "scal"),
+        ("prop33", {"phi": {"type": "lag_curves", "curves": {"0": {"type": "constant", "vale": 1.0}}}}, "vale"),
+        ("rate-study", {"model": {**_MODEL, "sigma2": {"type": "sampled", "values": [1.0], "eps": 0.5}}}, "eps"),
+        ("equivalence", {"model": {**_MODEL, "delt": 0.1}}, "delt"),
+        ("simulate", {**_MODEL, "alpha": [{"type": "fourier", "a0": 0.1, "c": [0.2]}]}, "c"),
+    ],
+)
+def test_unknown_nested_config_key_rejected(tmp_path, command, config, unknown):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    extra = ["--n", "16"] if command == "simulate" else []
+    with pytest.raises(SystemExit, match=f"^{command}: unknown .*key\\(s\\) {unknown};"):
+        main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from locstat.curves import (
+    SPEC_KEYS,
     ConstantCurve,
     FourierCurve,
     MonotoneStepCurve,
@@ -95,10 +96,18 @@ def test_monotone_step_curve_exposes_bounds_and_knots():
 )
 def test_curve_spec_round_trip(curve):
     spec = curve_to_spec(curve)
+    assert set(spec) == set(SPEC_KEYS[spec["type"]])  # the keys curve_from_spec allows
+    with pytest.raises(ValueError, match="unknown .* key.*extra"):
+        curve_from_spec({**spec, "extra": 1.0})
     rebuilt = curve_from_spec(spec)
     assert type(rebuilt) is type(curve)
     u = np.linspace(0.01, 1.0, 31)
     np.testing.assert_array_equal(rebuilt.values(u), curve.values(u))
+
+
+def test_curve_from_spec_rejects_misspelt_key():
+    with pytest.raises(ValueError, match="unknown constant curve key.*valu"):
+        curve_from_spec({"type": "constant", "valu": 2.0})
 
 
 def test_curve_from_spec_rejects_unknown_type():

@@ -1,0 +1,127 @@
+"""The exact lag-space and separable paths against the mesh they replace.
+
+Passing a spectrum as a callable forces the midpoint-mesh path, which stays
+as the oracle: every exact path must agree with it to rounding.
+"""
+
+import numpy as np
+import pytest
+
+import locstat.process as process
+from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
+from locstat.estimator import inverse_l2_distance
+from locstat.likelihood import SpectrumField, divergence_sandwich
+from locstat.process import TvARModel, spectral_density
+from locstat.spectral import (
+    FrequencyGrid,
+    ar_inverse_weight,
+    constant_weight,
+    lag_curve_weight,
+    spectral_functional_limit,
+)
+
+GRID = FrequencyGrid(128)
+CELLS = 32
+TOL = dict(rel=1e-12, abs=1e-14)
+
+CASES = {
+    "ar1_step_variance": lambda: TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
+    "constant_ar2": lambda: TvARModel(2, [ConstantCurve(-0.5), ConstantCurve(0.3)], ConstantCurve(1.7)),
+    "time_varying_ar2": lambda: TvARModel(
+        2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0])
+    ),
+}
+OTHER = SpectrumField.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
+
+
+def mesh(field):
+    field = process.as_field(field)
+    return lambda u, lam: field.values(u, lam)
+
+
+PAIR_CONSUMERS = {
+    "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, grid=GRID, u_grid_size=CELLS),
+    "divergence_sandwich": lambda g, f: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS),
+}
+
+
+def assert_close(fast, oracle):
+    if isinstance(oracle, dict):
+        assert fast.keys() == oracle.keys()
+        for key in oracle:
+            assert fast[key] == pytest.approx(oracle[key], **TOL), key
+    else:
+        assert fast == pytest.approx(oracle, **TOL)
+
+
+@pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_pair_consumers_match_mesh_oracle(case, consumer):
+    f = CASES[case]()
+    compute = PAIR_CONSUMERS[consumer]
+    for g in (OTHER, f):  # g = f exercises the values near 0
+        for a, b in ((g, f), (f, g)):
+            assert_close(compute(a, b), compute(mesh(a), mesh(b)))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spectral_functional_limit_matches_mesh_oracle(case):
+    f = CASES[case]()
+    weights = [
+        ar_inverse_weight(f),
+        ar_inverse_weight(CASES["time_varying_ar2"](), scale=0.5),
+        constant_weight(1.3),
+        lag_curve_weight({0: 1.0, 1: FourierCurve(0.2, a=[0.3]), 3: -0.4}),
+    ]
+    for phi in weights:
+        fast = spectral_functional_limit(phi, f, u_grid_size=CELLS)
+        oracle = spectral_functional_limit(phi, mesh(f), grid=GRID, u_grid_size=CELLS)
+        assert fast == pytest.approx(oracle, **TOL)
+
+
+def test_inverse_weight_functional_is_two_pi():
+    # phi = 1/f integrates against f to 2 pi at every u
+    f = CASES["time_varying_ar2"]()
+    assert spectral_functional_limit(ar_inverse_weight(f), f) == pytest.approx(2 * np.pi, rel=1e-14)
+
+
+def test_ar_autocov_matches_quadrature_of_the_density():
+    model = CASES["time_varying_ar2"]()
+    u = (np.arange(7) + 0.5) / 7
+    grid = FrequencyGrid(512)
+    dens = spectral_density(model, u[:, None], grid.nodes[None, :])
+    phases = np.exp(1j * np.outer(grid.nodes, np.arange(6)))
+    quad = (dens @ phases).real * grid.weight
+    np.testing.assert_allclose(process.ar_autocov(model, u, 5), quad, rtol=1e-12, atol=1e-14)
+
+
+def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
+    f = CASES["ar1_step_variance"]()
+    g = CASES["constant_ar2"]()
+
+    def forbidden(*args):
+        raise AssertionError("density evaluated on the mesh")
+
+    monkeypatch.setattr(process, "spectral_density", forbidden)
+    for compute in PAIR_CONSUMERS.values():
+        compute(g, f)
+    spectral_functional_limit(ar_inverse_weight(g), f)
+
+
+def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):
+    calls = []
+    density = process.spectral_density
+    monkeypatch.setattr(process, "spectral_density", lambda *a: calls.append(1) or density(*a))
+    divergence_sandwich(CASES["time_varying_ar2"](), OTHER, grid=GRID, u_grid_size=CELLS)
+    assert calls
+
+
+@pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
+def test_exact_paths_reject_nonpositive_variance_like_the_mesh(consumer):
+    bad = TvARModel(1, [ConstantCurve(0.2)], SampledCurve([1.0, -1.0]), validate=False)
+    compute = PAIR_CONSUMERS[consumer]
+    for a, b in ((bad, OTHER), (OTHER, bad)):
+        with pytest.raises(ValueError, match="strictly positive on the mesh"):
+            compute(mesh(a), mesh(b))
+        with pytest.raises(ValueError, match="strictly positive on the mesh"):
+            compute(a, b)

@@ -7,10 +7,12 @@ from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import limit_covariance
 from locstat.estimator import inverse_l2_distance
 from locstat.likelihood import divergence_sandwich, kl_divergence
+import locstat.process as process
 from locstat.process import (
     SpectrumField,
     TimeSeries,
     TvARModel,
+    ar_autocov,
     check_stability,
     model_from_json,
     model_to_json,
@@ -44,6 +46,27 @@ def test_check_stability_margin():
 def test_model_validation_rejects_unstable_region():
     # alpha(u) = 1.2 cos(2 pi u) exceeds 1 in modulus near u = 0 and 1
     with pytest.raises(ValueError):
+        TvARModel(1, [FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
+
+
+def test_validation_checks_each_distinct_coefficient_row_once(monkeypatch):
+    calls = []
+    check = process.check_stability
+    monkeypatch.setattr(process, "check_stability", lambda *a: calls.append(a) or check(*a))
+    TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.2)], SampledCurve([1.0, 2.0]))
+    assert len(calls) == 1
+    calls.clear()
+    TvARModel(1, [SampledCurve([0.1, 0.5, 0.1, 0.5])], ConstantCurve(1.0))
+    assert len(calls) == 2
+
+
+def test_validation_names_the_first_violating_u():
+    # rows 1.5 (cell 2) and 1.2 (cell 3) both violate; sorted, 1.2 comes
+    # first, but the first violating u lies in cell 2, at 129/512
+    with pytest.raises(ValueError, match=r"u=0\.251953$"):
+        TvARModel(1, [SampledCurve([0.5, 1.5, 1.2, 0.5])], ConstantCurve(1.0))
+    # a smoothly varying curve that violates near u = 0 fails at the first node
+    with pytest.raises(ValueError, match=r"u=0\.001953$"):
         TvARModel(1, [FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
 
 
@@ -154,7 +177,9 @@ def test_model_field_and_callable_give_equal_results(consumer):
     compute = _FIELD_CONSUMERS[consumer]
     from_model = compute(model)
     assert compute(SpectrumField.from_model(model)) == from_model
-    assert compute(lambda u, lam: spectral_density(model, u, lam)) == from_model
+    # a callable takes the mesh path, which is the oracle of the exact ones
+    from_callable = compute(lambda u, lam: spectral_density(model, u, lam))
+    assert from_callable == pytest.approx(from_model, rel=1e-12, abs=1e-14)
 
 
 def test_tv_covariance_stationary_ar1_closed_form():
@@ -165,6 +190,30 @@ def test_tv_covariance_stationary_ar1_closed_form():
     assert tv_covariance(m, 0.5, 1) == pytest.approx(-2 / 3, abs=1e-12)
     assert tv_covariance(m, 0.5, -1) == pytest.approx(-2 / 3, abs=1e-12)
     assert tv_covariance(m, 0.5, 2) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_tv_covariance_stationary_ar2_closed_form():
+    # x_t = phi1 x_{t-1} + phi2 x_{t-2} + sigma e_t, i.e. alpha = (-phi1, -phi2)
+    phi1, phi2, s2 = 0.5, -0.3, 1.7
+    m = TvARModel(2, [ConstantCurve(-phi1), ConstantCurve(-phi2)], ConstantCurve(s2))
+    c0 = s2 * (1 - phi2) / ((1 + phi2) * ((1 - phi2) ** 2 - phi1 ** 2))
+    rho = [1.0, phi1 / (1 - phi2)]
+    for _ in range(3):
+        rho.append(phi1 * rho[-1] + phi2 * rho[-2])
+    expected = c0 * np.array(rho)
+    for k in range(5):
+        assert tv_covariance(m, 0.3, k) == pytest.approx(expected[k], rel=0, abs=1e-13)
+        assert tv_covariance(m, 0.3, -k) == pytest.approx(expected[k], rel=0, abs=1e-13)
+    np.testing.assert_allclose(ar_autocov(m, [0.2, 0.9], 4), [expected, expected], rtol=0, atol=1e-13)
+
+
+def test_ar_autocov_white_noise_and_shape():
+    m = TvARModel(0, [], SampledCurve([1.0, 3.0]))
+    cov = ar_autocov(m, np.array([[0.25], [0.75]]), 2)
+    assert cov.shape == (2, 1, 3)
+    np.testing.assert_array_equal(cov[:, 0, :], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        ar_autocov(m, [0.5], -1)
 
 
 def test_tv_covariance_tracks_local_variance():
@@ -220,6 +269,22 @@ def test_model_json_from_file(tmp_path):
     m2 = model_from_json(str(path))
     assert m2.p == 0
     assert m2.sigma2(0.5) == 1.5
+
+
+@pytest.mark.parametrize(
+    "edit, unknown",
+    [
+        (lambda d: d.update(burnin=5), "burnin"),
+        (lambda d: d["sigma2"].update(valu=2.0), "valu"),
+        (lambda d: d["alpha"][0].update(a1=[0.1]), "a1"),
+    ],
+)
+def test_model_json_rejects_unknown_keys(edit, unknown):
+    payload = TvARModel(1, [FourierCurve(0.3, a=[0.1])], ConstantCurve(1.0)).describe()
+    assert set(payload) == set(process.MODEL_KEYS)
+    edit(payload)
+    with pytest.raises(ValueError, match=f"unknown .*key.* {unknown}"):
+        model_from_json(payload)
 
 
 def test_describe_mentions_order_and_burn_in():
