@@ -104,6 +104,32 @@ def _thread_count(text):
     return threads
 
 
+def _grid_size(text):
+    size = int(text)
+    if size < 2 or size % 2:
+        raise argparse.ArgumentTypeError(f"must be an even integer >= 2, got {size}")
+    return size
+
+
+def _parse_times(text):
+    """Sorted distinct 1-based times of a --times value; None for "all".
+
+    Raises ValueError naming the first entry that is not an integer >= 1.
+    """
+    if text == "all":
+        return None
+    times = set()
+    for token in text.split(","):
+        try:
+            t = int(token)
+        except ValueError:
+            raise ValueError(f'--times entry {token!r} is not an integer; give 1-based times or "all"') from None
+        if t < 1:
+            raise ValueError(f"--times entry {token!r} is below 1")
+        times.add(t)
+    return sorted(times)
+
+
 def _ensure_out(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -119,14 +145,14 @@ def _weight_from_spec(spec, model=None):
     {"type": "ar_inverse", "scale": s}        -- needs a model in context
     {"type": "lag_curves", "curves": {"0": <curve spec or number>, ...}}
 
-    Raises ValueError on an unknown type or key.
+    Raises ValueError on an unknown type or key and on missing curves.
     """
     if not isinstance(spec, dict):
         raise ValueError("weight spec must be a JSON object")
     kind = spec.get("type", "constant")
     if kind not in WEIGHT_KEYS:
         raise ValueError(f"unknown weight type {kind!r}")
-    check_spec_keys(spec, WEIGHT_KEYS[kind], f"{kind} weight")
+    check_spec_keys(spec, WEIGHT_KEYS[kind], f"{kind} weight", ("curves",) if kind == "lag_curves" else ())
     if kind == "constant":
         return constant_weight(float(spec.get("value", 1.0)))
     if kind == "ar_inverse":
@@ -154,22 +180,21 @@ def _cmd_simulate(args):
 
 
 def _cmd_preperiodogram(args):
+    times = _exit_on_bad_config(args, _parse_times, args.times)
     x = TimeSeries.from_csv(args.series)
-    pre = PrePeriodogram(x)
+    if times is not None and times[-1] > x.n:
+        raise SystemExit(f"{args.command}: --times entries must lie in 1..{x.n}")
     grid = FrequencyGrid(args.grid_size)
-    values = pre.evaluate_grid(grid)
-    if args.times == "all":
-        times = list(range(1, x.n + 1))
-    else:
-        times = sorted({int(tok) for tok in args.times.split(",")})
-        if any(t < 1 or t > x.n for t in times):
-            raise SystemExit(f"--times entries must lie in 1..{x.n}")
+    values = PrePeriodogram(x).evaluate_grid(grid, times)
+    if times is None:
+        times = range(1, x.n + 1)
     out = _ensure_out(args)
     path = os.path.join(out, "preperiodogram.csv")
-    rows = []
-    for t in times:
-        for m, lam in enumerate(grid.nodes):
-            rows.append({"t": t, "lambda": float(lam), "value": float(values[t - 1, m])})
+    rows = (
+        {"t": t, "lambda": float(lam), "value": float(value)}
+        for t, row in zip(times, values)
+        for lam, value in zip(grid.nodes, row)
+    )
     write_rows_csv(path, rows, fieldnames=["t", "lambda", "value"])
     config_text = f"series={args.series} grid_size={args.grid_size} times={args.times}"
     write_metadata(out, "preperiodogram", config_text, None, extra={"n": x.n, "grid_size": args.grid_size})
@@ -418,8 +443,10 @@ def build_parser():
 
     p_pre = sub.add_parser("preperiodogram", parents=[common], help="tabulate the pre-periodogram")
     p_pre.add_argument("--series", required=True, help="input series CSV")
-    p_pre.add_argument("--grid-size", type=int, default=64, help="frequency grid size (even)")
-    p_pre.add_argument("--times", default="all", help='comma-separated 1-based times, or "all"')
+    p_pre.add_argument("--grid-size", type=_grid_size, default=64, help="frequency grid size (even, >= 2)")
+    p_pre.add_argument(
+        "--times", default="all", help='comma-separated 1-based times, or "all"; only these rows are computed'
+    )
     p_pre.set_defaults(func=_cmd_preperiodogram)
 
     p_lik = sub.add_parser(

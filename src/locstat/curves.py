@@ -26,6 +26,7 @@ SPEC_KEYS = {
     "monotone_step": ("type", "values", "eps"),
     "sampled": ("type", "values"),
 }
+SPEC_REQUIRED = {"constant": ("value",), "fourier": (), "monotone_step": ("values", "eps"), "sampled": ("values",)}
 
 
 def _as_unit_time(u):
@@ -204,24 +205,29 @@ def curve_to_spec(curve):
     raise ValueError(f"cannot serialize curve of type {type(curve).__name__}")
 
 
-def check_spec_keys(spec, allowed, what):
-    """Raise ValueError naming the keys of the dict spec outside allowed."""
+def check_spec_keys(spec, allowed, what, required=()):
+    """Raise ValueError naming the keys of the dict spec outside allowed, or
+    the keys of required that it lacks."""
     unknown = sorted(set(spec) - set(allowed))
     if unknown:
         raise ValueError(f"unknown {what} key(s) {', '.join(unknown)}; allowed: {', '.join(allowed)}")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"{what} lacks required key(s) {', '.join(missing)}")
 
 
 def curve_from_spec(spec):
     """Deserialize a curve from the dict produced by :func:`curve_to_spec`.
 
-    Raises ValueError on a key that curve_to_spec does not write for the type.
+    Raises ValueError on a key that curve_to_spec does not write for the type
+    and on a missing key that the type needs.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("curve spec must be a dict with a 'type' key")
     kind = spec["type"]
     if kind not in SPEC_KEYS:
         raise ValueError(f"unknown curve type {kind!r}")
-    check_spec_keys(spec, SPEC_KEYS[kind], f"{kind} curve")
+    check_spec_keys(spec, SPEC_KEYS[kind], f"{kind} curve", SPEC_REQUIRED[kind])
     if kind == "constant":
         return ConstantCurve(spec["value"])
     if kind == "fourier":

@@ -257,6 +257,9 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
     ----------
     phi_j, phi_k : TestFunction
     f : SpectrumField, TvARModel, or callable
+    grid : FrequencyGrid, optional
+        Frequency mesh, 1024 nodes by default; phi_k(u, -lam) is read off
+        its mirrored nodes.
     """
     f = as_field(f)
     if grid is None:
@@ -264,10 +267,10 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
     u = _time_grid(int(u_grid_size))
     lam = grid.nodes
     pj = phi_j.values(u[:, None], lam[None, :])
-    pk = phi_k.values(u[:, None], lam[None, :])
-    pk_neg = phi_k.values(u[:, None], -lam[None, :])
+    pk = pj if phi_k is phi_j else phi_k.values(u[:, None], lam[None, :])
     fv = f.values(u[:, None], lam[None, :])
-    val = np.sum(pj * (pk + pk_neg) * fv ** 2) * grid.weight / len(u)
+    # the grid holds -lam_m at index M - 1 - m, so phi_k(u, -lam) = pk[:, ::-1]
+    val = np.sum(pj * (pk + pk[:, ::-1]) * fv ** 2) * grid.weight / len(u)
     return float(2 * np.pi * val)
 
 

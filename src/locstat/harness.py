@@ -250,7 +250,10 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
 
 
 def write_rows_csv(path, rows, fieldnames=None):
-    """Write a list of dicts as CSV with full float precision."""
+    """Write dicts as CSV with full float precision.
+
+    rows is a list, or any iterable of dicts when fieldnames is given.
+    """
     if not rows:
         raise ValueError("nothing to write")
     if fieldnames is None:

@@ -485,8 +485,9 @@ def model_to_json(model, path=None):
 def model_from_json(source, what="model"):
     """Load a TvARModel from a JSON string, dict, or file path.
 
-    Raises ValueError on a key that :meth:`TvARModel.describe` does not write;
-    the message calls such keys "unknown <what> key(s)".
+    Raises ValueError on a key that :meth:`TvARModel.describe` does not write
+    (the message calls such keys "unknown <what> key(s)") and on a missing
+    sigma2.
     """
     if isinstance(source, dict):
         payload = source
@@ -496,7 +497,7 @@ def model_from_json(source, what="model"):
             with open(text) as fh:
                 text = fh.read()
         payload = json.loads(text)
-    check_spec_keys(payload, MODEL_KEYS, what)
+    check_spec_keys(payload, MODEL_KEYS, what, required=("sigma2",))
     alpha = [curve_from_spec(s) for s in payload.get("alpha", [])]
     sigma2 = curve_from_spec(payload["sigma2"])
     return TvARModel(

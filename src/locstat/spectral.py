@@ -43,6 +43,8 @@ __all__ = [
 DEFAULT_GRID_SIZE = 1024
 MAX_DENSE_N = 4096
 VARIATION_GRID = 2048
+GRID_CHUNK_ROWS = 256  # pre-periodogram rows filled per pass of evaluate_grid
+GRID_BLOCK_NODES = 64  # grid nodes per cosine block in evaluate_grid, small enough to stay in cache
 
 
 class ResourceLimitError(RuntimeError):
@@ -113,48 +115,85 @@ class PrePeriodogram:
         ok = (i >= 1) & (i <= n) & (j >= 1) & (j <= n)
         return t[ok], self.x[i[ok] - 1] * self.x[j[ok] - 1]
 
-    def lag_matrix(self, max_lag=None):
-        """Dense matrix P[t-1, k] of lag products for k = 0..max_lag.
+    def _rows(self, times):
+        if times is None:
+            return np.arange(1, self.n + 1)
+        rows = np.asarray(times)
+        if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+            raise ValueError("times must be a 1-d sequence of integers")
+        if rows.size and (rows.min() < 1 or rows.max() > self.n):
+            raise ValueError(f"times must lie in 1..{self.n}")
+        return rows
 
-        Entries at inadmissible (t, k) are zero.  By symmetry the negative
-        lags satisfy P_t(-k) = P_t(k).
-        """
-        n = self.n
-        K = n - 1 if max_lag is None else min(int(max_lag), n - 1)
-        P = np.zeros((n, K + 1))
-        for k in range(K + 1):
-            t, prods = self.lag_products(k)
-            P[t - 1, k] = prods
-        return P
-
-    def evaluate(self, t, lam):
-        """J(t/n, lam) for one 1-based t and an array of frequencies."""
-        t = int(t)
-        if not 1 <= t <= self.n:
-            raise ValueError("t must lie in 1..n")
-        lam = np.asarray(lam, dtype=float)
-        out = np.zeros(lam.shape)
-        for k in range(0, self.n):
-            tt, prods = self.lag_products(k)
-            pos = np.searchsorted(tt, t)
-            if pos >= len(tt) or tt[pos] != t:
-                continue
-            contrib = prods[pos] * np.cos(lam * k)
-            out = out + (contrib if k == 0 else 2 * contrib)
-        return out / (2 * np.pi)
-
-    def evaluate_grid(self, grid):
-        """Matrix of J(t/n, lam_m) for all t (rows) and grid nodes (columns).
+    def evaluate_grid(self, grid, times=None):
+        """Matrix of J(t/n, lam_m) for the requested t (rows) and grid nodes.
 
         Uses the cosine representation J = (P_0 + 2 sum_{k>=1} P_k cos(k lam))
-        / (2 pi); one dense matrix product, chunked over t for large n.
+        / (2 pi) with the lag products P_k of :meth:`lag_products`: lag 2m
+        pairs x_{t+m} x_{t-m}, lag 2m+1 pairs x_{t+m+1} x_{t-m}.  On the M
+        nodes of a FrequencyGrid cos(k lam) has period 2M in k, so each row's
+        even and odd products are summed over m modulo p = min(M, n // 2 + 1),
+        then multiplied by the cosine matrix of the 2p lags below 2p.  J is
+        even in lam and the grid holds -lam for every node, so only the M/2
+        positive nodes are computed and the others mirror them.
+
+        Rows are filled GRID_CHUNK_ROWS at a time and each row's arithmetic
+        is its own, so a row's values do not depend on which other rows are
+        requested or on the chunk size.  Memory is
+        O(GRID_CHUNK_ROWS n + min(M, n) M) beyond the result, time
+        O(rows (n + min(M, n) M)).
+
+        Parameters
+        ----------
+        grid : FrequencyGrid
+        times : sequence of int, optional
+            1-based time points, one row each in the given order; all of
+            1..n when omitted.
+
+        Returns
+        -------
+        ndarray, shape (len(times), grid.size)
         """
-        n = self.n
-        P = self.lag_matrix()
-        P[:, 1:] *= 2.0
-        k = np.arange(n)
-        C = np.cos(np.outer(k, grid.nodes))
-        return (P @ C) / (2 * np.pi)
+        rows = self._rows(times)
+        n, M = self.n, grid.size
+        half = n // 2 + 1
+        n_even, n_odd = (n + 1) // 2, n // 2  # lags 2m < n and 2m + 1 < n
+        period = min(M, half)  # per parity: lags 2m and 2(m + M) share a cosine
+        # Zero-padded 2x (2 is the weight of every lag but 0) and reversed x:
+        # 2 x_{t+m} = ahead[half + t - 1 + m], x_{t-m} = behind[half + n - t + m],
+        # both zero outside 1..n.
+        pad = np.zeros(half)
+        ahead = np.concatenate([pad, 2.0 * self.x, pad])
+        behind = np.concatenate([pad, self.x[::-1], pad])
+        lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
+        positive = grid.nodes[M // 2 :]
+        cos_blocks = [
+            (col, np.cos(np.outer(lags, positive[col : col + GRID_BLOCK_NODES])))
+            for col in range(0, M // 2, GRID_BLOCK_NODES)
+        ]
+        chunk = min(GRID_CHUNK_ROWS, len(rows))
+        width = -(-half // period) * period
+        even = np.zeros((chunk, width))
+        odd = np.zeros((chunk, width))
+        folded = np.empty((chunk, 2 * period))
+        out = np.empty((len(rows), M))
+        out_positive = out[:, M // 2 :]
+        for start in range(0, len(rows), GRID_CHUNK_ROWS):
+            ts = rows[start : start + GRID_CHUNK_ROWS].tolist()
+            c = len(ts)
+            for r, t in enumerate(ts):
+                back = behind[half + n - t :]
+                np.multiply(ahead[half + t - 1 : half + t - 1 + n_even], back[:n_even], out=even[r, :n_even])
+                np.multiply(ahead[half + t : half + t + n_odd], back[:n_odd], out=odd[r, :n_odd])
+                even[r, 0] = self.x[t - 1] * self.x[t - 1]
+            np.sum(even[:c].reshape(c, -1, period), axis=1, out=folded[:c, :period])
+            np.sum(odd[:c].reshape(c, -1, period), axis=1, out=folded[:c, period:])
+            # one vector-matrix product per row and block: the BLAS kernel of a
+            # matrix product, and so its rounding, changes with the number of rows
+            for col, cos in cos_blocks:
+                out_positive[start : start + c, col : col + GRID_BLOCK_NODES] = (folded[:c, None, :] @ cos)[:, 0]
+        out[:, : M // 2] = out_positive[:, ::-1]
+        return np.divide(out, 2 * np.pi, out=out)
 
     def squared_values(self):
         """The exact frequency integrals int J(t/n, lam) dlam = x_t^2."""

@@ -85,6 +85,9 @@ def test_preperiodogram_rejects_out_of_range_times(tmp_path):
                 str(tmp_path / "x"),
             ]
         )
+    with pytest.raises(SystemExit, match=r"^preperiodogram: --times entries must lie in 1\.\.16$"):
+        main(["preperiodogram", "--series", str(series), "--times", "3,17", "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
 
 
 def test_likelihood_eval_requires_config(tmp_path):
@@ -311,3 +314,47 @@ def test_unknown_nested_config_key_rejected(tmp_path, command, config, unknown):
     with pytest.raises(SystemExit, match=f"^{command}: unknown .*key\\(s\\) {unknown};"):
         main([command, *extra, "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, missing",
+    [
+        ({"model": {"p": 0, "sigma2": {"type": "constant"}}}, "constant curve lacks required key\\(s\\) value"),
+        ({"model": {"p": 0}}, "model lacks required key\\(s\\) sigma2"),
+        ({"phi": {"type": "lag_curves"}}, "lag_curves weight lacks required key\\(s\\) curves"),
+    ],
+)
+def test_missing_nested_config_key_rejected(tmp_path, config, missing):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^clt-study: {missing}$"):
+        main(["clt-study", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("times, token", [("5,abc", "'abc'"), ("", "''"), ("3,-1", "'-1'"), ("2,,4", "''")])
+def test_preperiodogram_bad_times_rejected_before_reading(tmp_path, times, token):
+    out = tmp_path / "out"
+    # the series file does not exist: the times are checked first
+    with pytest.raises(SystemExit, match=f"^preperiodogram: --times entry {token} "):
+        main(["preperiodogram", "--series", str(tmp_path / "none.csv"), "--times", times, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["3", "0", "-2", "1"])
+def test_preperiodogram_bad_grid_size_rejected_at_parse_time(tmp_path, size):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["preperiodogram", "--series", "x.csv", "--grid-size", size])
+
+
+def test_preperiodogram_all_times_match_requested_rows(tmp_path):
+    series = simulate_into(tmp_path, n=40)
+    common = ["preperiodogram", "--series", str(series), "--grid-size", "8"]
+    run(*common, "--out", str(tmp_path / "all"))
+    run(*common, "--times", "40,3", "--out", str(tmp_path / "some"))
+    every = read_rows_csv(tmp_path / "all" / "preperiodogram.csv")
+    some = read_rows_csv(tmp_path / "some" / "preperiodogram.csv")
+    assert len(every) == 40 * 8
+    assert [r["t"] for r in every[::8]] == list(range(1, 41))
+    assert some == [r for r in every if r["t"] in (3, 40)]

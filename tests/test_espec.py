@@ -18,7 +18,7 @@ from locstat.espec import (
 )
 from locstat.likelihood import SpectrumField
 from locstat.process import TvARModel, white_noise_model
-from locstat.spectral import TestFunction, ar_inverse_weight, constant_weight
+from locstat.spectral import FrequencyGrid, TestFunction, ar_inverse_weight, constant_weight
 
 
 def flat_noise_field():
@@ -113,6 +113,23 @@ def test_limit_covariance_ar_inverse_weight_frozen():
 def test_limit_covariance_accepts_model():
     phi = constant_weight(1.0)
     assert limit_covariance(phi, phi, white_noise_model(1.0)) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_limit_covariance_weight_not_even_in_lambda(same):
+    # phi_k(u, -lam) is read off the mirrored grid nodes; a weight with an
+    # odd part must give the value of evaluating it at -lam directly
+    phi_k = TestFunction(lambda u, lam: (1.0 + u) * (1.5 + np.sin(lam) + 0.3 * np.cos(2 * lam)), lambda u, j: u)
+    phi_j = phi_k if same else constant_weight(0.7)
+    model = TvARModel(1, [ConstantCurve(0.4)], ConstantCurve(1.3))
+    f = SpectrumField.from_model(model)
+    grid = FrequencyGrid(64)
+    u = (np.arange(128) + 0.5) / 128
+    lam = grid.nodes
+    pj = phi_j.values(u[:, None], lam[None, :])
+    pk = phi_k.values(u[:, None], lam[None, :]) + phi_k.values(u[:, None], -lam[None, :])
+    mesh = 2 * np.pi * np.sum(pj * pk * f.values(u[:, None], lam[None, :]) ** 2) * grid.weight / len(u)
+    assert limit_covariance(phi_j, phi_k, f, grid=grid, u_grid_size=128) == pytest.approx(mesh, rel=1e-12)
 
 
 def test_spectral_process_sample_deterministic():

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from locstat import spectral
 from locstat.curves import ConstantCurve, FourierCurve
 from locstat.process import TvARModel, simulate_tvar, white_noise_model
 from locstat.spectral import (
@@ -21,6 +24,23 @@ from locstat.spectral import (
 
 def rand_series(n, seed):
     return simulate_tvar(white_noise_model(1.0), n, seed)
+
+
+def evaluate(pre, t, lam):
+    """Oracle: J(t/n, lam) for one 1-based t, summed lag by lag."""
+    t = int(t)
+    if not 1 <= t <= pre.n:
+        raise ValueError("t must lie in 1..n")
+    lam = np.asarray(lam, dtype=float)
+    out = np.zeros(lam.shape)
+    for k in range(0, pre.n):
+        tt, prods = pre.lag_products(k)
+        pos = np.searchsorted(tt, t)
+        if pos >= len(tt) or tt[pos] != t:
+            continue
+        contrib = prods[pos] * np.cos(lam * k)
+        out = out + (contrib if k == 0 else 2 * contrib)
+    return out / (2 * np.pi)
 
 
 class TestFrequencyGrid:
@@ -98,15 +118,83 @@ class TestPrePeriodogram:
         vals = pre.evaluate_grid(g)
         for t in (1, 8, 17):
             for m in (0, 5, 15):
-                assert pre.evaluate(t, g.nodes[m]) == pytest.approx(vals[t - 1, m], rel=1e-12)
+                assert evaluate(pre, t, g.nodes[m]) == pytest.approx(vals[t - 1, m], rel=1e-12)
 
-    def test_lag_matrix_zero_padding(self):
+    def test_lag_products_zero_padding(self):
         x = np.array([1.0, 2.0, 3.0])
-        mat = PrePeriodogram(x).lag_matrix(2)
-        assert mat.shape == (3, 3)
-        np.testing.assert_allclose(mat[:, 0], x * x)
-        # k=2 admissible only at t=2
-        np.testing.assert_allclose(mat[:, 2], [0.0, 3.0, 0.0])
+        pre = PrePeriodogram(x)
+        t, v = pre.lag_products(0)
+        np.testing.assert_array_equal(t, [1, 2, 3])
+        np.testing.assert_allclose(v, x * x)
+        # k=1 pairs x_{t+1} x_t, so t=3 has no partner; k=2 is admissible only at t=2
+        t, v = pre.lag_products(1)
+        np.testing.assert_array_equal(t, [1, 2])
+        np.testing.assert_allclose(v, [2.0, 6.0])
+        t, v = pre.lag_products(2)
+        np.testing.assert_array_equal(t, [2])
+        np.testing.assert_allclose(v, [3.0])
+        # the grid rows carry exactly these products, the rest padded by zeros
+        g = FrequencyGrid(8)
+        lam = g.nodes
+        expected = np.array(
+            [1 + 2 * 2 * np.cos(lam), 4 + 2 * 6 * np.cos(lam) + 2 * 3 * np.cos(2 * lam), np.full(8, 9.0)]
+        )
+        np.testing.assert_allclose(pre.evaluate_grid(g), expected / (2 * np.pi), rtol=0, atol=1e-14)
+
+    # 16 nodes fold 300 lags modulo 32; 200 nodes take two cosine blocks
+    @pytest.mark.parametrize("size", [16, 200])
+    def test_requested_rows_equal_rows_of_full_grid(self, size):
+        pre = PrePeriodogram(rand_series(300, 7))
+        g = FrequencyGrid(size)
+        full = pre.evaluate_grid(g)
+        times = [300, 1, 150, 151, 150, 2]
+        np.testing.assert_array_equal(pre.evaluate_grid(g, times), full[np.array(times) - 1])
+        np.testing.assert_array_equal(pre.evaluate_grid(g, [77]), full[[76]])
+        assert pre.evaluate_grid(g, []).shape == (0, size)
+
+    @pytest.mark.parametrize("size", [16, 200])
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_grid_does_not_depend_on_chunk_size(self, monkeypatch, chunk, size):
+        pre = PrePeriodogram(rand_series(300, 8))
+        g = FrequencyGrid(size)
+        full = pre.evaluate_grid(g)
+        times = [5, 299, 100, 101]
+        sub = pre.evaluate_grid(g, times)
+        monkeypatch.setattr(spectral, "GRID_CHUNK_ROWS", chunk or pre.n)
+        np.testing.assert_array_equal(pre.evaluate_grid(g), full)
+        np.testing.assert_array_equal(pre.evaluate_grid(g, times), sub)
+
+    @pytest.mark.parametrize("n, size", [(40, 8), (33, 16), (25, 64), (30, 260)])
+    def test_grid_rows_match_oracle(self, n, size):
+        # n > 2 * size folds lags modulo the grid's period; n < size does not;
+        # 260 nodes take three cosine blocks
+        pre = PrePeriodogram(rand_series(n, n))
+        g = FrequencyGrid(size)
+        vals = pre.evaluate_grid(g)
+        for t in range(1, n + 1):
+            ref = evaluate(pre, t, g.nodes)
+            # rounding is relative to the row's scale where its terms cancel
+            np.testing.assert_allclose(vals[t - 1], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_grid_rejects_bad_times(self):
+        pre = PrePeriodogram(np.ones(5))
+        g = FrequencyGrid(4)
+        for times in ([0, 2], [6], [1.5], [[1, 2]]):
+            with pytest.raises(ValueError):
+                pre.evaluate_grid(g, times)
+
+    def test_grid_memory_linear_in_n_for_fixed_times(self):
+        g = FrequencyGrid(64)
+        times = [1, 100, 1000, 2000]
+        peaks = []
+        for n in (2048, 8192):
+            pre = PrePeriodogram(rand_series(n, 9))
+            tracemalloc.start()
+            pre.evaluate_grid(g, times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # linear growth gives at most 4x for 4x the length; an n x n lag matrix gave 16x
+        assert peaks[1] <= 4.5 * peaks[0]
 
 
 def test_periodogram_matches_fft():
