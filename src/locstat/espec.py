@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .process import as_field, simulate_tvar, spectral_density
+from .process import REPLICATION_CHUNK, as_field, simulate_tvar_batch, spectral_density
 from .spectral import (
     FrequencyGrid,
+    _lag_functionals,
     _time_grid,
     quadratic_form_matrix,
-    spectral_functional,
     spectral_functional_limit,
 )
 
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 TRACE_MAX_N = 256
+TAIL_CHUNK_VALUES = 1 << 20  # normals per chunk of chi2_tail_study, at most
 
 
 def replication_seed(master, *indices):
@@ -97,7 +98,8 @@ def clopper_pearson_upper(successes, trials, level=0.99):
         raise ValueError("need 0 <= successes <= trials")
     if successes == trials:
         return 1.0
-    return float(stats.beta.ppf(level, successes + 1, trials - successes))
+    # the level quantile of Beta(successes + 1, trials - successes)
+    return float(special.betaincinv(successes + 1, trials - successes, level))
 
 
 def tail_bound_quadratic(eta, r_sq, l_max, n):
@@ -113,10 +115,12 @@ def tail_bound_linear(eta, r_sq):
 def chi2_tail_study(spec):
     """Empirical tail of S against its two exponential bounds.
 
-    Simulates the replications in fixed-size chunks from a single stream
-    (deterministic in the seed), and reports for each threshold the
-    empirical exceedance probability, its 99% upper confidence limit, and
-    the two closed-form bounds.
+    Simulates the replications in chunks from a single stream (deterministic
+    in the seed), at most spec.chunk rows and TAIL_CHUNK_VALUES normals each,
+    so memory does not grow with the replication count; the generator fills
+    draws in order, so the chunk size changes no draw.  Reports for each
+    threshold the empirical exceedance probability, its 99% upper confidence
+    limit, and the two closed-form bounds.
 
     Returns
     -------
@@ -133,9 +137,10 @@ def chi2_tail_study(spec):
     rng = np.random.default_rng(spec.seed)
 
     counts = np.zeros(len(spec.etas), dtype=np.int64)
+    chunk = max(1, min(spec.chunk, TAIL_CHUNK_VALUES // n))
     remaining = spec.replications
     while remaining > 0:
-        rows = min(spec.chunk, remaining)
+        rows = min(chunk, remaining)
         z = rng.standard_normal((rows, n))
         s = (z * z - 1.0) @ lam / math.sqrt(n)
         abs_s = np.abs(s)
@@ -204,7 +209,9 @@ def spectral_process_sample(
     (seed, r), evaluates the functional by the exact lag path, and centers
     either at the population functional of the model spectrum or at the
     Monte Carlo mean (computed with compensated summation, so the mean-
-    centered deviations average to zero exactly up to rounding).
+    centered deviations average to zero exactly up to rounding).  The
+    replications run as batches of :func:`simulate_tvar_batch`, with values
+    bit-identical to one simulation per replication.
 
     Parameters
     ----------
@@ -225,10 +232,7 @@ def spectral_process_sample(
     if phi.lag_support is None:
         raise ValueError("need a weight with finite lag support")
 
-    values = np.empty(replications)
-    for r in range(replications):
-        x = simulate_tvar(model, n, replication_seed(seed, r), burn_in=burn_in)
-        values[r] = spectral_functional(x, phi, path="lag")
+    values = _functional_sample(model, phi, n, [replication_seed(seed, r) for r in range(replications)], burn_in)
 
     if centering == "analytic":
         center = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
@@ -243,6 +247,20 @@ def spectral_process_sample(
         n=n,
         replications=replications,
         seed=int(seed),
+    )
+
+
+def _functional_sample(model, phi, n, seeds, burn_in=None):
+    """Lag-path spectral functional of one simulated series per seed.
+
+    Simulates and reduces REPLICATION_CHUNK replications at a time, so memory
+    stays O(REPLICATION_CHUNK n) however many seeds there are.
+    """
+    return np.concatenate(
+        [
+            _lag_functionals(simulate_tvar_batch(model, n, seeds[start : start + REPLICATION_CHUNK], burn_in), phi)
+            for start in range(0, len(seeds), REPLICATION_CHUNK)
+        ]
     )
 
 
@@ -288,14 +306,12 @@ def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096)
     list of dict
         Keys: n, mean, limit, stderr, sqrt_n_bias, n_bias.
     """
+    limit = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
     rows = []
     for n in n_list:
         n = int(n)
-        limit = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
-        values = np.empty(int(replications))
-        for r in range(int(replications)):
-            x = simulate_tvar(model, n, replication_seed(seed, n, r))
-            values[r] = spectral_functional(x, phi, path="lag")
+        seeds = [replication_seed(seed, n, r) for r in range(int(replications))]
+        values = _functional_sample(model, phi, n, seeds)
         mean = math.fsum(values) / len(values)
         stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
         rows.append(

@@ -8,6 +8,7 @@ rerunning a study reproduces its files byte for byte.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from .estimator import (
     inverse_l2_distance,
 )
 from .likelihood import conditional_likelihood, whittle_contrast
-from .process import SpectrumField, TvARModel, simulate_tvar
+from .process import SpectrumField, TvARModel, simulate_tvar_batch
 
 __all__ = [
     "default_rate_model",
@@ -129,11 +130,8 @@ def log_log_slope(ns, values):
     return float(np.dot(xs, ys) / np.dot(xs, xs))
 
 
-def _rate_one(spec, model, truth_field, n, r):
-    # common random numbers: replication r reuses one innovation stream for
-    # every n, so cross-n median comparisons see the systematic trend rather
-    # than independent per-n draws
-    x = simulate_tvar(model, n, replication_seed(spec.seed, r))
+def _rate_one(spec, model, truth_field, x):
+    n = len(x)
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
     fitted_field = SpectrumField.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     err_spec = inverse_l2_distance(fitted_field, truth_field, u_grid_size=spec.u_grid_size)
@@ -150,9 +148,10 @@ def _rate_one(spec, model, truth_field, n, r):
 def rate_study(spec=None, threads=1):
     """Monte Carlo decay of the fit errors over a grid of sample sizes.
 
-    For each n and replication: simulate the model, run the monotone fit
-    with the study's sieve schedule, and measure the inverse-spectrum L2
-    error of the full fitted spectrum and of the variance curve alone.
+    For each n, simulate all replications in one batch; for each
+    replication, run the monotone fit with the study's sieve schedule and
+    measure the inverse-spectrum L2 error of the full fitted spectrum and of
+    the variance curve alone.
     Reports per-n medians and the log-log slopes across n.  Replication r
     shares its innovation stream across all n (common random numbers), which
     sharpens cross-n comparisons of the medians without changing any per-n
@@ -162,8 +161,9 @@ def rate_study(spec=None, threads=1):
     ----------
     spec : RateStudySpec, optional
     threads : int
-        Worker threads for replications; results are merged by replication
-        index, so the thread count never changes the output.
+        Worker threads for the fits and distances of the replications;
+        results are merged by replication index, so the thread count never
+        changes the output.
 
     Returns
     -------
@@ -173,14 +173,18 @@ def rate_study(spec=None, threads=1):
     model = spec.resolved_model()
     truth_field = SpectrumField.from_model(model)
 
+    fit_row = functools.partial(_rate_one, spec, model, truth_field)
     rows = []
     for n in spec.n_list:
-        jobs = list(range(spec.replications))
+        # common random numbers: replication r reuses one innovation stream
+        # for every n, so cross-n median comparisons see the systematic trend
+        # rather than independent per-n draws
+        batch = simulate_tvar_batch(model, n, [replication_seed(spec.seed, r) for r in range(spec.replications)])
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda r: _rate_one(spec, model, truth_field, n, r), jobs))
+                results = list(pool.map(fit_row, batch))
         else:
-            results = [_rate_one(spec, model, truth_field, n, r) for r in jobs]
+            results = list(map(fit_row, batch))
         cfg_k, cfg_eps = spec.fit_config_for(n).resolve(n)
         rows.append(
             {
@@ -237,8 +241,7 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     for n in n_list:
         n = int(n)
         gaps = []
-        for r in range(int(replications)):
-            x = simulate_tvar(model, n, replication_seed(seed, r))
+        for x in simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(int(replications))]):
             worst = 0.0
             for (alpha, sigma2), g in zip(candidates, fields):
                 lt = conditional_likelihood(x, alpha, sigma2)

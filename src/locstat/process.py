@@ -36,6 +36,7 @@ __all__ = [
     "as_field",
     "check_stability",
     "simulate_tvar",
+    "simulate_tvar_batch",
     "transfer_abs2",
     "coeff_autocorr",
     "ar_autocov",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_BURN_IN = 1000
+REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_batch
+ROW_FORM_MIN = 4  # fewer replications than this run one at a time, where the float loop is faster
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
 
@@ -237,7 +240,9 @@ def simulate_tvar(model, n, seed, burn_in=None):
     The recursion X_t = -sum_j alpha_j(t/n) X_{t-j} + sigma(t/n) eps_t is run
     for burn_in + n steps with standard normal innovations; during burn-in the
     coefficients are frozen at their u = 1/n values.  The same
-    (model, n, seed, burn_in) always produces bit-identical output.
+    (model, n, seed, burn_in) always produces bit-identical output.  This is
+    the one-seed case of :func:`simulate_tvar_batch`, which simulates many
+    replications at once with the same values.
 
     Parameters
     ----------
@@ -253,34 +258,75 @@ def simulate_tvar(model, n, seed, burn_in=None):
     -------
     TimeSeries
     """
+    values = simulate_tvar_batch(model, n, [seed], burn_in)[0]
+    burn_in = int(model.burn_in if burn_in is None else burn_in)
+    prov = {"model": model.describe(), "burn_in": burn_in, "n": int(n)}
+    return TimeSeries(values, seed=seed, provenance=prov)
+
+
+def simulate_tvar_batch(model, n, seeds, burn_in=None):
+    """Simulate one replication of a time-varying AR model per seed.
+
+    Row r is bit-identical to ``simulate_tvar(model, n, seeds[r],
+    burn_in).values``: each seed keeps its own innovation stream, and the
+    recursion runs once over time with the replications as the vector
+    dimension, doing the same floating-point operations in the same order
+    for every replication.  Replications are drawn and run
+    ``REPLICATION_CHUNK`` at a time (one at a time when there are fewer than
+    ``ROW_FORM_MIN``), so memory is O(REPLICATION_CHUNK (burn_in + n))
+    besides the result, and the chunking changes no value because the
+    replications never mix.
+
+    Parameters
+    ----------
+    model : TvARModel
+    n : int
+        Number of observations per replication, >= 1.
+    seeds : sequence of int
+        One seed for numpy's default generator per replication.
+    burn_in : int, optional
+        Number of warm-up steps discarded, >= 0; defaults to model.burn_in.
+
+    Returns
+    -------
+    ndarray of shape (len(seeds), n)
+    """
     n = int(n)
     burn_in = int(model.burn_in if burn_in is None else burn_in)
     if n < 1:
         raise ValueError("n must be at least 1")
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
-    rng = np.random.default_rng(seed)
+    seeds = list(seeds)
     total = burn_in + n
-    eps = rng.standard_normal(total)
-
     u = np.empty(total)
     u[:burn_in] = 1.0 / n
     u[burn_in:] = np.arange(1, n + 1) / n
     sig = np.sqrt(model.sigma2.values(u))
-    prov = {"model": model.describe(), "burn_in": burn_in, "n": n}
-
-    if model.p == 0:
-        return TimeSeries(sig[burn_in:] * eps[burn_in:], seed=seed, provenance=prov)
-
-    a = model.alpha_matrix(u)
+    a = model.alpha_matrix(u).tolist()
     p = model.p
-    x = np.zeros(total)
-    for t in range(total):
-        acc = sig[t] * eps[t]
-        for j in range(1, min(p, t) + 1):
-            acc -= a[t, j - 1] * x[t - j]
-        x[t] = acc
-    return TimeSeries(x[burn_in:], seed=seed, provenance=prov)
+
+    out = np.empty((len(seeds), n))
+    step = REPLICATION_CHUNK if len(seeds) >= ROW_FORM_MIN else 1
+    for start in range(0, len(seeds), step):
+        chunk = seeds[start : start + step]
+        eps = np.stack([np.random.default_rng(s).standard_normal(total) for s in chunk], axis=1)
+        drive = sig[:, None] * eps  # (time, replication)
+        if p == 0:
+            out[start : start + len(chunk)] = drive[burn_in:].T
+            continue
+        # Python floats for one replication, rows of replications otherwise:
+        # the float loop is the faster one for a single long series
+        drive = drive[:, 0].tolist() if len(chunk) == 1 else list(drive)
+        x = [None] * total
+        for t in range(total):
+            acc = drive[t]
+            at = a[t]
+            for j in range(1, min(p, t) + 1):
+                acc = acc - at[j - 1] * x[t - j]
+            x[t] = acc
+        out[start : start + len(chunk)] = np.array(x[burn_in:]).reshape(n, len(chunk)).T
+    return out
 
 
 def transfer_abs2(coeffs, lam):

@@ -90,6 +90,17 @@ def _series_values(series):
     return x
 
 
+def _lag_index(n, k):
+    """Admissible 1-based times t at lag k and the 0-based indices i - 1,
+    j - 1 of their pair x_i x_j, i = floor(t + 1/2 + k/2), j = floor(t + 1/2 - k/2)."""
+    k = int(k)
+    t = np.arange(1, n + 1)
+    i = (2 * t + 1 + k) // 2
+    j = (2 * t + 1 - k) // 2
+    ok = (i >= 1) & (i <= n) & (j >= 1) & (j <= n)
+    return t[ok], i[ok] - 1, j[ok] - 1
+
+
 class PrePeriodogram:
     """Lag-product representation of a series' pre-periodogram."""
 
@@ -107,13 +118,8 @@ class PrePeriodogram:
         products : ndarray
             x_i x_j with i = floor(t + 1/2 + k/2), j = floor(t + 1/2 - k/2).
         """
-        n = self.n
-        k = int(k)
-        t = np.arange(1, n + 1)
-        i = (2 * t + 1 + k) // 2
-        j = (2 * t + 1 - k) // 2
-        ok = (i >= 1) & (i <= n) & (j >= 1) & (j <= n)
-        return t[ok], self.x[i[ok] - 1] * self.x[j[ok] - 1]
+        t, i, j = _lag_index(self.n, k)
+        return t, self.x[i] * self.x[j]
 
     def _rows(self, times):
         if times is None:
@@ -383,24 +389,16 @@ def spectral_functional(series, phi, path="lag", grid=None):
     """
     x = _series_values(series)
     n = len(x)
-    J = PrePeriodogram(x)
 
     if path == "lag":
         if phi.lag_support is None:
             raise ValueError("lag path needs a weight with finite lag support")
-        K = min(phi.lag_support, n - 1)
-        acc = 0.0
-        for k in range(-K, K + 1):
-            t, prods = J.lag_products(k)
-            if len(t) == 0:
-                continue
-            acc += float(np.dot(phi.lag(t / n, -k), prods))
-        return acc / (2 * np.pi * n)
+        return float(_lag_functionals(x[None, :], phi)[0])
 
     if path == "quadrature":
         if grid is None:
             raise ValueError("quadrature path requires an explicit FrequencyGrid")
-        Jmat = J.evaluate_grid(grid)
+        Jmat = PrePeriodogram(x).evaluate_grid(grid)
         t = np.arange(1, n + 1) / n
         phivals = phi.values(t[:, None], grid.nodes[None, :])
         return float(np.sum(phivals * Jmat) * grid.weight / n)
@@ -410,6 +408,27 @@ def spectral_functional(series, phi, path="lag", grid=None):
         return float(x @ U @ x) / (2 * np.pi * n)
 
     raise ValueError(f"unknown path {path!r}")
+
+
+def _lag_functionals(X, phi):
+    """The lag path of :func:`spectral_functional` for every row of X.
+
+    sum_k sum_t c_phi(t/n, -k) P_k(t) / (2 pi n), with the weights of each
+    lag built once for all rows.  Each row's products are a fresh array
+    dotted on its own, as for a single series: OpenBLAS's ddot can round
+    differently on row views of one product matrix, and every row must equal
+    the single-series value bit for bit.
+    """
+    R, n = X.shape
+    acc = np.zeros(R)
+    K = min(phi.lag_support, n - 1)
+    for k in range(-K, K + 1):
+        t, i, j = _lag_index(n, k)
+        w = phi.lag(t / n, -k)
+        xi, xj = X[:, i], X[:, j]
+        for r in range(R):
+            acc[r] += float(np.dot(w, xi[r] * xj[r]))
+    return acc / (2 * np.pi * n)
 
 
 def spectral_functional_limit(phi, f, grid=None, u_grid_size=512):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from locstat.curves import ConstantCurve
+import locstat.process as process
+from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import (
     TailStudySpec,
     bias_scaling_study,
@@ -17,8 +22,15 @@ from locstat.espec import (
     tail_bound_quadratic,
 )
 from locstat.likelihood import SpectrumField
-from locstat.process import TvARModel, white_noise_model
-from locstat.spectral import FrequencyGrid, TestFunction, ar_inverse_weight, constant_weight
+from locstat.process import TvARModel, simulate_tvar, white_noise_model
+from locstat.spectral import (
+    FrequencyGrid,
+    TestFunction,
+    ar_inverse_weight,
+    constant_weight,
+    lag_curve_weight,
+    spectral_functional,
+)
 
 
 def flat_noise_field():
@@ -42,6 +54,22 @@ def test_clopper_pearson_upper():
         clopper_pearson_upper(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson_upper(-1, 4)
+
+
+def test_clopper_pearson_upper_equals_beta_quantile():
+    from scipy import stats
+
+    for trials in (7, 1000, 10000):
+        for k in sorted({0, 1, 2, trials // 3, trials - 2, trials - 1}):
+            expected = float(stats.beta.ppf(0.99, k + 1, trials - k))
+            assert clopper_pearson_upper(k, trials) == expected
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, locstat; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_tail_bounds_frozen_values():
@@ -81,6 +109,19 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant():
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in c]
     d = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=6))
     assert [r["exceedances"] for r in a] != [r["exceedances"] for r in d]
+
+
+def test_chi2_tail_study_memory_does_not_grow_with_replications():
+    def peak(replications):
+        spec = TailStudySpec.linear_design(1024, replications, [1.0, 2.0], seed=3)
+        tracemalloc.start()
+        try:
+            chi2_tail_study(spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000) <= 1.5 * peak(2000)
 
 
 def test_chi2_tail_study_bounds_hold():
@@ -139,6 +180,35 @@ def test_spectral_process_sample_deterministic():
     b = spectral_process_sample(model, phi, 64, 5, seed=3)
     np.testing.assert_array_equal(a.functionals, b.functionals)
     assert a.center == b.center
+
+
+def per_replication_functionals(model, phi, n, seeds, burn_in=None):
+    return [spectral_functional(simulate_tvar(model, n, s, burn_in=burn_in), phi, path="lag") for s in seeds]
+
+
+BATCH_CASES = [
+    (TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])), None),
+    (TvARModel(2, [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3])), 40),
+]
+
+
+@pytest.mark.parametrize("model, burn_in", BATCH_CASES)
+def test_spectral_process_sample_equals_per_replication_loop(monkeypatch, model, burn_in):
+    monkeypatch.setattr(process, "REPLICATION_CHUNK", 7)
+    phi = ar_inverse_weight(model)
+    s = spectral_process_sample(model, phi, 96, 17, seed=21, burn_in=burn_in)
+    expected = per_replication_functionals(model, phi, 96, [replication_seed(21, r) for r in range(17)], burn_in)
+    assert s.functionals.tolist() == expected
+
+
+def test_bias_scaling_study_equals_per_replication_loop():
+    model, _ = BATCH_CASES[1]
+    phi = lag_curve_weight({0: 1.0, 2: SampledCurve([0.2, -0.1])})
+    rows = bias_scaling_study(model, phi, [32, 50], 12, seed=4)
+    for row in rows:
+        values = per_replication_functionals(model, phi, row["n"], [replication_seed(4, row["n"], r) for r in range(12)])
+        assert row["mean"] == math.fsum(values) / len(values)
+        assert row["stderr"] == float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
 def test_spectral_process_sample_mean_centering_sums_to_zero():

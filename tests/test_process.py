@@ -17,6 +17,7 @@ from locstat.process import (
     model_from_json,
     model_to_json,
     simulate_tvar,
+    simulate_tvar_batch,
     spectral_density,
     transfer_abs2,
     tv_covariance,
@@ -93,6 +94,71 @@ def test_sign_convention_of_coefficients():
         x = simulate_tvar(model, 4000, seed=1).values
         r1 = np.dot(x[1:], x[:-1]) / np.dot(x, x)
         assert sign * r1 > 0.7
+
+
+def simulate_oracle(model, n, seed, burn_in=None):
+    """The scalar recursion, one numpy float64 at a time, for one seed."""
+    burn_in = model.burn_in if burn_in is None else burn_in
+    total = burn_in + n
+    eps = np.random.default_rng(seed).standard_normal(total)
+    u = np.empty(total)
+    u[:burn_in] = 1.0 / n
+    u[burn_in:] = np.arange(1, n + 1) / n
+    sig = np.sqrt(model.sigma2.values(u))
+    if model.p == 0:
+        return sig[burn_in:] * eps[burn_in:]
+    a = model.alpha_matrix(u)
+    x = np.zeros(total)
+    for t in range(total):
+        acc = sig[t] * eps[t]
+        for j in range(1, min(model.p, t) + 1):
+            acc -= a[t, j - 1] * x[t - j]
+        x[t] = acc
+    return x[burn_in:]
+
+
+ORACLE_MODELS = {
+    "white-tv-variance": TvARModel(0, [], FourierCurve(1.0, a=[0.3])),
+    "ar1": TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
+    "ar2-time-varying": TvARModel(
+        2, [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3]), burn_in=50
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize(
+    "n, seeds, burn_in",
+    [(40, [3, 1, 4, 1, 5], None), (33, [7, 8, 9, 10], 0), (1, [2, 6, 5, 3], None), (64, [11], 3), (50, [12, 13], None)],
+)
+def test_batch_rows_equal_scalar_oracle(name, n, seeds, burn_in):
+    model = ORACLE_MODELS[name]
+    batch = simulate_tvar_batch(model, n, seeds, burn_in)
+    assert batch.shape == (len(seeds), n)
+    for row, seed in zip(batch, seeds):
+        np.testing.assert_array_equal(row, simulate_oracle(model, n, seed, burn_in))
+    for seed in seeds:
+        np.testing.assert_array_equal(simulate_tvar(model, n, seed, burn_in).values, simulate_oracle(model, n, seed, burn_in))
+
+
+def test_batch_of_no_seeds_is_empty():
+    assert simulate_tvar_batch(ORACLE_MODELS["ar1"], 16, []).shape == (0, 16)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 20])
+def test_batch_does_not_depend_on_replication_chunk(monkeypatch, chunk):
+    model = ORACLE_MODELS["ar2-time-varying"]
+    seeds = list(range(100, 120))
+    expected = simulate_tvar_batch(model, 48, seeds)
+    monkeypatch.setattr(process, "REPLICATION_CHUNK", chunk)
+    np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
+
+
+def test_batch_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        simulate_tvar_batch(ORACLE_MODELS["ar1"], 0, [1])
+    with pytest.raises(ValueError):
+        simulate_tvar_batch(ORACLE_MODELS["ar1"], 8, [1], burn_in=-1)
 
 
 def test_white_noise_fast_path_matches_generic_loop():
