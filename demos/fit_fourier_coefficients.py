@@ -1,8 +1,9 @@
 """Quasi-likelihood fit of a trigonometric AR coefficient curve.
 
-fit_fourier_tvar searches the order-1 class alpha(u) = a0
+fit_fourier_tvar fits the order-1 class alpha(u) = a0
 + sum_j a_j cos(2 pi j u) + b_j sin(2 pi j u) with a constant innovation
-variance profiled out of the exact Whittle contrast.  On data whose
+variance profiled out of the exact Whittle contrast, by one least-squares
+solve.  On data whose
 coefficient really oscillates, the k_n = 1 fit recovers the curve and beats
 the best constant-coefficient candidate, and the reported objective is
 exactly the Whittle contrast of the fitted model -- the same functional the
@@ -28,7 +29,7 @@ def main(seed=4, n=2048):
 
     print("== coefficient recovery, k_n = 1 ==")
     fit = fit_fourier_tvar(series, k_n=1)
-    print(f"sweeps {fit.sweeps}, converged {fit.converged}")
+    print(f"constrained {fit.constrained}, converged {fit.converged}")
     print(f"a0 {fit.alpha_curve.a0:+.4f}   (truth +0.0000)")
     print(f"a1 {float(fit.alpha_curve.a[0]):+.4f}   (truth +0.5000)")
     print(f"b1 {float(fit.alpha_curve.b[0]):+.4f}   (truth +0.0000)")

@@ -42,7 +42,6 @@ from .estimator import (
     FitConfig,
     FitResult,
     FourierFitResult,
-    InfeasibleStartError,
     curve_inverse_l2_distance,
     default_eps,
     default_knots,
@@ -177,7 +176,6 @@ __all__ = [
     "inverse_l2_distance",
     "curve_inverse_l2_distance",
     "DegenerateDataError",
-    "InfeasibleStartError",
     # espec
     "TailStudySpec",
     "chi2_tail_study",

@@ -76,7 +76,10 @@ def _read_config(args, allowed):
         return {}, ""
     with open(args.config) as fh:
         text = fh.read()
-    config = json.loads(text)
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"{args.command}: --config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise SystemExit(f"{args.command}: --config must hold a JSON object")
     if allowed is not None:
@@ -328,7 +331,7 @@ def _cmd_tail_study(args):
     elif design == "linear":
         spec = TailStudySpec.linear_design(n, replications=replications, etas=etas, seed=seed)
     else:
-        raise SystemExit(f"unknown design {design!r}")
+        raise SystemExit(f"{args.command}: unknown design {design!r}")
     rows = chi2_tail_study(spec)
     out = _ensure_out(args)
     path = os.path.join(out, "tail_rows.csv")
@@ -427,17 +430,19 @@ def build_parser():
         prog="locstat",
         description="Spectral estimation for locally stationary time series.",
     )
+    # every subcommand takes --threads and --out; --threads above 1 is
+    # refused in main() except by rate-study
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (default per subcommand)")
-    common.add_argument(
-        "--threads", type=_thread_count, default=1, help="worker threads where supported (>= 1)"
-    )
+    common.add_argument("--threads", type=_thread_count, default=1, help="worker threads, rate-study only (>= 1)")
     common.add_argument("--out", default=".", help="output directory (created if missing)")
-    common.add_argument("--config", default=None, help="path to a JSON config file")
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("--config", default=None, help="path to a JSON config file")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[configured])
+    seeded.add_argument("--seed", type=int, default=None, help="master seed (default per subcommand)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="simulate a time-varying AR path")
+    p_sim = sub.add_parser("simulate", parents=[seeded], help="simulate a time-varying AR path")
     p_sim.add_argument("--n", type=int, required=True, help="series length")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -450,31 +455,31 @@ def build_parser():
     p_pre.set_defaults(func=_cmd_preperiodogram)
 
     p_lik = sub.add_parser(
-        "likelihood-eval", parents=[common], help="evaluate likelihoods of a candidate model"
+        "likelihood-eval", parents=[configured], help="evaluate likelihoods of a candidate model"
     )
     p_lik.add_argument("--series", required=True, help="input series CSV")
     p_lik.set_defaults(func=_cmd_likelihood_eval)
 
-    p_fit = sub.add_parser("fit", parents=[common], help="monotone-variance fit")
+    p_fit = sub.add_parser("fit", parents=[configured], help="monotone-variance fit")
     p_fit.add_argument("--series", required=True, help="input series CSV")
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_rate = sub.add_parser("rate-study", parents=[common], help="fit error decay across sample sizes")
+    p_rate = sub.add_parser("rate-study", parents=[seeded], help="fit error decay across sample sizes")
     p_rate.set_defaults(func=_cmd_rate_study)
 
-    p_tail = sub.add_parser("tail-study", parents=[common], help="quadratic-form tail frequencies vs. bounds")
+    p_tail = sub.add_parser("tail-study", parents=[seeded], help="quadratic-form tail frequencies vs. bounds")
     p_tail.set_defaults(func=_cmd_tail_study)
 
-    p_clt = sub.add_parser("clt-study", parents=[common], help="scaled fluctuations vs. limit variance")
+    p_clt = sub.add_parser("clt-study", parents=[seeded], help="scaled fluctuations vs. limit variance")
     p_clt.set_defaults(func=_cmd_clt_study)
 
     p_prop = sub.add_parser(
-        "prop33", parents=[common], help="sqrt(n)-scaled bias of a spectral mean across sample sizes"
+        "prop33", parents=[seeded], help="sqrt(n)-scaled bias of a spectral mean across sample sizes"
     )
     p_prop.set_defaults(func=_cmd_prop33)
 
     p_eq = sub.add_parser(
-        "equivalence", parents=[common], help="candidate likelihood gap decay across sample sizes"
+        "equivalence", parents=[seeded], help="candidate likelihood gap decay across sample sizes"
     )
     p_eq.set_defaults(func=_cmd_equivalence)
 
@@ -484,6 +489,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads > 1 and args.func is not _cmd_rate_study:
+        raise SystemExit(f"{args.command}: --threads is used only by rate-study")
     return args.func(args)
 
 

@@ -8,8 +8,9 @@ Two sieves are provided for the innovation variance:
   minimizer of the objective over its own block, so the trace never
   increases);
 - fit_fourier_tvar profiles the variance out of the exact Whittle contrast
-  for an order-1 model with a trigonometric-polynomial coefficient curve and
-  minimizes over the curve coefficients by coordinate descent.
+  for an order-1 model with a trigonometric-polynomial coefficient curve;
+  what remains is a convex quadratic in the curve coefficients, minimized
+  by one linear solve (a small QP when the stability bound is active).
 """
 
 import math
@@ -21,12 +22,11 @@ import numpy as np
 from .curves import Curve, FourierCurve, MonotoneStepCurve
 from .isotonic import sieve_pava
 from .likelihood import _inverse_distance_sq, conditional_likelihood
-from .process import check_stability
+from .process import STABILITY_GRID, check_stability
 from .spectral import _series_values, _time_grid
 
 __all__ = [
     "DegenerateDataError",
-    "InfeasibleStartError",
     "FitConfig",
     "FitResult",
     "FourierFitResult",
@@ -42,8 +42,7 @@ class DegenerateDataError(ValueError):
     """Raised when the data cannot identify the requested fit."""
 
 
-class InfeasibleStartError(RuntimeError):
-    """Raised when no admissible starting point exists."""
+FOURIER_MARGIN = 1e-9  # a constrained Fourier fit keeps |alpha| <= 1 - FOURIER_MARGIN on the check nodes
 
 
 def default_knots(n):
@@ -264,19 +263,32 @@ class FourierFitResult(NamedTuple):
     alpha_curve: FourierCurve
     sigma2: float
     objective: float
-    sweeps: int
+    constrained: bool
     converged: bool
 
 
-def fit_fourier_tvar(series, k_n=1, eps=None, max_iter=200, rel_tol=1e-8, check_grid=512):
+def _fourier_basis(u, k_n):
+    """Columns 1, cos(2 pi j u), sin(2 pi j u) for j = 1..k_n, in the
+    coefficient order (a_0, a_1, b_1, ..., a_k, b_k)."""
+    cols = [np.ones(u.shape)]
+    for j in range(1, k_n + 1):
+        cols += [np.cos(2 * np.pi * j * u), np.sin(2 * np.pi * j * u)]
+    return np.column_stack(cols)
+
+
+def fit_fourier_tvar(series, k_n=1, eps=None):
     """Order-1 fit with a trigonometric coefficient curve and constant variance.
 
     The candidate curve is alpha(u) = a_0 + sum_{j<=k_n} a_j cos(2 pi j u)
-    + b_j sin(2 pi j u), constrained to sup |alpha| < 1 on a uniform check
-    grid.  For each curve the constant variance is profiled out of the exact
-    Whittle contrast (clipped to [eps^2, 1/eps^2]) and the remaining
-    objective is minimized by coordinate descent with a shrinking step,
-    started from the constant least-squares coefficient.
+    + b_j sin(2 pi j u), held to sup |alpha| < 1 on the check nodes
+    u = j / STABILITY_GRID of TvARModel.validate.  The constant variance is
+    profiled out of the exact Whittle contrast, s^2 = clip(qbar, eps^2,
+    1/eps^2) with qbar = n^{-1} (sum (1 + alpha_t^2) x_t^2
+    + 2 sum alpha_t x_t x_{t+1}).  The profiled objective increases in qbar,
+    a convex quadratic in the curve coefficients theta, so the fit is one
+    linear solve for theta.  Only when that solution leaves the bound is a
+    small QP solved, |alpha| <= 1 - FOURIER_MARGIN on the check nodes,
+    started from the admissible theta = 0.
 
     Parameters
     ----------
@@ -285,16 +297,18 @@ def fit_fourier_tvar(series, k_n=1, eps=None, max_iter=200, rel_tol=1e-8, check_
         Trigonometric order of the coefficient curve, >= 0.
     eps : float, optional
         Variance bound parameter; defaults to (log n)^{-1/5}.
-    max_iter : int
-        Maximum coordinate-descent sweeps.
-    rel_tol : float
-        Convergence threshold on the objective decrease.
-    check_grid : int
-        Resolution of the sup |alpha| < 1 feasibility grid.
 
     Returns
     -------
     FourierFitResult
+        constrained is True when the bound on the check nodes is active;
+        converged is the QP's success flag then, and True otherwise.
+
+    Raises
+    ------
+    DegenerateDataError
+        If the normal matrix is singular or not finite (a zero series, or one
+        whose squares overflow).
     """
     x = _series_values(series)
     n = len(x)
@@ -307,74 +321,49 @@ def fit_fourier_tvar(series, k_n=1, eps=None, max_iter=200, rel_tol=1e-8, check_
         eps = default_eps(n)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    lo, hi = eps ** 2, 1.0 / eps ** 2
 
-    u_t = np.arange(1, n + 1) / n
-    u_check = np.arange(1, check_grid + 1) / check_grid
+    # n qbar = sum x_t^2 + theta' hess theta + 2 grad' theta
     xx = x * x
     cross = x[:-1] * x[1:]
+    basis = _fourier_basis(np.arange(1, n + 1) / n, k_n)
+    hess = basis.T @ (xx[:, None] * basis)
+    grad = basis.T @ np.append(cross, 0.0)
+    try:
+        theta = np.linalg.solve(hess, -grad)
+        if not np.all(np.isfinite(theta)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise DegenerateDataError("normal matrix of the Fourier fit is singular or not finite") from None
 
-    dim = 1 + 2 * k_n
+    check = _fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
+    constrained = bool(np.max(np.abs(check @ theta)) >= 1.0)
+    converged = True
+    if constrained:
+        # imported here: scipy.optimize takes most of a second to import
+        from scipy.optimize import minimize
 
-    def curve_values(theta, u):
-        vals = np.full(u.shape, theta[0])
-        for j in range(1, k_n + 1):
-            vals = vals + theta[2 * j - 1] * np.cos(2 * np.pi * j * u)
-            vals = vals + theta[2 * j] * np.sin(2 * np.pi * j * u)
-        return vals
+        # scaled by sum x^2 so that the QP's objective is of order one
+        h, g = hess / np.sum(xx), grad / np.sum(xx)
+        room = 1.0 - FOURIER_MARGIN
+        qp = minimize(
+            lambda th: 0.5 * th @ h @ th + g @ th,
+            np.zeros(theta.size),
+            jac=lambda th: h @ th + g,
+            method="SLSQP",
+            constraints=[
+                {"type": "ineq", "fun": lambda th: room - check @ th, "jac": lambda th: -check},
+                {"type": "ineq", "fun": lambda th: room + check @ th, "jac": lambda th: check},
+            ],
+            options={"ftol": 1e-15},  # the default 1e-6 stops up to 1e-5 above the optimum
+        )
+        theta, converged = qp.x, bool(qp.success)
 
-    def objective(theta):
-        a_check = curve_values(theta, u_check)
-        if np.max(np.abs(a_check)) >= 1.0:
-            return np.inf, np.nan
-        a_t = curve_values(theta, u_t)
-        qbar = (np.sum((1.0 + a_t ** 2) * xx) + 2.0 * np.sum(a_t[:-1] * cross)) / n
-        if qbar <= 0 or not np.isfinite(qbar):
-            return np.inf, np.nan
-        s2 = min(max(qbar, lo), hi)
-        val = 0.5 * np.log(s2) - 0.5 * np.log(2 * np.pi) + qbar / (2 * s2)
-        return val, s2
-
-    denom = float(np.sum(xx[:-1]))
-    if denom == 0.0:
-        raise DegenerateDataError("series is identically zero")
-    start = -float(np.sum(cross)) / denom
-    if abs(start) >= 1.0:
-        start = math.copysign(0.95, start)
-    theta = np.zeros(dim)
-    theta[0] = start
-    current, s2 = objective(theta)
-    if not np.isfinite(current):
-        theta[0] = 0.0
-        current, s2 = objective(theta)
-        if not np.isfinite(current):
-            raise InfeasibleStartError("no admissible starting point")
-
-    step = 0.25
-    sweeps = 0
-    converged = False
-    while sweeps < max_iter and step >= 1e-7:
-        sweeps += 1
-        best_improvement = 0.0
-        for i in range(dim):
-            for direction in (1.0, -1.0):
-                trial = theta.copy()
-                trial[i] += direction * step
-                val, trial_s2 = objective(trial)
-                if val < current:
-                    improvement = current - val
-                    theta, current, s2 = trial, val, trial_s2
-                    best_improvement = max(best_improvement, improvement)
-        if best_improvement <= 0.0:
-            step /= 2.0
-        elif best_improvement <= rel_tol * max(1.0, abs(current)):
-            converged = True
-            break
-    if step < 1e-7:
-        converged = True
-
-    curve = FourierCurve(theta[0], theta[1 : 2 * k_n + 1 : 2], theta[2 : 2 * k_n + 1 : 2])
-    return FourierFitResult(curve, float(s2), float(current), sweeps, converged)
+    a_t = basis @ theta
+    qbar = (np.sum((1.0 + a_t ** 2) * xx) + 2.0 * np.sum(a_t[:-1] * cross)) / n
+    s2 = min(max(qbar, eps ** 2), 1.0 / eps ** 2)
+    objective = 0.5 * np.log(s2) - 0.5 * np.log(2 * np.pi) + qbar / (2 * s2)
+    curve = FourierCurve(theta[0], theta[1::2], theta[2::2])
+    return FourierFitResult(curve, float(s2), float(objective), constrained, converged)
 
 
 def inverse_l2_distance(g, f, grid=None, u_grid_size=512):

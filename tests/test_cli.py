@@ -280,6 +280,63 @@ def test_threads_one_accepted_everywhere(argv):
     assert build_parser().parse_args([*argv, "--threads", "1"]).threads == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "16"],
+        ["preperiodogram", "--series", "x.csv"],
+        ["likelihood-eval", "--series", "x.csv"],
+        ["fit", "--series", "x.csv"],
+        ["tail-study"],
+        ["clt-study"],
+        ["prop33"],
+        ["equivalence"],
+    ],
+)
+def test_threads_above_one_rejected_outside_rate_study(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{argv[0]}: --threads is used only by rate-study$"):
+        main([*argv, "--threads", "2", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--series", "x.csv", "--seed", "1"],
+        ["likelihood-eval", "--series", "x.csv", "--seed", "1"],
+        ["preperiodogram", "--series", "x.csv", "--seed", "1"],
+        ["preperiodogram", "--series", "x.csv", "--config", "c.json"],
+    ],
+)
+def test_ignored_flag_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [("tail-study", []), ("fit", None)])
+def test_malformed_config_json_exits_with_message(tmp_path, command, extra):
+    if extra is None:
+        extra = ["--series", str(simulate_into(tmp_path, n=16))]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n": 64,')
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{command}: --config is not valid JSON: "):
+        main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_tail_study_unknown_design_names_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design": "cube"}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^tail-study: unknown design 'cube'$"):
+        main(["tail-study", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_fit_json_feeds_likelihood_eval(tmp_path):
     series = simulate_into(tmp_path, n=256)
     fit_out = tmp_path / "fit"

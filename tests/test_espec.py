@@ -66,10 +66,11 @@ def test_clopper_pearson_upper_equals_beta_quantile():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, locstat; print('scipy.stats' in sys.modules)"
+    # each takes most of a second to import, a cost `import locstat` must not pay
+    code = "import sys, locstat; print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_tail_bounds_frozen_values():

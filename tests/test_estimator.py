@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from locstat.curves import ConstantCurve, SampledCurve
+from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.estimator import (
+    FOURIER_MARGIN,
     DegenerateDataError,
     FitConfig,
     default_eps,
@@ -17,7 +20,7 @@ from locstat.estimator import (
 )
 from locstat.isotonic import sieve_pava
 from locstat.likelihood import SpectrumField, conditional_likelihood, whittle_contrast
-from locstat.process import TvARModel, simulate_tvar
+from locstat.process import STABILITY_GRID, TvARModel, simulate_tvar
 from locstat.spectral import FrequencyGrid
 
 
@@ -26,9 +29,12 @@ def step_model():
 
 
 def wavy_model():
-    from locstat.curves import FourierCurve
-
     return TvARModel(1, [FourierCurve(0.0, a=[0.5])], ConstantCurve(1.0))
+
+
+def near_unit_model():
+    # alpha reaches -0.95 at u = 1/2, so short series fit past the unit bound
+    return TvARModel(1, [FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
 
 
 def test_default_knots_and_eps_frozen():
@@ -230,6 +236,103 @@ def test_fourier_fit_deterministic():
     np.testing.assert_array_equal(r1.alpha_curve.a, r2.alpha_curve.a)
     assert r1.sigma2 == r2.sigma2
     assert r1.objective == r2.objective
+
+
+def fourier_theta(curve):
+    """Coefficients (a_0, a_1, b_1, ..., a_k, b_k) of a FourierCurve."""
+    return np.concatenate([[curve.a0], np.column_stack([curve.a, curve.b]).ravel()])
+
+
+def fourier_basis(u, k_n):
+    """Basis columns evaluated through FourierCurve, one unit coefficient each."""
+    return np.column_stack([FourierCurve(e[0], e[1::2], e[2::2]).values(u) for e in np.eye(2 * k_n + 1)])
+
+
+def fourier_quadratic(x, k_n):
+    """H and g of n qbar(theta) = sum x_t^2 + theta' H theta + 2 g' theta."""
+    n = len(x)
+    basis = fourier_basis(np.arange(1, n + 1) / n, k_n)
+    return basis.T @ (x[:, None] ** 2 * basis), basis.T @ np.append(x[:-1] * x[1:], 0.0)
+
+
+def profiled_whittle(x, theta, eps):
+    """Whittle contrast of the curve theta, minimized over s^2 in [eps^2, 1/eps^2]."""
+    curve = FourierCurve(theta[0], theta[1::2], theta[2::2])
+    unit = whittle_contrast(x, SpectrumField.from_model(TvARModel(1, [curve], ConstantCurve(1.0))))
+    qbar = 2.0 * unit + math.log(2 * math.pi)  # the unit-variance contrast is qbar/2 - log(2 pi)/2
+    s2 = min(max(qbar, eps**2), eps**-2)
+    return 0.5 * math.log(s2 / (2 * math.pi)) + qbar / (2 * s2)
+
+
+def test_fourier_interior_fit_zeroes_gradient():
+    for seed in range(3):
+        x = simulate_tvar(wavy_model(), 1024, seed=seed).values
+        for k_n in (1, 3):
+            res = fit_fourier_tvar(x, k_n=k_n)
+            assert not res.constrained and res.converged
+            hess, grad = fourier_quadratic(x, k_n)
+            gap = hess @ fourier_theta(res.alpha_curve) + grad
+            assert np.linalg.norm(gap) <= 1e-10 * np.linalg.norm(grad)
+
+
+def test_fourier_constant_fit_is_lag_one_regression():
+    x = simulate_tvar(step_model(), 777, seed=4).values
+    res = fit_fourier_tvar(x, k_n=0)
+    expected = -np.sum(x[:-1] * x[1:]) / np.sum(x * x)
+    assert res.alpha_curve.a0 == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_fourier_near_unit_fit_is_constrained_and_satisfies_kkt():
+    x = simulate_tvar(near_unit_model(), 256, seed=0).values
+    res = fit_fourier_tvar(x, k_n=3)
+    assert res.constrained and res.converged
+    TvARModel(1, [res.alpha_curve], ConstantCurve(res.sigma2), validate=True)
+    theta = fourier_theta(res.alpha_curve)
+    check = fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, 3)
+    values = check @ theta
+    assert np.max(np.abs(values)) < 1.0
+    active = np.abs(values) >= 1.0 - FOURIER_MARGIN - 1e-8
+    assert 1 <= np.count_nonzero(active) <= 2
+    # stationarity: -gradient = sum over active nodes of mu_i sign_i c_i, mu_i >= 0;
+    # inactive nodes carry no multiplier.  SLSQP solves to about 1e-7 relative.
+    hess, grad = fourier_quadratic(x, 3)
+    normals = (np.sign(values[active])[:, None] * check[active]).T
+    gradient = hess @ theta + grad
+    mu = np.linalg.lstsq(normals, -gradient, rcond=None)[0]
+    assert np.all(mu > 0)
+    assert np.linalg.norm(normals @ mu + gradient) <= 1e-6 * np.linalg.norm(grad)
+
+
+FOURIER_CASES = ((wavy_model, 512, 0, 1), (wavy_model, 512, 1, 3), (near_unit_model, 256, 0, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def fourier_case(index):
+    model, n, seed, k_n = FOURIER_CASES[index]
+    x = simulate_tvar(model(), n, seed=seed).values
+    return x, fit_fourier_tvar(x, k_n=k_n), k_n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(FOURIER_CASES) - 1),
+    raw=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+    step=st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+)
+def test_fourier_fit_no_feasible_perturbation_lowers_objective(index, raw, step):
+    x, res, k_n = fourier_case(index)
+    theta = fourier_theta(res.alpha_curve)
+    check = fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
+    trial = theta + step * np.array(raw[: theta.size])
+    # pulled towards theta = 0 into the feasible set |check theta| <= 1 - margin
+    trial *= min(1.0, (1.0 - FOURIER_MARGIN) / np.max(np.abs(check @ trial)))
+    assert profiled_whittle(x, trial, default_eps(len(x))) >= res.objective - 1e-12
+
+
+def test_fourier_fit_rejects_overflowing_series():
+    x = simulate_tvar(wavy_model(), 256, seed=0).values * 1e200
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DegenerateDataError):
+        fit_fourier_tvar(x, k_n=1)
 
 
 def test_inverse_l2_distance_frozen_constants():
