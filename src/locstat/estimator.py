@@ -42,7 +42,7 @@ class DegenerateDataError(ValueError):
     """Raised when the data cannot identify the requested fit."""
 
 
-FOURIER_MARGIN = 1e-9  # a constrained Fourier fit keeps |alpha| <= 1 - FOURIER_MARGIN on the check nodes
+FOURIER_MARGIN = 1e-9  # a constrained Fourier fit keeps |alpha| <= 1 - FOURIER_MARGIN everywhere
 
 
 def default_knots(n):
@@ -77,8 +77,6 @@ class FitConfig:
     rel_tol : float
         Stop when the objective decrease falls below
         rel_tol * max(1, |previous|).
-    stability_delta : float
-        Margin used only to report stability of the fitted coefficients.
     bounds : str
         Bound handling of the variance step: "clip" or "mean_preserving".
     """
@@ -88,7 +86,6 @@ class FitConfig:
     eps: float | None = None
     max_iter: int = 100
     rel_tol: float = 1e-8
-    stability_delta: float = 0.0
     bounds: str = "clip"
 
     def __post_init__(self):
@@ -255,7 +252,7 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
 
     result.alpha_hat = alpha
     result.sigma2_hat = sigma
-    result.alpha_stable = check_stability(alpha, config.stability_delta)
+    result.alpha_stable = check_stability(alpha)
     return result
 
 
@@ -280,15 +277,18 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     """Order-1 fit with a trigonometric coefficient curve and constant variance.
 
     The candidate curve is alpha(u) = a_0 + sum_{j<=k_n} a_j cos(2 pi j u)
-    + b_j sin(2 pi j u), held to sup |alpha| < 1 on the check nodes
-    u = j / STABILITY_GRID of TvARModel.validate.  The constant variance is
-    profiled out of the exact Whittle contrast, s^2 = clip(qbar, eps^2,
-    1/eps^2) with qbar = n^{-1} (sum (1 + alpha_t^2) x_t^2
-    + 2 sum alpha_t x_t x_{t+1}).  The profiled objective increases in qbar,
-    a convex quadratic in the curve coefficients theta, so the fit is one
-    linear solve for theta.  Only when that solution leaves the bound is a
-    small QP solved, |alpha| <= 1 - FOURIER_MARGIN on the check nodes,
-    started from the admissible theta = 0.
+    + b_j sin(2 pi j u).  The constant variance is profiled out of the exact
+    Whittle contrast, s^2 = clip(qbar, eps^2, 1/eps^2) with qbar = n^{-1}
+    (sum (1 + alpha_t^2) x_t^2 + 2 sum alpha_t x_t x_{t+1}).  The profiled
+    objective increases in qbar, a convex quadratic in the curve
+    coefficients theta, so the fit is one linear solve for theta.  Only when
+    that solution reaches room = (1 - FOURIER_MARGIN)(1 - (pi k_n /
+    STABILITY_GRID)^2 / 2) on a check node u = j / STABILITY_GRID of
+    TvARModel.validate is a small QP solved, |alpha| <= room on those nodes,
+    started from the admissible theta = 0.  Either way sup |alpha| <= 1 -
+    FOURIER_MARGIN on all of [0, 1]: at a maximum of |alpha| the derivative
+    vanishes and |alpha''| <= (2 pi k_n)^2 sup |alpha| (Bernstein), so the
+    nearest node reads at least room / (1 - FOURIER_MARGIN) of the sup.
 
     Parameters
     ----------
@@ -317,6 +317,9 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
         raise ValueError("k_n must be nonnegative")
     if n < 8 * (k_n + 1):
         raise ValueError("series too short for the requested curve order")
+    room = (1.0 - FOURIER_MARGIN) * (1.0 - 0.5 * (np.pi * k_n / STABILITY_GRID) ** 2)
+    if room <= 0:
+        raise ValueError("curve order too high for the check nodes")
     if eps is None:
         eps = default_eps(n)
     if not (0.0 < eps < 1.0):
@@ -336,7 +339,7 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
         raise DegenerateDataError("normal matrix of the Fourier fit is singular or not finite") from None
 
     check = _fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
-    constrained = bool(np.max(np.abs(check @ theta)) >= 1.0)
+    constrained = bool(np.max(np.abs(check @ theta)) >= room)
     converged = True
     if constrained:
         # imported here: scipy.optimize takes most of a second to import
@@ -344,7 +347,6 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
 
         # scaled by sum x^2 so that the QP's objective is of order one
         h, g = hess / np.sum(xx), grad / np.sum(xx)
-        room = 1.0 - FOURIER_MARGIN
         qp = minimize(
             lambda th: 0.5 * th @ h @ th + g @ th,
             np.zeros(theta.size),

@@ -5,20 +5,22 @@ The central object is the local Whittle contrast
     L_n(g) = (1/n) sum_t (1/4 pi) int { log g(t/n, lam)
              + J(t/n, lam) / g(t/n, lam) } dlam,
 
-with J the pre-periodogram.  For candidate spectra backed by a time-varying
-AR model the frequency integral collapses exactly: the log term via the
-classical Kolmogorov identity int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0
-for stable coefficients, and the ratio term into a finite sum of lag
-products.  A conditional Gaussian likelihood on the same model class is
-provided for the fitting algorithms, together with the population contrast
-(an asymptotic Kullback-Leibler functional) and its divergence form.
+with J the pre-periodogram: a log integral plus the spectral functional of
+the weight 1/g.  The population contrast (an asymptotic Kullback-Leibler
+functional) replaces J by the true spectrum f.  For candidate spectra backed
+by a time-varying AR model both parts are exact: the log term via the
+Kolmogorov identity int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for
+stable coefficients, and the functional as a finite sum over the lags
+|m| <= p of 1/g.  A conditional Gaussian likelihood on the same model class
+is provided for the fitting algorithms.
 """
 
 import numpy as np
 
 from .curves import ConstantCurve, Curve
 from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
-from .spectral import FrequencyGrid, PrePeriodogram, _series_values, _time_grid
+from .spectral import FrequencyGrid, PrePeriodogram, TestFunction, _series_values, _time_grid, ar_inverse_weight
+from .spectral import spectral_functional, spectral_functional_limit
 
 __all__ = [
     "SpectrumField",  # defined in locstat.process
@@ -37,10 +39,12 @@ KL_TIME_GRID = 4096
 def whittle_contrast(series, g, grid=None):
     """Local Whittle contrast of a candidate spectrum on a series.
 
-    For AR-backed candidates the value is computed exactly from lag products;
-    otherwise by Riemann sum over a symmetric frequency grid (default 1024
-    nodes).  The two paths agree up to quadrature error, which vanishes for
-    the exact path's class.
+    The mean over t of :func:`_log_integral` plus the spectral functional of
+    the weight 1/g, divided by 4 pi.  For AR-backed candidates both parts
+    are exact: the log integral by the Kolmogorov identity and the
+    functional by its lag path.  Otherwise both are Riemann sums over a
+    symmetric frequency grid (default 1024 nodes).  The two paths agree up
+    to quadrature error, which vanishes for the exact path's class.
 
     Parameters
     ----------
@@ -54,61 +58,58 @@ def whittle_contrast(series, g, grid=None):
     float
     """
     g = as_field(g)
-    J = series if isinstance(series, PrePeriodogram) else PrePeriodogram(series)
-    n = J.n
-    t_over_n = np.arange(1, n + 1) / n
+    x = series.x if isinstance(series, PrePeriodogram) else _series_values(series)
+    n = len(x)
+    exact = g.ar_model is not None
+    if grid is None and not exact:
+        grid = FrequencyGrid()
+    log_part = np.mean(_log_integral(g, np.arange(1, n + 1) / n, grid))
+    functional = spectral_functional(x, _inverse_weight(g), path="lag" if exact else "quadrature", grid=grid)
+    return float((log_part + functional) / (4 * np.pi))
 
+
+def _positive(values):
+    """values, raising unless every one is positive and finite."""
+    if not (np.min(values) > 0 and np.max(values) < np.inf):
+        raise ValueError("spectra must be strictly positive on the mesh")
+    return values
+
+
+def _inverse_weight(g):
+    """The weight 1/g: with lag coefficients for an AR field, values only otherwise."""
+    if g.ar_model is not None:
+        return ar_inverse_weight(g.ar_model)
+    return TestFunction(lambda u, lam: 1.0 / g.values(u, lam), None, label="1 / g")
+
+
+def _log_integral(g, u, grid):
+    """int log g(u, lam) dlam at each u.
+
+    For an AR field this is 2 pi log(sigma^2(u) / 2 pi) by the Kolmogorov
+    identity int log |1 + sum_j alpha_j e^{i lam j}|^2 dlam = 0, which holds
+    for stable coefficients, so the model is validated and grid is not
+    used.  For a callable it is the Riemann sum over the grid nodes (default
+    1024).  Raises unless g is positive at every point used.
+    """
     model = g.ar_model
     if model is not None:
-        if not getattr(model, "validated", False):
+        s2 = _positive(model.sigma2.values(u))
+        if not model.validated:
             model.validate()
-        s2 = model.sigma2.values(t_over_n)
-        log_part = 0.5 * float(np.mean(np.log(s2 / (2 * np.pi))))
-        quad = 0.0
-        for d in range(-model.p, model.p + 1):
-            t, prods = J.lag_products(d)
-            if len(t) == 0:
-                continue
-            u = t / n
-            gam = coeff_autocorr(model, u, d)
-            quad += float(np.dot(gam / model.sigma2.values(u), prods))
-        return log_part + quad / (2 * n)
-
+        return 2 * np.pi * np.log(s2 / (2 * np.pi))
     if grid is None:
         grid = FrequencyGrid()
-    gvals = g.values(t_over_n[:, None], grid.nodes[None, :])
-    if np.min(gvals) <= 0 or not np.all(np.isfinite(gvals)):
-        raise ValueError("candidate spectrum must be positive and finite at all nodes")
-    Jmat = J.evaluate_grid(grid)
-    integrand = np.log(gvals) + Jmat / gvals
-    return float(np.sum(integrand) * grid.weight / (4 * np.pi * n))
-
-
-_NOT_POSITIVE = "spectra must be strictly positive on the mesh"
+    return np.sum(np.log(_positive(g.values(u[:, None], grid.nodes[None, :]))), axis=1) * grid.weight
 
 
 def _mesh_values(g, f, grid, u_grid_size):
-    """Both fields on the midpoint mesh (u_grid_size cells) x grid nodes.
-
-    Returns (grid, number of time cells, g values, f values); grid defaults
-    to the 1024-node FrequencyGrid.  Raises unless both are positive.
-    """
+    """(grid, number of time cells, g values, f values) on the midpoint mesh
+    of u_grid_size cells x grid nodes (default 1024); both checked positive."""
     g, f = as_field(g), as_field(f)
     if grid is None:
         grid = FrequencyGrid()
     u = _time_grid(int(u_grid_size))
-    gv = g.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    if np.min(gv) <= 0 or np.min(fv) <= 0:
-        raise ValueError(_NOT_POSITIVE)
-    return grid, len(u), gv, fv
-
-
-def _positive_variance(model, u):
-    s2 = model.sigma2.values(u)
-    if np.min(s2) <= 0:
-        raise ValueError(_NOT_POSITIVE)
-    return s2
+    return grid, len(u), *(_positive(h.values(u[:, None], grid.nodes[None, :])) for h in (g, f))
 
 
 def _separable(g, f, grid, u_grid_size):
@@ -131,7 +132,7 @@ def _separable(g, f, grid, u_grid_size):
     if any(np.any(a != a[:1]) for a in rows):
         return None
     factors = [
-        (_positive_variance(m, u), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
+        (_positive(m.sigma2.values(u)), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
         for m, a in zip((g.ar_model, f.ar_model), rows)
     ]
     return grid, len(u), *factors
@@ -154,7 +155,7 @@ def _separable_divergence(grid, cells, g_factors, f_factors):
 def _inverse_lags(model, u, order):
     # c(u, m) / sigma^2(u) for m = 0..order: 1/f(u, lam) is 2 pi times the
     # trigonometric polynomial with these coefficients at lags +-m
-    s2 = _positive_variance(model, u)
+    s2 = _positive(model.sigma2.values(u))
     return np.stack([coeff_autocorr(model, u, m) for m in range(order + 1)], axis=-1) / s2[:, None]
 
 
@@ -183,23 +184,32 @@ def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     """Population contrast (1/4 pi) int int { log g + f/g } dlam du.
 
     This is the almost-sure limit of the Whittle contrast when f is the true
-    spectrum; it is minimized over positive candidates at g = f.  Evaluated
-    as a midpoint sum on the u_grid_size x grid mesh for every input.
+    spectrum; it is minimized over positive candidates at g = f.  Computed
+    as the mean over the midpoint u-grid of :func:`_log_integral` plus
+    :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
+    against f, so it is exact and mesh-free for two AR fields; grid (default
+    1024 nodes) is used only when either is a callable.
     """
-    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-    return float(np.sum(np.log(gv) + fv / gv) * grid.weight / (4 * np.pi * cells))
+    g, f = as_field(g), as_field(f)
+    u = _time_grid(int(u_grid_size))
+    if f.ar_model is not None:
+        _positive(f.ar_model.sigma2.values(u))
+    else:
+        f = SpectrumField.from_function(lambda v, lam, field=f: _positive(field.values(v, lam)))
+    log_part = np.mean(_log_integral(g, u, grid))
+    functional = spectral_functional_limit(_inverse_weight(g), f, grid=grid, u_grid_size=len(u))
+    return float((log_part + functional) / (4 * np.pi))
 
 
 def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     """Divergence D(g, f) = (1/4 pi) int int { log(g/f) + f/g - 1 } dlam du.
 
-    Computed in difference form, whose integrand is pointwise nonnegative, so
-    the result is nonnegative up to rounding even when the two contrasts are
-    individually large.  Evaluated as a midpoint sum on the u_grid_size x
-    grid mesh for every input.
+    Computed as kl_contrast(g, f) - kl_contrast(f, f), so exact and
+    mesh-free for two AR fields.  The divergence is nonnegative, but as a
+    difference of two contrasts it can come out below zero by rounding, of
+    the order of machine epsilon times the contrasts, when g is close to f.
     """
-    grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-    return float(_phi_sum(fv / gv) * grid.weight / (4 * np.pi * cells))
+    return kl_contrast(g, f, grid, u_grid_size) - kl_contrast(f, f, grid, u_grid_size)
 
 
 def divergence_sandwich(g, f, grid=None, u_grid_size=512):
@@ -292,32 +302,21 @@ def conditional_likelihood(series, alpha, sigma2):
 def log_riemann_remainder(g, n, grid=None, u_grid_size=KL_TIME_GRID):
     """Discretization gap of the log-spectrum between design sum and integral.
 
-    (1/4 pi) int { (1/n) sum_t log g(t/n, lam) - int_0^1 log g(u, lam) du } dlam.
+    (1/4 pi) int { (1/n) sum_t log g(t/n, lam) - int_0^1 log g(u, lam) du } dlam,
 
-    For an AR-backed candidate this reduces exactly to
-    (1/2) { (1/n) sum_t log sigma^2(t/n) - int_0^1 log sigma^2(u) du }.
-    It vanishes whenever g does not vary in time and decays like the
+    the difference of two means of :func:`_log_integral`, at the design
+    points t/n and on the midpoint u-grid.  For an AR-backed candidate this
+    is exactly (1/2) { (1/n) sum_t log sigma^2(t/n) - int_0^1 log sigma^2(u)
+    du }.  It vanishes whenever g does not vary in time and decays like the
     variation of g over a 1/n mesh otherwise.
     """
     g = as_field(g)
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    design = np.arange(1, n + 1) / n
-    u = _time_grid(int(u_grid_size))
-    model = g.ar_model
-    if model is not None:
-        if not getattr(model, "validated", False):
-            model.validate()
-        design_mean = float(np.mean(np.log(model.sigma2.values(design))))
-        integral = float(np.mean(np.log(model.sigma2.values(u))))
-        return 0.5 * (design_mean - integral)
-    if grid is None:
-        grid = FrequencyGrid()
-    logs_design = np.log(g.values(design[:, None], grid.nodes[None, :]))
-    logs_integral = np.log(g.values(u[:, None], grid.nodes[None, :]))
-    gap = np.mean(logs_design, axis=0) - np.mean(logs_integral, axis=0)
-    return float(np.sum(gap) * grid.weight / (4 * np.pi))
+    design = np.mean(_log_integral(g, np.arange(1, n + 1) / n, grid))
+    integral = np.mean(_log_integral(g, _time_grid(int(u_grid_size)), grid))
+    return float((design - integral) / (4 * np.pi))
 
 
 def ar_log_spectrum_integral(alpha, grid_size=4096):

@@ -91,14 +91,15 @@ def _series_values(series):
 
 
 def _lag_index(n, k):
-    """Admissible 1-based times t at lag k and the 0-based indices i - 1,
-    j - 1 of their pair x_i x_j, i = floor(t + 1/2 + k/2), j = floor(t + 1/2 - k/2)."""
+    """Admissible 1-based times t at lag k and the slices of x holding the
+    pair x_i x_j: i = floor(t + 1/2 + k/2) = t + ceil(k/2) and
+    j = floor(t + 1/2 - k/2) = t - floor(k/2), so the admissible t are one
+    run and each index a shifted copy of it."""
     k = int(k)
-    t = np.arange(1, n + 1)
-    i = (2 * t + 1 + k) // 2
-    j = (2 * t + 1 - k) // 2
-    ok = (i >= 1) & (i <= n) & (j >= 1) & (j <= n)
-    return t[ok], i[ok] - 1, j[ok] - 1
+    a, b = -(-k // 2), k // 2
+    lo = max(1, 1 - a, 1 + b)
+    hi = max(min(n, n - a, n + b), lo - 1)
+    return np.arange(lo, hi + 1), slice(lo - 1 + a, hi + a), slice(lo - 1 - b, hi - b)
 
 
 class PrePeriodogram:
@@ -200,10 +201,6 @@ class PrePeriodogram:
                 out_positive[start : start + c, col : col + GRID_BLOCK_NODES] = (folded[:c, None, :] @ cos)[:, 0]
         out[:, : M // 2] = out_positive[:, ::-1]
         return np.divide(out, 2 * np.pi, out=out)
-
-    def squared_values(self):
-        """The exact frequency integrals int J(t/n, lam) dlam = x_t^2."""
-        return self.x ** 2
 
 
 def periodogram(series, lam):
@@ -425,9 +422,8 @@ def _lag_functionals(X, phi):
     for k in range(-K, K + 1):
         t, i, j = _lag_index(n, k)
         w = phi.lag(t / n, -k)
-        xi, xj = X[:, i], X[:, j]
-        for r in range(R):
-            acc[r] += float(np.dot(w, xi[r] * xj[r]))
+        for r, x in enumerate(X):
+            acc[r] += float(np.dot(w, x[i] * x[j]))
     return acc / (2 * np.pi * n)
 
 

@@ -255,6 +255,11 @@ def fourier_quadratic(x, k_n):
     return basis.T @ (x[:, None] ** 2 * basis), basis.T @ np.append(x[:-1] * x[1:], 0.0)
 
 
+def fourier_room(k_n):
+    """Bound on |alpha| at the check nodes that keeps sup |alpha| <= 1 - FOURIER_MARGIN."""
+    return (1.0 - FOURIER_MARGIN) * (1.0 - 0.5 * (np.pi * k_n / STABILITY_GRID) ** 2)
+
+
 def profiled_whittle(x, theta, eps):
     """Whittle contrast of the curve theta, minimized over s^2 in [eps^2, 1/eps^2]."""
     curve = FourierCurve(theta[0], theta[1::2], theta[2::2])
@@ -291,7 +296,7 @@ def test_fourier_near_unit_fit_is_constrained_and_satisfies_kkt():
     check = fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, 3)
     values = check @ theta
     assert np.max(np.abs(values)) < 1.0
-    active = np.abs(values) >= 1.0 - FOURIER_MARGIN - 1e-8
+    active = np.abs(values) >= fourier_room(3) - 1e-8
     assert 1 <= np.count_nonzero(active) <= 2
     # stationarity: -gradient = sum over active nodes of mu_i sign_i c_i, mu_i >= 0;
     # inactive nodes carry no multiplier.  SLSQP solves to about 1e-7 relative.
@@ -301,6 +306,25 @@ def test_fourier_near_unit_fit_is_constrained_and_satisfies_kkt():
     mu = np.linalg.lstsq(normals, -gradient, rcond=None)[0]
     assert np.all(mu > 0)
     assert np.linalg.norm(normals @ mu + gradient) <= 1e-6 * np.linalg.norm(grad)
+
+
+def test_fourier_constrained_fit_stays_below_one_between_check_nodes():
+    # a curve held to 1 - FOURIER_MARGIN on the nodes alone exceeds 1 between
+    # them by up to 3.3e-5 on these fits
+    fine = np.arange(1, 2**16 + 1) / 2**16
+    constrained = 0
+    for n, k_n in ((256, 3), (256, 1), (128, 5)):
+        for seed in range(10):
+            res = fit_fourier_tvar(simulate_tvar(near_unit_model(), n, seed=seed).values, k_n=k_n)
+            constrained += res.constrained
+            assert np.max(np.abs(res.alpha_curve.values(fine))) <= 1.0 - FOURIER_MARGIN
+    assert constrained >= 5
+
+
+def test_fourier_fit_rejects_order_beyond_the_check_nodes():
+    x = simulate_tvar(wavy_model(), 8 * 232, seed=0).values
+    with pytest.raises(ValueError, match="check nodes"):
+        fit_fourier_tvar(x, k_n=231)
 
 
 FOURIER_CASES = ((wavy_model, 512, 0, 1), (wavy_model, 512, 1, 3), (near_unit_model, 256, 0, 3))
@@ -324,8 +348,8 @@ def test_fourier_fit_no_feasible_perturbation_lowers_objective(index, raw, step)
     theta = fourier_theta(res.alpha_curve)
     check = fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
     trial = theta + step * np.array(raw[: theta.size])
-    # pulled towards theta = 0 into the feasible set |check theta| <= 1 - margin
-    trial *= min(1.0, (1.0 - FOURIER_MARGIN) / np.max(np.abs(check @ trial)))
+    # pulled towards theta = 0 into the feasible set |check theta| <= room
+    trial *= min(1.0, fourier_room(k_n) / np.max(np.abs(check @ trial)))
     assert profiled_whittle(x, trial, default_eps(len(x))) >= res.objective - 1e-12
 
 

@@ -10,8 +10,8 @@ import pytest
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.estimator import inverse_l2_distance
-from locstat.likelihood import SpectrumField, divergence_sandwich
-from locstat.process import TvARModel, spectral_density
+from locstat.likelihood import SpectrumField, divergence_sandwich, kl_contrast, kl_divergence, whittle_contrast
+from locstat.process import TvARModel, simulate_tvar, spectral_density
 from locstat.spectral import (
     FrequencyGrid,
     ar_inverse_weight,
@@ -42,6 +42,8 @@ def mesh(field):
 PAIR_CONSUMERS = {
     "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, grid=GRID, u_grid_size=CELLS),
     "divergence_sandwich": lambda g, f: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS),
+    "kl_contrast": lambda g, f: kl_contrast(g, f, grid=GRID, u_grid_size=CELLS),
+    "kl_divergence": lambda g, f: kl_divergence(g, f, grid=GRID, u_grid_size=CELLS),
 }
 
 
@@ -95,17 +97,40 @@ def test_ar_autocov_matches_quadrature_of_the_density():
     np.testing.assert_allclose(process.ar_autocov(model, u, 5), quad, rtol=1e-12, atol=1e-14)
 
 
-def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
-    f = CASES["ar1_step_variance"]()
-    g = CASES["constant_ar2"]()
-
+def forbid_density(monkeypatch):
     def forbidden(*args):
         raise AssertionError("density evaluated on the mesh")
 
     monkeypatch.setattr(process, "spectral_density", forbidden)
+
+
+def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
+    f = CASES["ar1_step_variance"]()
+    g = CASES["constant_ar2"]()
+    forbid_density(monkeypatch)
     for compute in PAIR_CONSUMERS.values():
         compute(g, f)
     spectral_functional_limit(ar_inverse_weight(g), f)
+
+
+@pytest.mark.parametrize("consumer", ["kl_contrast", "kl_divergence"])
+def test_kl_on_time_varying_ar_fields_never_evaluates_the_density(monkeypatch, consumer):
+    g, f = CASES["time_varying_ar2"](), OTHER
+    forbid_density(monkeypatch)
+    for a, b in ((g, f), (f, g), (g, g)):
+        PAIR_CONSUMERS[consumer](a, b)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_whittle_lag_path_matches_quadrature_oracle(case):
+    f = CASES[case]()
+    n = 64
+    x = simulate_tvar(f, n, seed=11)
+    for g in (f, OTHER):
+        # J has degree n - 1 in lam and 1/g degree p, so 2n nodes integrate J/g
+        # exactly; the grid sum of log g aliases far below rounding
+        oracle = whittle_contrast(x, mesh(g), grid=FrequencyGrid(2 * n))
+        assert whittle_contrast(x, g) == pytest.approx(oracle, **TOL)
 
 
 def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):

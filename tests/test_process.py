@@ -227,7 +227,9 @@ _OTHER = SpectrumField.from_coefficients([0.4], 1.2)
 _GRID = FrequencyGrid(32)
 _PHI = constant_weight(1.5)
 _FIELD_CONSUMERS = {
-    "kl_divergence": lambda f: kl_divergence(_OTHER, f, grid=_GRID, u_grid_size=16),
+    # the model path is exact; the callable's midpoint sum of f/g aliases by
+    # 2.6e-4 on 32 nodes and by 1.1e-14 on 128
+    "kl_divergence": lambda f: kl_divergence(_OTHER, f, grid=FrequencyGrid(128), u_grid_size=16),
     "divergence_sandwich": lambda f: divergence_sandwich(f, _OTHER, grid=_GRID, u_grid_size=16),
     "inverse_l2_distance": lambda f: inverse_l2_distance(_OTHER, f, grid=_GRID, u_grid_size=16),
     "spectral_functional_limit": lambda f: spectral_functional_limit(

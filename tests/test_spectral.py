@@ -95,6 +95,18 @@ class TestPrePeriodogram:
         t, v = pre.lag_products(4)
         assert t.size == 0 and v.size == 0
 
+    def test_lag_products_follow_the_index_definition_at_every_lag(self):
+        for n in range(1, 10):
+            x = np.arange(1.0, n + 1) ** 1.5
+            pre = PrePeriodogram(x)
+            for k in range(-2 * n - 2, 2 * n + 3):
+                t = np.arange(1, n + 1)
+                i, j = np.floor(t + 0.5 + k / 2).astype(int), np.floor(t + 0.5 - k / 2).astype(int)
+                ok = (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= n)
+                tt, v = pre.lag_products(k)
+                np.testing.assert_array_equal(tt, t[ok])
+                np.testing.assert_array_equal(v, x[i[ok] - 1] * x[j[ok] - 1])
+
     def test_frequency_integral_recovers_squared_values(self):
         x = rand_series(61, 1)
         pre = PrePeriodogram(x)
