@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .process import REPLICATION_CHUNK, as_field, simulate_tvar_batch, spectral_density
+from .process import REPLICATION_CHUNK, ar_autocov, as_field, simulate_tvar_batch, spectral_density
 from .spectral import (
     FrequencyGrid,
     _lag_functionals,
@@ -98,6 +97,10 @@ def clopper_pearson_upper(successes, trials, level=0.99):
         raise ValueError("need 0 <= successes <= trials")
     if successes == trials:
         return 1.0
+    # imported here: scipy.special costs about a third of a second to import,
+    # which every locstat process would otherwise pay on start-up
+    from scipy import special
+
     # the level quantile of Beta(successes + 1, trials - successes)
     return float(special.betaincinv(successes + 1, trials - successes, level))
 
@@ -271,6 +274,13 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
     f(u, lam)^2 dlam du, the Gaussian central-limit covariance for a true
     spectrum f.
 
+    For weights with finite lag support and an AR-backed f the frequency
+    integral is exact: with C(u, m) = int f^2 e^{i lam m} dlam from
+    :func:`~locstat.process.ar_autocov` it is (1/4 pi^2) sum_{a,b}
+    c_j(u, a) c_k(u, b) { C(u, a + b) + C(u, a - b) }, and grid is not used.
+    Otherwise the integrand is summed on the u_grid_size x grid mesh.  Both
+    take the time integral by the midpoint rule.
+
     Parameters
     ----------
     phi_j, phi_k : TestFunction
@@ -280,9 +290,18 @@ def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
         its mirrored nodes.
     """
     f = as_field(f)
+    u = _time_grid(int(u_grid_size))
+    if phi_j.lag_support is not None and phi_k.lag_support is not None and f.ar_model is not None:
+        Jj, Jk = phi_j.lag_support, phi_k.lag_support
+        c_sq = ar_autocov(f.ar_model, u, Jj + Jk, squared=True)
+        ck = {b: phi_k.lag(u, b) for b in range(-Jk, Jk + 1)}
+        total = sum(
+            phi_j.lag(u, a) * sum(c * (c_sq[:, abs(a + b)] + c_sq[:, abs(a - b)]) for b, c in ck.items())
+            for a in range(-Jj, Jj + 1)
+        )
+        return float(np.mean(total) / (2 * np.pi))
     if grid is None:
         grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
     lam = grid.nodes
     pj = phi_j.values(u[:, None], lam[None, :])
     pk = pj if phi_k is phi_j else phi_k.values(u[:, None], lam[None, :])

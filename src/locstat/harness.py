@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .curves import ConstantCurve, FourierCurve, SampledCurve
 from .espec import replication_seed
@@ -302,6 +301,8 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
     Records the command, a hash of the configuration it ran with, the seed,
     and library versions; no timestamps, so reruns produce identical files.
     """
+    import scipy  # imported here so that `import locstat` loads no SciPy module
+
     from . import __version__
 
     payload = {

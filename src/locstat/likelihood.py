@@ -15,12 +15,14 @@ stable coefficients, and the functional as a finite sum over the lags
 is provided for the fitting algorithms.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .curves import ConstantCurve, Curve
 from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
-from .spectral import FrequencyGrid, PrePeriodogram, TestFunction, _series_values, _time_grid, ar_inverse_weight
-from .spectral import spectral_functional, spectral_functional_limit
+from .spectral import FrequencyGrid, PrePeriodogram, _quadrature_functional, _series_values, _time_grid
+from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
 __all__ = [
     "SpectrumField",  # defined in locstat.process
@@ -60,11 +62,12 @@ def whittle_contrast(series, g, grid=None):
     g = as_field(g)
     x = series.x if isinstance(series, PrePeriodogram) else _series_values(series)
     n = len(x)
-    exact = g.ar_model is not None
-    if grid is None and not exact:
-        grid = FrequencyGrid()
-    log_part = np.mean(_log_integral(g, np.arange(1, n + 1) / n, grid))
-    functional = spectral_functional(x, _inverse_weight(g), path="lag" if exact else "quadrature", grid=grid)
+    mesh = _Mesh(np.arange(1, n + 1) / n, grid)
+    log_part = np.mean(_log_integral(g, mesh))
+    if g.ar_model is not None:
+        functional = spectral_functional(x, ar_inverse_weight(g.ar_model))
+    else:
+        functional = _quadrature_functional(x, 1.0 / mesh(g), mesh.grid)
     return float((log_part + functional) / (4 * np.pi))
 
 
@@ -75,41 +78,46 @@ def _positive(values):
     return values
 
 
-def _inverse_weight(g):
-    """The weight 1/g: with lag coefficients for an AR field, values only otherwise."""
-    if g.ar_model is not None:
-        return ar_inverse_weight(g.ar_model)
-    return TestFunction(lambda u, lam: 1.0 / g.values(u, lam), None, label="1 / g")
+class _Mesh:
+    """Fields on the mesh of the times u x the nodes of grid (default 1024).
+
+    Calling it with a SpectrumField returns the field's values there,
+    checked positive; each field is evaluated once however often it is
+    asked for, so a contrast that needs g both in log g and in 1/g pays
+    for one evaluation of a callable.
+    """
+
+    def __init__(self, u, grid=None):
+        self.u = u
+        self._grid = grid
+        self._values = {}
+
+    @cached_property
+    def grid(self):
+        return FrequencyGrid() if self._grid is None else self._grid
+
+    def __call__(self, h):
+        if h not in self._values:
+            self._values[h] = _positive(h.values(self.u[:, None], self.grid.nodes[None, :]))
+        return self._values[h]
 
 
-def _log_integral(g, u, grid):
-    """int log g(u, lam) dlam at each u.
+def _log_integral(g, mesh):
+    """int log g(u, lam) dlam at each time u of the mesh.
 
     For an AR field this is 2 pi log(sigma^2(u) / 2 pi) by the Kolmogorov
     identity int log |1 + sum_j alpha_j e^{i lam j}|^2 dlam = 0, which holds
-    for stable coefficients, so the model is validated and grid is not
-    used.  For a callable it is the Riemann sum over the grid nodes (default
-    1024).  Raises unless g is positive at every point used.
+    for stable coefficients, so the model is validated and the mesh grid is
+    not used.  For a callable it is the Riemann sum over the grid nodes.
+    Raises unless g is positive at every point used.
     """
     model = g.ar_model
     if model is not None:
-        s2 = _positive(model.sigma2.values(u))
+        s2 = _positive(model.sigma2.values(mesh.u))
         if not model.validated:
             model.validate()
         return 2 * np.pi * np.log(s2 / (2 * np.pi))
-    if grid is None:
-        grid = FrequencyGrid()
-    return np.sum(np.log(_positive(g.values(u[:, None], grid.nodes[None, :]))), axis=1) * grid.weight
-
-
-def _mesh_values(g, f, grid, u_grid_size):
-    """(grid, number of time cells, g values, f values) on the midpoint mesh
-    of u_grid_size cells x grid nodes (default 1024); both checked positive."""
-    g, f = as_field(g), as_field(f)
-    if grid is None:
-        grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
-    return grid, len(u), *(_positive(h.values(u[:, None], grid.nodes[None, :])) for h in (g, f))
+    return np.sum(np.log(mesh(g)), axis=1) * mesh.grid.weight
 
 
 def _separable(g, f, grid, u_grid_size):
@@ -171,8 +179,8 @@ def _inverse_distance_sq(g, f, grid, u_grid_size):
     """
     g, f = as_field(g), as_field(f)
     if g.ar_model is None or f.ar_model is None:
-        grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-        return float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * grid.weight / cells)
+        mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
+        return float(np.sum((1.0 / mesh(g) - 1.0 / mesh(f)) ** 2) * mesh.grid.weight / len(mesh.u))
     u = _time_grid(int(u_grid_size))
     order = max(g.ar_model.p, f.ar_model.p)
     d = _inverse_lags(g.ar_model, u, order) - _inverse_lags(f.ar_model, u, order)
@@ -188,28 +196,36 @@ def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     as the mean over the midpoint u-grid of :func:`_log_integral` plus
     :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
     against f, so it is exact and mesh-free for two AR fields; grid (default
-    1024 nodes) is used only when either is a callable.
+    1024 nodes) is used only when either is a callable, and then the mesh
+    sum of f/g takes the place of the functional.
     """
     g, f = as_field(g), as_field(f)
-    u = _time_grid(int(u_grid_size))
-    if f.ar_model is not None:
-        _positive(f.ar_model.sigma2.values(u))
+    return _kl_contrast(g, f, _Mesh(_time_grid(int(u_grid_size)), grid))
+
+
+def _kl_contrast(g, f, mesh):
+    """:func:`kl_contrast` on the time grid and, for callables, the values of mesh."""
+    log_part = np.mean(_log_integral(g, mesh))
+    if g.ar_model is not None and f.ar_model is not None:
+        _positive(f.ar_model.sigma2.values(mesh.u))
+        functional = spectral_functional_limit(ar_inverse_weight(g.ar_model), f, u_grid_size=len(mesh.u))
     else:
-        f = SpectrumField.from_function(lambda v, lam, field=f: _positive(field.values(v, lam)))
-    log_part = np.mean(_log_integral(g, u, grid))
-    functional = spectral_functional_limit(_inverse_weight(g), f, grid=grid, u_grid_size=len(u))
+        functional = np.sum((1.0 / mesh(g)) * mesh(f)) * mesh.grid.weight / len(mesh.u)
     return float((log_part + functional) / (4 * np.pi))
 
 
 def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
     """Divergence D(g, f) = (1/4 pi) int int { log(g/f) + f/g - 1 } dlam du.
 
-    Computed as kl_contrast(g, f) - kl_contrast(f, f), so exact and
-    mesh-free for two AR fields.  The divergence is nonnegative, but as a
+    Computed as kl_contrast(g, f) - kl_contrast(f, f) on one shared mesh, so
+    exact and mesh-free for two AR fields and one evaluation of each
+    callable otherwise.  The divergence is nonnegative, but as a
     difference of two contrasts it can come out below zero by rounding, of
     the order of machine epsilon times the contrasts, when g is close to f.
     """
-    return kl_contrast(g, f, grid, u_grid_size) - kl_contrast(f, f, grid, u_grid_size)
+    g, f = as_field(g), as_field(f)
+    mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
+    return _kl_contrast(g, f, mesh) - _kl_contrast(f, f, mesh)
 
 
 def divergence_sandwich(g, f, grid=None, u_grid_size=512):
@@ -244,8 +260,9 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
         m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
         omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
     else:
-        grid, cells, gv, fv = _mesh_values(g, f, grid, u_grid_size)
-        cell = grid.weight / cells
+        mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
+        gv, fv = mesh(as_field(g)), mesh(as_field(f))
+        cell = mesh.grid.weight / len(mesh.u)
         divergence = float(_phi_sum(fv / gv) * cell / (4 * np.pi))
         rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
         m_star = float(max(np.max(1.0 / gv), np.max(1.0 / fv)))
@@ -314,8 +331,8 @@ def log_riemann_remainder(g, n, grid=None, u_grid_size=KL_TIME_GRID):
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    design = np.mean(_log_integral(g, np.arange(1, n + 1) / n, grid))
-    integral = np.mean(_log_integral(g, _time_grid(int(u_grid_size)), grid))
+    design = np.mean(_log_integral(g, _Mesh(np.arange(1, n + 1) / n, grid)))
+    integral = np.mean(_log_integral(g, _Mesh(_time_grid(int(u_grid_size)), grid)))
     return float((design - integral) / (4 * np.pi))
 
 

@@ -363,7 +363,7 @@ def coeff_autocorr(model, u, m):
     return acc
 
 
-def ar_autocov(model, u, max_lag):
+def ar_autocov(model, u, max_lag, squared=False):
     """Local autocovariances c_f(u, k) = int f(u, lam) e^{i lam k} dlam.
 
     For k = 0..max_lag, from the Yule-Walker equations
@@ -374,6 +374,11 @@ def ar_autocov(model, u, max_lag):
     one solve however long u is.  The equations hold for stable coefficients
     only, so an unvalidated model is validated first.
 
+    With squared=True the same is returned for f^2 instead,
+    int f(u, lam)^2 e^{i lam k} dlam: f^2 = (sigma^4 / 2 pi) f_B with f_B the
+    unit-variance spectrum of the squared transfer polynomial B = A^2,
+    which has order 2p and the roots of A, so it is stable whenever A is.
+
     Parameters
     ----------
     model : TvARModel
@@ -381,6 +386,8 @@ def ar_autocov(model, u, max_lag):
         Rescaled times in (0, 1].
     max_lag : int
         Largest lag returned, >= 0.
+    squared : bool
+        Coefficients of f^2 rather than of f.
 
     Returns
     -------
@@ -392,9 +399,11 @@ def ar_autocov(model, u, max_lag):
         raise ValueError("max_lag must be nonnegative")
     if not model.validated:
         model.validate()
-    p = model.p
-    rows, inverse = np.unique(model.alpha_matrix(u).reshape(u.size, p), axis=0, return_inverse=True)
+    rows, inverse = np.unique(model.alpha_matrix(u).reshape(u.size, model.p), axis=0, return_inverse=True)
     a = np.concatenate([np.ones((len(rows), 1)), rows], axis=1)  # (1, alpha_1, ..., alpha_p)
+    if squared:
+        a = np.stack([np.convolve(row, row) for row in a])  # the coefficients of B = A^2
+    p = a.shape[1] - 1
     system = np.zeros((len(rows), p + 1, p + 1))
     for k in range(p + 1):
         for j in range(p + 1):
@@ -406,7 +415,8 @@ def ar_autocov(model, u, max_lag):
     for k in range(p + 1, max_lag + 1):
         cov[:, k] = np.sum(-a[:, 1:] * cov[:, k - p : k][:, ::-1], axis=1)
     out = cov[inverse.reshape(-1), : max_lag + 1].reshape(u.shape + (max_lag + 1,))
-    return model.sigma2.values(u)[..., None] * out
+    s2 = model.sigma2.values(u)[..., None]
+    return s2 * s2 / (2 * np.pi) * out if squared else s2 * out
 
 
 def spectral_density(model, u, lam):

@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_GRID_SIZE = 1024
 MAX_DENSE_N = 4096
 VARIATION_GRID = 2048
-GRID_CHUNK_ROWS = 256  # pre-periodogram rows filled per pass of evaluate_grid
+GRID_CHUNK_ROWS = 64  # pre-periodogram rows filled per pass of evaluate_grid
 GRID_BLOCK_NODES = 64  # grid nodes per cosine block in evaluate_grid, small enough to stay in cache
 
 
@@ -144,11 +144,15 @@ class PrePeriodogram:
         even in lam and the grid holds -lam for every node, so only the M/2
         positive nodes are computed and the others mirror them.
 
-        Rows are filled GRID_CHUNK_ROWS at a time and each row's arithmetic
-        is its own, so a row's values do not depend on which other rows are
-        requested or on the chunk size.  Memory is
-        O(GRID_CHUNK_ROWS n + min(M, n) M) beyond the result, time
-        O(rows (n + min(M, n) M)).
+        Row t has min(t, n + 1 - t) even and min(t, n - t) odd admissible
+        products, so a block of rows forms and sums only the periods up to
+        its longest row's last admissible lag; products past a row's own
+        last lag are zeros of the padding around x.  Rows are filled
+        GRID_CHUNK_ROWS at a time and each row's arithmetic is its own, so a
+        row's values do not depend on which other rows are requested or on
+        the chunk size.  Memory is O(GRID_CHUNK_ROWS n + min(M, n) M) beyond
+        the result, time O(sum_t min(t, n - t) + rows min(M, n) M) for rows
+        requested in time order.
 
         Parameters
         ----------
@@ -164,12 +168,12 @@ class PrePeriodogram:
         rows = self._rows(times)
         n, M = self.n, grid.size
         half = n // 2 + 1
-        n_even, n_odd = (n + 1) // 2, n // 2  # lags 2m < n and 2m + 1 < n
         period = min(M, half)  # per parity: lags 2m and 2(m + M) share a cosine
+        width = -(-half // period) * period
         # Zero-padded 2x (2 is the weight of every lag but 0) and reversed x:
-        # 2 x_{t+m} = ahead[half + t - 1 + m], x_{t-m} = behind[half + n - t + m],
+        # 2 x_{t+m} = ahead[width + t - 1 + m], x_{t-m} = behind[width + n - t + m],
         # both zero outside 1..n.
-        pad = np.zeros(half)
+        pad = np.zeros(width)
         ahead = np.concatenate([pad, 2.0 * self.x, pad])
         behind = np.concatenate([pad, self.x[::-1], pad])
         lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
@@ -179,22 +183,25 @@ class PrePeriodogram:
             for col in range(0, M // 2, GRID_BLOCK_NODES)
         ]
         chunk = min(GRID_CHUNK_ROWS, len(rows))
-        width = -(-half // period) * period
-        even = np.zeros((chunk, width))
-        odd = np.zeros((chunk, width))
+        even = np.empty((chunk, width))
+        odd = np.empty((chunk, width))
         folded = np.empty((chunk, 2 * period))
         out = np.empty((len(rows), M))
         out_positive = out[:, M // 2 :]
         for start in range(0, len(rows), GRID_CHUNK_ROWS):
             ts = rows[start : start + GRID_CHUNK_ROWS].tolist()
             c = len(ts)
+            # the periods that hold an admissible product of some row of the block
+            f_even = -(-max(min(t, n + 1 - t) for t in ts) // period)
+            f_odd = -(-max(min(t, n - t) for t in ts) // period)
+            w_even, w_odd = f_even * period, f_odd * period
             for r, t in enumerate(ts):
-                back = behind[half + n - t :]
-                np.multiply(ahead[half + t - 1 : half + t - 1 + n_even], back[:n_even], out=even[r, :n_even])
-                np.multiply(ahead[half + t : half + t + n_odd], back[:n_odd], out=odd[r, :n_odd])
+                back = behind[width + n - t :]
+                np.multiply(ahead[width + t - 1 : width + t - 1 + w_even], back[:w_even], out=even[r, :w_even])
+                np.multiply(ahead[width + t : width + t + w_odd], back[:w_odd], out=odd[r, :w_odd])
                 even[r, 0] = self.x[t - 1] * self.x[t - 1]
-            np.sum(even[:c].reshape(c, -1, period), axis=1, out=folded[:c, :period])
-            np.sum(odd[:c].reshape(c, -1, period), axis=1, out=folded[:c, period:])
+            np.sum(even[:c, :w_even].reshape(c, f_even, period), axis=1, out=folded[:c, :period])
+            np.sum(odd[:c, :w_odd].reshape(c, f_odd, period), axis=1, out=folded[:c, period:])
             # one vector-matrix product per row and block: the BLAS kernel of a
             # matrix product, and so its rounding, changes with the number of rows
             for col, cos in cos_blocks:
@@ -395,16 +402,21 @@ def spectral_functional(series, phi, path="lag", grid=None):
     if path == "quadrature":
         if grid is None:
             raise ValueError("quadrature path requires an explicit FrequencyGrid")
-        Jmat = PrePeriodogram(x).evaluate_grid(grid)
         t = np.arange(1, n + 1) / n
-        phivals = phi.values(t[:, None], grid.nodes[None, :])
-        return float(np.sum(phivals * Jmat) * grid.weight / n)
+        return _quadrature_functional(x, phi.values(t[:, None], grid.nodes[None, :]), grid)
 
     if path == "matrix":
         U = quadratic_form_matrix(phi, n)
         return float(x @ U @ x) / (2 * np.pi * n)
 
     raise ValueError(f"unknown path {path!r}")
+
+
+def _quadrature_functional(x, phivals, grid):
+    """The quadrature path of :func:`spectral_functional` for the weight
+    values phivals[t - 1, m] = phi(t/n, lam_m) on the nodes of grid."""
+    Jmat = PrePeriodogram(x).evaluate_grid(grid)
+    return float(np.sum(phivals * Jmat) * grid.weight / len(x))
 
 
 def _lag_functionals(X, phi):

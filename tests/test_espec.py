@@ -66,8 +66,10 @@ def test_clopper_pearson_upper_equals_beta_quantile():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # each takes most of a second to import, a cost `import locstat` must not pay
-    code = "import sys, locstat; print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    # scipy.stats and scipy.optimize take most of a second to import and
+    # scipy.special a third of one, a cost no locstat process may pay before
+    # it calls the one function that needs it
+    code = "import sys, locstat, locstat.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ import pytest
 
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
+from locstat.espec import limit_covariance
 from locstat.estimator import inverse_l2_distance
 from locstat.likelihood import SpectrumField, divergence_sandwich, kl_contrast, kl_divergence, whittle_contrast
 from locstat.process import TvARModel, simulate_tvar, spectral_density
@@ -95,6 +96,24 @@ def test_ar_autocov_matches_quadrature_of_the_density():
     phases = np.exp(1j * np.outer(grid.nodes, np.arange(6)))
     quad = (dens @ phases).real * grid.weight
     np.testing.assert_allclose(process.ar_autocov(model, u, 5), quad, rtol=1e-12, atol=1e-14)
+    # and of f^2, through the squared transfer polynomial
+    quad_sq = (dens ** 2 @ phases).real * grid.weight
+    np.testing.assert_allclose(process.ar_autocov(model, u, 5, squared=True), quad_sq, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_limit_covariance_matches_mesh_oracle(case):
+    f = CASES[case]()
+    weights = [
+        ar_inverse_weight(f),
+        constant_weight(1.3),
+        lag_curve_weight({0: 1.0, 1: FourierCurve(0.2, a=[0.3]), 3: -0.4}),
+    ]
+    for phi_j in weights:
+        for phi_k in weights:
+            fast = limit_covariance(phi_j, phi_k, f, u_grid_size=CELLS)
+            oracle = limit_covariance(phi_j, phi_k, mesh(f), grid=GRID, u_grid_size=CELLS)
+            assert fast == pytest.approx(oracle, **TOL)
 
 
 def forbid_density(monkeypatch):
@@ -111,6 +130,37 @@ def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
     for compute in PAIR_CONSUMERS.values():
         compute(g, f)
     spectral_functional_limit(ar_inverse_weight(g), f)
+    limit_covariance(ar_inverse_weight(g), constant_weight(1.0), f)
+
+
+def test_limit_covariance_on_a_time_varying_ar_field_never_evaluates_the_density(monkeypatch):
+    f = CASES["time_varying_ar2"]()
+    forbid_density(monkeypatch)
+    limit_covariance(ar_inverse_weight(f), ar_inverse_weight(f), f)
+
+
+def test_callable_fields_are_evaluated_once_per_call():
+    calls = {"g": 0, "f": 0}
+
+    def counted(name, field):
+        def values(u, lam):
+            calls[name] += 1
+            return process.as_field(field).values(u, lam)
+
+        return values
+
+    g, f = counted("g", CASES["time_varying_ar2"]()), counted("f", OTHER)
+    x = simulate_tvar(OTHER.ar_model, 64, seed=5)
+    for compute, used in (
+        (lambda: whittle_contrast(x, g, grid=GRID), {"g": 1, "f": 0}),
+        (lambda: kl_contrast(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
+        (lambda: kl_divergence(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
+        (lambda: kl_divergence(g, OTHER, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 0}),
+        (lambda: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
+    ):
+        calls.update(g=0, f=0)
+        compute()
+        assert calls == used
 
 
 @pytest.mark.parametrize("consumer", ["kl_contrast", "kl_divergence"])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from locstat.harness import (
     RateStudySpec,
@@ -108,5 +109,6 @@ def test_metadata_is_byte_deterministic(tmp_path):
     assert meta["seed"] == 5
     assert "timestamp" not in meta
     assert set(meta["versions"]) == {"locstat", "numpy", "scipy", "python"}
+    assert meta["versions"]["scipy"] == scipy.__version__
     extra = write_metadata(tmp_path, "x", extra={"rows": 3})
     assert json.load(open(extra))["rows"] == 3
