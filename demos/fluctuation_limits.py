@@ -4,16 +4,20 @@ The centered functional sqrt(n) (F_n - F_infinity) is asymptotically normal
 with covariance 2 pi int int phi(u, lam) {phi(u, lam) + phi(u, -lam)}
 f(u, lam)^2 dlam du.  Three cases with closed-form limits are checked
 against Monte Carlo variances.  A separate deterministic check computes the
-exact finite-n expectation through the trace identity: for a weight with
-lag support L, the lag path loses k/n of the mass at lag k, so
+exact finite-n expectation E F_n = tr(M Sigma) / (2 pi n) from the
+covariance of the simulated process: for a weight with lag support L, the
+lag path loses k/n of the mass at lag k, so on a stationary AR(1)
 n (E F_n - F_infinity) is a constant -- here 4 pi / 3 -- at every n, while
-a lag-0 weight has no deficit at all.
+a lag-0 weight has no deficit at all.  With a time-varying coefficient
+0.5 cos(2 pi u) the O(1/n) bias remains: n (E F_n - F_infinity) settles to
+a constant as n grows.
 """
 
 import numpy as np
 
 from locstat import (
     ConstantCurve,
+    FourierCurve,
     SampledCurve,
     TvARModel,
     ar_inverse_weight,
@@ -49,13 +53,17 @@ def main(seed=21, n=512, replications=3000):
 
     print("\n== exact finite-n expectation via the trace identity ==")
     phi = ar_inverse_weight(ar1)
+    wavy = TvARModel(1, [FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
     limit = spectral_functional_limit(phi, ar1)
     flat_limit = spectral_functional_limit(flat, ar1)
-    print(f"{'n':>5} {'flat weight gap':>16} {'AR-inverse n*gap':>17}   (4 pi / 3 = {4 * np.pi / 3:.6f})")
-    for size in (32, 64, 128, 256):
+    wavy_limit = spectral_functional_limit(phi, wavy)
+    print(f"AR(1) with alpha = 0.5 (4 pi / 3 = {4 * np.pi / 3:.6f}) and with alpha(u) = 0.5 cos(2 pi u)")
+    print(f"{'n':>5} {'flat weight gap':>16} {'AR-inverse n*gap':>17} {'time-varying n*gap':>19}")
+    for size in (32, 64, 128, 256, 1024, 4096):
         gap0 = expected_functional_trace(ar1, flat, size) - flat_limit
         gap1 = expected_functional_trace(ar1, phi, size) - limit
-        print(f"{size:>5} {gap0:>16.2e} {size * gap1:>17.6f}")
+        gap2 = expected_functional_trace(wavy, phi, size) - wavy_limit
+        print(f"{size:>5} {gap0:>16.2e} {size * gap1:>17.6f} {size * gap2:>19.6f}")
 
 
 if __name__ == "__main__":

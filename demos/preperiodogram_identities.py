@@ -35,7 +35,7 @@ def main(seed=3, n=96):
 
     print("== identity 1: int J(t/n, .) dlam = x_t^2 ==")
     heat = J.evaluate_grid(grid)
-    integrals = grid.integrate(heat)
+    integrals = np.sum(heat, axis=1) * grid.weight
     err1 = float(np.max(np.abs(integrals - series.values**2)))
     print(f"max |integral - x_t^2| over t: {err1:.2e}")
 

@@ -62,7 +62,8 @@ DEFAULT_TAIL_ETAS = [0.5 * k for k in range(1, 11)]  # the acceptance suite's ta
 
 def _exit_on_bad_config(args, build, *spec):
     """build(*spec), exiting with the command name and the message of a
-    ValueError, such as one naming an unknown key."""
+    ValueError, such as one naming an unknown key or a value out of range.
+    Each command builds its specs through here before it writes output."""
     try:
         return build(*spec)
     except ValueError as exc:
@@ -88,7 +89,7 @@ def _read_config(args, allowed):
 
 
 def _seed(args, config, default):
-    return args.seed if args.seed is not None else int(config.get("seed", default))
+    return args.seed if args.seed is not None else _exit_on_bad_config(args, int, config.get("seed", default))
 
 
 def _config_model(args, config, default=None):
@@ -245,14 +246,16 @@ def _cmd_likelihood_eval(args):
 
 def _cmd_fit(args):
     x = TimeSeries.from_csv(args.series)
-    config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol", "bounds"))
-    cfg = FitConfig(
-        p=int(config.get("p", 1)),
-        k_n=config.get("k_n"),
-        eps=config.get("eps"),
-        max_iter=int(config.get("max_iter", 100)),
-        rel_tol=float(config.get("rel_tol", 1e-8)),
-        bounds=config.get("bounds", "clip"),
+    config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
+    cfg = _exit_on_bad_config(
+        args,
+        lambda: FitConfig(
+            p=int(config.get("p", 1)),
+            k_n=config.get("k_n"),
+            eps=config.get("eps"),
+            max_iter=int(config.get("max_iter", 100)),
+            rel_tol=float(config.get("rel_tol", 1e-8)),
+        ),
     )
     fit = fit_monotone_tvar(x, cfg)
     fitted_model = TvARModel(
@@ -291,12 +294,15 @@ def _cmd_fit(args):
 def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
     seed = _seed(args, config, 2026)
-    spec = RateStudySpec(
-        n_list=tuple(config.get("n_list", (256, 512, 1024, 2048, 4096))),
-        replications=int(config.get("replications", 50)),
-        seed=seed,
-        model=_config_model(args, config),
-        p=int(config.get("p", 1)),
+    spec = _exit_on_bad_config(
+        args,
+        lambda: RateStudySpec(
+            n_list=tuple(config.get("n_list", (256, 512, 1024, 2048, 4096))),
+            replications=int(config.get("replications", 50)),
+            seed=seed,
+            model=_config_model(args, config),
+            p=int(config.get("p", 1)),
+        ),
     )
     result = rate_study(spec, threads=args.threads)
     out = _ensure_out(args)
@@ -319,24 +325,28 @@ def _cmd_rate_study(args):
     return 0
 
 
+def _tail_spec(config, design, seed):
+    designs = {"unit": TailStudySpec.unit_design, "linear": TailStudySpec.linear_design}
+    if design not in designs:
+        raise ValueError(f"unknown design {design!r}")
+    return designs[design](
+        int(config.get("n", 1024)),
+        replications=int(config.get("replications", 200000)),
+        etas=config.get("etas", DEFAULT_TAIL_ETAS),
+        seed=seed,
+    )
+
+
 def _cmd_tail_study(args):
     config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
     seed = _seed(args, config, 0)
     design = config.get("design", "unit")
-    n = int(config.get("n", 1024))
-    replications = int(config.get("replications", 200000))
-    etas = config.get("etas", DEFAULT_TAIL_ETAS)
-    if design == "unit":
-        spec = TailStudySpec.unit_design(n, replications=replications, etas=etas, seed=seed)
-    elif design == "linear":
-        spec = TailStudySpec.linear_design(n, replications=replications, etas=etas, seed=seed)
-    else:
-        raise SystemExit(f"{args.command}: unknown design {design!r}")
+    spec = _exit_on_bad_config(args, _tail_spec, config, design, seed)
     rows = chi2_tail_study(spec)
     out = _ensure_out(args)
     path = os.path.join(out, "tail_rows.csv")
     write_rows_csv(path, rows)
-    write_metadata(out, "tail-study", text, seed, extra={"design": design, "n": n})
+    write_metadata(out, "tail-study", text, seed, extra={"design": design, "n": spec.n})
     print(f"wrote {path}")
     for row in rows:
         print(
@@ -351,21 +361,23 @@ def _cmd_clt_study(args):
     seed = _seed(args, config, 0)
     model = _config_model(args, config, white_noise_model())
     phi = _config_phi(args, config, model)
-    n = int(config.get("n", 512))
-    replications = int(config.get("replications", 2000))
-    sample = spectral_process_sample(
-        model,
-        phi,
-        n,
-        replications,
-        seed,
-        centering=config.get("centering", "analytic"),
+    sample = _exit_on_bad_config(
+        args,
+        lambda: spectral_process_sample(
+            model,
+            phi,
+            int(config.get("n", 512)),
+            int(config.get("replications", 2000)),
+            seed,
+            centering=config.get("centering", "analytic"),
+        ),
     )
+    n = sample.n
     limit = limit_covariance(phi, phi, SpectrumField.from_model(model))
     emp = sample.variance()
     result = {
         "n": n,
-        "replications": replications,
+        "replications": sample.replications,
         "center": sample.center,
         "empirical_variance": emp,
         "limit_variance": limit,
@@ -390,13 +402,16 @@ def _cmd_prop33(args):
     seed = _seed(args, config, 0)
     model = _config_model(args, config, white_noise_model())
     phi = _config_phi(args, config, model)
-    n_list = tuple(int(n) for n in config.get("n_list", (64, 128, 256, 512)))
-    replications = int(config.get("replications", 400))
-    rows = bias_scaling_study(model, phi, n_list, replications, seed)
+    rows = _exit_on_bad_config(
+        args,
+        lambda: bias_scaling_study(
+            model, phi, config.get("n_list", (64, 128, 256, 512)), int(config.get("replications", 400)), seed
+        ),
+    )
     out = _ensure_out(args)
     path = os.path.join(out, "bias_rows.csv")
     write_rows_csv(path, rows)
-    write_metadata(out, "prop33", text, seed, extra={"n_list": list(n_list)})
+    write_metadata(out, "prop33", text, seed, extra={"n_list": [row["n"] for row in rows]})
     print(f"wrote {path}")
     for row in rows:
         print(
@@ -409,11 +424,14 @@ def _cmd_prop33(args):
 def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
     seed = _seed(args, config, 7)
-    rows = likelihood_equivalence_decay(
-        model=_config_model(args, config),
-        n_list=tuple(config.get("n_list", (256, 2048))),
-        replications=int(config.get("replications", 20)),
-        seed=seed,
+    rows = _exit_on_bad_config(
+        args,
+        lambda: likelihood_equivalence_decay(
+            model=_config_model(args, config),
+            n_list=tuple(config.get("n_list", (256, 2048))),
+            replications=int(config.get("replications", 20)),
+            seed=seed,
+        ),
     )
     out = _ensure_out(args)
     path = os.path.join(out, "equivalence_rows.csv")

@@ -5,9 +5,10 @@ Monte Carlo machinery around the centered functionals
     sqrt(n) ( mean_t int phi J dlam  -  center ),
 
 with the center either the population functional (analytic centering) or the
-Monte Carlo mean (mean centering), plus two closed-form references they are
-checked against: exponential tail bounds for centered weighted chi-square
-sums, and the limiting covariance of the Gaussian central limit theorem.
+Monte Carlo mean (mean centering), plus three closed-form references they
+are checked against: exponential tail bounds for centered weighted
+chi-square sums, the limiting covariance of the Gaussian central limit
+theorem, and the exact finite-n mean of the functional.
 """
 
 import math
@@ -15,14 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .process import REPLICATION_CHUNK, ar_autocov, as_field, simulate_tvar_batch, spectral_density
-from .spectral import (
-    FrequencyGrid,
-    _lag_functionals,
-    _time_grid,
-    quadratic_form_matrix,
-    spectral_functional_limit,
-)
+from .process import REPLICATION_CHUNK, _covariance_band, ar_autocov, as_field, simulate_tvar_batch
+from .spectral import FrequencyGrid, _lag_functionals, _lag_index, _time_grid, spectral_functional_limit
 
 __all__ = [
     "TailStudySpec",
@@ -36,7 +31,7 @@ __all__ = [
     "replication_seed",
 ]
 
-TRACE_MAX_N = 256
+TAIL_CHUNK_ROWS = 20000  # replications per chunk of chi2_tail_study, at most
 TAIL_CHUNK_VALUES = 1 << 20  # normals per chunk of chi2_tail_study, at most
 
 
@@ -58,7 +53,6 @@ class TailStudySpec:
     replications: int
     etas: np.ndarray
     seed: int = 0
-    chunk: int = 20000
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -119,7 +113,7 @@ def chi2_tail_study(spec):
     """Empirical tail of S against its two exponential bounds.
 
     Simulates the replications in chunks from a single stream (deterministic
-    in the seed), at most spec.chunk rows and TAIL_CHUNK_VALUES normals each,
+    in the seed), at most TAIL_CHUNK_ROWS rows and TAIL_CHUNK_VALUES normals each,
     so memory does not grow with the replication count; the generator fills
     draws in order, so the chunk size changes no draw.  Reports for each
     threshold the empirical exceedance probability, its 99% upper confidence
@@ -140,7 +134,7 @@ def chi2_tail_study(spec):
     rng = np.random.default_rng(spec.seed)
 
     counts = np.zeros(len(spec.etas), dtype=np.int64)
-    chunk = max(1, min(spec.chunk, TAIL_CHUNK_VALUES // n))
+    chunk = max(1, min(TAIL_CHUNK_ROWS, TAIL_CHUNK_VALUES // n))
     remaining = spec.replications
     while remaining > 0:
         rows = min(chunk, remaining)
@@ -346,29 +340,24 @@ def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096)
     return rows
 
 
-def expected_functional_trace(model, phi, n, grid=None):
-    """Expected functional via the trace identity, for cross-checking only.
+def expected_functional_trace(model, phi, n):
+    """Exact expectation of the lag-path functional of a simulated series.
 
-    Assembles an approximate covariance Sigma[s, t] = c(floor((s+t)/2)/n,
-    s - t) from the local covariance function and returns
-    tr(M Sigma) / (2 pi n) with M the dense kernel of phi.  Exact for
-    constant-coefficient models (stationary case, long burn-in);
-    an approximation otherwise.  Capped at n = 256.
+    E[x' M x] / (2 pi n) = tr(M Sigma) / (2 pi n) for the dense kernel M of
+    phi and the covariance Sigma of the n values :func:`simulate_tvar` draws
+    (with model.burn_in warm-up steps), summed lag by lag:
+    sum_{|k|<=K} sum_t c_phi(t/n, -k) E[x_i x_j] / (2 pi n) over the pairs of
+    the lag path, with E[x_i x_j] = C(max(i, j), |k|) from the simulator's
+    own recursion.  Exact for every model and n; memory O((burn_in + n) max(K, p)).
     """
     n = int(n)
-    if n > TRACE_MAX_N:
-        raise ValueError(f"trace path capped at n = {TRACE_MAX_N}")
-    if grid is None:
-        grid = FrequencyGrid()
-    mids = np.arange(1, n + 1) / n
-    fmat = spectral_density(model, mids[:, None], grid.nodes[None, :])
-    lags = np.arange(-(n - 1), n)
-    phases = np.exp(1j * np.outer(grid.nodes, lags))
-    cmat = (fmat @ phases).real * grid.weight  # cmat[mid-1, lag index]
-
-    s_idx = np.arange(1, n + 1)
-    mid_of = (s_idx[:, None] + s_idx[None, :]) // 2
-    lag_of = s_idx[:, None] - s_idx[None, :]
-    sigma = cmat[mid_of - 1, lag_of + (n - 1)]
-    M = quadratic_form_matrix(phi, n)
-    return float(np.sum(M * sigma.T) / (2 * np.pi * n))
+    if phi.lag_support is None:
+        raise ValueError("need a weight with finite lag support")
+    K = min(phi.lag_support, n - 1)
+    band = _covariance_band(model, n, K)
+    total = 0.0
+    for k in range(-K, K + 1):
+        t, i, j = _lag_index(n, k)
+        # 2 pi divided out first: a flat weight on unit noise then sums ones, exactly n
+        total += float(np.dot(phi.lag(t / n, -k) / (2 * np.pi), band[i if k >= 0 else j, abs(k)]))
+    return total / n

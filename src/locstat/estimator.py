@@ -77,8 +77,6 @@ class FitConfig:
     rel_tol : float
         Stop when the objective decrease falls below
         rel_tol * max(1, |previous|).
-    bounds : str
-        Bound handling of the variance step: "clip" or "mean_preserving".
     """
 
     p: int = 1
@@ -86,7 +84,6 @@ class FitConfig:
     eps: float | None = None
     max_iter: int = 100
     rel_tol: float = 1e-8
-    bounds: str = "clip"
 
     def __post_init__(self):
         if self.p < 0:
@@ -99,8 +96,6 @@ class FitConfig:
             raise ValueError("eps must lie in (0, 1)")
         if self.k_n is not None and self.k_n < 1:
             raise ValueError("k_n must be at least 1")
-        if self.bounds not in ("clip", "mean_preserving"):
-            raise ValueError(f"unknown bounds mode {self.bounds!r}")
 
     def resolve(self, n):
         """Concrete (k_n, eps) for a sample size."""
@@ -221,7 +216,7 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
 
     alpha = np.zeros(p)
     if sigma2_init is None:
-        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps, bounds=config.bounds)
+        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps)
     else:
         sigma = sigma2_init
     current = conditional_likelihood(x, alpha, sigma)
@@ -238,7 +233,7 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
         if p:
             alpha = wls_ar(x, sigma, p)
         after_wls = conditional_likelihood(x, alpha, sigma)
-        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps, bounds=config.bounds)
+        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps)
         after_pava = conditional_likelihood(x, alpha, sigma)
         result.wls_trace.append(after_wls)
         result.pava_trace.append(after_pava)

@@ -46,6 +46,8 @@ __all__ = [
     "write_metadata",
 ]
 
+RATE_U_GRID = 2048  # midpoint cells of the rate study's error integrals
+
 
 def default_rate_model():
     """Order-1 model with constant coefficient 0.5 and a variance step 1 -> 2
@@ -92,7 +94,6 @@ class RateStudySpec:
     seed: int = 2026
     model: TvARModel | None = None
     p: int = 1
-    u_grid_size: int = 2048
 
     def __post_init__(self):
         self.n_list = tuple(int(n) for n in self.n_list)
@@ -117,9 +118,6 @@ class RateStudyResult:
     slope_variance: float = float("nan")
     spec: RateStudySpec | None = None
 
-    def medians(self, key):
-        return np.array([row[key] for row in self.rows])
-
 
 def log_log_slope(ns, values):
     """Least-squares slope of log(values) against log(ns)."""
@@ -133,8 +131,8 @@ def _rate_one(spec, model, truth_field, x):
     n = len(x)
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
     fitted_field = SpectrumField.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
-    err_spec = inverse_l2_distance(fitted_field, truth_field, u_grid_size=spec.u_grid_size)
-    err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2, u_grid_size=spec.u_grid_size)
+    err_spec = inverse_l2_distance(fitted_field, truth_field, u_grid_size=RATE_U_GRID)
+    err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2, u_grid_size=RATE_U_GRID)
     return {
         "err_spectrum": err_spec,
         "err_variance": err_var,

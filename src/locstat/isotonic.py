@@ -170,39 +170,7 @@ def pava_monotone(values, weights=None):
     return IsotonicFit(*_pool(values, weights))
 
 
-def _mean_preserving_clip(values, weights, lo, hi):
-    """Clip a nondecreasing vector to [lo, hi], shifting first to keep the
-    weighted mean.  Returns the clipped vector; when the target mean is
-    outside [lo, hi] it degenerates to the constant vector at the nearer
-    bound (the closest feasible mean)."""
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(values, dtype=float)
-    total = float(np.sum(w))
-    target = float(np.dot(w, v))
-    if target <= lo * total:
-        return np.full_like(v, lo)
-    if target >= hi * total:
-        return np.full_like(v, hi)
-
-    def mass(mu):
-        return float(np.dot(w, np.clip(v + mu, lo, hi)))
-
-    # piecewise-linear root find on the breakpoints of mu -> mass(mu)
-    breaks = np.unique(np.concatenate([lo - v, hi - v]))
-    masses = np.array([mass(b) for b in breaks])
-    idx = int(np.searchsorted(masses, target))
-    if idx == 0:
-        mu = breaks[0]
-    elif idx >= len(breaks):
-        mu = breaks[-1]
-    else:
-        b0, b1 = breaks[idx - 1], breaks[idx]
-        m0, m1 = masses[idx - 1], masses[idx]
-        mu = b0 if m1 == m0 else b0 + (target - m0) * (b1 - b0) / (m1 - m0)
-    return np.clip(v + mu, lo, hi)
-
-
-def sieve_pava(squared_residuals, n, p, k_n, eps, bounds="clip"):
+def sieve_pava(squared_residuals, n, p, k_n, eps):
     """Monotone variance estimate on a k_n-knot sieve.
 
     Aggregates the squared residuals e_{p+1}^2, ..., e_n^2 into the chunks
@@ -222,10 +190,6 @@ def sieve_pava(squared_residuals, n, p, k_n, eps, bounds="clip"):
         Number of knots, >= 1.
     eps : float
         Bound parameter in (0, 1).
-    bounds : {"clip", "mean_preserving"}
-        "clip" truncates the fit at the bounds; "mean_preserving" shifts
-        before clipping so the weighted mean of the fit over the data-bearing
-        knots equals the mean of the squared residuals (when feasible).
 
     Returns
     -------
@@ -245,8 +209,6 @@ def sieve_pava(squared_residuals, n, p, k_n, eps, bounds="clip"):
         raise ValueError("k_n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    if bounds not in ("clip", "mean_preserving"):
-        raise ValueError(f"unknown bounds mode {bounds!r}")
 
     jmin = (k_n * (p + 1) + n - 1) // n
     if jmin > k_n:
@@ -268,14 +230,7 @@ def sieve_pava(squared_residuals, n, p, k_n, eps, bounds="clip"):
     fit = pava_monotone(means, kept_counts)
     # map fitted chunk values back to every knot j >= jmin
     owner = np.searchsorted(kept_t, t_of_j)
-    vals = fit.values[owner]
-
-    lo, hi = eps ** 2, 1.0 / eps ** 2
-    if bounds == "mean_preserving":
-        kept_vals = _mean_preserving_clip(fit.values, kept_counts, lo, hi)
-        vals = kept_vals[owner]
-    else:
-        vals = np.clip(vals, lo, hi)
+    vals = np.clip(fit.values[owner], eps ** 2, 1.0 / eps ** 2)
 
     full = np.concatenate([np.full(jmin - 1, vals[0]), vals])
     return MonotoneStepCurve(full, eps)

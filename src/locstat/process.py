@@ -264,6 +264,59 @@ def simulate_tvar(model, n, seed, burn_in=None):
     return TimeSeries(values, seed=seed, provenance=prov)
 
 
+def _simulation_steps(model, n, burn_in=None):
+    """The steps the simulator runs: (burn_in, sigma2, alpha).
+
+    The recursion runs burn_in + n steps; step s has rescaled time 1/n during
+    the burn-in (the coefficients are frozen there) and (s - burn_in + 1)/n
+    after it.  sigma2 holds the innovation variance and alpha the coefficient
+    row of each step, shapes (burn_in + n,) and (burn_in + n, p).
+    """
+    n = int(n)
+    burn_in = int(model.burn_in if burn_in is None else burn_in)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+    u = np.empty(burn_in + n)
+    u[:burn_in] = 1.0 / n
+    u[burn_in:] = np.arange(1, n + 1) / n
+    return burn_in, model.sigma2.values(u), model.alpha_matrix(u)
+
+
+def _covariance_band(model, n, max_lag):
+    """Exact covariances of the n values :func:`simulate_tvar` returns.
+
+    Row s - 1, column k holds C(s, k) = Cov(X_s, X_{s-k}) for s = 1..n and
+    k = 0..max_lag, zero where s - k < 1 - burn_in.  The simulator's
+    recursion, started from zeros and run through the burn-in, gives them
+    exactly: the innovation at step s is independent of the past, so with
+    L = max(max_lag, p)
+
+        C(s, k) = -sum_j alpha_j(s) Cov(X_{s-j}, X_{s-k}),   1 <= k <= L,
+        C(s, 0) = sigma^2(s) - sum_j alpha_j(s) C(s, j).
+
+    Time O((burn_in + n) L p), memory O((burn_in + n) L).
+    """
+    burn_in, s2, a = _simulation_steps(model, n)
+    p = model.p
+    L = max(int(max_lag), p)
+    a, s2 = a.tolist(), s2.tolist()
+    C = []  # C[s][k], s counted from the first burn-in step
+    for s in range(len(s2)):
+        at = a[s]
+        row = [0.0] * (L + 1)
+        for k in range(1, min(L, s) + 1):
+            acc = 0.0
+            for j in range(1, min(p, s) + 1):
+                # Cov(X_{s-j}, X_{s-k}) sits in the row of the later step
+                acc -= at[j - 1] * (C[s - j][k - j] if j <= k else C[s - k][j - k])
+            row[k] = acc
+        row[0] = s2[s] - sum(at[j - 1] * row[j] for j in range(1, min(p, s) + 1))
+        C.append(row)
+    return np.array(C[burn_in:])[:, : int(max_lag) + 1]
+
+
 def simulate_tvar_batch(model, n, seeds, burn_in=None):
     """Simulate one replication of a time-varying AR model per seed.
 
@@ -291,20 +344,13 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     -------
     ndarray of shape (len(seeds), n)
     """
+    burn_in, s2, a = _simulation_steps(model, n, burn_in)
+    sig = np.sqrt(s2)
+    a = a.tolist()
+    p = model.p
     n = int(n)
-    burn_in = int(model.burn_in if burn_in is None else burn_in)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
     seeds = list(seeds)
     total = burn_in + n
-    u = np.empty(total)
-    u[:burn_in] = 1.0 / n
-    u[burn_in:] = np.arange(1, n + 1) / n
-    sig = np.sqrt(model.sigma2.values(u))
-    a = model.alpha_matrix(u).tolist()
-    p = model.p
 
     out = np.empty((len(seeds), n))
     step = REPLICATION_CHUNK if len(seeds) >= ROW_FORM_MIN else 1

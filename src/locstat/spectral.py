@@ -67,10 +67,6 @@ class FrequencyGrid:
         self.nodes = -np.pi + 2 * np.pi * (np.arange(size) + 0.5) / size
         self.weight = 2 * np.pi / size
 
-    def integrate(self, values, axis=-1):
-        """Riemann sum along the frequency axis."""
-        return np.sum(values, axis=axis) * self.weight
-
     def __repr__(self):
         return f"FrequencyGrid(size={self.size})"
 

@@ -415,3 +415,26 @@ def test_preperiodogram_all_times_match_requested_rows(tmp_path):
     assert len(every) == 40 * 8
     assert [r["t"] for r in every[::8]] == list(range(1, 41))
     assert some == [r for r in every if r["t"] in (3, 40)]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("tail-study", {"replications": 500}),
+        ("tail-study", {"n": "abc"}),
+        ("clt-study", {"replications": 1}),
+        ("clt-study", {"centering": "median"}),
+        ("rate-study", {"n_list": [64]}),
+        ("fit", {"eps": 1.5}),
+        ("prop33", {"n_list": ["abc"]}),
+        ("equivalence", {"seed": "abc"}),
+    ],
+)
+def test_rejected_config_value_exits_with_message(tmp_path, command, config):
+    extra = ["--series", str(simulate_into(tmp_path, n=16))] if command == "fit" else []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{command}: "):
+        main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import locstat.espec as espec
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import (
@@ -29,6 +30,7 @@ from locstat.spectral import (
     ar_inverse_weight,
     constant_weight,
     lag_curve_weight,
+    quadratic_form_matrix,
     spectral_functional,
 )
 
@@ -102,13 +104,14 @@ def test_tail_spec_designs_and_validation():
         chi2_tail_study("not a spec")
 
 
-def test_chi2_tail_study_deterministic_and_chunk_invariant():
+def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
     etas = np.array([0.5, 1.0, 2.0])
     a = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
     b = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in b]
     # chunked draws consume one stream, so the chunk size cannot matter
-    c = chi2_tail_study(TailStudySpec(np.ones(20), 5000, etas, seed=5, chunk=700))
+    monkeypatch.setattr(espec, "TAIL_CHUNK_VALUES", 700 * 20)  # chunks of 700 rows
+    c = chi2_tail_study(TailStudySpec(np.ones(20), 5000, etas, seed=5))
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in c]
     d = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=6))
     assert [r["exceedances"] for r in a] != [r["exceedances"] for r in d]
@@ -246,8 +249,8 @@ def test_spectral_process_sample_validation():
 def test_expected_functional_trace_white_noise_is_one():
     val = expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 64)
     assert val == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 257)
+    # no cap on n: the covariance band takes O((burn_in + n) K) memory
+    assert expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 4096) == 1.0
 
 
 def test_expected_functional_trace_near_limit_for_stationary_ar():
@@ -258,6 +261,49 @@ def test_expected_functional_trace_near_limit_for_stationary_ar():
     trace = expected_functional_trace(model, phi, 128)
     limit = spectral_functional_limit(phi, model)
     assert trace == pytest.approx(limit, rel=0.05)
+
+
+def _trace_oracle(model, phi, n):
+    """tr(M Sigma) / (2 pi n) with Sigma = L^{-1} diag(sigma^2) L^{-T} from
+    the dense (burn_in + n)-square recursion matrix L of the simulator."""
+    burn_in = model.burn_in
+    total = burn_in + n
+    u = np.concatenate([np.full(burn_in, 1.0 / n), np.arange(1, n + 1) / n])
+    L = np.eye(total)
+    for s in range(total):
+        for j in range(1, min(model.p, s) + 1):
+            L[s, s - j] = model.alpha[j - 1].values(u[s])
+    Linv = np.linalg.inv(L)
+    sigma = (Linv * model.sigma2.values(u)) @ Linv.T
+    M = quadratic_form_matrix(phi, n)
+    return float(np.sum(M * sigma[burn_in:, burn_in:]) / (2 * np.pi * n))
+
+
+_TV_ALPHA = (FourierCurve(-0.3, a=[0.25], b=[0.1]), SampledCurve([0.1, -0.2, 0.15]))
+_TV_SIGMA2 = SampledCurve([1.0, 2.5, 1.5])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("burn_in", [0, 7, 50])
+@pytest.mark.parametrize("n", [1, 2, 33, 64])
+def test_expected_functional_trace_matches_dense_recursion_oracle(p, burn_in, n):
+    model = TvARModel(p, _TV_ALPHA[:p], _TV_SIGMA2, burn_in=burn_in)
+    weights = [
+        constant_weight(1.5),
+        ar_inverse_weight(model),
+        lag_curve_weight({0: SampledCurve([2.0, 3.0]), 1: FourierCurve(0.4, a=[0.3], b=[0.0]), 3: -0.2}),
+    ]
+    for phi in weights:
+        exact = expected_functional_trace(model, phi, n)
+        assert exact == pytest.approx(_trace_oracle(model, phi, n), rel=1e-12)
+
+
+def test_expected_functional_trace_variance_only_model_is_mean_variance():
+    sigma2 = SampledCurve([0.5, 1.0, 3.0, 2.0, 4.0])
+    model = TvARModel(0, [], sigma2)
+    n = 300
+    exact = expected_functional_trace(model, constant_weight(1.0), n)
+    assert exact == pytest.approx(np.mean(sigma2.values(np.arange(1, n + 1) / n)), rel=1e-15, abs=0)
 
 
 def test_bias_scaling_study_white_noise():

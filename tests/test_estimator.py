@@ -59,8 +59,6 @@ def test_fit_config_validation():
         FitConfig(max_iter=0)
     with pytest.raises(ValueError):
         FitConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(bounds="project")
     assert FitConfig(p=1).resolve(256) == (3, pytest.approx(math.log(256) ** -0.2))
     assert FitConfig(p=1, k_n=7, eps=0.3).resolve(256) == (7, 0.3)
 

@@ -160,28 +160,6 @@ def test_sieve_pava_clips_to_bounds():
     np.testing.assert_allclose(curve.knot_values, [0.25, 4.0, 4.0])
 
 
-def test_sieve_pava_mean_preserving_feasible():
-    # n=12, p=0, k_n=3: chunks of 4; extreme chunk means but feasible total
-    sq = np.concatenate([np.full(4, 0.01), np.full(4, 1.0), np.full(4, 6.0)])
-    eps = 0.5  # bounds [0.25, 4.0]
-    curve = sieve_pava(sq, n=12, p=0, k_n=3, eps=eps, bounds="mean_preserving")
-    assert np.mean(curve.knot_values) == pytest.approx(np.mean(sq), abs=1e-10)
-    assert np.all(curve.knot_values >= 0.25 - 1e-12)
-    assert np.all(curve.knot_values <= 4.0 + 1e-12)
-    assert np.all(np.diff(curve.knot_values) >= -1e-12)
-    # plain clip would NOT preserve the mean here
-    clipped = sieve_pava(sq, n=12, p=0, k_n=3, eps=eps)
-    assert abs(np.mean(clipped.knot_values) - np.mean(sq)) > 0.1
-
-
-def test_sieve_pava_mean_preserving_infeasible_degenerates_to_constant():
-    sq = np.full(12, 100.0)  # mean far above 1/eps^2
-    curve = sieve_pava(sq, n=12, p=0, k_n=3, eps=0.5, bounds="mean_preserving")
-    np.testing.assert_allclose(curve.knot_values, 4.0)
-    low = sieve_pava(np.full(12, 1e-6), n=12, p=0, k_n=3, eps=0.5, bounds="mean_preserving")
-    np.testing.assert_allclose(low.knot_values, 0.25)
-
-
 def test_sieve_pava_validation():
     with pytest.raises(ValueError, match="expected 9"):
         sieve_pava(np.ones(10), n=10, p=1, k_n=3, eps=0.1)
@@ -191,8 +169,6 @@ def test_sieve_pava_validation():
         sieve_pava(np.ones(9), n=10, p=1, k_n=3, eps=1.5)
     with pytest.raises(ValueError):
         sieve_pava(-np.ones(9), n=10, p=1, k_n=3, eps=0.1)
-    with pytest.raises(ValueError):
-        sieve_pava(np.ones(9), n=10, p=1, k_n=3, eps=0.1, bounds="nearest")
     with pytest.raises(ValueError):
         sieve_pava(np.ones(0), n=3, p=3, k_n=2, eps=0.1)
 
