@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .curves import ConstantCurve, check_spec_keys, curve_from_spec, curve_to_spec
+from .curves import ConstantCurve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
 from .espec import (
     TailStudySpec,
     bias_scaling_study,
@@ -39,6 +39,7 @@ from .harness import (
     default_rate_model,
     likelihood_equivalence_decay,
     rate_study,
+    write_json,
     write_metadata,
     write_rows_csv,
 )
@@ -57,15 +58,21 @@ from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant
 __all__ = ["main", "build_parser"]
 
 
-DEFAULT_TAIL_ETAS = [0.5 * k for k in range(1, 11)]  # the acceptance suite's tail thresholds
+# the CLI's own defaults, for values the library call has no default for
+# (tail-study's etas are the acceptance suite's tail thresholds)
+TAIL_DEFAULTS = {"design": "unit", "n": 1024, "replications": 200000, "etas": [0.5 * k for k in range(1, 11)]}
+CLT_DEFAULTS = {"seed": 0, "n": 512, "replications": 2000}
+PROP33_DEFAULTS = {"seed": 0, "n_list": (64, 128, 256, 512), "replications": 400}
+EQUIVALENCE_SEED = 7
 
 
-def _exit_on_bad_config(args, build, *spec):
-    """build(*spec), exiting with the command name and the message of a
-    ValueError, such as one naming an unknown key or a value out of range.
-    Each command builds its specs through here before it writes output."""
+def _exit_on_bad_config(args, build, *spec, **kwargs):
+    """build(*spec, **kwargs), exiting with the command name and the message
+    of a ValueError, such as one naming an unknown key, an ill-typed value or
+    a value out of range.  Each command builds its specs and runs its library
+    call through here before it writes output."""
     try:
-        return build(*spec)
+        return build(*spec, **kwargs)
     except ValueError as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
@@ -88,17 +95,33 @@ def _read_config(args, allowed):
     return config, text
 
 
-def _seed(args, config, default):
-    return args.seed if args.seed is not None else _exit_on_bad_config(args, int, config.get("seed", default))
-
-
 def _config_model(args, config, default=None):
-    return _exit_on_bad_config(args, model_from_json, config["model"]) if "model" in config else default
+    """The model built from the config's model object; default without one."""
+    if "model" not in config:
+        return default
+    if not isinstance(config["model"], dict):
+        raise SystemExit(f"{args.command}: model must be a JSON object, got {config['model']!r}")
+    return _exit_on_bad_config(args, model_from_json, config["model"])
+
+
+def _study_kwargs(args, config, model=None):
+    """A study's config as keyword arguments of its library call: --seed,
+    when given, replaces the config's seed, the seed is checked, and the
+    model is built (model standing in for an absent one unless None)."""
+    kwargs = dict(config)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    if "seed" in kwargs:
+        kwargs["seed"] = _exit_on_bad_config(args, as_number, kwargs["seed"], "seed", int, 0)
+    model = _config_model(args, config, model)
+    if model is not None:
+        kwargs["model"] = model
+    return kwargs
 
 
 def _config_phi(args, config, model):
-    spec = config.get("phi", {"type": "constant", "value": 1.0})
-    return _exit_on_bad_config(args, _weight_from_spec, spec, model)
+    """The weight built from the config's phi object (a unit constant without one)."""
+    return _exit_on_bad_config(args, _weight_from_spec, config.get("phi", {}), model)
 
 
 def _thread_count(text):
@@ -142,31 +165,32 @@ def _ensure_out(args):
 WEIGHT_KEYS = {"constant": ("type", "value"), "ar_inverse": ("type", "scale"), "lag_curves": ("type", "curves")}
 
 
-def _weight_from_spec(spec, model=None):
+def _weight_from_spec(spec, model):
     """Build a spectral weight function from its JSON description.
 
     {"type": "constant", "value": v}
-    {"type": "ar_inverse", "scale": s}        -- needs a model in context
+    {"type": "ar_inverse", "scale": s}        -- the weight of model
     {"type": "lag_curves", "curves": {"0": <curve spec or number>, ...}}
 
     Raises ValueError on an unknown type or key and on missing curves.
     """
     if not isinstance(spec, dict):
         raise ValueError("weight spec must be a JSON object")
-    kind = spec.get("type", "constant")
-    if kind not in WEIGHT_KEYS:
+    params = dict(spec)
+    kind = params.pop("type", "constant")
+    if not isinstance(kind, str) or kind not in WEIGHT_KEYS:
         raise ValueError(f"unknown weight type {kind!r}")
     check_spec_keys(spec, WEIGHT_KEYS[kind], f"{kind} weight", ("curves",) if kind == "lag_curves" else ())
     if kind == "constant":
-        return constant_weight(float(spec.get("value", 1.0)))
+        return constant_weight(**params)
     if kind == "ar_inverse":
-        if model is None:
-            raise ValueError("ar_inverse weight needs a model")
-        return ar_inverse_weight(model, scale=float(spec.get("scale", 1.0)))
-    curves = {}
-    for key, val in spec["curves"].items():
-        curves[int(key)] = val if isinstance(val, (int, float)) else curve_from_spec(val)
-    return lag_curve_weight(curves)
+        return ar_inverse_weight(model, **params)
+    curves = params["curves"]
+    if not isinstance(curves, dict):
+        raise ValueError("lag_curves weight curves must be a JSON object")
+    return lag_curve_weight(
+        {key: val if isinstance(val, (int, float)) else curve_from_spec(val) for key, val in curves.items()}
+    )
 
 
 def _cmd_simulate(args):
@@ -213,8 +237,9 @@ def _cmd_likelihood_eval(args):
         raise SystemExit("likelihood-eval needs --config with a candidate model")
     config, text = _read_config(args, None)
     if "sigma2" not in config and "model" in config:
-        config = config["model"]  # accept fit.json output directly
-    model = _exit_on_bad_config(args, model_from_json, config, "config")
+        model = _config_model(args, config)  # accept fit.json output directly
+    else:
+        model = _exit_on_bad_config(args, model_from_json, config, "config")
     g = SpectrumField.from_model(model)
     whittle = whittle_contrast(x, g)
 
@@ -234,10 +259,7 @@ def _cmd_likelihood_eval(args):
         "constant_alpha": constant_alpha,
     }
     out = _ensure_out(args)
-    path = os.path.join(out, "likelihood.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = write_json(os.path.join(out, "likelihood.json"), result)
     write_metadata(out, "likelihood-eval", text, None, extra={"series": os.path.basename(args.series)})
     print(f"wrote {path}")
     print(f"whittle={whittle!r} conditional={conditional!r}")
@@ -247,16 +269,7 @@ def _cmd_likelihood_eval(args):
 def _cmd_fit(args):
     x = TimeSeries.from_csv(args.series)
     config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
-    cfg = _exit_on_bad_config(
-        args,
-        lambda: FitConfig(
-            p=int(config.get("p", 1)),
-            k_n=config.get("k_n"),
-            eps=config.get("eps"),
-            max_iter=int(config.get("max_iter", 100)),
-            rel_tol=float(config.get("rel_tol", 1e-8)),
-        ),
-    )
+    cfg = _exit_on_bad_config(args, FitConfig, **config)
     fit = fit_monotone_tvar(x, cfg)
     fitted_model = TvARModel(
         cfg.p,
@@ -278,10 +291,7 @@ def _cmd_fit(args):
         "model": json.loads(model_to_json(fitted_model)),
     }
     out = _ensure_out(args)
-    path = os.path.join(out, "fit.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = write_json(os.path.join(out, "fit.json"), result)
     write_metadata(out, "fit", text, None, extra={"series": os.path.basename(args.series)})
     print(f"wrote {path}")
     print(
@@ -293,17 +303,7 @@ def _cmd_fit(args):
 
 def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
-    seed = _seed(args, config, 2026)
-    spec = _exit_on_bad_config(
-        args,
-        lambda: RateStudySpec(
-            n_list=tuple(config.get("n_list", (256, 512, 1024, 2048, 4096))),
-            replications=int(config.get("replications", 50)),
-            seed=seed,
-            model=_config_model(args, config),
-            p=int(config.get("p", 1)),
-        ),
-    )
+    spec = _exit_on_bad_config(args, RateStudySpec, **_study_kwargs(args, config))
     result = rate_study(spec, threads=args.threads)
     out = _ensure_out(args)
     rows_path = os.path.join(out, "rate_rows.csv")
@@ -314,39 +314,31 @@ def _cmd_rate_study(args):
         "n_list": list(spec.n_list),
         "replications": spec.replications,
     }
-    summary_path = os.path.join(out, "rate_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_metadata(out, "rate-study", text, seed)
+    summary_path = write_json(os.path.join(out, "rate_summary.json"), summary)
+    write_metadata(out, "rate-study", text, spec.seed)
     print(f"wrote {rows_path}")
     print(f"wrote {summary_path}")
     print(f"slope_spectrum={result.slope_spectrum:.4f} slope_variance={result.slope_variance:.4f}")
     return 0
 
 
-def _tail_spec(config, design, seed):
-    designs = {"unit": TailStudySpec.unit_design, "linear": TailStudySpec.linear_design}
-    if design not in designs:
+def _tail_spec(design, **settings):
+    # a tuple, not a dict: a list or object design is compared, not hashed
+    if design not in ("unit", "linear"):
         raise ValueError(f"unknown design {design!r}")
-    return designs[design](
-        int(config.get("n", 1024)),
-        replications=int(config.get("replications", 200000)),
-        etas=config.get("etas", DEFAULT_TAIL_ETAS),
-        seed=seed,
-    )
+    return getattr(TailStudySpec, f"{design}_design")(**settings)
 
 
 def _cmd_tail_study(args):
     config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
-    seed = _seed(args, config, 0)
-    design = config.get("design", "unit")
-    spec = _exit_on_bad_config(args, _tail_spec, config, design, seed)
+    settings = {**TAIL_DEFAULTS, **_study_kwargs(args, config)}
+    design = settings.pop("design")
+    spec = _exit_on_bad_config(args, _tail_spec, design, **settings)
     rows = chi2_tail_study(spec)
     out = _ensure_out(args)
     path = os.path.join(out, "tail_rows.csv")
     write_rows_csv(path, rows)
-    write_metadata(out, "tail-study", text, seed, extra={"design": design, "n": spec.n})
+    write_metadata(out, "tail-study", text, spec.seed, extra={"design": design, "n": spec.n})
     print(f"wrote {path}")
     for row in rows:
         print(
@@ -358,22 +350,11 @@ def _cmd_tail_study(args):
 
 def _cmd_clt_study(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
-    seed = _seed(args, config, 0)
-    model = _config_model(args, config, white_noise_model())
-    phi = _config_phi(args, config, model)
-    sample = _exit_on_bad_config(
-        args,
-        lambda: spectral_process_sample(
-            model,
-            phi,
-            int(config.get("n", 512)),
-            int(config.get("replications", 2000)),
-            seed,
-            centering=config.get("centering", "analytic"),
-        ),
-    )
+    kwargs = {**CLT_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
+    phi = kwargs["phi"] = _config_phi(args, config, kwargs["model"])
+    sample = _exit_on_bad_config(args, spectral_process_sample, **kwargs)
     n = sample.n
-    limit = limit_covariance(phi, phi, SpectrumField.from_model(model))
+    limit = limit_covariance(phi, phi, SpectrumField.from_model(kwargs["model"]))
     emp = sample.variance()
     result = {
         "n": n,
@@ -384,13 +365,10 @@ def _cmd_clt_study(args):
         "ratio": emp / limit if limit > 0 else float("nan"),
     }
     out = _ensure_out(args)
-    path = os.path.join(out, "clt_summary.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = write_json(os.path.join(out, "clt_summary.json"), result)
     dev_path = os.path.join(out, "clt_deviations.csv")
     write_rows_csv(dev_path, [{"deviation": float(d)} for d in sample.deviations])
-    write_metadata(out, "clt-study", text, seed, extra={"n": n})
+    write_metadata(out, "clt-study", text, sample.seed, extra={"n": n})
     print(f"wrote {path}")
     print(f"wrote {dev_path}")
     print(f"empirical_variance={emp:.6g} limit_variance={limit:.6g} ratio={result['ratio']:.4f}")
@@ -399,19 +377,13 @@ def _cmd_clt_study(args):
 
 def _cmd_prop33(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
-    seed = _seed(args, config, 0)
-    model = _config_model(args, config, white_noise_model())
-    phi = _config_phi(args, config, model)
-    rows = _exit_on_bad_config(
-        args,
-        lambda: bias_scaling_study(
-            model, phi, config.get("n_list", (64, 128, 256, 512)), int(config.get("replications", 400)), seed
-        ),
-    )
+    kwargs = {**PROP33_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
+    kwargs["phi"] = _config_phi(args, config, kwargs["model"])
+    rows = _exit_on_bad_config(args, bias_scaling_study, **kwargs)
     out = _ensure_out(args)
     path = os.path.join(out, "bias_rows.csv")
     write_rows_csv(path, rows)
-    write_metadata(out, "prop33", text, seed, extra={"n_list": [row["n"] for row in rows]})
+    write_metadata(out, "prop33", text, kwargs["seed"], extra={"n_list": [row["n"] for row in rows]})
     print(f"wrote {path}")
     for row in rows:
         print(
@@ -423,20 +395,12 @@ def _cmd_prop33(args):
 
 def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
-    seed = _seed(args, config, 7)
-    rows = _exit_on_bad_config(
-        args,
-        lambda: likelihood_equivalence_decay(
-            model=_config_model(args, config),
-            n_list=tuple(config.get("n_list", (256, 2048))),
-            replications=int(config.get("replications", 20)),
-            seed=seed,
-        ),
-    )
+    kwargs = {"seed": EQUIVALENCE_SEED, **_study_kwargs(args, config)}
+    rows = _exit_on_bad_config(args, likelihood_equivalence_decay, **kwargs)
     out = _ensure_out(args)
     path = os.path.join(out, "equivalence_rows.csv")
     write_rows_csv(path, rows)
-    write_metadata(out, "equivalence", text, seed)
+    write_metadata(out, "equivalence", text, kwargs["seed"])
     print(f"wrote {path}")
     for row in rows:
         print(f"n={row['n']} median_gap={row['median_gap']:.6e}")

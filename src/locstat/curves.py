@@ -6,6 +6,8 @@ share a single interface: ``values(u)`` evaluates the curve at an array of
 rescaled times and raises ``ValueError`` outside the domain.
 """
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -17,6 +19,8 @@ __all__ = [
     "curve_to_spec",
     "curve_from_spec",
     "check_spec_keys",
+    "as_number",
+    "as_numbers",
 ]
 
 # the keys curve_to_spec writes for each curve type
@@ -59,10 +63,7 @@ class ConstantCurve(Curve):
     """Curve that takes a single value everywhere."""
 
     def __init__(self, value):
-        value = float(value)
-        if not np.isfinite(value):
-            raise ValueError("curve value must be finite")
-        self.value = value
+        self.value = as_number(value, "curve value", float)
 
     def values(self, u):
         u = _as_unit_time(u)
@@ -87,7 +88,7 @@ class FourierCurve(Curve):
     """
 
     def __init__(self, a0, a=(), b=()):
-        self.a0 = float(a0)
+        self.a0 = as_number(a0, "a0", float)
         self.a = np.atleast_1d(np.asarray(a, dtype=float))
         self.b = np.atleast_1d(np.asarray(b, dtype=float))
         if self.a.ndim != 1 or self.b.ndim != 1:
@@ -95,7 +96,7 @@ class FourierCurve(Curve):
         width = max(len(self.a), len(self.b))
         self.a = np.pad(self.a, (0, width - len(self.a)))
         self.b = np.pad(self.b, (0, width - len(self.b)))
-        if not (np.isfinite(self.a0) and np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
+        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.b))):
             raise ValueError("curve coefficients must be finite")
 
     @property
@@ -155,7 +156,7 @@ class MonotoneStepCurve(Curve):
 
     def __init__(self, values, eps):
         v = np.asarray(values, dtype=float)
-        eps = float(eps)
+        eps = as_number(eps, "eps", float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("need a nonempty 1-d array of knot values")
         if not (0.0 < eps < 1.0):
@@ -216,6 +217,38 @@ def check_spec_keys(spec, allowed, what, required=()):
         raise ValueError(f"{what} lacks required key(s) {', '.join(missing)}")
 
 
+def as_number(value, name, kind=int, minimum=None):
+    """value converted by kind (int or float) for the parameter called name.
+
+    Raises ValueError naming the parameter and the value where kind rejects
+    it (null, a list, an object, a non-numeric string), where an int would
+    drop a fraction or a float is not finite, and where the number lies
+    below minimum.
+    """
+    try:
+        number = kind(value)
+        exact = math.isfinite(number) and float(number) == float(value)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    return number
+
+
+def as_numbers(values, name, kind=int, minimum=None):
+    """Nonempty tuple of the entries of the list values, each converted by
+    :func:`as_number`; raises ValueError when values is not a list (a string,
+    an object or a single number) or is empty."""
+    if isinstance(values, (str, dict)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{name} must be a list, got {values!r}")
+    numbers = tuple(as_number(v, f"{name} entry", kind, minimum) for v in values)
+    if not numbers:
+        raise ValueError(f"{name} must not be empty")
+    return numbers
+
+
 def curve_from_spec(spec):
     """Deserialize a curve from the dict produced by :func:`curve_to_spec`.
 
@@ -225,7 +258,7 @@ def curve_from_spec(spec):
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("curve spec must be a dict with a 'type' key")
     kind = spec["type"]
-    if kind not in SPEC_KEYS:
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
         raise ValueError(f"unknown curve type {kind!r}")
     check_spec_keys(spec, SPEC_KEYS[kind], f"{kind} curve", SPEC_REQUIRED[kind])
     if kind == "constant":

@@ -12,10 +12,11 @@ theorem, and the exact finite-n mean of the functional.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import as_number, as_numbers
 from .process import REPLICATION_CHUNK, _covariance_band, ar_autocov, as_field, simulate_tvar_batch
 from .spectral import FrequencyGrid, _lag_functionals, _lag_index, _time_grid, spectral_functional_limit
 
@@ -56,17 +57,17 @@ class TailStudySpec:
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
-        self.etas = np.asarray(self.etas, dtype=float)
+        self.etas = np.array(as_numbers(self.etas, "etas", float))
+        self.replications = as_number(self.replications, "replications", int, 1000)
+        self.seed = as_number(self.seed, "seed", int, 0)
         if self.lambdas.ndim != 1 or self.lambdas.size == 0:
             raise ValueError("need a nonempty weight vector")
         if np.any(self.lambdas <= 0) or not np.all(np.isfinite(self.lambdas)):
             raise ValueError("weights must be positive and finite")
-        if self.etas.ndim != 1 or self.etas.size == 0 or np.any(self.etas <= 0):
+        if np.any(self.etas <= 0):
             raise ValueError("need positive thresholds")
         if np.any(np.diff(self.etas) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-        if self.replications < 1000:
-            raise ValueError("need at least 1000 replications")
 
     @property
     def n(self):
@@ -75,12 +76,12 @@ class TailStudySpec:
     @classmethod
     def unit_design(cls, n, replications, etas, seed=0):
         """lambda_i = 1 for all i."""
-        return cls(np.ones(int(n)), replications, etas, seed)
+        return cls(np.ones(as_number(n, "n", int, 1)), replications, etas, seed)
 
     @classmethod
     def linear_design(cls, n, replications, etas, seed=0):
         """lambda_i = 1 + i/n for i = 1..n."""
-        n = int(n)
+        n = as_number(n, "n", int, 1)
         return cls(1.0 + np.arange(1, n + 1) / n, replications, etas, seed)
 
 
@@ -183,7 +184,6 @@ class SpectralProcessSample:
     n: int
     replications: int
     seed: int
-    extras: dict = field(default_factory=dict)
 
     def variance(self):
         """Unbiased variance of the deviations."""
@@ -220,10 +220,9 @@ def spectral_process_sample(
     seed : int
     centering : {"analytic", "mean"}
     """
-    n = int(n)
-    replications = int(replications)
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
+    n = as_number(n, "n", int, 1)
+    replications = as_number(replications, "replications", int, 2)
+    seed = as_number(seed, "seed", int, 0)
     if centering not in ("analytic", "mean"):
         raise ValueError(f"unknown centering {centering!r}")
     if phi.lag_support is None:
@@ -243,7 +242,7 @@ def spectral_process_sample(
         centering=centering,
         n=n,
         replications=replications,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -319,11 +318,13 @@ def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096)
     list of dict
         Keys: n, mean, limit, stderr, sqrt_n_bias, n_bias.
     """
+    n_list = as_numbers(n_list, "n_list", int, 1)
+    replications = as_number(replications, "replications", int, 2)
+    seed = as_number(seed, "seed", int, 0)
     limit = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
     rows = []
     for n in n_list:
-        n = int(n)
-        seeds = [replication_seed(seed, n, r) for r in range(int(replications))]
+        seeds = [replication_seed(seed, n, r) for r in range(replications)]
         values = _functional_sample(model, phi, n, seeds)
         mean = math.fsum(values) / len(values)
         stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import Curve, FourierCurve, MonotoneStepCurve
+from .curves import Curve, FourierCurve, MonotoneStepCurve, as_number
 from .isotonic import sieve_pava
 from .likelihood import _inverse_distance_sq, conditional_likelihood
 from .process import STABILITY_GRID, check_stability
@@ -47,16 +47,12 @@ FOURIER_MARGIN = 1e-9  # a constrained Fourier fit keeps |alpha| <= 1 - FOURIER_
 
 def default_knots(n):
     """Sieve size ceil(n^{1/3} (log n)^{-2/3})."""
-    n = int(n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    n = as_number(n, "n", int, 2)
     return max(1, math.ceil(n ** (1.0 / 3.0) / math.log(n) ** (2.0 / 3.0)))
 
 def default_eps(n):
     """Bound parameter (log n)^{-1/5}; requires log n > 1."""
-    n = int(n)
-    if n < 3:
-        raise ValueError("default eps needs n >= 3")
+    n = as_number(n, "n", int, 3)
     return math.log(n) ** -0.2
 
 
@@ -86,22 +82,23 @@ class FitConfig:
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        self.p = as_number(self.p, "p", int, 0)
+        self.max_iter = as_number(self.max_iter, "max_iter", int, 1)
+        self.rel_tol = as_number(self.rel_tol, "rel_tol", float)
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.eps is not None and not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
-        if self.k_n is not None and self.k_n < 1:
-            raise ValueError("k_n must be at least 1")
+        if self.eps is not None:
+            self.eps = as_number(self.eps, "eps", float)
+            if not 0.0 < self.eps < 1.0:
+                raise ValueError("eps must lie in (0, 1)")
+        if self.k_n is not None:
+            self.k_n = as_number(self.k_n, "k_n", int, 1)
 
     def resolve(self, n):
         """Concrete (k_n, eps) for a sample size."""
         k = self.k_n if self.k_n is not None else default_knots(n)
         e = self.eps if self.eps is not None else default_eps(n)
-        return int(k), float(e)
+        return k, e
 
 
 @dataclass
@@ -150,9 +147,7 @@ def wls_ar(series, sigma2, p):
         If the weighted normal equations are singular (constant-zero series).
     """
     x = _series_values(series)
-    p = int(p)
-    if p < 0:
-        raise ValueError("p must be nonnegative")
+    p = as_number(p, "p", int, 0)
     if p == 0:
         return np.zeros(0)
     n = len(x)
@@ -307,9 +302,7 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     """
     x = _series_values(series)
     n = len(x)
-    k_n = int(k_n)
-    if k_n < 0:
-        raise ValueError("k_n must be nonnegative")
+    k_n = as_number(k_n, "k_n", int, 0)
     if n < 8 * (k_n + 1):
         raise ValueError("series too short for the requested curve order")
     room = (1.0 - FOURIER_MARGIN) * (1.0 - 0.5 * (np.pi * k_n / STABILITY_GRID) ** 2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ConstantCurve, FourierCurve, SampledCurve
+from .curves import ConstantCurve, FourierCurve, SampledCurve, as_number, as_numbers
 from .espec import replication_seed
 from .estimator import (
     FitConfig,
@@ -44,6 +44,7 @@ __all__ = [
     "write_rows_csv",
     "read_rows_csv",
     "write_metadata",
+    "write_json",
 ]
 
 RATE_U_GRID = 2048  # midpoint cells of the rate study's error integrals
@@ -96,13 +97,14 @@ class RateStudySpec:
     p: int = 1
 
     def __post_init__(self):
-        self.n_list = tuple(int(n) for n in self.n_list)
-        if len(self.n_list) < 2 or any(n < 8 for n in self.n_list):
-            raise ValueError("need at least two sizes, all >= 8")
+        self.n_list = as_numbers(self.n_list, "n_list", int, 8)
+        if len(self.n_list) < 2:
+            raise ValueError("need at least two sizes")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError("sizes must be strictly increasing")
-        if self.replications < 2:
-            raise ValueError("need at least 2 replications")
+        self.replications = as_number(self.replications, "replications", int, 2)
+        self.seed = as_number(self.seed, "seed", int, 0)
+        self.p = as_number(self.p, "p", int, 0)
 
     def resolved_model(self):
         return self.model if self.model is not None else default_rate_model()
@@ -228,6 +230,9 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     -------
     list of dict with keys n, median_gap.
     """
+    n_list = as_numbers(n_list, "n_list", int, 1)
+    replications = as_number(replications, "replications", int, 2)
+    seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
     candidates = candidates if candidates is not None else default_equivalence_candidates()
     fields = [
@@ -236,9 +241,8 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     ]
     rows = []
     for n in n_list:
-        n = int(n)
         gaps = []
-        for x in simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(int(replications))]):
+        for x in simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)]):
             worst = 0.0
             for (alpha, sigma2), g in zip(candidates, fields):
                 lt = conditional_likelihood(x, alpha, sigma2)
@@ -316,7 +320,11 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
     }
     if extra:
         payload.update(extra)
-    path = os.path.join(out_dir, "metadata.json")
+    return write_json(os.path.join(out_dir, "metadata.json"), payload)
+
+
+def write_json(path, payload):
+    """Write payload as JSON, indented, keys sorted, newline-terminated."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

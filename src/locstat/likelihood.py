@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve
+from .curves import ConstantCurve, Curve, as_number
 from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
 from .spectral import FrequencyGrid, PrePeriodogram, _quadrature_functional, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
@@ -305,7 +305,7 @@ def conditional_likelihood(series, alpha, sigma2):
     if n <= p:
         raise ValueError(f"need more than p={p} observations")
     if not isinstance(sigma2, Curve):
-        sigma2 = ConstantCurve(float(sigma2))
+        sigma2 = ConstantCurve(sigma2)
     resid = x[p:].copy()
     for j in range(1, p + 1):
         resid += alpha[j - 1] * x[p - j : n - j]
@@ -328,9 +328,7 @@ def log_riemann_remainder(g, n, grid=None, u_grid_size=KL_TIME_GRID):
     variation of g over a 1/n mesh otherwise.
     """
     g = as_field(g)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = as_number(n, "n", int, 1)
     design = np.mean(_log_integral(g, _Mesh(np.arange(1, n + 1) / n, grid)))
     integral = np.mean(_log_integral(g, _Mesh(_time_grid(int(u_grid_size)), grid)))
     return float((design - integral) / (4 * np.pi))

@@ -27,7 +27,7 @@ import json
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve, check_spec_keys, curve_from_spec, curve_to_spec
+from .curves import ConstantCurve, Curve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
 
 __all__ = [
     "TimeSeries",
@@ -115,12 +115,11 @@ class TimeSeries:
         """The design points t/n for t = 1..n."""
         return np.arange(1, self.n + 1) / self.n
 
-    def to_csv(self, path, header=True):
-        """Write one value per line, optionally preceded by a header 'x'."""
+    def to_csv(self, path):
+        """Write a header 'x', then one value per line."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if header:
-                writer.writerow(["x"])
+            writer.writerow(["x"])
             for v in self.values:
                 writer.writerow([repr(float(v))])
 
@@ -169,9 +168,7 @@ class TvARModel:
     """
 
     def __init__(self, p, alpha, sigma2, delta=0.0, burn_in=DEFAULT_BURN_IN, validate=True):
-        p = int(p)
-        if p < 0:
-            raise ValueError("order p must be nonnegative")
+        p = as_number(p, "p", int, 0)
         alpha = tuple(alpha)
         if len(alpha) != p:
             raise ValueError(f"expected {p} coefficient curves, got {len(alpha)}")
@@ -180,14 +177,11 @@ class TvARModel:
                 raise ValueError("alpha entries must be Curve instances")
         if not isinstance(sigma2, Curve):
             raise ValueError("sigma2 must be a Curve instance")
-        burn_in = int(burn_in)
-        if burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
         self.p = p
         self.alpha = alpha
         self.sigma2 = sigma2
-        self.delta = float(delta)
-        self.burn_in = burn_in
+        self.delta = as_number(delta, "delta", float, 0)
+        self.burn_in = as_number(burn_in, "burn_in", int, 0)
         self.validated = False
         if validate:
             self.validate()
@@ -272,12 +266,8 @@ def _simulation_steps(model, n, burn_in=None):
     after it.  sigma2 holds the innovation variance and alpha the coefficient
     row of each step, shapes (burn_in + n,) and (burn_in + n, p).
     """
-    n = int(n)
-    burn_in = int(model.burn_in if burn_in is None else burn_in)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    n = as_number(n, "n", int, 1)
+    burn_in = as_number(model.burn_in if burn_in is None else burn_in, "burn_in", int, 0)
     u = np.empty(burn_in + n)
     u[:burn_in] = 1.0 / n
     u[burn_in:] = np.arange(1, n + 1) / n
@@ -521,7 +511,7 @@ class SpectrumField:
         """AR-backed field from a constant coefficient vector and a variance curve."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         if not isinstance(sigma2, Curve):
-            sigma2 = ConstantCurve(float(sigma2))
+            sigma2 = ConstantCurve(sigma2)
         model = TvARModel(
             len(alpha),
             [ConstantCurve(a) for a in alpha],
@@ -600,7 +590,10 @@ def model_from_json(source, what="model"):
                 text = fh.read()
         payload = json.loads(text)
     check_spec_keys(payload, MODEL_KEYS, what, required=("sigma2",))
-    alpha = [curve_from_spec(s) for s in payload.get("alpha", [])]
+    alpha = payload.get("alpha", [])
+    if not isinstance(alpha, (list, tuple)):
+        raise ValueError(f"{what} alpha must be a list of curve specs, got {alpha!r}")
+    alpha = [curve_from_spec(s) for s in alpha]
     sigma2 = curve_from_spec(payload["sigma2"])
     return TvARModel(
         payload.get("p", len(alpha)),

@@ -21,7 +21,7 @@ and norm bounds in this module are stated for that convention.
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve
+from .curves import ConstantCurve, Curve, as_number
 from .process import ar_autocov, as_field, coeff_autocorr, spectral_density
 
 __all__ = [
@@ -267,7 +267,7 @@ class TestFunction:
 
 def constant_weight(value=1.0):
     """phi(u, lam) = value; single lag coefficient 2 pi value at j = 0."""
-    value = float(value)
+    value = as_number(value, "weight value", float)
 
     def values_fn(u, lam):
         ub, lb = np.broadcast_arrays(u, lam)
@@ -292,10 +292,8 @@ def lag_curve_weight(curves, label=""):
     """
     table = {}
     for j, c in curves.items():
-        j = int(j)
-        if j < 0:
-            raise ValueError("specify nonnegative lags only; negatives mirror")
-        table[j] = c if isinstance(c, Curve) else ConstantCurve(float(c))
+        # nonnegative lags only; negatives mirror
+        table[as_number(j, "lag", int, 0)] = c if isinstance(c, Curve) else ConstantCurve(c)
     if not table:
         raise ValueError("need at least one lag coefficient curve")
     support = max(table)
@@ -327,7 +325,7 @@ def ar_inverse_weight(model, scale=1.0):
     support equals the model order.
     """
     p = model.p
-    scale = float(scale)
+    scale = as_number(scale, "weight scale", float)
 
     def values_fn(u, lam):
         return scale / spectral_density(model, u, lam)
@@ -348,9 +346,7 @@ def quadratic_form_matrix(phi, n):
     as a quadratic form: mean-over-t of int phi J dlam equals
     x' M x / (2 pi n).  Requires finite lag support and n <= 4096.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = as_number(n, "n", int, 1)
     if n > MAX_DENSE_N:
         raise ResourceLimitError(f"dense kernel capped at n = {MAX_DENSE_N}")
     if phi.lag_support is None:
@@ -519,9 +515,7 @@ def weight_norms(phi, n, u_resolution=VARIATION_GRID):
     """
     if phi.lag_support is None:
         raise ValueError("norms need a weight with finite lag support")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = as_number(n, "n", int, 1)
     J = phi.lag_support
     sup_grid = np.union1d(np.arange(1, u_resolution + 1) / u_resolution, np.arange(1, n + 1) / n)
     mid_grid = (np.arange(u_resolution) + 0.5) / u_resolution

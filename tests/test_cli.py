@@ -428,13 +428,56 @@ def test_preperiodogram_all_times_match_requested_rows(tmp_path):
         ("fit", {"eps": 1.5}),
         ("prop33", {"n_list": ["abc"]}),
         ("equivalence", {"seed": "abc"}),
+        ("prop33", {"replications": 1}),
+        ("equivalence", {"replications": 0}),
+        ("equivalence", {"model": "abc"}),
+        ("likelihood-eval", {"model": "abc"}),
+        ("clt-study", {"phi": {"type": "lag_curves", "curves": [1.0]}}),
+        ("clt-study", {"phi": {"type": ["constant"]}}),
+        ("clt-study", {"phi": {"type": "constant", "value": None}}),
     ],
 )
 def test_rejected_config_value_exits_with_message(tmp_path, command, config):
-    extra = ["--series", str(simulate_into(tmp_path, n=16))] if command == "fit" else []
+    extra = ["--series", str(simulate_into(tmp_path, n=16))] if command in ("fit", "likelihood-eval") else []
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: "):
         main([command, *extra, "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+# Every top-level key each subcommand allows, set to each ill-typed or edge
+# value on a small base config: the command either runs or exits with
+# "<command>: <message>" before writing --out, never with a traceback.
+PROBE_BASES = {
+    "fit": ({}, ("p", "k_n", "eps", "max_iter", "rel_tol")),
+    "rate-study": ({"n_list": [16, 32], "replications": 2}, ("seed", "model", "n_list", "replications", "p")),
+    "tail-study": ({"n": 8, "replications": 1000, "etas": [1.0]}, ("seed", "design", "n", "replications", "etas")),
+    "clt-study": ({"n": 16, "replications": 4}, ("seed", "model", "phi", "n", "replications", "centering")),
+    "prop33": ({"n_list": [16, 32], "replications": 4}, ("seed", "model", "phi", "n_list", "replications")),
+    "equivalence": ({"n_list": [16, 32], "replications": 2}, ("seed", "model", "n_list", "replications")),
+    "simulate": ({"sigma2": {"type": "constant", "value": 1.0}}, ("p", "alpha", "sigma2", "delta", "burn_in")),
+}
+
+
+@pytest.fixture(scope="module")
+def probe_series(tmp_path_factory):
+    out = tmp_path_factory.mktemp("probe")
+    run("simulate", "--n", "64", "--seed", "3", "--out", str(out))
+    return str(out / "series.csv")
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c, (_, keys) in PROBE_BASES.items() for k in keys])
+@pytest.mark.parametrize("value", [None, "abc", [1], {}, 0, -1, 1.5], ids=json.dumps)
+def test_config_value_runs_or_exits_with_message(tmp_path, probe_series, command, key, value):
+    base, _ = PROBE_BASES[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**base, key: value}))
+    out = tmp_path / "out"
+    extra = {"fit": ["--series", probe_series], "simulate": ["--n", "16"]}.get(command, [])
+    try:
+        main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    except SystemExit as exc:
+        assert str(exc.code).startswith(f"{command}: ")
+        assert not out.exists()

@@ -8,6 +8,8 @@ from locstat.curves import (
     FourierCurve,
     MonotoneStepCurve,
     SampledCurve,
+    as_number,
+    as_numbers,
     curve_from_spec,
     curve_to_spec,
 )
@@ -113,6 +115,48 @@ def test_curve_from_spec_rejects_misspelt_key():
 def test_curve_from_spec_rejects_unknown_type():
     with pytest.raises(ValueError):
         curve_from_spec({"type": "spline", "values": [1.0]})
+    with pytest.raises(ValueError, match=r"unknown curve type \['constant'\]"):
+        curve_from_spec({"type": ["constant"], "value": 1.0})
+
+
+@pytest.mark.parametrize(
+    "value, kind, expected",
+    [(3, int, 3), (3.0, int, 3), ("3", int, 3), (True, int, 1), (2, float, 2.0), ("0.5", float, 0.5)],
+)
+def test_as_number_converts(value, kind, expected):
+    number = as_number(value, "x", kind)
+    assert number == expected and type(number) is kind
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        (None, int, "x must be an integer, got None"),
+        ("abc", int, "x must be an integer, got 'abc'"),
+        ([1], int, r"x must be an integer, got \[1\]"),
+        ({}, int, r"x must be an integer, got \{\}"),
+        (1.5, int, "x must be an integer, got 1.5"),
+        (float("inf"), int, "x must be an integer, got inf"),
+        (float("nan"), float, "x must be a finite number, got nan"),
+        ({}, float, r"x must be a finite number, got \{\}"),
+        (-1, int, "x must be at least 0, got -1"),
+    ],
+)
+def test_as_number_names_rejected_value(value, kind, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        as_number(value, "x", kind, 0)
+
+
+def test_as_numbers_needs_a_nonempty_list():
+    assert as_numbers([16, 32.0], "n_list", int, 8) == (16, 32)
+    assert as_numbers(np.array([0.5, 1.0]), "etas", float) == (0.5, 1.0)
+    for values in (None, 64, 1.5, "abc", {}, {"a": 1}):
+        with pytest.raises(ValueError, match="^n_list must be a list, got "):
+            as_numbers(values, "n_list")
+    with pytest.raises(ValueError, match="^n_list must not be empty$"):
+        as_numbers([], "n_list")
+    with pytest.raises(ValueError, match="^n_list entry must be at least 8, got 4$"):
+        as_numbers([4, 64], "n_list", int, 8)
 
 
 @given(

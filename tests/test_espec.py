@@ -102,6 +102,9 @@ def test_tail_spec_designs_and_validation():
         TailStudySpec(np.ones(5), 1000, np.array([-1.0, 1.0]))
     with pytest.raises(ValueError):
         chi2_tail_study("not a spec")
+    for bad in ({"seed": -1}, {"etas": {}}, {"etas": 1.0}, {"replications": None}, {"n": "abc"}, {"n": 0}):
+        with pytest.raises(ValueError):
+            TailStudySpec.linear_design(**{"n": 4, "replications": 1000, "etas": [1.0], **bad})
 
 
 def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
@@ -241,6 +244,9 @@ def test_spectral_process_sample_validation():
         spectral_process_sample(model, phi, 32, 1, seed=0)
     with pytest.raises(ValueError):
         spectral_process_sample(model, phi, 32, 5, seed=0, centering="median")
+    for n, replications, seed in ((32, 5, -1), ("abc", 5, 0), (32, None, 0), (32.5, 5, 0)):
+        with pytest.raises(ValueError):
+            spectral_process_sample(model, phi, n, replications, seed)
     unsupported = TestFunction(lambda u, lam: np.ones(np.broadcast(u, lam).shape), None)
     with pytest.raises(ValueError):
         spectral_process_sample(model, unsupported, 32, 5, seed=0)
@@ -304,6 +310,20 @@ def test_expected_functional_trace_variance_only_model_is_mean_variance():
     n = 300
     exact = expected_functional_trace(model, constant_weight(1.0), n)
     assert exact == pytest.approx(np.mean(sigma2.values(np.arange(1, n + 1) / n)), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"replications": 1}, {"replications": 0}, {"n_list": []}, {"n_list": {}}, {"n_list": 32}, {"seed": -1}],
+)
+def test_bias_scaling_study_rejects_bad_arguments_before_simulating(monkeypatch, bad):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking its arguments")
+
+    monkeypatch.setattr(espec, "_functional_sample", no_simulation)
+    kwargs = {"n_list": [16, 32], "replications": 4, "seed": 0, **bad}
+    with pytest.raises(ValueError):
+        bias_scaling_study(white_noise_model(1.0), constant_weight(1.0), **kwargs)
 
 
 def test_bias_scaling_study_white_noise():

@@ -59,6 +59,10 @@ def test_fit_config_validation():
         FitConfig(max_iter=0)
     with pytest.raises(ValueError):
         FitConfig(rel_tol=0.0)
+    for bad in ({"k_n": "abc"}, {"k_n": 1.5}, {"eps": "abc"}, {"eps": [0.5]}, {"p": None}, {"max_iter": {}}):
+        with pytest.raises(ValueError):
+            FitConfig(**bad)
+    assert (FitConfig(k_n=4.0).k_n, FitConfig(eps="0.25").eps) == (4, 0.25)
     assert FitConfig(p=1).resolve(256) == (3, pytest.approx(math.log(256) ** -0.2))
     assert FitConfig(p=1, k_n=7, eps=0.3).resolve(256) == (7, 0.3)
 

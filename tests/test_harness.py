@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy
 
+import locstat.harness as harness
 from locstat.harness import (
     RateStudySpec,
     default_equivalence_candidates,
@@ -46,6 +47,12 @@ def test_rate_spec_validation():
         RateStudySpec(n_list=(4, 64))  # too small
     with pytest.raises(ValueError):
         RateStudySpec(replications=1)
+    # checked when the spec is built, not when the study runs
+    for bad in ({"seed": -1}, {"p": -1}, {"replications": "abc"}, {"n_list": 64}, {"n_list": (64.5, 128)}):
+        with pytest.raises(ValueError):
+            RateStudySpec(**bad)
+    spec = RateStudySpec(n_list=[64.0, 128], replications=2.0, seed=3.0)
+    assert (spec.n_list, spec.replications, spec.seed) == ((64, 128), 2, 3)
     cfg = RateStudySpec().fit_config_for(256)
     assert cfg.k_n == 6
     assert cfg.p == 1
@@ -80,6 +87,19 @@ def test_likelihood_equivalence_gap_decays():
     rows = likelihood_equivalence_decay(n_list=(128, 512), replications=5, seed=3)
     assert rows[0]["n"] == 128 and rows[1]["n"] == 512
     assert rows[1]["median_gap"] < rows[0]["median_gap"] / 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"replications": 1}, {"replications": 0}, {"n_list": ()}, {"n_list": {}}, {"n_list": 64}, {"seed": -1}],
+)
+def test_likelihood_equivalence_rejects_bad_arguments_before_simulating(monkeypatch, bad):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking its arguments")
+
+    monkeypatch.setattr(harness, "simulate_tvar_batch", no_simulation)
+    with pytest.raises(ValueError):
+        likelihood_equivalence_decay(**{"n_list": (16, 32), "replications": 2, **bad})
 
 
 def test_rows_csv_round_trip_exact(tmp_path):
