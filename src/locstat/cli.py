@@ -18,6 +18,7 @@ prop33          sqrt(n)-scaled bias of a spectral mean across sample sizes
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -124,11 +125,11 @@ def _config_phi(args, config, model):
     return _exit_on_bad_config(args, _weight_from_spec, config.get("phi", {}), model)
 
 
-def _thread_count(text):
-    threads = int(text)
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
+def _positive_int(text):
+    number = int(text)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
 
 
 def _grid_size(text):
@@ -155,6 +156,15 @@ def _parse_times(text):
             raise ValueError(f"--times entry {token!r} is below 1")
         times.add(t)
     return sorted(times)
+
+
+def _read_series(args):
+    """The --series file as a TimeSeries; exits with the command name and the
+    reason when the file cannot be opened or holds no series."""
+    try:
+        return TimeSeries.from_csv(args.series)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 def _ensure_out(args):
@@ -209,7 +219,7 @@ def _cmd_simulate(args):
 
 def _cmd_preperiodogram(args):
     times = _exit_on_bad_config(args, _parse_times, args.times)
-    x = TimeSeries.from_csv(args.series)
+    x = _read_series(args)
     if times is not None and times[-1] > x.n:
         raise SystemExit(f"{args.command}: --times entries must lie in 1..{x.n}")
     grid = FrequencyGrid(args.grid_size)
@@ -232,7 +242,7 @@ def _cmd_preperiodogram(args):
 
 
 def _cmd_likelihood_eval(args):
-    x = TimeSeries.from_csv(args.series)
+    x = _read_series(args)
     if args.config is None:
         raise SystemExit("likelihood-eval needs --config with a candidate model")
     config, text = _read_config(args, None)
@@ -267,7 +277,7 @@ def _cmd_likelihood_eval(args):
 
 
 def _cmd_fit(args):
-    x = TimeSeries.from_csv(args.series)
+    x = _read_series(args)
     config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
     cfg = _exit_on_bad_config(args, FitConfig, **config)
     fit = fit_monotone_tvar(x, cfg)
@@ -415,7 +425,7 @@ def build_parser():
     # every subcommand takes --threads and --out; --threads above 1 is
     # refused in main() except by rate-study
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_thread_count, default=1, help="worker threads, rate-study only (>= 1)")
+    common.add_argument("--threads", type=_positive_int, default=1, help="worker threads, rate-study only (>= 1)")
     common.add_argument("--out", default=".", help="output directory (created if missing)")
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
     configured.add_argument("--config", default=None, help="path to a JSON config file")
@@ -425,7 +435,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[seeded], help="simulate a time-varying AR path")
-    p_sim.add_argument("--n", type=int, required=True, help="series length")
+    p_sim.add_argument("--n", type=_positive_int, required=True, help="series length (>= 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_pre = sub.add_parser("preperiodogram", parents=[common], help="tabulate the pre-periodogram")
@@ -468,9 +478,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser unchanged, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.threads > 1 and args.func is not _cmd_rate_study:
         raise SystemExit(f"{args.command}: --threads is used only by rate-study")
     return args.func(args)

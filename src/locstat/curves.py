@@ -249,6 +249,13 @@ def as_numbers(values, name, kind=int, minimum=None):
     return numbers
 
 
+def _coefficients(values, name):
+    # an order-0 Fourier curve writes empty coefficient lists, which as_numbers refuses
+    if isinstance(values, (list, tuple)) and not values:
+        return ()
+    return as_numbers(values, name, float)
+
+
 def curve_from_spec(spec):
     """Deserialize a curve from the dict produced by :func:`curve_to_spec`.
 
@@ -263,8 +270,13 @@ def curve_from_spec(spec):
     check_spec_keys(spec, SPEC_KEYS[kind], f"{kind} curve", SPEC_REQUIRED[kind])
     if kind == "constant":
         return ConstantCurve(spec["value"])
+    # the array fields are checked here, at the spec boundary, so that the
+    # constructors keep their ndarray path (the fit builds a MonotoneStepCurve
+    # on every iteration)
     if kind == "fourier":
-        return FourierCurve(spec.get("a0", 0.0), spec.get("a", ()), spec.get("b", ()))
+        a, b = (_coefficients(spec.get(key, []), f"fourier curve {key}") for key in ("a", "b"))
+        return FourierCurve(spec.get("a0", 0.0), a, b)
+    values = as_numbers(spec["values"], f"{kind} curve values", float)
     if kind == "monotone_step":
-        return MonotoneStepCurve(spec["values"], spec["eps"])
-    return SampledCurve(spec["values"])
+        return MonotoneStepCurve(values, spec["eps"])
+    return SampledCurve(values)

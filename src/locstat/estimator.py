@@ -162,8 +162,10 @@ def wls_ar(series, sigma2, p):
 
     lags = np.column_stack([x[p - j : n - j] for j in range(1, p + 1)])
     target = x[p:]
-    A = (lags * w[:, None]).T @ lags
-    b = -(lags * w[:, None]).T @ target
+    # einsum, not a BLAS product: a threaded GEMM on these thin matrices is
+    # slower, and its rounding depends on the thread count
+    A = np.einsum("ti,t,tj->ij", lags, w, lags)
+    b = -np.einsum("ti,t,t->i", lags, w, target)
     try:
         coef = np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -317,7 +319,7 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     xx = x * x
     cross = x[:-1] * x[1:]
     basis = _fourier_basis(np.arange(1, n + 1) / n, k_n)
-    hess = basis.T @ (xx[:, None] * basis)
+    hess = np.einsum("ti,t,tj->ij", basis, xx, basis)  # no threaded GEMM, as in wls_ar
     grad = basis.T @ np.append(cross, 0.0)
     try:
         theta = np.linalg.solve(hess, -grad)

@@ -22,8 +22,8 @@ same for integrals against f, and the SpectrumField wrapper every population
 functional and contrast accepts.
 """
 
-import csv
 import json
+import warnings
 
 import numpy as np
 
@@ -84,6 +84,26 @@ def check_stability(coeffs, delta=0.0):
     return bool(np.min(np.abs(roots)) > 1.0 + delta)
 
 
+def _scan_series(path, header):
+    """The first cells of a CSV series parsed line by line: lines whose first
+    cell is blank are skipped, as is the first line when header is 1.
+
+    Raises ValueError naming the file and the 1-based line of the first cell
+    that is not a number.
+    """
+    values = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            cell = line.split(",", 1)[0].strip()
+            if not cell or lineno <= header:
+                continue
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: {cell!r} is not a number") from None
+    return values
+
+
 class TimeSeries:
     """A finite real-valued series with optional provenance.
 
@@ -116,26 +136,43 @@ class TimeSeries:
         return np.arange(1, self.n + 1) / self.n
 
     def to_csv(self, path):
-        """Write a header 'x', then one value per line."""
+        """Write a header 'x', then repr of one value per line, each line
+        ending in CRLF (the bytes csv.writer writes for these rows)."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x"])
-            for v in self.values:
-                writer.writerow([repr(float(v))])
+            fh.write("x\r\n" + "\r\n".join(map(repr, self.values.tolist())) + "\r\n")
 
     @classmethod
     def from_csv(cls, path):
-        """Read a series written by :meth:`to_csv` (header optional)."""
-        rows = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh)):
-                if not row or not row[0].strip():
-                    continue
-                cell = row[0].strip()
-                if lineno == 0 and cell.lower() == "x":
-                    continue
-                rows.append(float(cell))
-        return cls(rows)
+        """Read the first column of a CSV series, such as one written by
+        :meth:`to_csv`.
+
+        The first line may be a header 'x' (any case).  Line ends may be LF or
+        CRLF, cells may carry surrounding whitespace, blank lines are skipped,
+        and further columns are ignored.
+
+        Raises
+        ------
+        OSError
+            If the file cannot be opened.
+        ValueError
+            Naming the file and the 1-based line of the first cell that is
+            not a number, or, for a file without observations, the
+            "need a nonempty" message of the constructor.
+        """
+        with open(path) as fh:
+            first = fh.readline()
+        header = int(first.split(",", 1)[0].strip().lower() == "x")
+        try:
+            with warnings.catch_warnings():
+                # an empty file, or one holding only the header, parses to no
+                # rows; the constructor refuses that
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(path, delimiter=",", usecols=0, skiprows=header, ndmin=1, comments=None)
+        except ValueError:
+            # loadtxt refuses whitespace-only lines and rows with an empty
+            # first cell, and its row numbers start after the header
+            values = _scan_series(path, header)
+        return cls(values)
 
     def __len__(self):
         return self.n

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import locstat
 from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve
 from locstat.harness import likelihood_equivalence_decay, read_rows_csv
@@ -397,6 +401,68 @@ def test_preperiodogram_bad_times_rejected_before_reading(tmp_path, times, token
     with pytest.raises(SystemExit, match=f"^preperiodogram: --times entry {token} "):
         main(["preperiodogram", "--series", str(tmp_path / "none.csv"), "--times", times, "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
+    out = tmp_path / "sim"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"--n: must be at least 1, got {int(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "likelihood-eval", "preperiodogram"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "No such file or directory"),
+        ("", "need a nonempty"),
+        ("x\n", "need a nonempty"),
+        ("x\r\n0.5\r\n\r\nabc\r\n", "series.csv, line 4: 'abc' is not a number"),
+    ],
+    ids=["missing", "empty", "header only", "bad cell"],
+)
+def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
+    series = tmp_path / "series.csv"
+    if text is not None:
+        series.write_bytes(text.encode())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(model_to_json(TvARModel(0, [], ConstantCurve(1.0))))
+    extra = [] if command == "preperiodogram" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{command}: .*{message}"):
+        main([command, "--series", str(series), *extra, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_nested_curve_array_field_exits_with_message(tmp_path):
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps({"sigma2": {"type": "sampled", "values": {}}}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=r"^simulate: .*sampled curve values must be a list, got \{\}"):
+        main(["simulate", "--n", "16", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_json_does_not_depend_on_blas_threads(tmp_path):
+    # at n = 16384 a threaded BLAS product in the normal equations would split
+    # its sums by thread count and move the last bits of the fit
+    series = simulate_into(tmp_path, n=16384, seed=1)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(locstat.__file__))}
+    fits = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fit{threads}"
+        blas = {name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        subprocess.run(
+            [sys.executable, "-m", "locstat.cli", "fit", "--series", str(series), "--out", str(out)],
+            env={**env, **blas},
+            check=True,
+            capture_output=True,
+        )
+        fits.append((out / "fit.json").read_bytes())
+    assert fits[0] == fits[1]
 
 
 @pytest.mark.parametrize("size", ["3", "0", "-2", "1"])

@@ -107,6 +107,36 @@ def test_curve_spec_round_trip(curve):
     np.testing.assert_array_equal(rebuilt.values(u), curve.values(u))
 
 
+@pytest.mark.parametrize(
+    "spec, curve",
+    [
+        (curve_to_spec(FourierCurve(0.7)), FourierCurve(0.7)),  # an order-0 curve writes empty lists
+        ({"type": "fourier", "a0": 0.7}, FourierCurve(0.7)),
+        ({"type": "fourier", "a0": 0.1, "a": [0.2], "b": []}, FourierCurve(0.1, a=[0.2])),
+    ],
+)
+def test_fourier_spec_accepts_empty_coefficient_lists(spec, curve):
+    assert repr(curve_from_spec(spec)) == repr(curve)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"type": "sampled", "values": {}}, r"sampled curve values must be a list, got \{\}"),
+        ({"type": "sampled", "values": []}, "sampled curve values must not be empty"),
+        ({"type": "sampled", "values": "12"}, "sampled curve values must be a list, got '12'"),
+        ({"type": "sampled", "values": [1.0, [2.0]]}, r"sampled curve values entry must be a finite number, got \[2.0\]"),
+        ({"type": "monotone_step", "values": 1.0, "eps": 0.5}, "monotone_step curve values must be a list, got 1.0"),
+        ({"type": "monotone_step", "values": [1.0, None], "eps": 0.5}, "values entry must be a finite number, got None"),
+        ({"type": "fourier", "a0": 0.0, "a": {}}, r"fourier curve a must be a list, got \{\}"),
+        ({"type": "fourier", "a0": 0.0, "b": ["abc"]}, "fourier curve b entry must be a finite number, got 'abc'"),
+    ],
+)
+def test_curve_from_spec_checks_array_fields(spec, message):
+    with pytest.raises(ValueError, match=message):
+        curve_from_spec(spec)
+
+
 def test_curve_from_spec_rejects_misspelt_key():
     with pytest.raises(ValueError, match="unknown constant curve key.*valu"):
         curve_from_spec({"type": "constant", "valu": 2.0})
