@@ -299,6 +299,10 @@ def _cmd_fit(args):
         "converged": fit.converged,
         "alpha_stable": fit.alpha_stable,
         "model": json.loads(model_to_json(fitted_model)),
+        "sigma2_lower": fit.sigma2_hat.lower,
+        "sigma2_upper": fit.sigma2_hat.upper,
+        "knots_at_lower": fit.knots_at_lower,
+        "knots_at_upper": fit.knots_at_upper,
     }
     out = _ensure_out(args)
     path = write_json(os.path.join(out, "fit.json"), result)
@@ -308,6 +312,13 @@ def _cmd_fit(args):
         f"alpha_hat={[round(a, 6) for a in result['alpha_hat']]} "
         f"k_n={fit.k_n} iterations={fit.iterations} converged={fit.converged}"
     )
+    if fit.knots_at_lower or fit.knots_at_upper:
+        print(
+            f"fit: warning: sigma2_hat knots on the bounds [eps^2, 1/eps^2] = "
+            f"[{fit.sigma2_hat.lower:.6g}, {fit.sigma2_hat.upper:.6g}]: {fit.knots_at_lower} at the lower, "
+            f"{fit.knots_at_upper} at the upper, of {fit.sigma2_hat.knots}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -125,6 +125,16 @@ class FitResult:
     def objective(self):
         return self.objective_trace[-1]
 
+    @property
+    def knots_at_lower(self):
+        """Number of sigma2_hat knots on the lower bound eps^2."""
+        return int(np.count_nonzero(self.sigma2_hat.knot_values <= self.sigma2_hat.lower))
+
+    @property
+    def knots_at_upper(self):
+        """Number of sigma2_hat knots on the upper bound 1/eps^2."""
+        return int(np.count_nonzero(self.sigma2_hat.knot_values >= self.sigma2_hat.upper))
+
 
 def wls_ar(series, sigma2, p):
     """Weighted least squares for constant AR coefficients.

@@ -263,10 +263,9 @@ def write_rows_csv(path, rows, fieldnames=None):
     if fieldnames is None:
         fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_cell(row.get(k)) for k in fieldnames})
+        writer = csv.writer(fh)
+        writer.writerow(fieldnames)
+        writer.writerows([_format_cell(row.get(k)) for k in fieldnames] for row in rows)
 
 
 def _format_cell(value):

@@ -49,7 +49,9 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_batch
-ROW_FORM_MIN = 4  # fewer replications than this run one at a time, where the float loop is faster
+# Fewer replications than this run one at a time as float loops: measured at
+# p = 1, 16 is where one row-form chunk becomes cheaper than 16 float loops.
+ROW_FORM_MIN = 16
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
 
@@ -84,23 +86,30 @@ def check_stability(coeffs, delta=0.0):
     return bool(np.min(np.abs(roots)) > 1.0 + delta)
 
 
+def _series_cells(path, header):
+    """(1-based line, first cell) of each line of a CSV series whose first
+    cell is not blank, skipping the first line when header is 1."""
+    cells = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            cell = line.split(",", 1)[0].strip()
+            if cell and lineno > header:
+                cells.append((lineno, cell))
+    return cells
+
+
 def _scan_series(path, header):
-    """The first cells of a CSV series parsed line by line: lines whose first
-    cell is blank are skipped, as is the first line when header is 1.
+    """The first cells of a CSV series parsed line by line.
 
     Raises ValueError naming the file and the 1-based line of the first cell
     that is not a number.
     """
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            cell = line.split(",", 1)[0].strip()
-            if not cell or lineno <= header:
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: {cell!r} is not a number") from None
+    for lineno, cell in _series_cells(path, header):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{path}, line {lineno}: {cell!r} is not a number") from None
     return values
 
 
@@ -156,8 +165,8 @@ class TimeSeries:
             If the file cannot be opened.
         ValueError
             Naming the file and the 1-based line of the first cell that is
-            not a number, or, for a file without observations, the
-            "need a nonempty" message of the constructor.
+            not a number or not finite, or naming the file when it holds no
+            observations.
         """
         with open(path) as fh:
             first = fh.readline()
@@ -165,13 +174,20 @@ class TimeSeries:
         try:
             with warnings.catch_warnings():
                 # an empty file, or one holding only the header, parses to no
-                # rows; the constructor refuses that
+                # rows, refused below with the file's name
                 warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt(path, delimiter=",", usecols=0, skiprows=header, ndmin=1, comments=None)
         except ValueError:
             # loadtxt refuses whitespace-only lines and rows with an empty
             # first cell, and its row numbers start after the header
-            values = _scan_series(path, header)
+            values = np.array(_scan_series(path, header))
+        if values.size == 0:
+            raise ValueError(f"{path}: no observations (need a nonempty series)")
+        finite = np.isfinite(values)
+        if not finite.all():
+            # the cells are looked up only now, so a good file is read once
+            lineno, cell = _series_cells(path, header)[int(np.argmin(finite))]
+            raise ValueError(f"{path}, line {lineno}: {cell!r} is not finite")
         return cls(values)
 
     def __len__(self):
@@ -352,10 +368,15 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     recursion runs once over time with the replications as the vector
     dimension, doing the same floating-point operations in the same order
     for every replication.  Replications are drawn and run
-    ``REPLICATION_CHUNK`` at a time (one at a time when there are fewer than
-    ``ROW_FORM_MIN``), so memory is O(REPLICATION_CHUNK (burn_in + n))
-    besides the result, and the chunking changes no value because the
-    replications never mix.
+    ``REPLICATION_CHUNK`` at a time, so memory is
+    O(REPLICATION_CHUNK (burn_in + n)) besides the result, and the chunking
+    changes no value because the replications never mix.
+
+    With fewer than ``ROW_FORM_MIN`` seeds each replication runs alone as a
+    loop over Python floats, which costs about 0.12 us per step and
+    replication; a chunk of row arrays costs about 2 us per step however
+    many replications it holds (p = 1, 1512 steps, one BLAS thread, 2-core
+    VM), so the row form wins from about 16 replications on.
 
     Parameters
     ----------
@@ -373,8 +394,7 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     """
     burn_in, s2, a = _simulation_steps(model, n, burn_in)
     sig = np.sqrt(s2)
-    a = a.tolist()
-    p = model.p
+    cols = [c.tolist() for c in a.T]
     n = int(n)
     seeds = list(seeds)
     total = burn_in + n
@@ -385,21 +405,46 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
         chunk = seeds[start : start + step]
         eps = np.stack([np.random.default_rng(s).standard_normal(total) for s in chunk], axis=1)
         drive = sig[:, None] * eps  # (time, replication)
-        if p == 0:
+        if not cols:
             out[start : start + len(chunk)] = drive[burn_in:].T
             continue
         # Python floats for one replication, rows of replications otherwise:
-        # the float loop is the faster one for a single long series
-        drive = drive[:, 0].tolist() if len(chunk) == 1 else list(drive)
-        x = [None] * total
-        for t in range(total):
-            acc = drive[t]
-            at = a[t]
-            for j in range(1, min(p, t) + 1):
-                acc = acc - at[j - 1] * x[t - j]
-            x[t] = acc
+        # the float loop is the faster one for a few replications
+        x = drive[:, 0].tolist() if len(chunk) == 1 else list(drive)
+        _recursion(x, cols)
         out[start : start + len(chunk)] = np.array(x[burn_in:]).reshape(n, len(chunk)).T
     return out
+
+
+def _recursion(x, cols):
+    """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x in place.
+
+    x holds the drive sigma(t) eps_t, one entry per step: Python floats for
+    one replication, or row arrays holding one value per replication; cols
+    holds the p >= 1 coefficient columns as lists of floats.  Step t
+    subtracts its terms in the order j = 1..min(p, t), the order every
+    simulator output is defined by.
+    """
+    p = len(cols)
+    total = len(x)
+    lags = list(enumerate(cols, 1))
+    # the first p steps have fewer than p predecessors
+    for t in range(1, min(p, total)):
+        acc = x[t]
+        for j, c in lags[:t]:
+            acc = acc - c[t] * x[t - j]
+        x[t] = acc
+    if p == 1:
+        (c,) = cols
+        prev = x[0]
+        for t in range(1, total):
+            prev = x[t] = x[t] - c[t] * prev
+        return
+    for t in range(p, total):
+        acc = x[t]
+        for j, c in lags:
+            acc = acc - c[t] * x[t - j]
+        x[t] = acc
 
 
 def transfer_abs2(coeffs, lam):

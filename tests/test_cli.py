@@ -10,7 +10,7 @@ import locstat
 from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve
 from locstat.harness import likelihood_equivalence_decay, read_rows_csv
-from locstat.process import TvARModel, model_to_json
+from locstat.process import TimeSeries, TvARModel, model_to_json
 
 
 def run(*argv):
@@ -149,6 +149,25 @@ def test_fit_with_config_overrides(tmp_path):
     fit = json.loads((out / "fit.json").read_text())
     assert fit["k_n"] == 4
     assert fit["eps"] == 0.2
+
+
+def test_fit_reports_knots_on_the_bounds(tmp_path, capsys):
+    series = simulate_into(tmp_path, n=2048, seed=3)
+    run("fit", "--series", str(series), "--out", str(tmp_path / "fit"))
+    fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+    assert (fit["knots_at_lower"], fit["knots_at_upper"]) == (0, 0)
+    assert (fit["sigma2_lower"], fit["sigma2_upper"]) == (fit["eps"] ** 2, 1.0 / fit["eps"] ** 2)
+    assert capsys.readouterr().err == ""
+
+    scaled = tmp_path / "scaled.csv"
+    TimeSeries(10.0 * TimeSeries.from_csv(series).values).to_csv(scaled)
+    run("fit", "--series", str(scaled), "--out", str(tmp_path / "scaled-fit"))
+    fit = json.loads((tmp_path / "scaled-fit" / "fit.json").read_text())
+    assert (fit["knots_at_lower"], fit["knots_at_upper"]) == (0, 4)
+    assert fit["sigma2_hat"]["values"] == [fit["sigma2_upper"]] * 4
+    err = capsys.readouterr().err
+    assert err.startswith("fit: warning: sigma2_hat knots on the bounds") and err.count("\n") == 1
+    assert "0 at the lower, 4 at the upper, of 4" in err
 
 
 def test_rate_study_small_config(tmp_path):
@@ -418,11 +437,13 @@ def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
     "text, message",
     [
         (None, "No such file or directory"),
-        ("", "need a nonempty"),
-        ("x\n", "need a nonempty"),
+        ("", "series.csv: no observations"),
+        ("x\n", "series.csv: no observations"),
         ("x\r\n0.5\r\n\r\nabc\r\n", "series.csv, line 4: 'abc' is not a number"),
+        ("x\n0.5\nnan\n", "series.csv, line 3: 'nan' is not finite"),
+        ("0.5\n  \n-inf,1\n", "series.csv, line 3: '-inf' is not finite"),
     ],
-    ids=["missing", "empty", "header only", "bad cell"],
+    ids=["missing", "empty", "header only", "bad cell", "nan cell", "inf cell after a whitespace line"],
 )
 def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
     series = tmp_path / "series.csv"

@@ -146,6 +146,18 @@ def test_monotone_fit_recovers_step_model():
     assert vals[0] < 1.5 < vals[-1]  # variance step is visible
 
 
+@pytest.mark.parametrize("scale, at_lower, at_upper", [(1.0, 0, 0), (10.0, 0, 4), (0.1, 4, 0)])
+def test_monotone_fit_counts_knots_on_the_bounds(scale, at_lower, at_upper):
+    # the sieve's bounds do not scale with the data, so rescaled series clip
+    x = simulate_tvar(step_model(), 2048, seed=3).values * scale
+    res = fit_monotone_tvar(x, FitConfig(p=1))
+    knots = res.sigma2_hat.knot_values
+    assert res.sigma2_hat.knots == 4
+    assert (res.knots_at_lower, res.knots_at_upper) == (at_lower, at_upper)
+    assert np.count_nonzero(knots == res.eps**2) == at_lower
+    assert np.count_nonzero(knots == 1.0 / res.eps**2) == at_upper
+
+
 def test_monotone_fit_near_profile_minimum():
     m = step_model()
     x = simulate_tvar(m, 512, seed=3)

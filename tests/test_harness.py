@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -113,6 +114,28 @@ def test_rows_csv_round_trip_exact(tmp_path):
     assert back == rows  # repr round-trips floats exactly
     with pytest.raises(ValueError):
         write_rows_csv(tmp_path / "empty.csv", [])
+
+
+def dict_writer_oracle(path, rows, fieldnames):
+    """The csv.DictWriter form the rows CSV was defined by."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: harness._format_cell(row.get(k)) for k in fieldnames})
+
+
+@pytest.mark.parametrize("fieldnames", [None, ["label", "n", "missing", "err"]])
+def test_rows_csv_bytes_equal_dict_writer(tmp_path, fieldnames):
+    rows = [
+        {"n": np.int64(256), "err": np.float64(0.1) + 0.2, "label": "a, b", "flag": True, "none": None},
+        {"n": 7, "err": 1.0 / 3.0, "label": 'say "x"', "flag": np.float32(0.1), "none": None},
+        {"n": -1, "err": 5e-324, "label": "", "flag": False, "none": "line\nbreak"},
+    ]
+    names = fieldnames or list(rows[0])
+    write_rows_csv(tmp_path / "new.csv", iter(rows) if fieldnames else rows, fieldnames)
+    dict_writer_oracle(tmp_path / "old.csv", rows, names)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_metadata_is_byte_deterministic(tmp_path):

@@ -126,7 +126,16 @@ ORACLE_MODELS = {
     "ar2-time-varying": TvARModel(
         2, [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3]), burn_in=50
     ),
+    # without burn-in, n = 1 stops before the first full-order step
+    "ar3-time-varying": TvARModel(
+        3,
+        [FourierCurve(0.2, a=[0.1]), SampledCurve([-0.2, 0.1]), FourierCurve(0.05, b=[0.05])],
+        SampledCurve([1.0, 2.0]),
+        burn_in=0,
+    ),
 }
+# ROW_FORM_MIN values that run every batch through one form of the recursion
+FORMS = {"float loop": 10**9, "row form": 1}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -134,12 +143,14 @@ ORACLE_MODELS = {
     "n, seeds, burn_in",
     [(40, [3, 1, 4, 1, 5], None), (33, [7, 8, 9, 10], 0), (1, [2, 6, 5, 3], None), (64, [11], 3), (50, [12, 13], None)],
 )
-def test_batch_rows_equal_scalar_oracle(name, n, seeds, burn_in):
+def test_batch_rows_equal_scalar_oracle(monkeypatch, name, n, seeds, burn_in):
     model = ORACLE_MODELS[name]
-    batch = simulate_tvar_batch(model, n, seeds, burn_in)
-    assert batch.shape == (len(seeds), n)
-    for row, seed in zip(batch, seeds):
-        np.testing.assert_array_equal(row, simulate_oracle(model, n, seed, burn_in))
+    for row_form_min in FORMS.values():
+        monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
+        batch = simulate_tvar_batch(model, n, seeds, burn_in)
+        assert batch.shape == (len(seeds), n)
+        for row, seed in zip(batch, seeds):
+            np.testing.assert_array_equal(row, simulate_oracle(model, n, seed, burn_in))
     for seed in seeds:
         np.testing.assert_array_equal(simulate_tvar(model, n, seed, burn_in).values, simulate_oracle(model, n, seed, burn_in))
 
@@ -152,9 +163,11 @@ def test_batch_of_no_seeds_is_empty():
 def test_batch_does_not_depend_on_replication_chunk(monkeypatch, chunk):
     model = ORACLE_MODELS["ar2-time-varying"]
     seeds = list(range(100, 120))
-    expected = simulate_tvar_batch(model, 48, seeds)
+    expected = np.array([simulate_oracle(model, 48, seed) for seed in seeds])
     monkeypatch.setattr(process, "REPLICATION_CHUNK", chunk)
-    np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
+    for row_form_min in FORMS.values():
+        monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
+        np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
 
 
 def test_batch_rejects_bad_sizes():
@@ -403,13 +416,30 @@ def test_from_csv_names_file_and_line_of_a_bad_cell(tmp_path, text, line, cell):
         TimeSeries.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, line, cell",
+    [
+        ("x\n0.1\nnan\n", 3, "'nan'"),
+        ("x\r\n0.1\r\n\r\n-inf\r\n", 4, "'-inf'"),
+        ("0.1\n1e999,2\n", 2, "'1e999'"),
+        ("x\n   \n0.1\n NaN \n", 4, "'NaN'"),
+    ],
+    ids=["nan after header", "CRLF after a blank line", "overflow, no header", "after a whitespace line"],
+)
+def test_from_csv_names_file_and_line_of_a_non_finite_cell(tmp_path, text, line, cell):
+    path = tmp_path / "x.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}: {cell} is not finite")):
+        TimeSeries.from_csv(path)
+
+
 @pytest.mark.parametrize("text", ["", "x\n", "x\r\n\r\n", "\n\n"])
 def test_from_csv_without_observations_is_refused_without_warning(tmp_path, text):
     path = tmp_path / "x.csv"
     path.write_bytes(text.encode())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="need a nonempty"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no observations (need a nonempty series)")):
             TimeSeries.from_csv(path)
 
 
