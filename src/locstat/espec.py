@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import as_number, as_numbers
 from .process import REPLICATION_CHUNK, _covariance_band, ar_autocov, as_field, simulate_tvar_batch
-from .spectral import FrequencyGrid, _lag_functionals, _lag_index, _time_grid, spectral_functional_limit
+from .spectral import _lag_functionals, _lag_index, _time_grid, spectral_functional_limit
 
 __all__ = [
     "TailStudySpec",
@@ -214,7 +214,6 @@ def spectral_process_sample(
     ----------
     model : TvARModel
     phi : TestFunction
-        Must have finite lag support.
     n : int
     replications : int
     seed : int
@@ -225,8 +224,6 @@ def spectral_process_sample(
     seed = as_number(seed, "seed", int, 0)
     if centering not in ("analytic", "mean"):
         raise ValueError(f"unknown centering {centering!r}")
-    if phi.lag_support is None:
-        raise ValueError("need a weight with finite lag support")
 
     values = _functional_sample(model, phi, n, [replication_seed(seed, r) for r in range(replications)], burn_in)
 
@@ -260,48 +257,35 @@ def _functional_sample(model, phi, n, seeds, burn_in=None):
     )
 
 
-def limit_covariance(phi_j, phi_k, f, grid=None, u_grid_size=512):
+def limit_covariance(phi_j, phi_k, f, u_grid_size=512):
     """Limiting covariance of two centered spectral functionals.
 
     2 pi int_0^1 int phi_j(u, lam) { phi_k(u, lam) + phi_k(u, -lam) }
     f(u, lam)^2 dlam du, the Gaussian central-limit covariance for a true
     spectrum f.
 
-    For weights with finite lag support and an AR-backed f the frequency
-    integral is exact: with C(u, m) = int f^2 e^{i lam m} dlam from
-    :func:`~locstat.process.ar_autocov` it is (1/4 pi^2) sum_{a,b}
-    c_j(u, a) c_k(u, b) { C(u, a + b) + C(u, a - b) }, and grid is not used.
-    Otherwise the integrand is summed on the u_grid_size x grid mesh.  Both
-    take the time integral by the midpoint rule.
+    The frequency integral is exact: with C(u, m) = int f^2 e^{i lam m} dlam
+    from :func:`~locstat.process.ar_autocov` it is (1/4 pi^2) sum_{a,b}
+    c_j(u, a) c_k(u, b) { C(u, a + b) + C(u, a - b) } over the lag supports
+    of the two weights.  The time integral is the midpoint rule.
 
     Parameters
     ----------
     phi_j, phi_k : TestFunction
-    f : SpectrumField, TvARModel, or callable
-    grid : FrequencyGrid, optional
-        Frequency mesh, 1024 nodes by default; phi_k(u, -lam) is read off
-        its mirrored nodes.
+    f : SpectrumField or TvARModel
+    u_grid_size : int
+        Midpoint rule resolution in rescaled time, >= 1.
     """
-    f = as_field(f)
-    u = _time_grid(int(u_grid_size))
-    if phi_j.lag_support is not None and phi_k.lag_support is not None and f.ar_model is not None:
-        Jj, Jk = phi_j.lag_support, phi_k.lag_support
-        c_sq = ar_autocov(f.ar_model, u, Jj + Jk, squared=True)
-        ck = {b: phi_k.lag(u, b) for b in range(-Jk, Jk + 1)}
-        total = sum(
-            phi_j.lag(u, a) * sum(c * (c_sq[:, abs(a + b)] + c_sq[:, abs(a - b)]) for b, c in ck.items())
-            for a in range(-Jj, Jj + 1)
-        )
-        return float(np.mean(total) / (2 * np.pi))
-    if grid is None:
-        grid = FrequencyGrid()
-    lam = grid.nodes
-    pj = phi_j.values(u[:, None], lam[None, :])
-    pk = pj if phi_k is phi_j else phi_k.values(u[:, None], lam[None, :])
-    fv = f.values(u[:, None], lam[None, :])
-    # the grid holds -lam_m at index M - 1 - m, so phi_k(u, -lam) = pk[:, ::-1]
-    val = np.sum(pj * (pk + pk[:, ::-1]) * fv ** 2) * grid.weight / len(u)
-    return float(2 * np.pi * val)
+    model = as_field(f).ar_model
+    u = _time_grid(u_grid_size)
+    Jj, Jk = phi_j.lag_support, phi_k.lag_support
+    c_sq = ar_autocov(model, u, Jj + Jk, squared=True)
+    ck = {b: phi_k.lag(u, b) for b in range(-Jk, Jk + 1)}
+    total = sum(
+        phi_j.lag(u, a) * sum(c * (c_sq[:, abs(a + b)] + c_sq[:, abs(a - b)]) for b, c in ck.items())
+        for a in range(-Jj, Jj + 1)
+    )
+    return float(np.mean(total) / (2 * np.pi))
 
 
 def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096):
@@ -352,8 +336,6 @@ def expected_functional_trace(model, phi, n):
     own recursion.  Exact for every model and n; memory O((burn_in + n) max(K, p)).
     """
     n = int(n)
-    if phi.lag_support is None:
-        raise ValueError("need a weight with finite lag support")
     K = min(phi.lag_support, n - 1)
     band = _covariance_band(model, n, K)
     total = 0.0

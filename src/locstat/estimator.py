@@ -368,17 +368,15 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     return FourierFitResult(curve, float(s2), float(objective), constrained, converged)
 
 
-def inverse_l2_distance(g, f, grid=None, u_grid_size=512):
+def inverse_l2_distance(g, f, u_grid_size=512):
     """L2 distance of the inverse spectra on (0,1] x [-pi, pi].
 
-    sqrt( int int (1/g - 1/f)^2 dlam du ), the time integral a midpoint rule
-    with u_grid_size cells.  For two AR-backed fields the frequency integral
-    is an exact lag sum and grid is not used; the value equals the mesh sum
-    for any grid with more than 2p nodes.  Callables are evaluated on the
-    u_grid_size x grid mesh, where doubling both resolutions moves the value
-    by O(mesh variation) only.
+    sqrt( int int (1/g - 1/f)^2 dlam du ) for two SpectrumFields or
+    TvARModels, the time integral a midpoint rule with u_grid_size cells.
+    The frequency integral is an exact lag sum; it equals the mesh sum on
+    any frequency grid with more than 2p nodes.
     """
-    return float(np.sqrt(_inverse_distance_sq(g, f, grid, u_grid_size)))
+    return float(np.sqrt(_inverse_distance_sq(g, f, u_grid_size)))
 
 
 def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):
@@ -387,7 +385,7 @@ def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):
     The 2 pi factor makes a time-only function comparable with the
     time-frequency distance above (constant in frequency).
     """
-    u = _time_grid(int(u_grid_size))
+    u = _time_grid(u_grid_size)
     v1 = c1.values(u) if isinstance(c1, Curve) else np.full(u.shape, float(c1))
     v2 = c2.values(u) if isinstance(c2, Curve) else np.full(u.shape, float(c2))
     if np.min(v1) <= 0 or np.min(v2) <= 0:

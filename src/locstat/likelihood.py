@@ -7,21 +7,21 @@ The central object is the local Whittle contrast
 
 with J the pre-periodogram: a log integral plus the spectral functional of
 the weight 1/g.  The population contrast (an asymptotic Kullback-Leibler
-functional) replaces J by the true spectrum f.  For candidate spectra backed
-by a time-varying AR model both parts are exact: the log term via the
-Kolmogorov identity int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for
-stable coefficients, and the functional as a finite sum over the lags
-|m| <= p of 1/g.  A conditional Gaussian likelihood on the same model class
-is provided for the fitting algorithms.
+functional) replaces J by the true spectrum f.  Every spectrum here is that
+of a time-varying AR model (a SpectrumField or TvARModel), so both parts are
+exact: the log term via the Kolmogorov identity
+int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for stable coefficients, and
+the functional as a finite sum over the lags |m| <= p of 1/g.  Only the
+sups of :func:`divergence_sandwich` on time-varying pairs need a frequency
+mesh.  A conditional Gaussian likelihood on the same model class is provided
+for the fitting algorithms.
 """
-
-from functools import cached_property
 
 import numpy as np
 
 from .curves import ConstantCurve, Curve, as_number
 from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
-from .spectral import FrequencyGrid, PrePeriodogram, _quadrature_functional, _series_values, _time_grid
+from .spectral import FrequencyGrid, PrePeriodogram, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
 __all__ = [
@@ -38,36 +38,27 @@ __all__ = [
 KL_TIME_GRID = 4096
 
 
-def whittle_contrast(series, g, grid=None):
+def whittle_contrast(series, g):
     """Local Whittle contrast of a candidate spectrum on a series.
 
     The mean over t of :func:`_log_integral` plus the spectral functional of
-    the weight 1/g, divided by 4 pi.  For AR-backed candidates both parts
-    are exact: the log integral by the Kolmogorov identity and the
-    functional by its lag path.  Otherwise both are Riemann sums over a
-    symmetric frequency grid (default 1024 nodes).  The two paths agree up
-    to quadrature error, which vanishes for the exact path's class.
+    the weight 1/g, divided by 4 pi.  Both parts are exact: the log integral
+    by the Kolmogorov identity and the functional by its lag path.
 
     Parameters
     ----------
     series : TimeSeries, array_like, or PrePeriodogram
-    g : SpectrumField (or TvARModel / callable, which are wrapped)
-    grid : FrequencyGrid, optional
-        Used only on the generic quadrature path.
+    g : SpectrumField (or TvARModel, which is wrapped)
 
     Returns
     -------
     float
     """
-    g = as_field(g)
+    model = as_field(g).ar_model
     x = series.x if isinstance(series, PrePeriodogram) else _series_values(series)
     n = len(x)
-    mesh = _Mesh(np.arange(1, n + 1) / n, grid)
-    log_part = np.mean(_log_integral(g, mesh))
-    if g.ar_model is not None:
-        functional = spectral_functional(x, ar_inverse_weight(g.ar_model))
-    else:
-        functional = _quadrature_functional(x, 1.0 / mesh(g), mesh.grid)
+    log_part = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
+    functional = spectral_functional(x, ar_inverse_weight(model))
     return float((log_part + functional) / (4 * np.pi))
 
 
@@ -78,72 +69,36 @@ def _positive(values):
     return values
 
 
-class _Mesh:
-    """Fields on the mesh of the times u x the nodes of grid (default 1024).
+def _log_integral(model, u):
+    """int log g(u, lam) dlam at each time u for the spectrum g of model.
 
-    Calling it with a SpectrumField returns the field's values there,
-    checked positive; each field is evaluated once however often it is
-    asked for, so a contrast that needs g both in log g and in 1/g pays
-    for one evaluation of a callable.
+    This is 2 pi log(sigma^2(u) / 2 pi) by the Kolmogorov identity
+    int log |1 + sum_j alpha_j e^{i lam j}|^2 dlam = 0, which holds for
+    stable coefficients, so the model is validated.  Raises unless sigma^2
+    is positive at every u.
     """
-
-    def __init__(self, u, grid=None):
-        self.u = u
-        self._grid = grid
-        self._values = {}
-
-    @cached_property
-    def grid(self):
-        return FrequencyGrid() if self._grid is None else self._grid
-
-    def __call__(self, h):
-        if h not in self._values:
-            self._values[h] = _positive(h.values(self.u[:, None], self.grid.nodes[None, :]))
-        return self._values[h]
+    s2 = _positive(model.sigma2.values(u))
+    if not model.validated:
+        model.validate()
+    return 2 * np.pi * np.log(s2 / (2 * np.pi))
 
 
-def _log_integral(g, mesh):
-    """int log g(u, lam) dlam at each time u of the mesh.
-
-    For an AR field this is 2 pi log(sigma^2(u) / 2 pi) by the Kolmogorov
-    identity int log |1 + sum_j alpha_j e^{i lam j}|^2 dlam = 0, which holds
-    for stable coefficients, so the model is validated and the mesh grid is
-    not used.  For a callable it is the Riemann sum over the grid nodes.
-    Raises unless g is positive at every point used.
-    """
-    model = g.ar_model
-    if model is not None:
-        s2 = _positive(model.sigma2.values(mesh.u))
-        if not model.validated:
-            model.validate()
-        return 2 * np.pi * np.log(s2 / (2 * np.pi))
-    return np.sum(np.log(mesh(g)), axis=1) * mesh.grid.weight
-
-
-def _separable(g, f, grid, u_grid_size):
+def _separable(g, f, grid, u):
     """Factors of two AR fields whose coefficient rows are constant in u.
 
     Such a field is sigma^2(u) h(lam) with h = 1 / (2 pi |1 + sum_j alpha_j
     e^{i lam j}|^2), so every sum and sup over the mesh is a product of sums
-    and sups over u and over lam.  Returns (grid, number of time cells,
-    (sigma^2_g, h_g), (sigma^2_f, h_f)) on the midpoint u-grid and the grid
-    nodes, or None when either field is a callable or has time-varying
-    coefficients.  Raises unless both variances are positive.
+    and sups over u and over lam.  Returns ((sigma^2_g, h_g), (sigma^2_f,
+    h_f)) on the times u and the grid nodes, or None when either field has
+    time-varying coefficients.  Raises unless both variances are positive.
     """
-    g, f = as_field(g), as_field(f)
-    if g.ar_model is None or f.ar_model is None:
-        return None
-    if grid is None:
-        grid = FrequencyGrid()
-    u = _time_grid(int(u_grid_size))
     rows = [m.alpha_matrix(u) for m in (g.ar_model, f.ar_model)]
     if any(np.any(a != a[:1]) for a in rows):
         return None
-    factors = [
+    return [
         (_positive(m.sigma2.values(u)), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
         for m, a in zip((g.ar_model, f.ar_model), rows)
     ]
-    return grid, len(u), *factors
 
 
 def _phi_sum(x):
@@ -167,73 +122,58 @@ def _inverse_lags(model, u, order):
     return np.stack([coeff_autocorr(model, u, m) for m in range(order + 1)], axis=-1) / s2[:, None]
 
 
-def _inverse_distance_sq(g, f, grid, u_grid_size):
+def _inverse_distance_sq(g, f, u_grid_size):
     """Mean over the midpoint u-grid of int (1/g - 1/f)^2 dlam.
 
-    For two AR fields, Parseval gives (2 pi)^3 sum_{|m|<=p} d(u, m)^2 with d
-    the per-lag difference of the :func:`_inverse_lags`: exact, free of
-    cancellation when g is close to f, and independent of grid.  Equal to
-    the mesh value whenever grid has more than 2p nodes, because the
-    midpoint grid integrates the degree-2p integrand exactly.  Otherwise
-    the mesh sum.
+    Parseval gives (2 pi)^3 sum_{|m|<=p} d(u, m)^2 with d the per-lag
+    difference of the :func:`_inverse_lags`: exact and free of cancellation
+    when g is close to f.  Equal to the mesh sum on any frequency grid with
+    more than 2p nodes, because the midpoint grid integrates the degree-2p
+    integrand exactly.
     """
-    g, f = as_field(g), as_field(f)
-    if g.ar_model is None or f.ar_model is None:
-        mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
-        return float(np.sum((1.0 / mesh(g) - 1.0 / mesh(f)) ** 2) * mesh.grid.weight / len(mesh.u))
-    u = _time_grid(int(u_grid_size))
-    order = max(g.ar_model.p, f.ar_model.p)
-    d = _inverse_lags(g.ar_model, u, order) - _inverse_lags(f.ar_model, u, order)
+    g, f = as_field(g).ar_model, as_field(f).ar_model
+    u = _time_grid(u_grid_size)
+    order = max(g.p, f.p)
+    d = _inverse_lags(g, u, order) - _inverse_lags(f, u, order)
     per_u = d[:, 0] ** 2 + 2 * np.sum(d[:, 1:] ** 2, axis=1)
     return float((2 * np.pi) ** 3 * np.mean(per_u))
 
 
-def kl_contrast(g, f, grid=None, u_grid_size=KL_TIME_GRID):
+def kl_contrast(g, f, u_grid_size=KL_TIME_GRID):
     """Population contrast (1/4 pi) int int { log g + f/g } dlam du.
 
     This is the almost-sure limit of the Whittle contrast when f is the true
     spectrum; it is minimized over positive candidates at g = f.  Computed
     as the mean over the midpoint u-grid of :func:`_log_integral` plus
     :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
-    against f, so it is exact and mesh-free for two AR fields; grid (default
-    1024 nodes) is used only when either is a callable, and then the mesh
-    sum of f/g takes the place of the functional.
+    against f, so it is exact in lam.
     """
-    g, f = as_field(g), as_field(f)
-    return _kl_contrast(g, f, _Mesh(_time_grid(int(u_grid_size)), grid))
-
-
-def _kl_contrast(g, f, mesh):
-    """:func:`kl_contrast` on the time grid and, for callables, the values of mesh."""
-    log_part = np.mean(_log_integral(g, mesh))
-    if g.ar_model is not None and f.ar_model is not None:
-        _positive(f.ar_model.sigma2.values(mesh.u))
-        functional = spectral_functional_limit(ar_inverse_weight(g.ar_model), f, u_grid_size=len(mesh.u))
-    else:
-        functional = np.sum((1.0 / mesh(g)) * mesh(f)) * mesh.grid.weight / len(mesh.u)
+    g, f = as_field(g).ar_model, as_field(f).ar_model
+    u = _time_grid(u_grid_size)
+    log_part = np.mean(_log_integral(g, u))
+    _positive(f.sigma2.values(u))
+    functional = spectral_functional_limit(ar_inverse_weight(g), f, u_grid_size=len(u))
     return float((log_part + functional) / (4 * np.pi))
 
 
-def kl_divergence(g, f, grid=None, u_grid_size=KL_TIME_GRID):
+def kl_divergence(g, f, u_grid_size=KL_TIME_GRID):
     """Divergence D(g, f) = (1/4 pi) int int { log(g/f) + f/g - 1 } dlam du.
 
-    Computed as kl_contrast(g, f) - kl_contrast(f, f) on one shared mesh, so
-    exact and mesh-free for two AR fields and one evaluation of each
-    callable otherwise.  The divergence is nonnegative, but as a
-    difference of two contrasts it can come out below zero by rounding, of
-    the order of machine epsilon times the contrasts, when g is close to f.
+    Computed as kl_contrast(g, f) - kl_contrast(f, f) on one u-grid, so exact
+    in lam.  The divergence is nonnegative, but as a difference of two
+    contrasts it can come out below zero by rounding, of the order of
+    machine epsilon times the contrasts, when g is close to f.
     """
-    g, f = as_field(g), as_field(f)
-    mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
-    return _kl_contrast(g, f, mesh) - _kl_contrast(f, f, mesh)
+    return kl_contrast(g, f, u_grid_size) - kl_contrast(f, f, u_grid_size)
 
 
 def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     """Divergence with its inverse-distance lower and upper bounds.
 
-    On one shared evaluation mesh, computes the squared L2 distance of the
-    inverse spectra, rho^2 = int int (1/g - 1/f)^2, the divergence D(g, f),
-    and the two-sided bounds
+    On one shared evaluation mesh of the midpoint u-grid and the nodes of
+    grid (default 1024), computes the squared L2 distance of the inverse
+    spectra, rho^2 = int int (1/g - 1/f)^2, the divergence D(g, f), and the
+    two-sided bounds
 
         rho^2 / (8 pi M*^2)  <=  D(g, f)  <=  Omega^2 rho^2 / (4 pi),
 
@@ -241,28 +181,29 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     larger of the two spectrum sups, both taken on the same mesh.  The chain
     holds pointwise on the mesh, so the inequalities are exact up to rounding.
 
-    Two AR fields whose coefficients are constant in u take the exact path:
+    Two fields whose coefficients are constant in u take the exact path:
     rho^2 as a lag sum (equal to the mesh sum whenever grid has more than 2p
     nodes), the divergence from separate sums over u and lam, and M* and
     Omega as products of the maxima of the positive time and frequency
-    factors, which are the mesh sups.  Other inputs are evaluated on the
-    mesh.
+    factors, which are the mesh sups.  Fields with time-varying coefficients
+    are evaluated on the mesh.
 
     Returns
     -------
     dict with keys divergence, rho_sq, lower, upper, m_star, omega.
     """
-    sep = _separable(g, f, grid, u_grid_size)
-    if sep is not None:
-        divergence = _separable_divergence(*sep)
-        rho_sq = _inverse_distance_sq(g, f, grid, u_grid_size)
-        factors = sep[2:]
+    g, f = as_field(g), as_field(f)
+    grid = FrequencyGrid() if grid is None else grid
+    u = _time_grid(u_grid_size)
+    factors = _separable(g, f, grid, u)
+    if factors is not None:
+        divergence = _separable_divergence(grid, len(u), *factors)
+        rho_sq = _inverse_distance_sq(g, f, u_grid_size)
         m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
         omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
     else:
-        mesh = _Mesh(_time_grid(int(u_grid_size)), grid)
-        gv, fv = mesh(as_field(g)), mesh(as_field(f))
-        cell = mesh.grid.weight / len(mesh.u)
+        gv, fv = (_positive(h.values(u[:, None], grid.nodes[None, :])) for h in (g, f))
+        cell = grid.weight / len(u)
         divergence = float(_phi_sum(fv / gv) * cell / (4 * np.pi))
         rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
         m_star = float(max(np.max(1.0 / gv), np.max(1.0 / fv)))
@@ -316,21 +257,21 @@ def conditional_likelihood(series, alpha, sigma2):
     return float(np.sum(np.log(s2) + resid ** 2 / s2) / n)
 
 
-def log_riemann_remainder(g, n, grid=None, u_grid_size=KL_TIME_GRID):
+def log_riemann_remainder(g, n, u_grid_size=KL_TIME_GRID):
     """Discretization gap of the log-spectrum between design sum and integral.
 
     (1/4 pi) int { (1/n) sum_t log g(t/n, lam) - int_0^1 log g(u, lam) du } dlam,
 
     the difference of two means of :func:`_log_integral`, at the design
-    points t/n and on the midpoint u-grid.  For an AR-backed candidate this
+    points t/n and on the midpoint u-grid.  By the Kolmogorov identity this
     is exactly (1/2) { (1/n) sum_t log sigma^2(t/n) - int_0^1 log sigma^2(u)
     du }.  It vanishes whenever g does not vary in time and decays like the
     variation of g over a 1/n mesh otherwise.
     """
-    g = as_field(g)
+    model = as_field(g).ar_model
     n = as_number(n, "n", int, 1)
-    design = np.mean(_log_integral(g, _Mesh(np.arange(1, n + 1) / n, grid)))
-    integral = np.mean(_log_integral(g, _Mesh(_time_grid(int(u_grid_size)), grid)))
+    design = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
+    integral = np.mean(_log_integral(model, _time_grid(u_grid_size)))
     return float((design - integral) / (4 * np.pi))
 
 

@@ -19,7 +19,9 @@ This module is the one place that evaluates such spectra: the transfer
 polynomial, the coefficient autocorrelation that turns frequency integrals
 against 1/f into finite lag sums, the Yule-Walker autocovariances that do the
 same for integrals against f, and the SpectrumField wrapper every population
-functional and contrast accepts.
+functional and contrast accepts.  Every spectrum the package integrates is
+such a model's, so each of those integrals is a finite lag sum or the
+Kolmogorov identity rather than a frequency mesh.
 """
 
 import json
@@ -567,26 +569,21 @@ def spectral_density(model, u, lam):
 
 
 class SpectrumField:
-    """Strictly positive candidate spectrum g(u, lam).
+    """Strictly positive spectrum g(u, lam) of a TvARModel, with a label.
 
-    Either wraps a TvARModel (enabling exact likelihood evaluation) or an
-    arbitrary positive function of (u, lam).
+    Every population functional and contrast takes its candidate spectra in
+    this form, so each of them is exact in the model's coefficients.
     """
 
-    def __init__(self, fn=None, model=None, label=""):
-        if (fn is None) == (model is None):
-            raise ValueError("provide exactly one of fn or model")
-        self._fn = fn
+    def __init__(self, model, label=""):
+        if not isinstance(model, TvARModel):
+            raise ValueError(f"SpectrumField needs a TvARModel, got {model!r}")
         self.ar_model = model
         self.label = label
 
     @classmethod
     def from_model(cls, model, label=""):
-        return cls(model=model, label=label or "tvAR spectrum")
-
-    @classmethod
-    def from_function(cls, fn, label=""):
-        return cls(fn=fn, label=label)
+        return cls(model, label=label or "tvAR spectrum")
 
     @classmethod
     def from_coefficients(cls, alpha, sigma2, validate=True, label=""):
@@ -600,29 +597,22 @@ class SpectrumField:
             sigma2,
             validate=validate,
         )
-        return cls(model=model, label=label or "fitted tvAR spectrum")
+        return cls(model, label=label or "fitted tvAR spectrum")
 
     def values(self, u, lam):
-        if self.ar_model is not None:
-            return spectral_density(self.ar_model, u, lam)
-        u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        return np.asarray(self._fn(u, lam), dtype=float)
+        return spectral_density(self.ar_model, u, lam)
 
     def __repr__(self):
-        kind = "model" if self.ar_model is not None else "function"
-        return f"SpectrumField({kind}, label={self.label!r})"
+        return f"SpectrumField(label={self.label!r})"
 
 
 def as_field(g):
-    """The SpectrumField of a SpectrumField, TvARModel, or callable g(u, lam)."""
+    """The SpectrumField of a SpectrumField or TvARModel g."""
     if isinstance(g, SpectrumField):
         return g
     if isinstance(g, TvARModel):
         return SpectrumField.from_model(g)
-    if callable(g):
-        return SpectrumField.from_function(g)
-    raise ValueError("expected a SpectrumField, TvARModel, or callable")
+    raise ValueError(f"expected a SpectrumField or TvARModel, got {g!r}")
 
 
 def tv_covariance(model, u, k):

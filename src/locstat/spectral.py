@@ -60,9 +60,9 @@ class FrequencyGrid:
     """
 
     def __init__(self, size=DEFAULT_GRID_SIZE):
-        size = int(size)
-        if size < 2 or size % 2:
-            raise ValueError("grid size must be an even integer >= 2")
+        size = as_number(size, "grid size", int, 2)
+        if size % 2:
+            raise ValueError(f"grid size must be even, got {size!r}")
         self.size = size
         self.nodes = -np.pi + 2 * np.pi * (np.arange(size) + 0.5) / size
         self.weight = 2 * np.pi / size
@@ -72,7 +72,11 @@ class FrequencyGrid:
 
 
 def _time_grid(size):
-    """Midpoints (i + 1/2)/size, i = 0..size-1, of a uniform grid on (0, 1)."""
+    """Midpoints (i + 1/2)/size, i = 0..size-1, of a uniform grid on (0, 1).
+
+    size is the u_grid_size of a public caller, checked here for all of them.
+    """
+    size = as_number(size, "u_grid_size", int, 1)
     return (np.arange(size) + 0.5) / size
 
 
@@ -104,6 +108,7 @@ class PrePeriodogram:
     def __init__(self, series):
         self.x = _series_values(series)
         self.n = len(self.x)
+        self._cosines = (None, None)  # (grid size, cosine blocks) of the last evaluate_grid
 
     def lag_products(self, k):
         """All admissible products at lag k.
@@ -148,7 +153,8 @@ class PrePeriodogram:
         row's values do not depend on which other rows are requested or on
         the chunk size.  Memory is O(GRID_CHUNK_ROWS n + min(M, n) M) beyond
         the result, time O(sum_t min(t, n - t) + rows min(M, n) M) for rows
-        requested in time order.
+        requested in time order.  The cosine matrix of the last grid size is
+        kept, so rows asked for block by block on one grid build it once.
 
         Parameters
         ----------
@@ -172,12 +178,14 @@ class PrePeriodogram:
         pad = np.zeros(width)
         ahead = np.concatenate([pad, 2.0 * self.x, pad])
         behind = np.concatenate([pad, self.x[::-1], pad])
-        lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
-        positive = grid.nodes[M // 2 :]
-        cos_blocks = [
-            (col, np.cos(np.outer(lags, positive[col : col + GRID_BLOCK_NODES])))
-            for col in range(0, M // 2, GRID_BLOCK_NODES)
-        ]
+        if self._cosines[0] != M:
+            lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
+            positive = grid.nodes[M // 2 :]
+            self._cosines = M, [
+                (col, np.cos(np.outer(lags, positive[col : col + GRID_BLOCK_NODES])))
+                for col in range(0, M // 2, GRID_BLOCK_NODES)
+            ]
+        cos_blocks = self._cosines[1]
         chunk = min(GRID_CHUNK_ROWS, len(rows))
         even = np.empty((chunk, width))
         odd = np.empty((chunk, width))
@@ -233,22 +241,19 @@ class TestFunction:
     lag_fn : callable
         lag_fn(u, j) -> int phi(u, lam) e^{i lam j} dlam for integer j,
         vectorized over the array u.
-    lag_support : int or None
-        Smallest J with lag_fn(u, j) = 0 for all |j| > J; None if unknown.
+    lag_support : int
+        Smallest J >= 0 with lag_fn(u, j) = 0 for all |j| > J.  Required:
+        every functional of the weight is a finite lag sum.
     label : str
         Free-form description.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, values_fn, lag_fn, lag_support=None, label=""):
+    def __init__(self, values_fn, lag_fn, lag_support, label=""):
         self._values_fn = values_fn
         self._lag_fn = lag_fn
-        if lag_support is not None:
-            lag_support = int(lag_support)
-            if lag_support < 0:
-                raise ValueError("lag support must be nonnegative")
-        self.lag_support = lag_support
+        self.lag_support = as_number(lag_support, "lag support", int, 0)
         self.label = label
 
     def values(self, u, lam):
@@ -257,7 +262,7 @@ class TestFunction:
     def lag(self, u, j):
         """Lag coefficient c_phi(u, j), unnormalized convention."""
         u = np.asarray(u, dtype=float)
-        if self.lag_support is not None and abs(int(j)) > self.lag_support:
+        if abs(int(j)) > self.lag_support:
             return np.zeros(u.shape)
         return np.asarray(self._lag_fn(u, int(j)), dtype=float)
 
@@ -324,19 +329,16 @@ def ar_inverse_weight(model, scale=1.0):
     scale = 1/(2 pi) it is the normalized version |...|^2 / sigma^2.  Lag
     support equals the model order.
     """
-    p = model.p
     scale = as_number(scale, "weight scale", float)
 
     def values_fn(u, lam):
         return scale / spectral_density(model, u, lam)
 
     def lag_fn(u, j):
-        if abs(int(j)) > p:
-            return np.zeros(np.shape(u))
-        u = np.asarray(u, dtype=float)
+        # TestFunction.lag passes u as an array and only the lags |j| <= p
         return scale * (4 * np.pi ** 2) * coeff_autocorr(model, u, j) / model.sigma2.values(u)
 
-    return TestFunction(values_fn, lag_fn, lag_support=p, label=f"{scale} / f")
+    return TestFunction(values_fn, lag_fn, lag_support=model.p, label=f"{scale} / f")
 
 
 def quadratic_form_matrix(phi, n):
@@ -344,13 +346,11 @@ def quadratic_form_matrix(phi, n):
 
     For 1-based indices r, s in 1..n.  It represents the spectral functional
     as a quadratic form: mean-over-t of int phi J dlam equals
-    x' M x / (2 pi n).  Requires finite lag support and n <= 4096.
+    x' M x / (2 pi n).  Requires n <= 4096.
     """
     n = as_number(n, "n", int, 1)
     if n > MAX_DENSE_N:
         raise ResourceLimitError(f"dense kernel capped at n = {MAX_DENSE_N}")
-    if phi.lag_support is None:
-        raise ValueError("dense kernel needs a weight with finite lag support")
     U = np.zeros((n, n))
     K = min(phi.lag_support, n - 1)
     for d in range(-K, K + 1):
@@ -369,7 +369,9 @@ def spectral_functional(series, phi, path="lag", grid=None):
 
     - "lag": exact lag-product sum using the weight's lag coefficients;
     - "quadrature": frequency-grid Riemann sum against the pre-periodogram
-      (grid argument required);
+      (grid argument required), formed GRID_CHUNK_ROWS rows at a time so
+      that memory is O(GRID_CHUNK_ROWS grid.size) besides the grid's own
+      cosine blocks;
     - "matrix": quadratic form x' M x / (2 pi n) with the dense kernel.
 
     Parameters
@@ -387,28 +389,24 @@ def spectral_functional(series, phi, path="lag", grid=None):
     n = len(x)
 
     if path == "lag":
-        if phi.lag_support is None:
-            raise ValueError("lag path needs a weight with finite lag support")
         return float(_lag_functionals(x[None, :], phi)[0])
 
     if path == "quadrature":
         if grid is None:
             raise ValueError("quadrature path requires an explicit FrequencyGrid")
-        t = np.arange(1, n + 1) / n
-        return _quadrature_functional(x, phi.values(t[:, None], grid.nodes[None, :]), grid)
+        pre = PrePeriodogram(x)
+        total = 0.0
+        for start in range(1, n + 1, GRID_CHUNK_ROWS):
+            t = np.arange(start, min(start + GRID_CHUNK_ROWS, n + 1))
+            block = pre.evaluate_grid(grid, times=t)
+            total += float(np.sum(phi.values(t[:, None] / n, grid.nodes[None, :]) * block))
+        return total * grid.weight / n
 
     if path == "matrix":
         U = quadratic_form_matrix(phi, n)
         return float(x @ U @ x) / (2 * np.pi * n)
 
     raise ValueError(f"unknown path {path!r}")
-
-
-def _quadrature_functional(x, phivals, grid):
-    """The quadrature path of :func:`spectral_functional` for the weight
-    values phivals[t - 1, m] = phi(t/n, lam_m) on the nodes of grid."""
-    Jmat = PrePeriodogram(x).evaluate_grid(grid)
-    return float(np.sum(phivals * Jmat) * grid.weight / len(x))
 
 
 def _lag_functionals(X, phi):
@@ -431,36 +429,27 @@ def _lag_functionals(X, phi):
     return acc / (2 * np.pi * n)
 
 
-def spectral_functional_limit(phi, f, grid=None, u_grid_size=512):
+def spectral_functional_limit(phi, f, u_grid_size=512):
     """Population functional int_0^1 int phi(u, lam) f(u, lam) dlam du.
 
-    For a weight with finite lag support and an AR-backed f the frequency
-    integral is exact by Parseval: (1/2 pi) sum_{|j|<=J} c_phi(u, j) c_f(u, j)
-    with the local autocovariances c_f of :func:`~locstat.process.ar_autocov`,
-    and grid is not used.  Otherwise phi f is summed on the u_grid_size x grid
-    mesh.
+    The frequency integral is exact by Parseval:
+    (1/2 pi) sum_{|j|<=J} c_phi(u, j) c_f(u, j) over the lag support J of phi,
+    with the local autocovariances c_f of :func:`~locstat.process.ar_autocov`;
+    the time integral is the midpoint rule.
 
     Parameters
     ----------
     phi : TestFunction
-    f : SpectrumField, TvARModel, or callable f(u, lam)
-    grid : FrequencyGrid, optional
-        Frequency grid of the mesh path; defaults to 1024 nodes.
+    f : SpectrumField or TvARModel
     u_grid_size : int
-        Midpoint rule resolution in rescaled time.
+        Midpoint rule resolution in rescaled time, >= 1.
     """
-    f = as_field(f)
+    model = as_field(f).ar_model
     u = _time_grid(u_grid_size)
-    if phi.lag_support is not None and f.ar_model is not None:
-        J = phi.lag_support
-        cov = ar_autocov(f.ar_model, u, J)
-        total = sum(phi.lag(u, j) * cov[:, abs(j)] for j in range(-J, J + 1))
-        return float(np.mean(total) / (2 * np.pi))
-    if grid is None:
-        grid = FrequencyGrid()
-    phiv = phi.values(u[:, None], grid.nodes[None, :])
-    fv = f.values(u[:, None], grid.nodes[None, :])
-    return float(np.sum(phiv * fv) * grid.weight / u_grid_size)
+    J = phi.lag_support
+    cov = ar_autocov(model, u, J)
+    total = sum(phi.lag(u, j) * cov[:, abs(j)] for j in range(-J, J + 1))
+    return float(np.mean(total) / (2 * np.pi))
 
 
 class NormReport:
@@ -496,7 +485,7 @@ class NormReport:
 
 
 def weight_norms(phi, n, u_resolution=VARIATION_GRID):
-    """Compute the NormReport of a weight with finite lag support.
+    """Compute the NormReport of a weight.
 
     Sups and total variations are taken over the union of a uniform
     u_resolution-point grid and the design points t/n, so every value that
@@ -507,18 +496,16 @@ def weight_norms(phi, n, u_resolution=VARIATION_GRID):
     Parameters
     ----------
     phi : TestFunction
-        Must have finite lag support.
     n : int
         Sample size whose design points are included in the sup grids.
     u_resolution : int
         Grid resolution for sups, variations, and the time integral.
     """
-    if phi.lag_support is None:
-        raise ValueError("norms need a weight with finite lag support")
     n = as_number(n, "n", int, 1)
+    u_resolution = as_number(u_resolution, "u_resolution", int, 1)
     J = phi.lag_support
     sup_grid = np.union1d(np.arange(1, u_resolution + 1) / u_resolution, np.arange(1, n + 1) / n)
-    mid_grid = (np.arange(u_resolution) + 0.5) / u_resolution
+    mid_grid = _time_grid(u_resolution)
     design = np.arange(1, n + 1) / n
 
     sq_mid = np.zeros(mid_grid.shape)

@@ -25,7 +25,6 @@ from locstat.espec import (
 from locstat.likelihood import SpectrumField
 from locstat.process import TvARModel, simulate_tvar, white_noise_model
 from locstat.spectral import (
-    FrequencyGrid,
     TestFunction,
     ar_inverse_weight,
     constant_weight,
@@ -165,23 +164,6 @@ def test_limit_covariance_accepts_model():
     assert limit_covariance(phi, phi, white_noise_model(1.0)) == pytest.approx(2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("same", [True, False])
-def test_limit_covariance_weight_not_even_in_lambda(same):
-    # phi_k(u, -lam) is read off the mirrored grid nodes; a weight with an
-    # odd part must give the value of evaluating it at -lam directly
-    phi_k = TestFunction(lambda u, lam: (1.0 + u) * (1.5 + np.sin(lam) + 0.3 * np.cos(2 * lam)), lambda u, j: u)
-    phi_j = phi_k if same else constant_weight(0.7)
-    model = TvARModel(1, [ConstantCurve(0.4)], ConstantCurve(1.3))
-    f = SpectrumField.from_model(model)
-    grid = FrequencyGrid(64)
-    u = (np.arange(128) + 0.5) / 128
-    lam = grid.nodes
-    pj = phi_j.values(u[:, None], lam[None, :])
-    pk = phi_k.values(u[:, None], lam[None, :]) + phi_k.values(u[:, None], -lam[None, :])
-    mesh = 2 * np.pi * np.sum(pj * pk * f.values(u[:, None], lam[None, :]) ** 2) * grid.weight / len(u)
-    assert limit_covariance(phi_j, phi_k, f, grid=grid, u_grid_size=128) == pytest.approx(mesh, rel=1e-12)
-
-
 def test_spectral_process_sample_deterministic():
     model = white_noise_model(1.0)
     phi = constant_weight(1.0)
@@ -247,9 +229,9 @@ def test_spectral_process_sample_validation():
     for n, replications, seed in ((32, 5, -1), ("abc", 5, 0), (32, None, 0), (32.5, 5, 0)):
         with pytest.raises(ValueError):
             spectral_process_sample(model, phi, n, replications, seed)
-    unsupported = TestFunction(lambda u, lam: np.ones(np.broadcast(u, lam).shape), None)
-    with pytest.raises(ValueError):
-        spectral_process_sample(model, unsupported, 32, 5, seed=0)
+    # a weight without lag support cannot be built, so no sample can take one
+    with pytest.raises(ValueError, match="lag support"):
+        TestFunction(lambda u, lam: np.ones(np.broadcast(u, lam).shape), None, None)
 
 
 def test_expected_functional_trace_white_noise_is_one():

@@ -20,8 +20,7 @@ from locstat.estimator import (
 )
 from locstat.isotonic import sieve_pava
 from locstat.likelihood import SpectrumField, conditional_likelihood, whittle_contrast
-from locstat.process import STABILITY_GRID, TvARModel, simulate_tvar
-from locstat.spectral import FrequencyGrid
+from locstat.process import STABILITY_GRID, TvARModel, simulate_tvar, white_noise_model
 
 
 def step_model():
@@ -374,13 +373,9 @@ def test_fourier_fit_rejects_overflowing_series():
 
 
 def test_inverse_l2_distance_frozen_constants():
-    def f(u, lam):
-        return np.full(np.broadcast(np.asarray(u), np.asarray(lam)).shape, 1 / (2 * np.pi))
-
-    def g(u, lam):
-        return np.full(np.broadcast(np.asarray(u), np.asarray(lam)).shape, 1 / np.pi)
-
-    # |1/g - 1/f| = pi everywhere, so the distance is pi sqrt(2 pi)
+    # white noise of variance 1 and 2 has the constant spectra 1/(2 pi) and
+    # 1/pi: |1/g - 1/f| = pi everywhere, so the distance is pi sqrt(2 pi)
+    f, g = white_noise_model(1.0), white_noise_model(2.0)
     assert inverse_l2_distance(g, f) == pytest.approx(np.pi * np.sqrt(2 * np.pi), rel=1e-12)
     assert inverse_l2_distance(f, f) == 0.0
 
@@ -389,14 +384,15 @@ def test_inverse_l2_distance_mesh_refinement_stable():
     f = SpectrumField.from_model(step_model())
     g = SpectrumField.from_coefficients(np.array([0.3]), 1.4)
     d1 = inverse_l2_distance(g, f)
-    d2 = inverse_l2_distance(g, f, grid=FrequencyGrid(1024), u_grid_size=1024)
+    d2 = inverse_l2_distance(g, f, u_grid_size=1024)
     assert d1 == pytest.approx(d2, rel=1e-6)
 
 
 def test_inverse_l2_distance_rejects_nonpositive():
     f = SpectrumField.from_model(step_model())
-    with pytest.raises(ValueError):
-        inverse_l2_distance(lambda u, lam: np.cos(lam) * np.ones(np.broadcast(u, lam).shape), f)
+    bad = TvARModel(0, (), SampledCurve([1.0, -1.0]), validate=False)
+    with pytest.raises(ValueError, match="strictly positive"):
+        inverse_l2_distance(bad, f)
 
 
 def test_curve_inverse_l2_distance_frozen():

@@ -1,17 +1,25 @@
 """The exact lag-space and separable paths against the mesh they replace.
 
-Passing a spectrum as a callable forces the midpoint-mesh path, which stays
-as the oracle: every exact path must agree with it to rounding.
+The midpoint-mesh sums of the ``_mesh`` test helper stay as the oracle: every
+exact path must agree with them to rounding.
 """
 
 import numpy as np
 import pytest
 
+import _mesh
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
-from locstat.espec import limit_covariance
-from locstat.estimator import inverse_l2_distance
-from locstat.likelihood import SpectrumField, divergence_sandwich, kl_contrast, kl_divergence, whittle_contrast
+from locstat.espec import bias_scaling_study, limit_covariance, spectral_process_sample
+from locstat.estimator import curve_inverse_l2_distance, inverse_l2_distance
+from locstat.likelihood import (
+    SpectrumField,
+    divergence_sandwich,
+    kl_contrast,
+    kl_divergence,
+    log_riemann_remainder,
+    whittle_contrast,
+)
 from locstat.process import TvARModel, simulate_tvar, spectral_density
 from locstat.spectral import (
     FrequencyGrid,
@@ -19,6 +27,7 @@ from locstat.spectral import (
     constant_weight,
     lag_curve_weight,
     spectral_functional_limit,
+    weight_norms,
 )
 
 GRID = FrequencyGrid(128)
@@ -34,18 +43,13 @@ CASES = {
 }
 OTHER = SpectrumField.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
 
-
-def mesh(field):
-    field = process.as_field(field)
-    return lambda u, lam: field.values(u, lam)
-
-
 PAIR_CONSUMERS = {
-    "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, grid=GRID, u_grid_size=CELLS),
+    "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, u_grid_size=CELLS),
     "divergence_sandwich": lambda g, f: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS),
-    "kl_contrast": lambda g, f: kl_contrast(g, f, grid=GRID, u_grid_size=CELLS),
-    "kl_divergence": lambda g, f: kl_divergence(g, f, grid=GRID, u_grid_size=CELLS),
+    "kl_contrast": lambda g, f: kl_contrast(g, f, u_grid_size=CELLS),
+    "kl_divergence": lambda g, f: kl_divergence(g, f, u_grid_size=CELLS),
 }
+MESH_ORACLES = {name: lambda g, f, name=name: getattr(_mesh, name)(g, f, GRID, CELLS) for name in PAIR_CONSUMERS}
 
 
 def assert_close(fast, oracle):
@@ -61,10 +65,10 @@ def assert_close(fast, oracle):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_pair_consumers_match_mesh_oracle(case, consumer):
     f = CASES[case]()
-    compute = PAIR_CONSUMERS[consumer]
+    compute, oracle = PAIR_CONSUMERS[consumer], MESH_ORACLES[consumer]
     for g in (OTHER, f):  # g = f exercises the values near 0
         for a, b in ((g, f), (f, g)):
-            assert_close(compute(a, b), compute(mesh(a), mesh(b)))
+            assert_close(compute(a, b), oracle(a, b))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -78,7 +82,7 @@ def test_spectral_functional_limit_matches_mesh_oracle(case):
     ]
     for phi in weights:
         fast = spectral_functional_limit(phi, f, u_grid_size=CELLS)
-        oracle = spectral_functional_limit(phi, mesh(f), grid=GRID, u_grid_size=CELLS)
+        oracle = _mesh.spectral_functional_limit(phi, f, GRID, CELLS)
         assert fast == pytest.approx(oracle, **TOL)
 
 
@@ -112,7 +116,7 @@ def test_limit_covariance_matches_mesh_oracle(case):
     for phi_j in weights:
         for phi_k in weights:
             fast = limit_covariance(phi_j, phi_k, f, u_grid_size=CELLS)
-            oracle = limit_covariance(phi_j, phi_k, mesh(f), grid=GRID, u_grid_size=CELLS)
+            oracle = _mesh.limit_covariance(phi_j, phi_k, f, GRID, CELLS)
             assert fast == pytest.approx(oracle, **TOL)
 
 
@@ -139,30 +143,6 @@ def test_limit_covariance_on_a_time_varying_ar_field_never_evaluates_the_density
     limit_covariance(ar_inverse_weight(f), ar_inverse_weight(f), f)
 
 
-def test_callable_fields_are_evaluated_once_per_call():
-    calls = {"g": 0, "f": 0}
-
-    def counted(name, field):
-        def values(u, lam):
-            calls[name] += 1
-            return process.as_field(field).values(u, lam)
-
-        return values
-
-    g, f = counted("g", CASES["time_varying_ar2"]()), counted("f", OTHER)
-    x = simulate_tvar(OTHER.ar_model, 64, seed=5)
-    for compute, used in (
-        (lambda: whittle_contrast(x, g, grid=GRID), {"g": 1, "f": 0}),
-        (lambda: kl_contrast(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
-        (lambda: kl_divergence(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
-        (lambda: kl_divergence(g, OTHER, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 0}),
-        (lambda: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS), {"g": 1, "f": 1}),
-    ):
-        calls.update(g=0, f=0)
-        compute()
-        assert calls == used
-
-
 @pytest.mark.parametrize("consumer", ["kl_contrast", "kl_divergence"])
 def test_kl_on_time_varying_ar_fields_never_evaluates_the_density(monkeypatch, consumer):
     g, f = CASES["time_varying_ar2"](), OTHER
@@ -179,7 +159,7 @@ def test_whittle_lag_path_matches_quadrature_oracle(case):
     for g in (f, OTHER):
         # J has degree n - 1 in lam and 1/g degree p, so 2n nodes integrate J/g
         # exactly; the grid sum of log g aliases far below rounding
-        oracle = whittle_contrast(x, mesh(g), grid=FrequencyGrid(2 * n))
+        oracle = _mesh.whittle_contrast(x, g, FrequencyGrid(2 * n))
         assert whittle_contrast(x, g) == pytest.approx(oracle, **TOL)
 
 
@@ -194,9 +174,72 @@ def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):
 @pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
 def test_exact_paths_reject_nonpositive_variance_like_the_mesh(consumer):
     bad = TvARModel(1, [ConstantCurve(0.2)], SampledCurve([1.0, -1.0]), validate=False)
-    compute = PAIR_CONSUMERS[consumer]
+    compute, oracle = PAIR_CONSUMERS[consumer], MESH_ORACLES[consumer]
     for a, b in ((bad, OTHER), (OTHER, bad)):
         with pytest.raises(ValueError, match="strictly positive on the mesh"):
-            compute(mesh(a), mesh(b))
+            oracle(a, b)
         with pytest.raises(ValueError, match="strictly positive on the mesh"):
             compute(a, b)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_log_riemann_remainder_matches_mesh_oracle(case):
+    f = CASES[case]()
+    for n in (1, 33, 64):
+        oracle = _mesh.log_riemann_remainder(f, n, GRID, CELLS)
+        assert log_riemann_remainder(f, n, u_grid_size=CELLS) == pytest.approx(oracle, **TOL)
+
+
+def _spectrum_consumers(spectrum):
+    # every library call that takes a spectrum, fed spectrum in each spectrum
+    # position in turn
+    x = simulate_tvar(OTHER.ar_model, 32, seed=1)
+    phi = constant_weight(1.0)
+    calls = {
+        "as_field": lambda: process.as_field(spectrum),
+        "whittle_contrast": lambda: whittle_contrast(x, spectrum),
+        "log_riemann_remainder": lambda: log_riemann_remainder(spectrum, 16),
+        "spectral_functional_limit": lambda: spectral_functional_limit(phi, spectrum),
+        "limit_covariance": lambda: limit_covariance(phi, phi, spectrum),
+    }
+    for name, compute in PAIR_CONSUMERS.items():
+        calls[f"{name}(g)"] = lambda compute=compute: compute(spectrum, OTHER)
+        calls[f"{name}(f)"] = lambda compute=compute: compute(OTHER, spectrum)
+    return calls
+
+
+@pytest.mark.parametrize("consumer", sorted(_spectrum_consumers(None)))
+def test_callable_spectra_are_refused(consumer):
+    callable_spectrum = lambda u, lam: spectral_density(OTHER.ar_model, u, lam)  # noqa: E731
+    with pytest.raises(ValueError, match="SpectrumField or TvARModel"):
+        _spectrum_consumers(callable_spectrum)[consumer]()
+
+
+def _grid_size_consumers(size):
+    f, phi = CASES["ar1_step_variance"](), constant_weight(1.0)
+    return {
+        "FrequencyGrid": lambda: FrequencyGrid(size),
+        "spectral_functional_limit": lambda: spectral_functional_limit(phi, f, u_grid_size=size),
+        "limit_covariance": lambda: limit_covariance(phi, phi, f, u_grid_size=size),
+        "kl_contrast": lambda: kl_contrast(OTHER, f, u_grid_size=size),
+        "kl_divergence": lambda: kl_divergence(OTHER, f, u_grid_size=size),
+        "divergence_sandwich": lambda: divergence_sandwich(OTHER, f, u_grid_size=size),
+        "inverse_l2_distance": lambda: inverse_l2_distance(OTHER, f, u_grid_size=size),
+        "curve_inverse_l2_distance": lambda: curve_inverse_l2_distance(1.0, 2.0, u_grid_size=size),
+        "log_riemann_remainder": lambda: log_riemann_remainder(f, 16, u_grid_size=size),
+        "spectral_process_sample": lambda: spectral_process_sample(f, phi, 8, 2, 0, u_grid_size=size),
+        "bias_scaling_study": lambda: bias_scaling_study(f, phi, [8], 2, 0, u_grid_size=size),
+        "weight_norms": lambda: weight_norms(phi, 8, u_resolution=size),
+    }
+
+
+@pytest.mark.parametrize("size", [0, 2.7, -4, "abc", None])
+@pytest.mark.parametrize("consumer", sorted(_grid_size_consumers(None)))
+def test_grid_sizes_are_checked_once(consumer, size):
+    # a size that is not an integer >= 1 (an even one >= 2 for FrequencyGrid)
+    # is refused by the one conversion, which names the parameter
+    name = {"FrequencyGrid": "grid size", "weight_norms": "u_resolution"}.get(consumer, "u_grid_size")
+    with pytest.raises(ValueError, match=name):
+        _grid_size_consumers(size)[consumer]()
+    # an integral float is the same size
+    assert repr(_grid_size_consumers(8.0)[consumer]()) == repr(_grid_size_consumers(8)[consumer]())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _mesh
 from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
 from locstat.likelihood import (
     SpectrumField,
@@ -49,7 +50,7 @@ def test_whittle_exact_path_matches_quadrature():
     x = simulate_tvar(m, 64, seed=3)
     g = SpectrumField.from_model(m)
     exact = whittle_contrast(x, g)
-    quad = whittle_contrast(x, g.values, grid=FrequencyGrid(8192))
+    quad = _mesh.whittle_contrast(x, g, FrequencyGrid(8192))
     assert quad == pytest.approx(exact, abs=1e-10)
 
 
@@ -72,8 +73,9 @@ def test_whittle_stationary_candidate_is_classical_whittle():
 
 def test_whittle_rejects_nonpositive_candidate():
     x = simulate_tvar(white_noise_model(1.0), 32, seed=0)
-    with pytest.raises(ValueError):
-        whittle_contrast(x, lambda u, lam: np.cos(lam))  # vanishes on the grid
+    bad = TvARModel(0, (), SampledCurve([1.0, -1.0]), validate=False)
+    with pytest.raises(ValueError, match="strictly positive"):
+        whittle_contrast(x, bad)
 
 
 def test_conditional_likelihood_frozen_small_case():
@@ -167,14 +169,14 @@ def test_log_riemann_remainder_exponential_variance():
 
 
 def test_log_riemann_remainder_generic_path_agrees():
-    def flat_exp(u, lam):
-        u = np.asarray(u, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        return np.exp(u) / (2 * np.pi) * np.ones(np.broadcast(u, lam).shape)
-
+    # white noise of variance e^u has the flat spectrum e^u / (2 pi); the mesh
+    # sum of its log over frequencies is the oracle of the Kolmogorov path
+    flat_exp = TvARModel(0, (), ExpCurve())
     n = 64
-    val = log_riemann_remainder(flat_exp, n, grid=FrequencyGrid(512))
+    val = log_riemann_remainder(flat_exp, n)
     assert val == pytest.approx(1 / (4 * n), abs=1e-10)
+    oracle = _mesh.log_riemann_remainder(flat_exp, n, FrequencyGrid(512), 4096)
+    assert val == pytest.approx(oracle, rel=1e-12)
 
 
 def test_log_riemann_remainder_zero_for_constant_variance():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import _mesh
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import limit_covariance
 from locstat.estimator import inverse_l2_distance
@@ -243,29 +244,41 @@ _OTHER = SpectrumField.from_coefficients([0.4], 1.2)
 _GRID = FrequencyGrid(32)
 _PHI = constant_weight(1.5)
 _FIELD_CONSUMERS = {
-    # the model path is exact; the callable's midpoint sum of f/g aliases by
-    # 2.6e-4 on 32 nodes and by 1.1e-14 on 128
-    "kl_divergence": lambda f: kl_divergence(_OTHER, f, grid=FrequencyGrid(128), u_grid_size=16),
-    "divergence_sandwich": lambda f: divergence_sandwich(f, _OTHER, grid=_GRID, u_grid_size=16),
-    "inverse_l2_distance": lambda f: inverse_l2_distance(_OTHER, f, grid=_GRID, u_grid_size=16),
-    "spectral_functional_limit": lambda f: spectral_functional_limit(
-        ar_inverse_weight(_tv_ar2()), f, grid=_GRID, u_grid_size=16
+    # (library call, its mesh oracle): the model path is exact; the midpoint
+    # sum of f/g aliases by 2.6e-4 on 32 nodes and by 1.1e-14 on 128
+    "kl_divergence": (
+        lambda f: kl_divergence(_OTHER, f, u_grid_size=16),
+        lambda f: _mesh.kl_divergence(_OTHER, f, FrequencyGrid(128), 16),
     ),
-    # the model path is exact; the callable's midpoint sum of f^2 aliases by
-    # 1.4e-3 on 32 nodes and by 5.6e-16 on 256
-    "limit_covariance": lambda f: limit_covariance(_PHI, _PHI, f, grid=FrequencyGrid(256), u_grid_size=16),
+    "divergence_sandwich": (
+        lambda f: divergence_sandwich(f, _OTHER, grid=_GRID, u_grid_size=16),
+        lambda f: _mesh.divergence_sandwich(f, _OTHER, _GRID, 16),
+    ),
+    "inverse_l2_distance": (
+        lambda f: inverse_l2_distance(_OTHER, f, u_grid_size=16),
+        lambda f: _mesh.inverse_l2_distance(_OTHER, f, _GRID, 16),
+    ),
+    "spectral_functional_limit": (
+        lambda f: spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f, u_grid_size=16),
+        lambda f: _mesh.spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f, _GRID, 16),
+    ),
+    # the model path is exact; the midpoint sum of f^2 aliases by 1.4e-3 on
+    # 32 nodes and by 5.6e-16 on 256
+    "limit_covariance": (
+        lambda f: limit_covariance(_PHI, _PHI, f, u_grid_size=16),
+        lambda f: _mesh.limit_covariance(_PHI, _PHI, f, FrequencyGrid(256), 16),
+    ),
 }
 
 
 @pytest.mark.parametrize("consumer", sorted(_FIELD_CONSUMERS))
 def test_model_field_and_callable_give_equal_results(consumer):
     model = _tv_ar2()
-    compute = _FIELD_CONSUMERS[consumer]
+    compute, oracle = _FIELD_CONSUMERS[consumer]
     from_model = compute(model)
     assert compute(SpectrumField.from_model(model)) == from_model
-    # a callable takes the mesh path, which is the oracle of the exact ones
-    from_callable = compute(lambda u, lam: spectral_density(model, u, lam))
-    assert from_callable == pytest.approx(from_model, rel=1e-12, abs=1e-14)
+    # the mesh oracle sums the density, the callable spectral_density(model, u, lam)
+    assert oracle(model) == pytest.approx(from_model, rel=1e-12, abs=1e-14)
 
 
 def test_tv_covariance_stationary_ar1_closed_form():

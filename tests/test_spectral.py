@@ -11,6 +11,7 @@ from locstat.spectral import (
     FrequencyGrid,
     PrePeriodogram,
     ResourceLimitError,
+    TestFunction,
     ar_inverse_weight,
     constant_weight,
     lag_curve_weight,
@@ -217,6 +218,14 @@ def test_periodogram_matches_fft():
     np.testing.assert_allclose(per, fft, rtol=1e-10)
 
 
+@pytest.mark.parametrize("support", [None, -1, 1.5, "abc"])
+def test_weight_lag_support_is_required(support):
+    # every functional of a weight is a finite lag sum, so a weight without
+    # a lag support of at least 0 cannot be built
+    with pytest.raises(ValueError, match="lag support"):
+        TestFunction(lambda u, lam: np.cos(lam), lambda u, j: np.full(np.shape(u), np.pi * (abs(j) == 1)), support)
+
+
 def test_constant_weight_lags():
     phi = constant_weight(2.0)
     assert phi.lag(0.3, 0) == pytest.approx(4 * np.pi)
@@ -273,6 +282,25 @@ def test_spectral_functional_quadrature_needs_grid():
     x = rand_series(16, 6)
     with pytest.raises(ValueError):
         spectral_functional(x, constant_weight(1.0), path="quadrature")
+
+
+def test_spectral_functional_quadrature_memory_is_bounded_in_rows():
+    # rows are summed GRID_CHUNK_ROWS at a time, so the peak stays below one
+    # n x M matrix of floats; the whole weight and pre-periodogram matrices
+    # took about six of them
+    n, grid = 4096, FrequencyGrid(256)
+    x = rand_series(n, 3).values
+    phi = lag_curve_weight({0: 1.0, 1: FourierCurve(0.2, a=[0.3]), 3: -0.4})
+    tracemalloc.start()
+    try:
+        value = spectral_functional(x, phi, path="quadrature", grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * grid.size * 8
+    t = np.arange(1, n + 1) / n
+    whole = np.sum(phi.values(t[:, None], grid.nodes[None, :]) * PrePeriodogram(x).evaluate_grid(grid))
+    assert value == pytest.approx(whole * grid.weight / n, rel=1e-12)
 
 
 def test_spectral_functional_unknown_path():
