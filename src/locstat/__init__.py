@@ -63,13 +63,7 @@ from .harness import (
     write_metadata,
     write_rows_csv,
 )
-from .isotonic import (
-    CumulativeSumDiagram,
-    IsotonicFit,
-    gcm_slopes,
-    pava_monotone,
-    sieve_pava,
-)
+from .isotonic import IsotonicFit, pava_monotone, sieve_pava
 from .likelihood import (
     ar_log_spectrum_integral,
     conditional_likelihood,
@@ -159,9 +153,7 @@ __all__ = [
     "log_riemann_remainder",
     "ar_log_spectrum_integral",
     # isotonic
-    "CumulativeSumDiagram",
     "IsotonicFit",
-    "gcm_slopes",
     "pava_monotone",
     "sieve_pava",
     # estimator

@@ -13,63 +13,13 @@ greatest convex minorant of the cumulative sum diagram.
 
 import numpy as np
 
-from .curves import MonotoneStepCurve
+from .curves import MonotoneStepCurve, as_number
 
 __all__ = [
-    "CumulativeSumDiagram",
     "IsotonicFit",
-    "gcm_slopes",
     "pava_monotone",
     "sieve_pava",
 ]
-
-
-class CumulativeSumDiagram:
-    """Points (xi_i, eta_i), i = 0..m, with xi_0 = eta_0 = 0.
-
-    Slopes between consecutive points are the raw values being regressed;
-    abscissa increments are their weights (normalized to total 1 by the
-    constructor helpers).
-    """
-
-    def __init__(self, xi, eta):
-        xi = np.asarray(xi, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if xi.ndim != 1 or xi.shape != eta.shape or xi.size < 2:
-            raise ValueError("need matching 1-d arrays with at least one segment")
-        if xi[0] != 0.0 or eta[0] != 0.0:
-            raise ValueError("diagram must start at the origin")
-        if np.any(np.diff(xi) <= 0):
-            raise ValueError("abscissae must be strictly increasing")
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
-            raise ValueError("diagram points must be finite")
-        self.xi = xi
-        self.eta = eta
-
-    @classmethod
-    def from_values(cls, values, weights=None):
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("need a nonempty 1-d array of values")
-        if weights is None:
-            weights = np.ones_like(values)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != values.shape:
-                raise ValueError("weights must match values")
-            if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be positive and finite")
-        total = float(np.sum(weights))
-        xi = np.concatenate([[0.0], np.cumsum(weights) / total])
-        eta = np.concatenate([[0.0], np.cumsum(weights * values) / total])
-        return cls(xi, eta)
-
-    @property
-    def segments(self):
-        return len(self.xi) - 1
-
-    def raw_slopes(self):
-        return np.diff(self.eta) / np.diff(self.xi)
 
 
 class IsotonicFit:
@@ -118,22 +68,6 @@ def _pool(values, weights):
         blocks.append((pos, pos + c))
         pos += c
     return fitted, blocks
-
-
-def gcm_slopes(diagram):
-    """Right derivative of the greatest convex minorant of a diagram.
-
-    Returns
-    -------
-    IsotonicFit
-        One fitted slope per diagram segment; slopes are nondecreasing and
-        the minorant touches the diagram at every block boundary.
-    """
-    if not isinstance(diagram, CumulativeSumDiagram):
-        raise ValueError("expected a CumulativeSumDiagram")
-    dx = np.diff(diagram.xi)
-    slopes = np.diff(diagram.eta) / dx
-    return IsotonicFit(*_pool(slopes, dx))
 
 
 def pava_monotone(values, weights=None):
@@ -198,15 +132,16 @@ def sieve_pava(squared_residuals, n, p, k_n, eps):
         the first fitted value.
     """
     sq = np.asarray(squared_residuals, dtype=float)
-    n, p, k_n = int(n), int(p), int(k_n)
-    if p < 0 or n <= p:
-        raise ValueError("need n > p >= 0")
+    n = as_number(n, "n", int, 1)
+    p = as_number(p, "p", int, 0)
+    k_n = as_number(k_n, "k_n", int, 1)
+    eps = as_number(eps, "eps", float)
+    if n <= p:
+        raise ValueError(f"need n > p, got n = {n} and p = {p}")
     if sq.ndim != 1 or sq.size != n - p:
         raise ValueError(f"expected {n - p} squared residuals, got {sq.size}")
     if np.any(sq < 0) or not np.all(np.isfinite(sq)):
         raise ValueError("squared residuals must be nonnegative and finite")
-    if k_n < 1:
-        raise ValueError("k_n must be at least 1")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
 

@@ -26,6 +26,15 @@ def test_study_knots_frozen_schedule():
     assert [study_knots(n) for n in (256, 512, 1024, 2048, 4096)] == [6, 6, 6, 8, 8]
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(1, "n must be at least 2"), (0, "n must be at least 2"), (2.5, "n must be an integer")],
+)
+def test_study_knots_rejects_sizes_default_knots_rejects(n, message):
+    with pytest.raises(ValueError, match=message):
+        study_knots(n)
+
+
 def test_default_models_are_stable():
     m = default_rate_model()
     assert m.p == 1

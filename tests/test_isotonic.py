@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locstat.isotonic import (
-    CumulativeSumDiagram,
-    gcm_slopes,
-    pava_monotone,
-    sieve_pava,
-)
+from locstat.isotonic import pava_monotone, sieve_pava
 
 
 def max_min_fit(values, weights):
@@ -29,26 +24,6 @@ def max_min_fit(values, weights):
             best = max(best, worst)
         out[i] = best
     return out
-
-
-def test_diagram_validation():
-    with pytest.raises(ValueError):
-        CumulativeSumDiagram([0.5, 1.0], [0.0, 1.0])  # not from origin
-    with pytest.raises(ValueError):
-        CumulativeSumDiagram([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])  # flat abscissa
-    with pytest.raises(ValueError):
-        CumulativeSumDiagram([0.0], [0.0])  # no segment
-    with pytest.raises(ValueError):
-        CumulativeSumDiagram.from_values([1.0, 2.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        CumulativeSumDiagram.from_values([])
-
-
-def test_diagram_from_values_normalizes():
-    d = CumulativeSumDiagram.from_values([2.0, 4.0], [1.0, 3.0])
-    np.testing.assert_allclose(d.xi, [0.0, 0.25, 1.0])
-    np.testing.assert_allclose(d.raw_slopes(), [2.0, 4.0])
-    assert d.segments == 2
 
 
 def test_pava_frozen_examples():
@@ -75,25 +50,54 @@ def test_pava_validation():
         pava_monotone([1.0, 2.0], [1.0])
 
 
+def gcm_slopes(values, weights):
+    """Slopes of the greatest convex minorant of the cumulative sum diagram,
+    read off its lower convex hull (independent of PAVA's pooling)."""
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    xi = np.concatenate([[0.0], np.cumsum(w)])
+    eta = np.concatenate([[0.0], np.cumsum(w * v)])
+    hull = [0]
+    for j in range(1, xi.size):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (xi[b] - xi[a]) * (eta[j] - eta[a]) - (eta[b] - eta[a]) * (xi[j] - xi[a])
+            if cross > 0:
+                break
+            hull.pop()
+        hull.append(j)
+    out = np.empty(v.size)
+    for a, b in zip(hull[:-1], hull[1:]):
+        out[a:b] = (eta[b] - eta[a]) / (xi[b] - xi[a])
+    return out
+
+
 def test_gcm_matches_pava_and_frozen():
-    d = CumulativeSumDiagram.from_values([5.0, 3.0])
-    np.testing.assert_allclose(gcm_slopes(d).values, [4.0, 4.0])
+    np.testing.assert_allclose(pava_monotone([5.0, 3.0]).values, [4.0, 4.0])
+    np.testing.assert_allclose(gcm_slopes([5.0, 3.0], [1.0, 1.0]), [4.0, 4.0])
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        v = rng.uniform(0.0, 3.0, 9)
+        w = rng.uniform(0.5, 2.0, 9)
+        np.testing.assert_allclose(pava_monotone(v, w).values, gcm_slopes(v, w), atol=1e-12)
     with pytest.raises(ValueError):
-        gcm_slopes("not a diagram")
+        pava_monotone("not values")
 
 
 def test_gcm_touches_diagram_at_block_ends():
-    rng = np.random.default_rng(11)
-    v = rng.uniform(0.0, 3.0, 12)
-    w = rng.uniform(0.5, 2.0, 12)
-    d = CumulativeSumDiagram.from_values(v, w)
-    fit = gcm_slopes(d)
-    dx = np.diff(d.xi)
-    minorant = np.concatenate([[0.0], np.cumsum(fit.values * dx)])
-    for _, stop in fit.blocks:
-        assert minorant[stop] == pytest.approx(d.eta[stop], abs=1e-12)
-    # and it never exceeds the diagram anywhere
-    assert np.all(minorant <= d.eta + 1e-12)
+    # PAVA is the slope of the greatest convex minorant of the cumulative sum
+    # diagram: the fit's weighted cumulative sums meet the data's at every
+    # block end and never exceed them
+    for seed in (11, 12, 13, 14):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.0, 3.0, 12)
+        w = rng.uniform(0.5, 2.0, 12)
+        fit = pava_monotone(v, w)
+        diagram = np.concatenate([[0.0], np.cumsum(w * v)])
+        minorant = np.concatenate([[0.0], np.cumsum(w * fit.values)])
+        for _, stop in fit.blocks:
+            assert minorant[stop] == pytest.approx(diagram[stop], abs=1e-12)
+        assert np.all(minorant <= diagram + 1e-12)
 
 
 def test_pava_matches_max_min_on_all_ternary_inputs():
@@ -104,6 +108,16 @@ def test_pava_matches_max_min_on_all_ternary_inputs():
         fit = pava_monotone(list(combo)).values
         oracle = max_min_fit(combo, w)
         worst = max(worst, float(np.max(np.abs(fit - oracle))))
+    assert worst <= 1e-9
+
+
+def test_pava_matches_max_min_with_weights():
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(40):
+        v = rng.choice([0.5, 1.0, 2.0, 3.0], 7)
+        w = rng.uniform(0.2, 3.0, 7)
+        worst = max(worst, float(np.max(np.abs(pava_monotone(v, w).values - max_min_fit(v, w)))))
     assert worst <= 1e-9
 
 
@@ -171,6 +185,31 @@ def test_sieve_pava_validation():
         sieve_pava(-np.ones(9), n=10, p=1, k_n=3, eps=0.1)
     with pytest.raises(ValueError):
         sieve_pava(np.ones(0), n=3, p=3, k_n=2, eps=0.1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k_n": 2.7}, "k_n must be an integer"),
+        ({"n": 10.9}, "n must be an integer"),
+        ({"p": 1.5}, "p must be an integer"),
+        ({"p": -1}, "p must be at least 0"),
+        ({"eps": "0.5x"}, "eps must be a finite number"),
+        ({"eps": float("nan")}, "eps must be a finite number"),
+        ({"eps": None}, "eps must be a finite number"),
+    ],
+)
+def test_sieve_pava_converts_each_argument_once(kwargs, message):
+    args = {"n": 10, "p": 1, "k_n": 3, "eps": 0.1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        sieve_pava(np.ones(9), **args)
+
+
+def test_sieve_pava_accepts_numeric_strings_and_integral_floats():
+    sq = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0])
+    expected = sieve_pava(sq, n=10, p=1, k_n=3, eps=0.5).knot_values
+    got = sieve_pava(sq, n=10.0, p=np.int64(1), k_n=3.0, eps="0.5").knot_values
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_sieve_pava_one_knot_is_clipped_global_mean():
