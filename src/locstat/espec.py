@@ -32,8 +32,9 @@ __all__ = [
     "replication_seed",
 ]
 
-TAIL_CHUNK_ROWS = 20000  # replications per chunk of chi2_tail_study, at most
-TAIL_CHUNK_VALUES = 1 << 20  # normals per chunk of chi2_tail_study, at most
+# normals per chunk of chi2_tail_study, at most (one row if n is larger): 1 MB,
+# so squaring and reducing a chunk reads it from a 2 MB per-core L2 cache
+TAIL_CHUNK_VALUES = 1 << 17
 
 
 def replication_seed(master, *indices):
@@ -114,11 +115,15 @@ def chi2_tail_study(spec):
     """Empirical tail of S against its two exponential bounds.
 
     Simulates the replications in chunks from a single stream (deterministic
-    in the seed), at most TAIL_CHUNK_ROWS rows and TAIL_CHUNK_VALUES normals each,
-    so memory does not grow with the replication count; the generator fills
-    draws in order, so the chunk size changes no draw.  Reports for each
-    threshold the empirical exceedance probability, its 99% upper confidence
-    limit, and the two closed-form bounds.
+    in the seed) into one reused buffer of at most TAIL_CHUNK_VALUES normals
+    (one replication if n is larger), where they are squared and reduced in
+    place, so memory does not grow with the replication count; the generator
+    fills draws in order, so the chunk size changes no draw (the BLAS
+    reduction of a row may round its last bit differently with the row's
+    place in a chunk, which moves a count only for |S| within an ulp of a
+    threshold).  Reports for each threshold the empirical exceedance
+    probability, its 99% upper confidence limit, and the two closed-form
+    bounds.
 
     Returns
     -------
@@ -135,16 +140,17 @@ def chi2_tail_study(spec):
     rng = np.random.default_rng(spec.seed)
 
     counts = np.zeros(len(spec.etas), dtype=np.int64)
-    chunk = max(1, min(TAIL_CHUNK_ROWS, TAIL_CHUNK_VALUES // n))
+    buf = np.empty((min(max(1, TAIL_CHUNK_VALUES // n), spec.replications), n))
     remaining = spec.replications
     while remaining > 0:
-        rows = min(chunk, remaining)
-        z = rng.standard_normal((rows, n))
-        s = (z * z - 1.0) @ lam / math.sqrt(n)
-        abs_s = np.abs(s)
+        z = buf[: min(len(buf), remaining)]
+        rng.standard_normal(out=z)
+        np.multiply(z, z, out=z)
+        z -= 1.0
+        abs_s = np.abs(z @ lam / math.sqrt(n))
         for i, eta in enumerate(spec.etas):
             counts[i] += int(np.count_nonzero(abs_s >= eta))
-        remaining -= rows
+        remaining -= len(z)
 
     out = []
     for eta, k in zip(spec.etas, counts):

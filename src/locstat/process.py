@@ -51,8 +51,9 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_batch
-# Fewer replications than this run one at a time as float loops: measured at
-# p = 1, 16 is where one row-form chunk becomes cheaper than 16 float loops.
+# Fewer replications than this run one at a time as float loops: one row-form
+# chunk becomes the cheaper at about 15-21 replications at p = 1 and 8-14 at
+# p = 2 (see simulate_tvar_batch).
 ROW_FORM_MIN = 16
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
@@ -370,15 +371,17 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     recursion runs once over time with the replications as the vector
     dimension, doing the same floating-point operations in the same order
     for every replication.  Replications are drawn and run
-    ``REPLICATION_CHUNK`` at a time, so memory is
-    O(REPLICATION_CHUNK (burn_in + n)) besides the result, and the chunking
+    ``REPLICATION_CHUNK`` at a time in one reused (burn_in + n, chunk)
+    array, which holds the drive and which the recursion overwrites row by
+    row, so memory is that array besides the result, and the chunking
     changes no value because the replications never mix.
 
     With fewer than ``ROW_FORM_MIN`` seeds each replication runs alone as a
-    loop over Python floats, which costs about 0.12 us per step and
-    replication; a chunk of row arrays costs about 2 us per step however
-    many replications it holds (p = 1, 1512 steps, one BLAS thread, 2-core
-    VM), so the row form wins from about 16 replications on.
+    loop over Python floats, which costs about 0.16 us per step and
+    replication at p = 1 and 0.33 us at p = 2; a chunk of rows costs about
+    2.5 us per step at p = 1 and 4.2 us at p = 2 however many replications
+    it holds (1512 steps, one BLAS thread, 2-core VM), so the row form wins
+    from about 15-21 replications on at p = 1 and 8-14 at p = 2.
 
     Parameters
     ----------
@@ -395,26 +398,30 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     ndarray of shape (len(seeds), n)
     """
     burn_in, s2, a = _simulation_steps(model, n, burn_in)
-    sig = np.sqrt(s2)
+    sig = np.sqrt(s2)[:, None]
     cols = [c.tolist() for c in a.T]
     n = int(n)
     seeds = list(seeds)
-    total = burn_in + n
 
     out = np.empty((len(seeds), n))
     step = REPLICATION_CHUNK if len(seeds) >= ROW_FORM_MIN else 1
+    # one (time, replication) buffer for every chunk: it holds the drive
+    # sigma(t) eps_t, and the recursion turns it into the series in place
+    drive = np.empty((burn_in + n, min(step, len(seeds))))
     for start in range(0, len(seeds), step):
         chunk = seeds[start : start + step]
-        eps = np.stack([np.random.default_rng(s).standard_normal(total) for s in chunk], axis=1)
-        drive = sig[:, None] * eps  # (time, replication)
-        if not cols:
-            out[start : start + len(chunk)] = drive[burn_in:].T
-            continue
-        # Python floats for one replication, rows of replications otherwise:
-        # the float loop is the faster one for a few replications
-        x = drive[:, 0].tolist() if len(chunk) == 1 else list(drive)
-        _recursion(x, cols)
-        out[start : start + len(chunk)] = np.array(x[burn_in:]).reshape(n, len(chunk)).T
+        x = drive[:, : len(chunk)]
+        for k, seed in enumerate(chunk):
+            x[:, k] = np.random.default_rng(seed).standard_normal(len(x))
+        x *= sig
+        if cols and len(chunk) == 1:
+            # Python floats: the faster loop for a few replications
+            values = x[:, 0].tolist()
+            _recursion(values, cols)
+            x[:, 0] = values
+        elif cols:
+            _recursion(list(x), cols)
+        out[start : start + len(chunk)] = x[burn_in:].T
     return out
 
 
@@ -422,10 +429,11 @@ def _recursion(x, cols):
     """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x in place.
 
     x holds the drive sigma(t) eps_t, one entry per step: Python floats for
-    one replication, or row arrays holding one value per replication; cols
-    holds the p >= 1 coefficient columns as lists of floats.  Step t
-    subtracts its terms in the order j = 1..min(p, t), the order every
-    simulator output is defined by.
+    one replication, or the row views of one (time, replication) array;
+    ``acc -= ...`` rebinds a float and updates a row in place, so one loop
+    serves both.  cols holds the p >= 1 coefficient columns as lists of
+    floats.  Step t subtracts its terms in the order j = 1..min(p, t), the
+    order every simulator output is defined by.
     """
     p = len(cols)
     total = len(x)
@@ -434,9 +442,10 @@ def _recursion(x, cols):
     for t in range(1, min(p, total)):
         acc = x[t]
         for j, c in lags[:t]:
-            acc = acc - c[t] * x[t - j]
+            acc -= c[t] * x[t - j]
         x[t] = acc
-    if p == 1:
+    if p == 1 and isinstance(x[0], float):
+        # carrying the previous value is the cheapest float step
         (c,) = cols
         prev = x[0]
         for t in range(1, total):
@@ -445,7 +454,7 @@ def _recursion(x, cols):
     for t in range(p, total):
         acc = x[t]
         for j, c in lags:
-            acc = acc - c[t] * x[t - j]
+            acc -= c[t] * x[t - j]
         x[t] = acc
 
 

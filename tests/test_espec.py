@@ -111,25 +111,39 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
     a = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
     b = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in b]
-    # chunked draws consume one stream, so the chunk size cannot matter
-    monkeypatch.setattr(espec, "TAIL_CHUNK_VALUES", 700 * 20)  # chunks of 700 rows
-    c = chi2_tail_study(TailStudySpec(np.ones(20), 5000, etas, seed=5))
-    assert [r["exceedances"] for r in a] == [r["exceedances"] for r in c]
     d = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=6))
     assert [r["exceedances"] for r in a] != [r["exceedances"] for r in d]
+    # chunked draws consume one stream, so the chunk size cannot matter: one
+    # row per chunk, 700 rows per chunk (which leaves a remainder) and one
+    # chunk of every replication, at n = 20 and at n = 1
+    for n, replications in [(20, 5000), (1, 20000)]:
+        spec = TailStudySpec.linear_design(n, replications, etas, seed=5)
+        expected = [r["exceedances"] for r in chi2_tail_study(spec)]
+        for values in (n, 700 * n, 10**9):
+            monkeypatch.setattr(espec, "TAIL_CHUNK_VALUES", values)
+            assert [r["exceedances"] for r in chi2_tail_study(spec)] == expected
+
+
+def _tail_study_peak(replications):
+    """tracemalloc peak of a linear-design tail study with n = 1024, after a
+    warm-up call, so that the SciPy import is not counted."""
+    chi2_tail_study(TailStudySpec.linear_design(8, 1000, [1.0], seed=3))
+    spec = TailStudySpec.linear_design(1024, replications, [1.0, 2.0], seed=3)
+    tracemalloc.start()
+    try:
+        chi2_tail_study(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_chi2_tail_study_memory_does_not_grow_with_replications():
-    def peak(replications):
-        spec = TailStudySpec.linear_design(1024, replications, [1.0, 2.0], seed=3)
-        tracemalloc.start()
-        try:
-            chi2_tail_study(spec)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    assert _tail_study_peak(20000) <= 1.5 * _tail_study_peak(2000)
 
-    assert peak(20000) <= 1.5 * peak(2000)
+
+def test_chi2_tail_study_peak_is_one_chunk():
+    # one reused buffer of TAIL_CHUNK_VALUES normals, squared and reduced in place
+    assert _tail_study_peak(20000) <= 1.5 * espec.TAIL_CHUNK_VALUES * 8
 
 
 def test_chi2_tail_study_bounds_hold():

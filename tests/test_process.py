@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,13 +163,30 @@ def test_batch_of_no_seeds_is_empty():
 
 @pytest.mark.parametrize("chunk", [1, 7, 20])
 def test_batch_does_not_depend_on_replication_chunk(monkeypatch, chunk):
-    model = ORACLE_MODELS["ar2-time-varying"]
+    # chunks of 7 leave a remainder of 6 of the 20 seeds
     seeds = list(range(100, 120))
-    expected = np.array([simulate_oracle(model, 48, seed) for seed in seeds])
     monkeypatch.setattr(process, "REPLICATION_CHUNK", chunk)
-    for row_form_min in FORMS.values():
-        monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
-        np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
+    for name in ("ar2-time-varying", "ar3-time-varying"):
+        model = ORACLE_MODELS[name]
+        expected = np.array([simulate_oracle(model, 48, seed) for seed in seeds])
+        for row_form_min in FORMS.values():
+            monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
+            np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
+
+
+def test_batch_peak_is_its_drive_and_result():
+    # the recursion runs in place on one (time, replication) drive array; a
+    # warm-up call first, so that first-call set-up is not counted
+    model = ORACLE_MODELS["ar2-time-varying"]
+    seeds, n, burn_in = list(range(256)), 512, 1000
+    simulate_tvar_batch(model, 16, seeds[:20], 5)
+    tracemalloc.start()
+    try:
+        simulate_tvar_batch(model, n, seeds, burn_in)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ((burn_in + n) * len(seeds) + len(seeds) * n) * 8
 
 
 def test_batch_rejects_bad_sizes():
