@@ -275,6 +275,48 @@ def _fourier_basis(u, k_n):
     return np.column_stack(cols)
 
 
+def _stability_qp(hess, grad, check, room):
+    """min 1/2 theta' hess theta + grad' theta subject to |check theta| <= room.
+
+    The primal active-set method (Nocedal & Wright, Numerical Optimization,
+    Algorithm 16.3) from the feasible theta = 0, for positive definite hess.
+    Each step solves the KKT system of the problem with the constraints of the
+    working set W held as equalities.  It stops at the first constraint
+    outside W that it would cross, which then joins W; after a full step,
+    theta is optimal if every multiplier of W is >= 0, and otherwise the
+    constraint with the most negative one leaves W.
+
+    Returns
+    -------
+    (theta, converged)
+        converged is True when theta satisfies the KKT conditions, False if
+        the steps ran out first.
+    """
+    normals = np.vstack([check, -check])  # normals @ theta <= room
+    theta = np.zeros(hess.shape[0])
+    work = []
+    for _ in range(2 * len(normals)):
+        a = normals[work]
+        kkt = np.block([[hess, a.T], [a, np.zeros((len(work), len(work)))]])
+        solution = np.linalg.solve(kkt, np.concatenate([-(hess @ theta + grad), np.zeros(len(work))]))
+        step, multipliers = solution[: theta.size], solution[theta.size :]
+        rate = normals @ step
+        rate[work] = 0.0
+        blocking = np.flatnonzero(rate > 0.0)
+        # the slack is clipped at 0, as rounding can leave theta an ulp outside a constraint
+        ratios = np.maximum(room - normals[blocking] @ theta, 0.0) / rate[blocking]
+        if ratios.size and ratios.min() < 1.0:
+            j = int(np.argmin(ratios))
+            theta = theta + ratios[j] * step
+            work.append(int(blocking[j]))
+        else:
+            theta = theta + step
+            if not work or multipliers.min() >= 0.0:
+                return theta, True
+            work.pop(int(np.argmin(multipliers)))
+    return theta, False
+
+
 def fit_fourier_tvar(series, k_n=1, eps=None):
     """Order-1 fit with a trigonometric coefficient curve and constant variance.
 
@@ -287,10 +329,11 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     that solution reaches room = (1 - FOURIER_MARGIN)(1 - (pi k_n /
     STABILITY_GRID)^2 / 2) on a check node u = j / STABILITY_GRID of
     TvARModel.validate is a small QP solved, |alpha| <= room on those nodes,
-    started from the admissible theta = 0.  Either way sup |alpha| <= 1 -
-    FOURIER_MARGIN on all of [0, 1]: at a maximum of |alpha| the derivative
-    vanishes and |alpha''| <= (2 pi k_n)^2 sup |alpha| (Bernstein), so the
-    nearest node reads at least room / (1 - FOURIER_MARGIN) of the sup.
+    by an active-set method started from the admissible theta = 0.  Either
+    way sup |alpha| <= 1 - FOURIER_MARGIN on all of [0, 1]: at a maximum of
+    |alpha| the derivative vanishes and |alpha''| <= (2 pi k_n)^2 sup |alpha|
+    (Bernstein), so the nearest node reads at least room / (1 -
+    FOURIER_MARGIN) of the sup.
 
     Parameters
     ----------
@@ -304,7 +347,8 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     -------
     FourierFitResult
         constrained is True when the bound on the check nodes is active;
-        converged is the QP's success flag then, and True otherwise.
+        converged then says whether the QP's solution satisfies the KKT
+        conditions, and is True otherwise.
 
     Raises
     ------
@@ -342,23 +386,7 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     constrained = bool(np.max(np.abs(check @ theta)) >= room)
     converged = True
     if constrained:
-        # imported here: scipy.optimize takes most of a second to import
-        from scipy.optimize import minimize
-
-        # scaled by sum x^2 so that the QP's objective is of order one
-        h, g = hess / np.sum(xx), grad / np.sum(xx)
-        qp = minimize(
-            lambda th: 0.5 * th @ h @ th + g @ th,
-            np.zeros(theta.size),
-            jac=lambda th: h @ th + g,
-            method="SLSQP",
-            constraints=[
-                {"type": "ineq", "fun": lambda th: room - check @ th, "jac": lambda th: -check},
-                {"type": "ineq", "fun": lambda th: room + check @ th, "jac": lambda th: check},
-            ],
-            options={"ftol": 1e-15},  # the default 1e-6 stops up to 1e-5 above the optimum
-        )
-        theta, converged = qp.x, bool(qp.success)
+        theta, converged = _stability_qp(hess, grad, check, room)
 
     a_t = basis @ theta
     qbar = (np.sum((1.0 + a_t ** 2) * xx) + 2.0 * np.sum(a_t[:-1] * cross)) / n

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -55,25 +56,65 @@ def test_clopper_pearson_upper():
         clopper_pearson_upper(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson_upper(-1, 4)
+    # a level outside (0, 1) is no confidence level: 1.5 and -1 gave nan, and
+    # 0 gave 0.0, below the point estimate
+    for level in (1.5, -1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            clopper_pearson_upper(5, 100, level)
 
 
 def test_clopper_pearson_upper_equals_beta_quantile():
-    from scipy import stats
+    # the level quantile of Beta(k + 1, R - k), to 1e-12 relative; betaincinv
+    # itself is off by up to 9e-13 on this grid (R = 200000, k = 5, level 0.99),
+    # against a 40-digit root of the binomial sum
+    from scipy import special
 
-    for trials in (7, 1000, 10000):
-        for k in sorted({0, 1, 2, trials // 3, trials - 2, trials - 1}):
-            expected = float(stats.beta.ppf(0.99, k + 1, trials - k))
-            assert clopper_pearson_upper(k, trials) == expected
+    for trials in (1, 7, 50, 1000, 10000, 200000):
+        for k in sorted({0, 1, 2, 5, trials // 3, trials // 2, trials - 2, trials - 1} & set(range(trials))):
+            for level in (0.9, 0.99, 0.999):
+                expected = float(special.betaincinv(k + 1, trials - k, level))
+                assert clopper_pearson_upper(k, trials, level) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_clopper_pearson_upper_solves_the_binomial_identity():
+    # SciPy-free: P(Bin(R, upper) <= k) = 1 - level to 1e-12, or to the change
+    # one ulp of upper makes (the larger near 1: 1.9e-12 at R = 60, k = 59)
+    for trials in (1, 2, 7, 20, 60):
+        for level in (0.5, 0.9, 0.99, 0.999):
+            limits = [clopper_pearson_upper(k, trials, level) for k in range(trials + 1)]
+            assert all(a < b for a, b in zip(limits, limits[1:]))
+            for k, x in enumerate(limits[:-1]):
+                cdf = math.fsum(math.comb(trials, i) * x**i * (1 - x) ** (trials - i) for i in range(k + 1))
+                slope = trials * math.comb(trials - 1, k) * x**k * (1 - x) ** (trials - 1 - k)
+                assert abs(cdf - (1 - level)) <= max(1e-12 * (1 - level), slope * math.ulp(x))
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats and scipy.optimize take most of a second to import and
-    # scipy.special a third of one, a cost no locstat process may pay before
-    # it calls the one function that needs it
-    code = "import sys, locstat, locstat.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # scipy.special a third of one.  No locstat process loads them: the
+    # import loads no SciPy module at all, and a tail study (whose metadata
+    # imports the bare package for its version) and a constrained Fourier fit
+    # load none of SciPy's submodules
+    code = f"""
+import json, sys
+import locstat, locstat.cli
+print([m for m in sys.modules if m.split(".")[0] == "scipy"])
+from locstat.curves import ConstantCurve, FourierCurve
+from locstat.estimator import fit_fourier_tvar
+from locstat.process import TvARModel, simulate_tvar
+with open({str(tmp_path / "tail.json")!r}, "w") as f:
+    json.dump({{"design": "linear", "n": 64, "replications": 1000, "etas": [1.0, 2.0]}}, f)
+locstat.cli.main(["tail-study", "--config", f.name, "--seed", "1", "--out", {str(tmp_path / "tail")!r}])
+model = TvARModel(1, [FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
+assert fit_fourier_tvar(simulate_tvar(model, 256, seed=0).values, k_n=3).constrained
+print([m for m in sys.modules if m.split(".")[:2] in [["scipy", s] for s in ("special", "optimize", "stats", "linalg", "integrate")]])
+"""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
+    assert (tmp_path / "tail" / "tail_rows.csv").exists()
 
 
 def test_tail_bounds_frozen_values():
@@ -113,12 +154,17 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in b]
     d = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=6))
     assert [r["exceedances"] for r in a] != [r["exceedances"] for r in d]
-    # chunked draws consume one stream, so the chunk size cannot matter: one
-    # row per chunk, 700 rows per chunk (which leaves a remainder) and one
-    # chunk of every replication, at n = 20 and at n = 1
+    # chunked draws consume one stream and each row is reduced in a fixed
+    # order, so the chunk size changes no bit of S: with thresholds set exactly
+    # at values of |S| (drawn and reduced here in one block), a last-bit change
+    # would move a count.  One row per chunk, 700 rows per chunk (which leaves
+    # a remainder) and one chunk of every replication, at n = 20 and at n = 1
     for n, replications in [(20, 5000), (1, 20000)]:
-        spec = TailStudySpec.linear_design(n, replications, etas, seed=5)
-        expected = [r["exceedances"] for r in chi2_tail_study(spec)]
+        spec = TailStudySpec.linear_design(n, replications, [1.0], seed=5)
+        z = np.random.default_rng(spec.seed).standard_normal((replications, n))
+        abs_s = np.abs(np.einsum("ij,j->i", z * z - 1.0, spec.lambdas) / math.sqrt(n))
+        spec = dataclasses.replace(spec, etas=np.sort(abs_s)[np.linspace(0, replications - 1, 12).astype(int)])
+        expected = [int(np.count_nonzero(abs_s >= eta)) for eta in spec.etas]
         for values in (n, 700 * n, 10**9):
             monkeypatch.setattr(espec, "TAIL_CHUNK_VALUES", values)
             assert [r["exceedances"] for r in chi2_tail_study(spec)] == expected
@@ -126,7 +172,7 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
 
 def _tail_study_peak(replications):
     """tracemalloc peak of a linear-design tail study with n = 1024, after a
-    warm-up call, so that the SciPy import is not counted."""
+    warm-up call, so that the lazy import of numpy.random is not counted."""
     chi2_tail_study(TailStudySpec.linear_design(8, 1000, [1.0], seed=3))
     spec = TailStudySpec.linear_design(1024, replications, [1.0, 2.0], seed=3)
     tracemalloc.start()
