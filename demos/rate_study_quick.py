@@ -3,10 +3,10 @@
 A small version of the Monte Carlo study behind the rate-study command:
 a few sample sizes, a dozen replications each.  Replication r reuses one
 innovation stream across every n (common random numbers), so the medians
-compare cleanly across sizes even at this budget.  Three reproducibility
-properties are checked on the way out: the thread count never changes the
-rows, float cells survive the CSV round trip exactly, and the metadata
-sidecar carries no timestamps, so reruns write identical bytes.
+compare cleanly across sizes even at this budget.  Two reproducibility
+properties are checked on the way out: float cells survive the CSV round
+trip exactly, and the metadata sidecar carries no timestamps, so reruns
+write identical bytes.
 """
 
 import os
@@ -23,7 +23,7 @@ from locstat import (
 
 def main(seed=2026):
     spec = RateStudySpec(n_list=(256, 512, 1024, 2048), replications=12, seed=seed)
-    result = rate_study(spec, threads=2)
+    result = rate_study(spec)
 
     print("== median fit errors over n (12 replications) ==")
     print(f"{'n':>6} {'k_n':>4} {'spectrum err':>14} {'variance err':>14}")
@@ -32,10 +32,6 @@ def main(seed=2026):
               f"{row['median_err_variance']:>14.6f}")
     print(f"log-log slopes: spectrum {result.slope_spectrum:+.3f}, "
           f"variance {result.slope_variance:+.3f}")
-
-    print("\n== thread count never changes the result ==")
-    serial = rate_study(spec, threads=1)
-    print(f"rows(threads=1) == rows(threads=2): {serial.rows == result.rows}")
 
     print("\n== lossless CSV round trip, timestamp-free metadata ==")
     float_keys = ["eps", "median_err_spectrum", "median_err_variance", "median_iterations"]

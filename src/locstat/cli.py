@@ -434,9 +434,11 @@ def build_parser():
         description="Spectral estimation for locally stationary time series.",
     )
     # every subcommand takes --threads and --out; --threads above 1 is
-    # refused in main() except by rate-study
+    # refused in main() except by rate-study, where it has no effect
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=_positive_int, default=1, help="worker threads, rate-study only (>= 1)")
+    common.add_argument(
+        "--threads", type=_positive_int, default=1, help="accepted above 1 by rate-study only, with no effect (>= 1)"
+    )
     common.add_argument("--out", default=".", help="output directory (created if missing)")
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
     configured.add_argument("--config", default=None, help="path to a JSON config file")

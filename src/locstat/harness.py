@@ -8,13 +8,11 @@ rerunning a study reproduces its files byte for byte.
 """
 
 import csv
-import functools
 import hashlib
 import json
 import math
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,11 +159,10 @@ def rate_study(spec=None, threads=1):
     ----------
     spec : RateStudySpec, optional
     threads : int
-        Worker threads for the fits and distances of the replications;
-        results are merged by replication index, so the thread count never
-        changes the output.  The fits hold the GIL, so more threads are
-        slower: on a 2-core VM the default spec took 0.66 s at threads=1
-        and 0.96-1.06 s at threads=2 in one process.
+        Accepted for compatibility and has no effect: the replications run
+        one after another.  The fits hold the GIL, so a thread pool only
+        slowed the study (0.70-0.99 s at one thread, 1.48-1.88 s at four,
+        2-core VM), and the output never depended on it.
 
     Returns
     -------
@@ -175,18 +172,13 @@ def rate_study(spec=None, threads=1):
     model = spec.resolved_model()
     truth_field = SpectrumField.from_model(model)
 
-    fit_row = functools.partial(_rate_one, spec, model, truth_field)
     rows = []
     for n in spec.n_list:
         # common random numbers: replication r reuses one innovation stream
         # for every n, so cross-n median comparisons see the systematic trend
         # rather than independent per-n draws
         batch = simulate_tvar_batch(model, n, [replication_seed(spec.seed, r) for r in range(spec.replications)])
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(fit_row, batch))
-        else:
-            results = list(map(fit_row, batch))
+        results = [_rate_one(spec, model, truth_field, x) for x in batch]
         cfg_k, cfg_eps = spec.fit_config_for(n).resolve(n)
         rows.append(
             {

@@ -51,10 +51,9 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_batch
-# Fewer replications than this run one at a time as float loops: one row-form
-# chunk becomes the cheaper at about 15-21 replications at p = 1 and 8-14 at
-# p = 2 (see simulate_tvar_batch).
-ROW_FORM_MIN = 16
+# values per time block of simulate_tvar_batch and TimeSeries.to_csv (512 KB
+# of float64): 256-step blocks for a chunk of 256 replications
+SIM_BLOCK_VALUES = 1 << 16
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
 
@@ -149,9 +148,13 @@ class TimeSeries:
 
     def to_csv(self, path):
         """Write a header 'x', then repr of one value per line, each line
-        ending in CRLF (the bytes csv.writer writes for these rows)."""
+        ending in CRLF (the bytes csv.writer writes for these rows).  The
+        lines are joined and written ``SIM_BLOCK_VALUES`` values at a time,
+        so memory does not grow with the series."""
         with open(path, "w", newline="") as fh:
-            fh.write("x\r\n" + "\r\n".join(map(repr, self.values.tolist())) + "\r\n")
+            fh.write("x\r\n")
+            for start in range(0, self.n, SIM_BLOCK_VALUES):
+                fh.write("\r\n".join(map(repr, self.values[start : start + SIM_BLOCK_VALUES].tolist())) + "\r\n")
 
     @classmethod
     def from_csv(cls, path):
@@ -314,19 +317,27 @@ def simulate_tvar(model, n, seed, burn_in=None):
     return TimeSeries(values, seed=seed, provenance=prov)
 
 
+def _step_times(start, stop, burn_in, n):
+    """Rescaled times of the simulator's steps start..stop-1: 1/n during the
+    burn_in steps (the coefficients are frozen there), and step s >= burn_in
+    at (s - burn_in + 1)/n."""
+    u = np.empty(stop - start)
+    frozen = min(max(burn_in - start, 0), stop - start)
+    u[:frozen] = 1.0 / n
+    u[frozen:] = np.arange(start + frozen - burn_in + 1, stop - burn_in + 1) / n
+    return u
+
+
 def _simulation_steps(model, n, burn_in=None):
     """The steps the simulator runs: (burn_in, sigma2, alpha).
 
-    The recursion runs burn_in + n steps; step s has rescaled time 1/n during
-    the burn-in (the coefficients are frozen there) and (s - burn_in + 1)/n
-    after it.  sigma2 holds the innovation variance and alpha the coefficient
-    row of each step, shapes (burn_in + n,) and (burn_in + n, p).
+    The recursion runs burn_in + n steps at the times of :func:`_step_times`.
+    sigma2 holds the innovation variance and alpha the coefficient row of
+    each step, shapes (burn_in + n,) and (burn_in + n, p).
     """
     n = as_number(n, "n", int, 1)
     burn_in = as_number(model.burn_in if burn_in is None else burn_in, "burn_in", int, 0)
-    u = np.empty(burn_in + n)
-    u[:burn_in] = 1.0 / n
-    u[burn_in:] = np.arange(1, n + 1) / n
+    u = _step_times(0, burn_in + n, burn_in, n)
     return burn_in, model.sigma2.values(u), model.alpha_matrix(u)
 
 
@@ -363,6 +374,24 @@ def _covariance_band(model, n, max_lag):
     return np.array(C[burn_in:])[:, : int(max_lag) + 1]
 
 
+def _row_form_min(p):
+    """The fewest replications for which one row-form chunk of an order-p
+    recursion runs faster than that many float loops.
+
+    Per step, a chunk's row costs about 1.4 us per lag however many
+    replications it holds, and a float loop about 0.1 us per lag plus 0.05 us
+    per replication, or 0.1 us in all at p = 1, whose loop carries the
+    previous value (one BLAS thread, 2-core VM).  Their ratio, 14 at p = 1,
+    12 at p = 2 and 3, and 13 at p = 4, tending to 14, is the rule.  Sweeps
+    of 4-48 replications (burn_in 1000 + n 512) put the crossover at 13-15
+    replications at p = 1, 10-11 at p = 2, 12-13 at p = 3 and 13-15 at
+    p = 4.  Without lags there is no loop, the forms cost the same, and the
+    row form is taken.
+    """
+    row, floats = 28 * p, 2 if p == 1 else 2 * p + 1  # in units of 0.05 us
+    return -(-row // floats)
+
+
 def simulate_tvar_batch(model, n, seeds, burn_in=None):
     """Simulate one replication of a time-varying AR model per seed.
 
@@ -371,17 +400,24 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     recursion runs once over time with the replications as the vector
     dimension, doing the same floating-point operations in the same order
     for every replication.  Replications are drawn and run
-    ``REPLICATION_CHUNK`` at a time in one reused (burn_in + n, chunk)
-    array, which holds the drive and which the recursion overwrites row by
-    row, so memory is that array besides the result, and the chunking
-    changes no value because the replications never mix.
+    ``REPLICATION_CHUNK`` at a time, and each chunk runs through time in
+    blocks of B = ``SIM_BLOCK_VALUES`` // width steps in one reused
+    (p + B, width) buffer: per block, each replication's generator draws
+    that block's normals, sigma and the coefficients are evaluated at that
+    block's times only, the recursion runs in place with the top p rows
+    carrying the previous block's last values, and the steps past the
+    burn-in are copied into the result.  Normals drawn in pieces continue
+    one stream exactly and the curves are evaluated pointwise, so neither
+    the chunking nor the blocking changes a value, and memory is the result
+    plus one block buffer (512 KB) and the chunk's generators however long
+    burn_in + n is.
 
-    With fewer than ``ROW_FORM_MIN`` seeds each replication runs alone as a
-    loop over Python floats, which costs about 0.16 us per step and
-    replication at p = 1 and 0.33 us at p = 2; a chunk of rows costs about
-    2.5 us per step at p = 1 and 4.2 us at p = 2 however many replications
-    it holds (1512 steps, one BLAS thread, 2-core VM), so the row form wins
-    from about 15-21 replications on at p = 1 and 8-14 at p = 2.
+    A batch of fewer than :func:`_row_form_min` seeds, 12-14 at p = 1-4,
+    runs its replications in turn as loops over Python floats through the
+    same blocks, and its block also counts the 32 bytes a Python float takes
+    with its list slot in each of the p + 1 lists the loop holds: 7281 steps
+    for one replication at p = 1.  A larger batch runs every chunk, its last
+    one too, in the row form.
 
     Parameters
     ----------
@@ -397,61 +433,83 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     -------
     ndarray of shape (len(seeds), n)
     """
-    burn_in, s2, a = _simulation_steps(model, n, burn_in)
-    sig = np.sqrt(s2)[:, None]
-    cols = [c.tolist() for c in a.T]
-    n = int(n)
+    n = as_number(n, "n", int, 1)
+    burn_in = as_number(model.burn_in if burn_in is None else burn_in, "burn_in", int, 0)
     seeds = list(seeds)
+    p, total = model.p, burn_in + n
 
     out = np.empty((len(seeds), n))
-    step = REPLICATION_CHUNK if len(seeds) >= ROW_FORM_MIN else 1
-    # one (time, replication) buffer for every chunk: it holds the drive
-    # sigma(t) eps_t, and the recursion turns it into the series in place
-    drive = np.empty((burn_in + n, min(step, len(seeds))))
-    for start in range(0, len(seeds), step):
-        chunk = seeds[start : start + step]
-        x = drive[:, : len(chunk)]
-        for k, seed in enumerate(chunk):
-            x[:, k] = np.random.default_rng(seed).standard_normal(len(x))
-        x *= sig
-        if cols and len(chunk) == 1:
-            # Python floats: the faster loop for a few replications
-            values = x[:, 0].tolist()
-            _recursion(values, cols)
-            x[:, 0] = values
-        elif cols:
-            _recursion(list(x), cols)
-        out[start : start + len(chunk)] = x[burn_in:].T
+    if not seeds:
+        return out
+    # every chunk but the last is full width, so the chunk width decides the
+    # form of the recursion and the block size for the whole batch
+    width = min(REPLICATION_CHUNK, len(seeds))
+    floats = width < _row_form_min(p)
+    # a step holds one buffer value per replication, and in the float loops
+    # a Python float (32 bytes with its list slot) in each of p + 1 lists
+    block = max(1, SIM_BLOCK_VALUES // (width + 4 * (p + 1) * floats))
+    # rows [p - carry, p) hold the last values of the previous block, the
+    # rows after them the drive sigma(t) eps_t, which the recursion turns
+    # into the series in place
+    buf = np.empty((p + block, width))
+    for start in range(0, len(seeds), width):
+        gens = [np.random.default_rng(seed) for seed in seeds[start : start + width]]
+        for t0 in range(0, total, block):
+            b = min(block, total - t0)
+            carry = min(p, t0)
+            u = _step_times(t0 - carry, t0 + b, burn_in, n)
+            x = buf[p - carry : p + b, : len(gens)]
+            drive = x[carry:]
+            for k, gen in enumerate(gens):
+                drive[:, k] = gen.standard_normal(b)
+            drive *= np.sqrt(model.sigma2.values(u[carry:]))[:, None]
+            if p:
+                cols = [c.tolist() for c in model.alpha_matrix(u).T]
+                if floats:
+                    # Python floats: the faster loop for a few replications
+                    for k in range(len(gens)):
+                        values = x[:, k].tolist()
+                        _recursion(values, cols, carry)
+                        x[:, k] = values
+                else:
+                    _recursion(list(x), cols, carry)
+                kept = min(p, carry + b)
+                buf[p - kept : p, : len(gens)] = x[len(x) - kept :]
+            if t0 + b > burn_in:
+                first = max(burn_in - t0, 0)
+                out[start : start + len(gens), t0 + first - burn_in : t0 + b - burn_in] = drive[first:].T
     return out
 
 
-def _recursion(x, cols):
-    """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x in place.
+def _recursion(x, cols, start=0):
+    """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x[start:] in place.
 
-    x holds the drive sigma(t) eps_t, one entry per step: Python floats for
-    one replication, or the row views of one (time, replication) array;
+    x holds earlier values of the series before ``start`` and the drive
+    sigma(t) eps_t from there on, one entry per step: Python floats for one
+    replication, or the row views of one (time, replication) array;
     ``acc -= ...`` rebinds a float and updates a row in place, so one loop
     serves both.  cols holds the p >= 1 coefficient columns as lists of
-    floats.  Step t subtracts its terms in the order j = 1..min(p, t), the
-    order every simulator output is defined by.
+    floats aligned with x.  Step t subtracts its terms in the order
+    j = 1..min(p, t), the order every simulator output is defined by.
     """
     p = len(cols)
     total = len(x)
     lags = list(enumerate(cols, 1))
-    # the first p steps have fewer than p predecessors
-    for t in range(1, min(p, total)):
+    # the first p steps of a series have fewer than p predecessors
+    for t in range(start, min(p, total)):
         acc = x[t]
         for j, c in lags[:t]:
             acc -= c[t] * x[t - j]
         x[t] = acc
+    full = max(p, start)
     if p == 1 and isinstance(x[0], float):
         # carrying the previous value is the cheapest float step
         (c,) = cols
-        prev = x[0]
-        for t in range(1, total):
+        prev = x[full - 1]
+        for t in range(full, total):
             prev = x[t] = x[t] - c[t] * prev
         return
-    for t in range(p, total):
+    for t in range(full, total):
         acc = x[t]
         for j, c in lags:
             acc -= c[t] * x[t - j]

@@ -136,8 +136,8 @@ ORACLE_MODELS = {
         burn_in=0,
     ),
 }
-# ROW_FORM_MIN values that run every batch through one form of the recursion
-FORMS = {"float loop": 10**9, "row form": 1}
+# _row_form_min rules that run every batch through one form of the recursion
+FORMS = {"float loop": lambda p: 10**9, "row form": lambda p: 1}
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
@@ -148,7 +148,7 @@ FORMS = {"float loop": 10**9, "row form": 1}
 def test_batch_rows_equal_scalar_oracle(monkeypatch, name, n, seeds, burn_in):
     model = ORACLE_MODELS[name]
     for row_form_min in FORMS.values():
-        monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
+        monkeypatch.setattr(process, "_row_form_min", row_form_min)
         batch = simulate_tvar_batch(model, n, seeds, burn_in)
         assert batch.shape == (len(seeds), n)
         for row, seed in zip(batch, seeds):
@@ -170,23 +170,55 @@ def test_batch_does_not_depend_on_replication_chunk(monkeypatch, chunk):
         model = ORACLE_MODELS[name]
         expected = np.array([simulate_oracle(model, 48, seed) for seed in seeds])
         for row_form_min in FORMS.values():
-            monkeypatch.setattr(process, "ROW_FORM_MIN", row_form_min)
+            monkeypatch.setattr(process, "_row_form_min", row_form_min)
             np.testing.assert_array_equal(simulate_tvar_batch(model, 48, seeds), expected)
 
 
-def test_batch_peak_is_its_drive_and_result():
-    # the recursion runs in place on one (time, replication) drive array; a
-    # warm-up call first, so that first-call set-up is not counted
-    model = ORACLE_MODELS["ar2-time-varying"]
-    seeds, n, burn_in = list(range(256)), 512, 1000
-    simulate_tvar_batch(model, 16, seeds[:20], 5)
+@pytest.mark.parametrize("block_values", [1, 2, 5, 7, 16, 40, 10**6])
+def test_batch_does_not_depend_on_time_block(monkeypatch, block_values):
+    # blocks of 1 to 13 steps, shorter and longer than the order, and one
+    # block holding every step; chunks of 3 leave a remainder of 1 of the 7
+    # seeds
+    seeds = [3, 1, 4, 1, 5, 9, 2]
+    monkeypatch.setattr(process, "SIM_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(process, "REPLICATION_CHUNK", 3)
+    for model in ORACLE_MODELS.values():
+        for n, burn_in in [(9, 0), (1, 2), (9, 11)]:
+            expected = np.array([simulate_oracle(model, n, seed, burn_in) for seed in seeds])
+            for row_form_min in FORMS.values():
+                monkeypatch.setattr(process, "_row_form_min", row_form_min)
+                np.testing.assert_array_equal(simulate_tvar_batch(model, n, seeds, burn_in), expected)
+
+
+def _traced_peak(call):
+    # a warm-up call first, so that first-call set-up is not counted
+    call()
     tracemalloc.start()
     try:
-        simulate_tvar_batch(model, n, seeds, burn_in)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * ((burn_in + n) * len(seeds) + len(seeds) * n) * 8
+
+
+def test_batch_peak_is_its_drive_and_result():
+    # the result, one (p + B, 256) block buffer and the chunk's generators,
+    # however long burn_in + n is
+    model = ORACLE_MODELS["ar2-time-varying"]
+    seeds, n, burn_in = list(range(256)), 512, 1000
+    generators = _traced_peak(lambda: [np.random.default_rng(seed) for seed in seeds])
+    peak = _traced_peak(lambda: simulate_tvar_batch(model, n, seeds, burn_in))
+    result = len(seeds) * n * 8
+    block = (model.p + process.SIM_BLOCK_VALUES // len(seeds)) * len(seeds) * 8
+    assert peak <= 1.1 * (result + block + generators)
+
+
+def test_long_simulation_peak_is_a_small_multiple_of_its_output():
+    # the float loop's Python lists hold one block of steps, not the series:
+    # the whole-series form peaked at 13 times the output here
+    model = ORACLE_MODELS["ar1"]
+    n = 10**5
+    assert _traced_peak(lambda: simulate_tvar(model, n, seed=1)) <= 3 * n * 8
 
 
 def test_batch_rejects_bad_sizes():
@@ -391,6 +423,15 @@ def test_to_csv_bytes_equal_csv_writer(tmp_path, n):
     csv_writer_oracle(values, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert TimeSeries.from_csv(tmp_path / "new.csv").values.tobytes() == values.tobytes()
+
+
+def test_to_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch):
+    # 37 values in blocks of 5 leave a last block of 2
+    values = np.random.default_rng(5).standard_normal(37)
+    monkeypatch.setattr(process, "SIM_BLOCK_VALUES", 5)
+    TimeSeries(values).to_csv(tmp_path / "new.csv")
+    csv_writer_oracle(values, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 SERIES_TEXTS = {
