@@ -61,6 +61,10 @@ MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe(
 def check_stability(coeffs, delta=0.0):
     """Check that 1 + sum_j coeffs[j-1] z^j has no root in |z| <= 1 + delta.
 
+    Decided by the Schur-Cohn (Levinson step-down) recursion, without
+    finding the roots: see :func:`_root_condition`, of which this is the
+    one-row case.  The tests use ``np.roots`` as its oracle.
+
     Parameters
     ----------
     coeffs : sequence of float
@@ -78,14 +82,31 @@ def check_stability(coeffs, delta=0.0):
         raise ValueError("AR coefficients must be finite")
     if delta < 0:
         raise ValueError("stability margin must be nonnegative")
-    if coeffs.size == 0 or not np.any(coeffs):
-        return True
-    # highest degree first for np.roots; trailing zero alphas reduce the degree
-    poly = np.concatenate([coeffs[::-1], [1.0]])
-    roots = np.roots(poly)
-    if roots.size == 0:
-        return True
-    return bool(np.min(np.abs(roots)) > 1.0 + delta)
+    return bool(_root_condition(coeffs.reshape(1, -1), delta)[0])
+
+
+def _root_condition(coeffs, delta):
+    """For each row c of an (m, p) array, whether A(z) = 1 + sum_j c_j z^j
+    has no root in |z| <= 1 + delta; a boolean array of length m.
+
+    The Schur-Cohn step-down (Jury 1964; Brockwell & Davis 1991), on all
+    rows at once: scale to A((1 + delta) w), so that the condition is on
+    |w| <= 1; then, for m = p, ..., 1, take k = c_m, require |k| < 1, and
+    lower the degree by c_j <- (c_j - k c_{m-j}) / (1 - k^2), j < m.  A zero
+    trailing coefficient gives k = 0, which lowers the degree unchanged.
+    Rows that have failed carry k = 0, so they stay finite; rows that are
+    not finite fail.
+    """
+    c = coeffs * (1.0 + delta) ** np.arange(1, coeffs.shape[1] + 1)
+    ok = np.ones(len(c), dtype=bool)
+    with np.errstate(all="ignore"):
+        while c.shape[1]:
+            k = c[:, -1]
+            ok &= np.abs(k) < 1.0
+            k = np.where(ok, k, 0.0)[:, None]
+            head = c[:, :-1]
+            c = (head - k * head[:, ::-1]) / (1.0 - k * k)
+    return ok
 
 
 def _series_cells(path, header):
@@ -252,14 +273,12 @@ class TvARModel:
             raise ValueError("sigma2 must be strictly positive on (0, 1]")
         if self.p:
             coeffs = self.alpha_matrix(u)
-            # one root check per distinct row, taken in order of first
-            # occurrence so that the error names the first violating u
-            _, first = np.unique(coeffs, axis=0, return_index=True)
-            for i in np.sort(first):
-                if not check_stability(coeffs[i], self.delta):
-                    raise ValueError(
-                        f"AR polynomial violates the root condition at u={u[i]:.6f}"
-                    )
+            bad = ~_root_condition(coeffs, self.delta)
+            if bad.any():
+                i = int(np.argmax(bad))
+                if not np.all(np.isfinite(coeffs[i])):
+                    raise ValueError("AR coefficients must be finite")
+                raise ValueError(f"AR polynomial violates the root condition at u={u[i]:.6f}")
         self.validated = True
 
     def alpha_matrix(self, u):

@@ -118,6 +118,44 @@ print([m for m in sys.modules if m.split(".")[:2] in [["scipy", s] for s in ("sp
     assert (tmp_path / "tail" / "tail_rows.csv").exists()
 
 
+def test_studies_load_no_numpy_ma_and_call_no_eigensolver(tmp_path):
+    # np.median's first call imports numpy.ma (1.3 MB of RSS) and np.roots'
+    # first eigensolve touches LAPACK (0.9 MB).  A rate study, an
+    # equivalence study and the models' root checks need neither: the root
+    # condition is the Schur-Cohn recursion, so they all run with the
+    # eigensolvers made to raise (np.roots too, which holds its own
+    # reference to eigvals), and no median imports numpy.ma
+    code = f"""
+import json, sys
+import numpy as np
+def refuse(*args, **kwargs):
+    raise AssertionError("eigensolver called")
+np.linalg.eigvals = np.linalg.eig = np.roots = refuse
+import locstat.cli
+from locstat.estimator import FitConfig, fit_monotone_tvar
+from locstat.harness import wavy_alpha_model
+from locstat.process import TvARModel, check_stability, simulate_tvar
+from locstat.curves import ConstantCurve
+for name, config in [("rate-study", {{"n_list": [64, 128], "replications": 3}}),
+                     ("equivalence", {{"n_list": [64, 128], "replications": 3}})]:
+    path = {str(tmp_path)!r} + "/" + name + ".json"
+    with open(path, "w") as f:
+        json.dump(config, f)
+    locstat.cli.main([name, "--config", path, "--out", {str(tmp_path)!r} + "/" + name])
+model = wavy_alpha_model()
+assert check_stability([1.5, 0.56]) and not check_stability([1.2])
+TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.2)], ConstantCurve(1.0))
+# the fit reports alpha_stable through check_stability
+fit_monotone_tvar(simulate_tvar(model, 512, seed=0).values, FitConfig(p=2))
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "rate-study" / "rate_rows.csv").exists()
+    assert (tmp_path / "equivalence" / "equivalence_rows.csv").exists()
+
+
 def test_tail_bounds_frozen_values():
     # eta=3, R^2=1, L=1, n=100: 2 exp(-9 / (8 (1 + 3/10)))
     assert tail_bound_quadratic(3.0, 1.0, 1.0, 100) == pytest.approx(

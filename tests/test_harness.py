@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 import locstat.harness as harness
 from locstat.harness import (
@@ -19,7 +20,9 @@ from locstat.harness import (
     write_metadata,
     write_rows_csv,
 )
-from locstat.process import check_stability
+from locstat.espec import replication_seed
+from locstat.estimator import fit_monotone_tvar
+from locstat.process import check_stability, simulate_tvar_batch
 
 
 def test_study_knots_frozen_schedule():
@@ -85,6 +88,41 @@ def test_rate_study_small_run_deterministic_and_threaded():
         assert row["all_converged"]
         assert np.isfinite(row["median_err_spectrum"])
     assert a.rows[0]["k_n"] == study_knots(64)
+
+
+def test_rate_rows_count_the_knots_on_the_bounds():
+    # at n = 256 the truth's variance 2 lies above 1/eps^2 = 1.98, so fits clip
+    spec = RateStudySpec(n_list=(256, 512), replications=6, seed=1)
+    rows = rate_study(spec).rows
+    model = default_rate_model()
+    for row, n in zip(rows, spec.n_list):
+        # appended after the columns that were there before
+        assert list(row)[-2:] == ["knots_on_bounds", "clipped_frac"]
+        seeds = [replication_seed(spec.seed, r) for r in range(spec.replications)]
+        fits = [fit_monotone_tvar(x, spec.fit_config_for(n)) for x in simulate_tvar_batch(model, n, seeds)]
+        assert all(fit.sigma2_hat.knots == row["k_n"] for fit in fits)
+        assert row["knots_on_bounds"] == sum(fit.knots_at_lower + fit.knots_at_upper for fit in fits)
+        assert row["clipped_frac"] == row["knots_on_bounds"] / (spec.replications * row["k_n"])
+    assert rows[0]["knots_on_bounds"] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        # x + 0.0 turns -0.0 into 0.0: see the signed-zero test below
+        st.lists(st.floats(-1e300, 1e300).map(lambda x: x + 0.0), min_size=1, max_size=40),
+        st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=40),
+    )
+)
+def test_median_is_bit_identical_to_numpy(values):
+    # odd and even lengths, floats and ints (median_iterations takes ints)
+    assert np.float64(harness._median(values)).tobytes() == np.float64(np.median(values)).tobytes()
+
+
+def test_median_of_tied_signed_zeros_equals_numpy_up_to_the_sign():
+    # the sort and np.median's partition may leave different zeros in the
+    # middle, which no study sees: its values are errors, gaps and counts >= 0
+    assert harness._median([0.0, -0.0, 0.0]) == np.median([0.0, -0.0, 0.0]) == 0.0
 
 
 def test_equivalence_candidates_are_stable_pairs():

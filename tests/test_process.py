@@ -6,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import _mesh
-from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
+from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
 from locstat.espec import limit_covariance
 from locstat.estimator import inverse_l2_distance
 from locstat.likelihood import divergence_sandwich, kl_divergence
@@ -37,6 +38,7 @@ def test_check_stability_known_polynomials():
     # order 1: root is -1/a, stable iff |a| < 1
     assert check_stability(np.array([0.99]))
     assert not check_stability(np.array([1.0]))
+    assert not check_stability(np.array([-1.0]))
     assert not check_stability(np.array([1.2]))
     # empty / zero coefficients are trivially stable
     assert check_stability(np.array([]))
@@ -55,15 +57,96 @@ def test_model_validation_rejects_unstable_region():
         TvARModel(1, [FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
 
 
-def test_validation_checks_each_distinct_coefficient_row_once(monkeypatch):
-    calls = []
-    check = process.check_stability
-    monkeypatch.setattr(process, "check_stability", lambda *a: calls.append(a) or check(*a))
-    TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.2)], SampledCurve([1.0, 2.0]))
-    assert len(calls) == 1
-    calls.clear()
-    TvARModel(1, [SampledCurve([0.1, 0.5, 0.1, 0.5])], ConstantCurve(1.0))
-    assert len(calls) == 2
+def roots_oracle(coeffs, delta=0.0):
+    """(whether 1 + sum_j coeffs[j-1] z^j has no root in |z| <= 1 + delta,
+    the distance of its nearest root from that circle), by np.roots.
+
+    Trailing coefficients below 1e-12 in modulus are dropped first: np.roots
+    divides by the leading one, which blows its companion matrix up (it put
+    one of the roots of 1 + 0.5 z^2 + 2e-273 z^3, near +-1.41i, inside the
+    unit circle), while dropping it moves the other roots by about as much
+    as it is and only adds a root far outside."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    nonzero = np.flatnonzero(np.abs(coeffs) >= 1e-12)
+    if not nonzero.size:
+        return True, np.inf
+    nearest = np.min(np.abs(np.roots(np.concatenate([coeffs[nonzero[-1] :: -1], [1.0]]))))
+    return bool(nearest > 1.0 + delta), abs(nearest - (1.0 + delta))
+
+
+@st.composite
+def ar_coefficients(draw):
+    """AR coefficients of order 1-6 with up to p - 1 trailing zeros: either
+    drawn directly, or built from roots of modulus 0.5-3 so that stable and
+    unstable polynomials of every order turn up."""
+    p = draw(st.integers(1, 6))
+    degree = p - draw(st.integers(0, p - 1))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=degree, max_size=degree))
+    else:
+        moduli = draw(st.lists(st.floats(0.5, 3.0), min_size=degree, max_size=degree))
+        angles = draw(st.lists(st.floats(0.0, np.pi), min_size=degree // 2, max_size=degree // 2))
+        roots = [r * np.exp(1j * a) for r, a in zip(moduli, angles)]
+        roots = roots + [np.conj(z) for z in roots] + [-moduli[-1]] * (degree % 2)
+        # prod_i (1 - z / z_i) = 1 + sum_j c_j z^j
+        coeffs = list(np.poly(1.0 / np.array(roots))[1:].real)
+    return coeffs + [0.0] * (p - degree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ar_coefficients(), st.sampled_from([0.0, 0.05, 0.3]))
+def test_check_stability_matches_roots_oracle(coeffs, delta):
+    stable, gap = roots_oracle(coeffs, delta)
+    # np.roots is not exact either: away from the boundary only
+    assume(gap > 1e-6)
+    assert check_stability(np.array(coeffs), delta) == stable
+
+
+def alpha_curves(draw, p):
+    """p random SampledCurve or first-order FourierCurve coefficient curves,
+    the j-th within +-1.6 / j, in steps of 1e-6."""
+    curves = []
+    for j in range(1, p + 1):
+        value = st.floats(-1.6 / j, 1.6 / j).map(lambda v: round(v, 6))
+        if draw(st.booleans()):
+            curves.append(SampledCurve(draw(st.lists(value, min_size=1, max_size=6))))
+        else:
+            a0, a1, b1 = (draw(value) for _ in range(3))
+            curves.append(FourierCurve(a0, a=[a1], b=[b1]))
+    return curves
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from([0.0, 0.05]))
+def test_validation_matches_a_per_row_roots_oracle(data, p, delta):
+    alpha = alpha_curves(data.draw, p)
+    u = np.arange(1, process.STABILITY_GRID + 1) / process.STABILITY_GRID
+    rows = np.stack([c.values(u) for c in alpha], axis=-1)
+    verdicts = [roots_oracle(row, delta) for row in rows]
+    assume(min(gap for _, gap in verdicts) > 1e-6)
+    first_bad = next((i for i, (stable, _) in enumerate(verdicts) if not stable), None)
+    if first_bad is None:
+        assert TvARModel(p, alpha, ConstantCurve(1.0), delta=delta).validated
+    else:
+        with pytest.raises(ValueError, match=rf"root condition at u={u[first_bad]:.6f}$"):
+            TvARModel(p, alpha, ConstantCurve(1.0), delta=delta)
+
+
+class HalfNanCurve(Curve):
+    """0.5 up to u = 1/2 and nan after it, which no library curve returns."""
+
+    def values(self, u):
+        return np.where(np.asarray(u) <= 0.5, 0.5, np.nan)
+
+
+def test_validation_refuses_non_finite_coefficients():
+    with pytest.raises(ValueError, match="AR coefficients must be finite"):
+        TvARModel(1, [HalfNanCurve()], ConstantCurve(1.0))
+    # the first bad row decides the message
+    with pytest.raises(ValueError, match=r"root condition at u=0\.001953$"):
+        TvARModel(2, [HalfNanCurve(), SampledCurve([1.5, 0.0])], ConstantCurve(1.0))
+    with pytest.raises(ValueError, match="AR coefficients must be finite"):
+        check_stability([0.5, np.inf])
 
 
 def test_validation_names_the_first_violating_u():
