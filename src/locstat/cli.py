@@ -67,20 +67,9 @@ PROP33_DEFAULTS = {"seed": 0, "n_list": (64, 128, 256, 512), "replications": 400
 EQUIVALENCE_SEED = 7
 
 
-def _exit_on_bad_config(args, build, *spec, **kwargs):
-    """build(*spec, **kwargs), exiting with the command name and the message
-    of a ValueError, such as one naming an unknown key, an ill-typed value or
-    a value out of range.  Each command builds its specs and runs its library
-    call through here before it writes output."""
-    try:
-        return build(*spec, **kwargs)
-    except ValueError as exc:
-        raise SystemExit(f"{args.command}: {exc}") from None
-
-
 def _read_config(args, allowed):
-    """The --config JSON object ({} without --config) and its text; exits on
-    a top-level key outside ``allowed`` unless that is None."""
+    """The --config JSON object ({} without --config) and its text; raises
+    ValueError on a top-level key outside ``allowed`` unless that is None."""
     if args.config is None:
         return {}, ""
     with open(args.config) as fh:
@@ -88,21 +77,21 @@ def _read_config(args, allowed):
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"{args.command}: --config is not valid JSON: {exc}") from None
+        raise ValueError(f"--config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise SystemExit(f"{args.command}: --config must hold a JSON object")
+        raise ValueError("--config must hold a JSON object")
     if allowed is not None:
-        _exit_on_bad_config(args, check_spec_keys, config, allowed, "config")
+        check_spec_keys(config, allowed, "config")
     return config, text
 
 
-def _config_model(args, config, default=None):
+def _config_model(config, default=None):
     """The model built from the config's model object; default without one."""
     if "model" not in config:
         return default
     if not isinstance(config["model"], dict):
-        raise SystemExit(f"{args.command}: model must be a JSON object, got {config['model']!r}")
-    return _exit_on_bad_config(args, model_from_json, config["model"])
+        raise ValueError(f"model must be a JSON object, got {config['model']!r}")
+    return model_from_json(config["model"])
 
 
 def _study_kwargs(args, config, model=None):
@@ -113,16 +102,11 @@ def _study_kwargs(args, config, model=None):
     if args.seed is not None:
         kwargs["seed"] = args.seed
     if "seed" in kwargs:
-        kwargs["seed"] = _exit_on_bad_config(args, as_number, kwargs["seed"], "seed", int, 0)
-    model = _config_model(args, config, model)
+        kwargs["seed"] = as_number(kwargs["seed"], "seed", int, 0)
+    model = _config_model(config, model)
     if model is not None:
         kwargs["model"] = model
     return kwargs
-
-
-def _config_phi(args, config, model):
-    """The weight built from the config's phi object (a unit constant without one)."""
-    return _exit_on_bad_config(args, _weight_from_spec, config.get("phi", {}), model)
 
 
 def _positive_int(text):
@@ -156,15 +140,6 @@ def _parse_times(text):
             raise ValueError(f"--times entry {token!r} is below 1")
         times.add(t)
     return sorted(times)
-
-
-def _read_series(args):
-    """The --series file as a TimeSeries; exits with the command name and the
-    reason when the file cannot be opened or holds no series."""
-    try:
-        return TimeSeries.from_csv(args.series)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 def _ensure_out(args):
@@ -205,7 +180,7 @@ def _weight_from_spec(spec, model):
 
 def _cmd_simulate(args):
     config, text = _read_config(args, None)  # the config is the model
-    model = _exit_on_bad_config(args, model_from_json, config, "config") if config else default_rate_model()
+    model = model_from_json(config, "config") if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
     out = _ensure_out(args)
@@ -218,10 +193,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_preperiodogram(args):
-    times = _exit_on_bad_config(args, _parse_times, args.times)
-    x = _read_series(args)
+    times = _parse_times(args.times)
+    x = TimeSeries.from_csv(args.series)
     if times is not None and times[-1] > x.n:
-        raise SystemExit(f"{args.command}: --times entries must lie in 1..{x.n}")
+        raise ValueError(f"--times entries must lie in 1..{x.n}")
     grid = FrequencyGrid(args.grid_size)
     values = PrePeriodogram(x).evaluate_grid(grid, times)
     if times is None:
@@ -234,22 +209,24 @@ def _cmd_preperiodogram(args):
         for lam, value in zip(grid.nodes, row)
     )
     write_rows_csv(path, rows, fieldnames=["t", "lambda", "value"])
-    config_text = f"series={args.series} grid_size={args.grid_size} times={args.times}"
-    write_metadata(out, "preperiodogram", config_text, None, extra={"n": x.n, "grid_size": args.grid_size})
+    series = os.path.basename(args.series)
+    config_text = f"series={series} grid_size={args.grid_size} times={args.times}"
+    extra = {"series": series, "n": x.n, "grid_size": args.grid_size}
+    write_metadata(out, "preperiodogram", config_text, None, extra=extra)
     print(f"wrote {path}")
     print(f"n={x.n} times={len(times)} grid_size={args.grid_size}")
     return 0
 
 
 def _cmd_likelihood_eval(args):
-    x = _read_series(args)
+    x = TimeSeries.from_csv(args.series)
     if args.config is None:
-        raise SystemExit("likelihood-eval needs --config with a candidate model")
+        raise ValueError("needs --config with a candidate model")
     config, text = _read_config(args, None)
     if "sigma2" not in config and "model" in config:
-        model = _config_model(args, config)  # accept fit.json output directly
+        model = _config_model(config)  # accept fit.json output directly
     else:
-        model = _exit_on_bad_config(args, model_from_json, config, "config")
+        model = model_from_json(config, "config")
     g = SpectrumField.from_model(model)
     whittle = whittle_contrast(x, g)
 
@@ -277,9 +254,9 @@ def _cmd_likelihood_eval(args):
 
 
 def _cmd_fit(args):
-    x = _read_series(args)
+    x = TimeSeries.from_csv(args.series)
     config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
-    cfg = _exit_on_bad_config(args, FitConfig, **config)
+    cfg = FitConfig(**config)
     fit = fit_monotone_tvar(x, cfg)
     fitted_model = TvARModel(
         cfg.p,
@@ -324,7 +301,7 @@ def _cmd_fit(args):
 
 def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
-    spec = _exit_on_bad_config(args, RateStudySpec, **_study_kwargs(args, config))
+    spec = RateStudySpec(**_study_kwargs(args, config))
     result = rate_study(spec, threads=args.threads)
     out = _ensure_out(args)
     rows_path = os.path.join(out, "rate_rows.csv")
@@ -354,7 +331,7 @@ def _cmd_tail_study(args):
     config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
     settings = {**TAIL_DEFAULTS, **_study_kwargs(args, config)}
     design = settings.pop("design")
-    spec = _exit_on_bad_config(args, _tail_spec, design, **settings)
+    spec = _tail_spec(design, **settings)
     rows = chi2_tail_study(spec)
     out = _ensure_out(args)
     path = os.path.join(out, "tail_rows.csv")
@@ -372,8 +349,8 @@ def _cmd_tail_study(args):
 def _cmd_clt_study(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
     kwargs = {**CLT_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
-    phi = kwargs["phi"] = _config_phi(args, config, kwargs["model"])
-    sample = _exit_on_bad_config(args, spectral_process_sample, **kwargs)
+    phi = kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
+    sample = spectral_process_sample(**kwargs)
     n = sample.n
     limit = limit_covariance(phi, phi, SpectrumField.from_model(kwargs["model"]))
     emp = sample.variance()
@@ -399,8 +376,8 @@ def _cmd_clt_study(args):
 def _cmd_prop33(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
     kwargs = {**PROP33_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
-    kwargs["phi"] = _config_phi(args, config, kwargs["model"])
-    rows = _exit_on_bad_config(args, bias_scaling_study, **kwargs)
+    kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
+    rows = bias_scaling_study(**kwargs)
     out = _ensure_out(args)
     path = os.path.join(out, "bias_rows.csv")
     write_rows_csv(path, rows)
@@ -417,7 +394,7 @@ def _cmd_prop33(args):
 def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
     kwargs = {"seed": EQUIVALENCE_SEED, **_study_kwargs(args, config)}
-    rows = _exit_on_bad_config(args, likelihood_equivalence_decay, **kwargs)
+    rows = likelihood_equivalence_decay(**kwargs)
     out = _ensure_out(args)
     path = os.path.join(out, "equivalence_rows.csv")
     write_rows_csv(path, rows)
@@ -498,10 +475,17 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand.  Bad input, whether a config, a series, an --out
+    that cannot be written or data the fit cannot identify, raises ValueError
+    or OSError somewhere below; it exits here with "<command>: <message>".
+    Any other exception is a bug and keeps its traceback."""
     args = _parser().parse_args(argv)
-    if args.threads > 1 and args.func is not _cmd_rate_study:
-        raise SystemExit(f"{args.command}: --threads is used only by rate-study")
-    return args.func(args)
+    try:
+        if args.threads > 1 and args.func is not _cmd_rate_study:
+            raise ValueError("--threads is used only by rate-study")
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"{args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -314,8 +314,6 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
     Records the command, a hash of the configuration it ran with, the seed,
     and library versions; no timestamps, so reruns produce identical files.
     """
-    import scipy  # imported here so that `import locstat` loads no SciPy module
-
     from . import __version__
 
     payload = {
@@ -325,7 +323,6 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
         "versions": {
             "locstat": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

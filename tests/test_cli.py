@@ -467,6 +467,76 @@ def test_nested_curve_array_field_exits_with_message(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["simulate", "likelihood-eval", "fit", "rate-study", "tail-study", "clt-study", "prop33", "equivalence"]
+)
+def test_missing_config_file_exits_with_message(tmp_path, command):
+    extra = {
+        "simulate": ["--n", "16"],
+        "likelihood-eval": ["--series", str(simulate_into(tmp_path, n=16))],
+        "fit": ["--series", str(simulate_into(tmp_path, n=16))],
+    }.get(command, [])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{command}: .*nothere.json"):
+        main([command, *extra, "--config", str(tmp_path / "nothere.json"), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_on_all_zero_series_exits_with_message(tmp_path):
+    series = tmp_path / "zeros.csv"
+    TimeSeries(np.zeros(64)).to_csv(series)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="^fit: normal equations are singular$"):
+        main(["fit", "--series", str(series), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_with_message_and_status_one(tmp_path):
+    blocker = tmp_path / "series.csv"
+    blocker.write_text("x\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(locstat.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "locstat.cli", "simulate", "--n", "16", "--out", str(blocker / "x")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("simulate: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_likelihood_eval_without_config_names_command(tmp_path):
+    series = simulate_into(tmp_path)
+    with pytest.raises(SystemExit, match="^likelihood-eval: needs --config with a candidate model$"):
+        main(["likelihood-eval", "--series", str(series), "--out", str(tmp_path / "x")])
+    assert not (tmp_path / "x").exists()
+
+
+def test_errors_other_than_bad_input_keep_their_traceback(tmp_path, monkeypatch):
+    # a TypeError or a KeyError below main is a bug, not a message
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("locstat.cli.simulate_tvar", broken)
+    with pytest.raises(TypeError, match="bug"):
+        main(["simulate", "--n", "16", "--out", str(tmp_path / "out")])
+
+
+def test_preperiodogram_metadata_does_not_depend_on_series_directory(tmp_path):
+    series = simulate_into(tmp_path, n=16)
+    metas = []
+    for name in ("a", "b/c"):
+        copy = tmp_path / name / "series.csv"
+        copy.parent.mkdir(parents=True)
+        copy.write_bytes(series.read_bytes())
+        out = tmp_path / name / "pre"
+        run("preperiodogram", "--series", str(copy), "--grid-size", "4", "--out", str(out))
+        metas.append((out / "metadata.json").read_bytes())
+    assert metas[0] == metas[1]
+    assert json.loads(metas[0])["series"] == "series.csv"
+
+
 def test_fit_json_does_not_depend_on_blas_threads(tmp_path):
     # at n = 16384 a threaded BLAS product in the normal equations would split
     # its sums by thread count and move the last bits of the fit
