@@ -50,7 +50,6 @@ from .process import (
     TimeSeries,
     TvARModel,
     model_from_json,
-    model_to_json,
     simulate_tvar,
     white_noise_model,
 )
@@ -87,11 +86,7 @@ def _read_config(args, allowed):
 
 def _config_model(config, default=None):
     """The model built from the config's model object; default without one."""
-    if "model" not in config:
-        return default
-    if not isinstance(config["model"], dict):
-        raise ValueError(f"model must be a JSON object, got {config['model']!r}")
-    return model_from_json(config["model"])
+    return model_from_json(config["model"]) if "model" in config else default
 
 
 def _study_kwargs(args, config, model=None):
@@ -275,7 +270,7 @@ def _cmd_fit(args):
         "iterations": fit.iterations,
         "converged": fit.converged,
         "alpha_stable": fit.alpha_stable,
-        "model": json.loads(model_to_json(fitted_model)),
+        "model": fitted_model.describe(),
         "sigma2_lower": fit.sigma2_hat.lower,
         "sigma2_upper": fit.sigma2_hat.upper,
         "knots_at_lower": fit.knots_at_lower,
@@ -476,15 +471,18 @@ def _parser():
 
 def main(argv=None):
     """Run one subcommand.  Bad input, whether a config, a series, an --out
-    that cannot be written or data the fit cannot identify, raises ValueError
-    or OSError somewhere below; it exits here with "<command>: <message>".
-    Any other exception is a bug and keeps its traceback."""
+    that cannot be written, data the fit cannot identify or data whose
+    arithmetic overflows (NumPy's overflow and invalid operations raise
+    here), raises ValueError, OSError or FloatingPointError somewhere below;
+    it exits here with "<command>: <message>".  Any other exception is a bug
+    and keeps its traceback."""
     args = _parser().parse_args(argv)
     try:
         if args.threads > 1 and args.func is not _cmd_rate_study:
             raise ValueError("--threads is used only by rate-study")
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, OSError, FloatingPointError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

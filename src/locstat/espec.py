@@ -309,17 +309,16 @@ def spectral_process_sample(
     seed,
     centering="analytic",
     u_grid_size=4096,
-    burn_in=None,
 ):
     """Simulate replications of the centered spectral functional.
 
-    Each replication r simulates the model with a stream derived from
-    (seed, r), evaluates the functional by the exact lag path, and centers
-    either at the population functional of the model spectrum or at the
-    Monte Carlo mean (computed with compensated summation, so the mean-
-    centered deviations average to zero exactly up to rounding).  The
-    replications run as batches of :func:`simulate_tvar_batch`, with values
-    bit-identical to one simulation per replication.
+    Each replication r simulates the model (its burn-in included) with a
+    stream derived from (seed, r), evaluates the functional by the exact lag
+    path, and centers either at the population functional of the model
+    spectrum or at the Monte Carlo mean (computed with compensated summation,
+    so the mean-centered deviations average to zero exactly up to rounding).
+    The replications run as batches of :func:`simulate_tvar_batch`, with
+    values bit-identical to one simulation per replication.
 
     Parameters
     ----------
@@ -336,7 +335,7 @@ def spectral_process_sample(
     if centering not in ("analytic", "mean"):
         raise ValueError(f"unknown centering {centering!r}")
 
-    values = _functional_sample(model, phi, n, [replication_seed(seed, r) for r in range(replications)], burn_in)
+    values = _functional_sample(model, phi, n, [replication_seed(seed, r) for r in range(replications)])
 
     if centering == "analytic":
         center = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
@@ -354,7 +353,7 @@ def spectral_process_sample(
     )
 
 
-def _functional_sample(model, phi, n, seeds, burn_in=None):
+def _functional_sample(model, phi, n, seeds):
     """Lag-path spectral functional of one simulated series per seed.
 
     Simulates and reduces REPLICATION_CHUNK replications at a time, so memory
@@ -362,7 +361,7 @@ def _functional_sample(model, phi, n, seeds, burn_in=None):
     """
     return np.concatenate(
         [
-            _lag_functionals(simulate_tvar_batch(model, n, seeds[start : start + REPLICATION_CHUNK], burn_in), phi)
+            _lag_functionals(simulate_tvar_batch(model, n, seeds[start : start + REPLICATION_CHUNK]), phi)
             for start in range(0, len(seeds), REPLICATION_CHUNK)
         ]
     )

@@ -114,7 +114,6 @@ class FitResult:
     sigma2_hat: MonotoneStepCurve
     objective_trace: list = field(default_factory=list)
     wls_trace: list = field(default_factory=list)
-    pava_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     alpha_stable: bool = True
@@ -124,6 +123,11 @@ class FitResult:
     @property
     def objective(self):
         return self.objective_trace[-1]
+
+    @property
+    def pava_trace(self):
+        """The value after each iteration's sieve step, which ends it."""
+        return self.objective_trace[1:]
 
     @property
     def knots_at_lower(self):
@@ -243,7 +247,6 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
         sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps)
         after_pava = conditional_likelihood(x, alpha, sigma)
         result.wls_trace.append(after_wls)
-        result.pava_trace.append(after_pava)
         result.objective_trace.append(after_pava)
         result.iterations = it
         if current - after_pava <= config.rel_tol * max(1.0, abs(current)):

@@ -228,10 +228,11 @@ def default_equivalence_candidates():
     ]
 
 
-def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=7, candidates=None):
+def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=7):
     """Gap between the conditional likelihood and the exact Whittle contrast.
 
-    For each candidate (alpha, sigma2) evaluates
+    For each candidate (alpha, sigma2) of
+    :func:`default_equivalence_candidates` evaluates
     d = | (1/2)(conditional - log 2 pi) - whittle | on simulated series and
     reports, per n, the median over replications of the worst candidate gap.
     The gap comes from boundary terms only, so it decays at rate 1/n.
@@ -246,7 +247,7 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     replications = as_number(replications, "replications", int, 2)
     seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
-    candidates = candidates if candidates is not None else default_equivalence_candidates()
+    candidates = default_equivalence_candidates()
     fields = [
         SpectrumField.from_coefficients(alpha, sigma2)
         for alpha, sigma2 in candidates

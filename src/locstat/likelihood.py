@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import ConstantCurve, Curve, as_number
 from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
-from .spectral import FrequencyGrid, PrePeriodogram, _series_values, _time_grid
+from .spectral import FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
 __all__ = [
@@ -47,7 +47,7 @@ def whittle_contrast(series, g):
 
     Parameters
     ----------
-    series : TimeSeries, array_like, or PrePeriodogram
+    series : TimeSeries or array_like
     g : SpectrumField (or TvARModel, which is wrapped)
 
     Returns
@@ -55,7 +55,7 @@ def whittle_contrast(series, g):
     float
     """
     model = as_field(g).ar_model
-    x = series.x if isinstance(series, PrePeriodogram) else _series_values(series)
+    x = _series_values(series)
     n = len(x)
     log_part = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
     functional = spectral_functional(x, ar_inverse_weight(model))

@@ -137,7 +137,7 @@ def _scan_series(path, header):
 
 
 class TimeSeries:
-    """A finite real-valued series with optional provenance.
+    """A finite real-valued series.
 
     Parameters
     ----------
@@ -145,11 +145,9 @@ class TimeSeries:
         Observations x_1, ..., x_n.
     seed : int, optional
         RNG seed the series was generated from, if any.
-    provenance : dict, optional
-        Free-form description of how the series arose (model spec, burn-in).
     """
 
-    def __init__(self, values, seed=None, provenance=None):
+    def __init__(self, values, seed=None):
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("need a nonempty 1-d array of observations")
@@ -157,7 +155,6 @@ class TimeSeries:
             raise ValueError("observations must be finite")
         self.values = v
         self.seed = seed
-        self.provenance = provenance
 
     @property
     def n(self):
@@ -238,7 +235,7 @@ class TvARModel:
     delta : float
         Stability margin used when validating the coefficient curves.
     burn_in : int
-        Default warm-up length used by :func:`simulate_tvar`.
+        Warm-up steps the simulator runs and discards, >= 0.
 
     Raises
     ------
@@ -266,8 +263,9 @@ class TvARModel:
         if validate:
             self.validate()
 
-    def validate(self, grid_size=STABILITY_GRID):
-        u = np.arange(1, grid_size + 1) / grid_size
+    def validate(self):
+        """Check sigma2 > 0 and the root condition at u = k / STABILITY_GRID."""
+        u = np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID
         s2 = self.sigma2.values(u)
         if np.min(s2) <= 0:
             raise ValueError("sigma2 must be strictly positive on (0, 1]")
@@ -306,14 +304,14 @@ def white_noise_model(sigma2=1.0):
     return TvARModel(0, (), ConstantCurve(sigma2))
 
 
-def simulate_tvar(model, n, seed, burn_in=None):
+def simulate_tvar(model, n, seed):
     """Simulate n observations of a time-varying AR model.
 
     The recursion X_t = -sum_j alpha_j(t/n) X_{t-j} + sigma(t/n) eps_t is run
-    for burn_in + n steps with standard normal innovations; during burn-in the
-    coefficients are frozen at their u = 1/n values.  The same
-    (model, n, seed, burn_in) always produces bit-identical output.  This is
-    the one-seed case of :func:`simulate_tvar_batch`, which simulates many
+    for model.burn_in + n steps with standard normal innovations; during the
+    burn-in the coefficients are frozen at their u = 1/n values.  The same
+    (model, n, seed) always produces bit-identical output.  This is the
+    one-seed case of :func:`simulate_tvar_batch`, which simulates many
     replications at once with the same values.
 
     Parameters
@@ -323,17 +321,12 @@ def simulate_tvar(model, n, seed, burn_in=None):
         Number of observations returned, >= 1.
     seed : int
         Seed for numpy's default generator.
-    burn_in : int, optional
-        Number of warm-up steps discarded, >= 0; defaults to model.burn_in.
 
     Returns
     -------
     TimeSeries
     """
-    values = simulate_tvar_batch(model, n, [seed], burn_in)[0]
-    burn_in = int(model.burn_in if burn_in is None else burn_in)
-    prov = {"model": model.describe(), "burn_in": burn_in, "n": int(n)}
-    return TimeSeries(values, seed=seed, provenance=prov)
+    return TimeSeries(simulate_tvar_batch(model, n, [seed])[0], seed=seed)
 
 
 def _step_times(start, stop, burn_in, n):
@@ -347,17 +340,16 @@ def _step_times(start, stop, burn_in, n):
     return u
 
 
-def _simulation_steps(model, n, burn_in=None):
+def _simulation_steps(model, n):
     """The steps the simulator runs: (burn_in, sigma2, alpha).
 
-    The recursion runs burn_in + n steps at the times of :func:`_step_times`.
-    sigma2 holds the innovation variance and alpha the coefficient row of
-    each step, shapes (burn_in + n,) and (burn_in + n, p).
+    The recursion runs model.burn_in + n steps at the times of
+    :func:`_step_times`.  sigma2 holds the innovation variance and alpha the
+    coefficient row of each step, shapes (burn_in + n,) and (burn_in + n, p).
     """
     n = as_number(n, "n", int, 1)
-    burn_in = as_number(model.burn_in if burn_in is None else burn_in, "burn_in", int, 0)
-    u = _step_times(0, burn_in + n, burn_in, n)
-    return burn_in, model.sigma2.values(u), model.alpha_matrix(u)
+    u = _step_times(0, model.burn_in + n, model.burn_in, n)
+    return model.burn_in, model.sigma2.values(u), model.alpha_matrix(u)
 
 
 def _covariance_band(model, n, max_lag):
@@ -411,11 +403,11 @@ def _row_form_min(p):
     return -(-row // floats)
 
 
-def simulate_tvar_batch(model, n, seeds, burn_in=None):
+def simulate_tvar_batch(model, n, seeds):
     """Simulate one replication of a time-varying AR model per seed.
 
-    Row r is bit-identical to ``simulate_tvar(model, n, seeds[r],
-    burn_in).values``: each seed keeps its own innovation stream, and the
+    Row r is bit-identical to ``simulate_tvar(model, n,
+    seeds[r]).values``: each seed keeps its own innovation stream, and the
     recursion runs once over time with the replications as the vector
     dimension, doing the same floating-point operations in the same order
     for every replication.  Replications are drawn and run
@@ -429,7 +421,7 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
     one stream exactly and the curves are evaluated pointwise, so neither
     the chunking nor the blocking changes a value, and memory is the result
     plus one block buffer (512 KB) and the chunk's generators however long
-    burn_in + n is.
+    model.burn_in + n is.
 
     A batch of fewer than :func:`_row_form_min` seeds, 12-14 at p = 1-4,
     runs its replications in turn as loops over Python floats through the
@@ -445,15 +437,13 @@ def simulate_tvar_batch(model, n, seeds, burn_in=None):
         Number of observations per replication, >= 1.
     seeds : sequence of int
         One seed for numpy's default generator per replication.
-    burn_in : int, optional
-        Number of warm-up steps discarded, >= 0; defaults to model.burn_in.
 
     Returns
     -------
     ndarray of shape (len(seeds), n)
     """
     n = as_number(n, "n", int, 1)
-    burn_in = as_number(model.burn_in if burn_in is None else burn_in, "burn_in", int, 0)
+    burn_in = model.burn_in
     seeds = list(seeds)
     p, total = model.p, burn_in + n
 
@@ -645,8 +635,6 @@ def spectral_density(model, u, lam):
     lam = np.asarray(lam, dtype=float)
     ub, lb = np.broadcast_arrays(u, lam)
     s2 = model.sigma2.values(ub)
-    if model.p == 0:
-        return s2 / (2 * np.pi) * np.ones(lb.shape)
     # a separate statement: folded into the return expression, s2 / (2 pi)
     # would stay allocated through the transfer loop, one more mesh-sized
     # array at peak
@@ -655,24 +643,23 @@ def spectral_density(model, u, lam):
 
 
 class SpectrumField:
-    """Strictly positive spectrum g(u, lam) of a TvARModel, with a label.
+    """Strictly positive spectrum g(u, lam) of a TvARModel.
 
     Every population functional and contrast takes its candidate spectra in
     this form, so each of them is exact in the model's coefficients.
     """
 
-    def __init__(self, model, label=""):
+    def __init__(self, model):
         if not isinstance(model, TvARModel):
             raise ValueError(f"SpectrumField needs a TvARModel, got {model!r}")
         self.ar_model = model
-        self.label = label
 
     @classmethod
-    def from_model(cls, model, label=""):
-        return cls(model, label=label or "tvAR spectrum")
+    def from_model(cls, model):
+        return cls(model)
 
     @classmethod
-    def from_coefficients(cls, alpha, sigma2, validate=True, label=""):
+    def from_coefficients(cls, alpha, sigma2, validate=True):
         """AR-backed field from a constant coefficient vector and a variance curve."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         if not isinstance(sigma2, Curve):
@@ -683,13 +670,13 @@ class SpectrumField:
             sigma2,
             validate=validate,
         )
-        return cls(model, label=label or "fitted tvAR spectrum")
+        return cls(model)
 
     def values(self, u, lam):
         return spectral_density(self.ar_model, u, lam)
 
     def __repr__(self):
-        return f"SpectrumField(label={self.label!r})"
+        return f"SpectrumField({self.ar_model!r})"
 
 
 def as_field(g):
@@ -722,31 +709,21 @@ def tv_covariance(model, u, k):
     return float(ar_autocov(model, np.array([float(u)]), k)[0, k])
 
 
-def model_to_json(model, path=None):
-    """Serialize a TvARModel to JSON text (and optionally a file)."""
-    payload = model.describe()
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def model_to_json(model):
+    """The JSON text of :meth:`TvARModel.describe`, keys sorted."""
+    return json.dumps(model.describe(), indent=2, sort_keys=True)
 
 
-def model_from_json(source, what="model"):
-    """Load a TvARModel from a JSON string, dict, or file path.
+def model_from_json(payload, what="model"):
+    """Load a TvARModel from a parsed JSON object, such as the dict
+    :meth:`TvARModel.describe` returns.
 
-    Raises ValueError on a key that :meth:`TvARModel.describe` does not write
-    (the message calls such keys "unknown <what> key(s)") and on a missing
-    sigma2.
+    Raises ValueError on a payload that is not a dict ("<what> must be a JSON
+    object, got ..."), on a key that describe does not write ("unknown <what>
+    key(s)") and on a missing sigma2.
     """
-    if isinstance(source, dict):
-        payload = source
-    else:
-        text = str(source)
-        if "{" not in text:
-            with open(text) as fh:
-                text = fh.read()
-        payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {payload!r}")
     check_spec_keys(payload, MODEL_KEYS, what, required=("sigma2",))
     alpha = payload.get("alpha", [])
     if not isinstance(alpha, (list, tuple)):

@@ -244,17 +244,14 @@ class TestFunction:
     lag_support : int
         Smallest J >= 0 with lag_fn(u, j) = 0 for all |j| > J.  Required:
         every functional of the weight is a finite lag sum.
-    label : str
-        Free-form description.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, values_fn, lag_fn, lag_support, label=""):
+    def __init__(self, values_fn, lag_fn, lag_support):
         self._values_fn = values_fn
         self._lag_fn = lag_fn
         self.lag_support = as_number(lag_support, "lag support", int, 0)
-        self.label = label
 
     def values(self, u, lam):
         return np.asarray(self._values_fn(np.asarray(u, dtype=float), np.asarray(lam, dtype=float)), dtype=float)
@@ -267,7 +264,7 @@ class TestFunction:
         return np.asarray(self._lag_fn(u, int(j)), dtype=float)
 
     def __repr__(self):
-        return f"TestFunction(lag_support={self.lag_support}, label={self.label!r})"
+        return f"TestFunction(lag_support={self.lag_support})"
 
 
 def constant_weight(value=1.0):
@@ -281,10 +278,10 @@ def constant_weight(value=1.0):
     def lag_fn(u, j):
         return np.full(np.shape(u), 2 * np.pi * value if j == 0 else 0.0)
 
-    return TestFunction(values_fn, lag_fn, lag_support=0, label=f"constant {value}")
+    return TestFunction(values_fn, lag_fn, lag_support=0)
 
 
-def lag_curve_weight(curves, label=""):
+def lag_curve_weight(curves):
     """Weight built from real, even-in-lag coefficient curves.
 
     Parameters
@@ -318,7 +315,7 @@ def lag_curve_weight(curves, label=""):
             return np.zeros(np.shape(u))
         return c.values(np.asarray(u, float))
 
-    return TestFunction(values_fn, lag_fn, lag_support=support, label=label or "lag-curve weight")
+    return TestFunction(values_fn, lag_fn, lag_support=support)
 
 
 def ar_inverse_weight(model, scale=1.0):
@@ -338,7 +335,7 @@ def ar_inverse_weight(model, scale=1.0):
         # TestFunction.lag passes u as an array and only the lags |j| <= p
         return scale * (4 * np.pi ** 2) * coeff_autocorr(model, u, j) / model.sigma2.values(u)
 
-    return TestFunction(values_fn, lag_fn, lag_support=model.p, label=f"{scale} / f")
+    return TestFunction(values_fn, lag_fn, lag_support=model.p)
 
 
 def quadratic_form_matrix(phi, n):

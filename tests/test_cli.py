@@ -491,6 +491,30 @@ def test_fit_on_all_zero_series_exits_with_message(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "likelihood-eval", "preperiodogram"])
+def test_overflowing_series_exits_with_message(tmp_path, command):
+    # squares and lag products of 1e300 overflow; the command stops there
+    # instead of warning or writing Infinity and NaN
+    series = tmp_path / "huge.csv"
+    TimeSeries(np.full(64, 1e300)).to_csv(series)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(model_to_json(TvARModel(0, [], ConstantCurve(1.0))))
+    extra = ["--config", str(cfg)] if command == "likelihood-eval" else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"^{command}: .*overflow"):
+        main([command, "--series", str(series), *extra, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["equivalence", "likelihood-eval"])
+def test_model_that_is_not_an_object_is_named(tmp_path, command):
+    extra = ["--series", str(simulate_into(tmp_path, n=16))] if command == "likelihood-eval" else []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "abc"}))
+    with pytest.raises(SystemExit, match=f"^{command}: model must be a JSON object, got 'abc'$"):
+        main([command, *extra, "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
 def test_unwritable_out_exits_with_message_and_status_one(tmp_path):
     blocker = tmp_path / "series.csv"
     blocker.write_text("x\n")

@@ -271,8 +271,8 @@ def test_spectral_process_sample_deterministic():
     assert a.center == b.center
 
 
-def per_replication_functionals(model, phi, n, seeds, burn_in=None):
-    return [spectral_functional(simulate_tvar(model, n, s, burn_in=burn_in), phi, path="lag") for s in seeds]
+def per_replication_functionals(model, phi, n, seeds):
+    return [spectral_functional(simulate_tvar(model, n, s), phi, path="lag") for s in seeds]
 
 
 BATCH_CASES = [
@@ -284,9 +284,11 @@ BATCH_CASES = [
 @pytest.mark.parametrize("model, burn_in", BATCH_CASES)
 def test_spectral_process_sample_equals_per_replication_loop(monkeypatch, model, burn_in):
     monkeypatch.setattr(process, "REPLICATION_CHUNK", 7)
+    if burn_in is not None:
+        model = TvARModel(model.p, model.alpha, model.sigma2, burn_in=burn_in)
     phi = ar_inverse_weight(model)
-    s = spectral_process_sample(model, phi, 96, 17, seed=21, burn_in=burn_in)
-    expected = per_replication_functionals(model, phi, 96, [replication_seed(21, r) for r in range(17)], burn_in)
+    s = spectral_process_sample(model, phi, 96, 17, seed=21)
+    expected = per_replication_functionals(model, phi, 96, [replication_seed(21, r) for r in range(17)])
     assert s.functionals.tolist() == expected
 
 

@@ -184,9 +184,16 @@ def test_sign_convention_of_coefficients():
         assert sign * r1 > 0.7
 
 
-def simulate_oracle(model, n, seed, burn_in=None):
+def with_burn_in(model, burn_in):
+    """model with burn_in warm-up steps; model itself for None."""
+    if burn_in is None:
+        return model
+    return TvARModel(model.p, model.alpha, model.sigma2, model.delta, burn_in=burn_in)
+
+
+def simulate_oracle(model, n, seed):
     """The scalar recursion, one numpy float64 at a time, for one seed."""
-    burn_in = model.burn_in if burn_in is None else burn_in
+    burn_in = model.burn_in
     total = burn_in + n
     eps = np.random.default_rng(seed).standard_normal(total)
     u = np.empty(total)
@@ -229,15 +236,15 @@ FORMS = {"float loop": lambda p: 10**9, "row form": lambda p: 1}
     [(40, [3, 1, 4, 1, 5], None), (33, [7, 8, 9, 10], 0), (1, [2, 6, 5, 3], None), (64, [11], 3), (50, [12, 13], None)],
 )
 def test_batch_rows_equal_scalar_oracle(monkeypatch, name, n, seeds, burn_in):
-    model = ORACLE_MODELS[name]
+    model = with_burn_in(ORACLE_MODELS[name], burn_in)
     for row_form_min in FORMS.values():
         monkeypatch.setattr(process, "_row_form_min", row_form_min)
-        batch = simulate_tvar_batch(model, n, seeds, burn_in)
+        batch = simulate_tvar_batch(model, n, seeds)
         assert batch.shape == (len(seeds), n)
         for row, seed in zip(batch, seeds):
-            np.testing.assert_array_equal(row, simulate_oracle(model, n, seed, burn_in))
+            np.testing.assert_array_equal(row, simulate_oracle(model, n, seed))
     for seed in seeds:
-        np.testing.assert_array_equal(simulate_tvar(model, n, seed, burn_in).values, simulate_oracle(model, n, seed, burn_in))
+        np.testing.assert_array_equal(simulate_tvar(model, n, seed).values, simulate_oracle(model, n, seed))
 
 
 def test_batch_of_no_seeds_is_empty():
@@ -265,12 +272,13 @@ def test_batch_does_not_depend_on_time_block(monkeypatch, block_values):
     seeds = [3, 1, 4, 1, 5, 9, 2]
     monkeypatch.setattr(process, "SIM_BLOCK_VALUES", block_values)
     monkeypatch.setattr(process, "REPLICATION_CHUNK", 3)
-    for model in ORACLE_MODELS.values():
+    for name in ORACLE_MODELS:
         for n, burn_in in [(9, 0), (1, 2), (9, 11)]:
-            expected = np.array([simulate_oracle(model, n, seed, burn_in) for seed in seeds])
+            model = with_burn_in(ORACLE_MODELS[name], burn_in)
+            expected = np.array([simulate_oracle(model, n, seed) for seed in seeds])
             for row_form_min in FORMS.values():
                 monkeypatch.setattr(process, "_row_form_min", row_form_min)
-                np.testing.assert_array_equal(simulate_tvar_batch(model, n, seeds, burn_in), expected)
+                np.testing.assert_array_equal(simulate_tvar_batch(model, n, seeds), expected)
 
 
 def _traced_peak(call):
@@ -287,10 +295,10 @@ def _traced_peak(call):
 def test_batch_peak_is_its_drive_and_result():
     # the result, one (p + B, 256) block buffer and the chunk's generators,
     # however long burn_in + n is
-    model = ORACLE_MODELS["ar2-time-varying"]
-    seeds, n, burn_in = list(range(256)), 512, 1000
+    model = with_burn_in(ORACLE_MODELS["ar2-time-varying"], 1000)
+    seeds, n = list(range(256)), 512
     generators = _traced_peak(lambda: [np.random.default_rng(seed) for seed in seeds])
-    peak = _traced_peak(lambda: simulate_tvar_batch(model, n, seeds, burn_in))
+    peak = _traced_peak(lambda: simulate_tvar_batch(model, n, seeds))
     result = len(seeds) * n * 8
     block = (model.p + process.SIM_BLOCK_VALUES // len(seeds)) * len(seeds) * 8
     assert peak <= 1.1 * (result + block + generators)
@@ -307,8 +315,8 @@ def test_long_simulation_peak_is_a_small_multiple_of_its_output():
 def test_batch_rejects_bad_sizes():
     with pytest.raises(ValueError):
         simulate_tvar_batch(ORACLE_MODELS["ar1"], 0, [1])
-    with pytest.raises(ValueError):
-        simulate_tvar_batch(ORACLE_MODELS["ar1"], 8, [1], burn_in=-1)
+    with pytest.raises(ValueError, match="burn_in"):
+        with_burn_in(ORACLE_MODELS["ar1"], -1)
 
 
 def test_white_noise_fast_path_matches_generic_loop():
@@ -329,15 +337,15 @@ def test_white_noise_variance_scale():
 def test_burn_in_default_and_override():
     m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
     a = simulate_tvar(m, 64, seed=5)
-    b = simulate_tvar(m, 64, seed=5, burn_in=m.burn_in)
+    b = simulate_tvar(with_burn_in(m, m.burn_in), 64, seed=5)
     np.testing.assert_array_equal(a.values, b.values)
-    c = simulate_tvar(m, 64, seed=5, burn_in=0)
+    c = simulate_tvar(with_burn_in(m, 0), 64, seed=5)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_burn_in_carried_by_model_json():
     m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=77)
-    m2 = model_from_json(model_to_json(m))
+    m2 = model_from_json(json.loads(model_to_json(m)))
     assert m2.burn_in == 77
     np.testing.assert_array_equal(
         simulate_tvar(m, 50, seed=0).values, simulate_tvar(m2, 50, seed=0).values
@@ -615,24 +623,21 @@ def test_model_json_round_trip_all_curve_types():
         SampledCurve([1.0, 2.0]),
         delta=0.05,
     )
-    text = model_to_json(m)
-    m2 = model_from_json(text)
+    m2 = model_from_json(json.loads(model_to_json(m)))
     assert m2.p == 2 and m2.delta == 0.05
     np.testing.assert_array_equal(
         simulate_tvar(m, 64, seed=2).values, simulate_tvar(m2, 64, seed=2).values
     )
-    # accepts an already-parsed dict too
-    m3 = model_from_json(json.loads(text))
-    assert m3.p == 2
 
 
-def test_model_json_from_file(tmp_path):
-    m = white_noise_model(1.5)
+def test_model_json_needs_a_parsed_object(tmp_path):
+    # the JSON text and a file holding it are refused: callers parse first
+    text = model_to_json(white_noise_model(1.5))
     path = tmp_path / "model.json"
-    path.write_text(model_to_json(m))
-    m2 = model_from_json(str(path))
-    assert m2.p == 0
-    assert m2.sigma2(0.5) == 1.5
+    path.write_text(text)
+    for source in (text, str(path)):
+        with pytest.raises(ValueError, match="^model must be a JSON object, got "):
+            model_from_json(source)
 
 
 @pytest.mark.parametrize(
