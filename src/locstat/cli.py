@@ -2,8 +2,9 @@
 
 Every subcommand writes its outputs into --out (created if missing) together
 with a metadata.json sidecar recording the command, a hash of the config it
-ran with, the seed, and library versions.  Outputs are deterministic in
-(config, seed): reruns reproduce files byte for byte.
+ran with, the seed, and library versions, all through :func:`_write_outputs`.
+Outputs are deterministic in (config, seed): reruns reproduce files byte for
+byte.  JSON outputs are strict: an undefined value is null, never NaN.
 
 Subcommands
 -----------
@@ -137,9 +138,31 @@ def _parse_times(text):
     return sorted(times)
 
 
-def _ensure_out(args):
+def _write_outputs(args, files, config_text, seed, extra=None):
+    """Write a command's result files into --out, then its metadata.json, and
+    print one "wrote <path>" line per result file.
+
+    files maps each file name, in the order to write, to its contents: a
+    dict is written as JSON, a TimeSeries as its CSV and anything else as
+    rows of dicts.  --out is created here, once the command has computed
+    everything.  The metadata names args.command and, for a command that
+    reads --series, the series' basename, so it does not depend on where the
+    series lies.
+    """
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    paths = [os.path.join(args.out, name) for name in files]
+    for path, contents in zip(paths, files.values()):
+        if isinstance(contents, dict):
+            write_json(path, contents)
+        elif isinstance(contents, TimeSeries):
+            contents.to_csv(path)
+        else:
+            write_rows_csv(path, contents)
+    if "series" in args:
+        extra = {**(extra or {}), "series": os.path.basename(args.series)}
+    write_metadata(args.out, args.command, config_text, seed, extra=extra)
+    for path in paths:
+        print(f"wrote {path}")
 
 
 WEIGHT_KEYS = {"constant": ("type", "value"), "ar_inverse": ("type", "scale"), "lag_curves": ("type", "curves")}
@@ -178,11 +201,7 @@ def _cmd_simulate(args):
     model = model_from_json(config, "config") if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
-    out = _ensure_out(args)
-    path = os.path.join(out, "series.csv")
-    x.to_csv(path)
-    write_metadata(out, "simulate", text, seed, extra={"n": args.n, "model": model.describe()})
-    print(f"wrote {path}")
+    _write_outputs(args, {"series.csv": x}, text, seed, extra={"n": args.n, "model": model.describe()})
     print(f"n={args.n} seed={seed} mean={float(np.mean(x.values)):.6g} var={float(np.var(x.values)):.6g}")
     return 0
 
@@ -196,19 +215,14 @@ def _cmd_preperiodogram(args):
     values = PrePeriodogram(x).evaluate_grid(grid, times)
     if times is None:
         times = range(1, x.n + 1)
-    out = _ensure_out(args)
-    path = os.path.join(out, "preperiodogram.csv")
     rows = (
         {"t": t, "lambda": float(lam), "value": float(value)}
         for t, row in zip(times, values)
         for lam, value in zip(grid.nodes, row)
     )
-    write_rows_csv(path, rows, fieldnames=["t", "lambda", "value"])
-    series = os.path.basename(args.series)
-    config_text = f"series={series} grid_size={args.grid_size} times={args.times}"
-    extra = {"series": series, "n": x.n, "grid_size": args.grid_size}
-    write_metadata(out, "preperiodogram", config_text, None, extra=extra)
-    print(f"wrote {path}")
+    config_text = f"series={os.path.basename(args.series)} grid_size={args.grid_size} times={args.times}"
+    extra = {"n": x.n, "grid_size": args.grid_size}
+    _write_outputs(args, {"preperiodogram.csv": rows}, config_text, None, extra=extra)
     print(f"n={x.n} times={len(times)} grid_size={args.grid_size}")
     return 0
 
@@ -240,10 +254,7 @@ def _cmd_likelihood_eval(args):
         "gap": gap,
         "constant_alpha": constant_alpha,
     }
-    out = _ensure_out(args)
-    path = write_json(os.path.join(out, "likelihood.json"), result)
-    write_metadata(out, "likelihood-eval", text, None, extra={"series": os.path.basename(args.series)})
-    print(f"wrote {path}")
+    _write_outputs(args, {"likelihood.json": result}, text, None)
     print(f"whittle={whittle!r} conditional={conditional!r}")
     return 0
 
@@ -276,10 +287,7 @@ def _cmd_fit(args):
         "knots_at_lower": fit.knots_at_lower,
         "knots_at_upper": fit.knots_at_upper,
     }
-    out = _ensure_out(args)
-    path = write_json(os.path.join(out, "fit.json"), result)
-    write_metadata(out, "fit", text, None, extra={"series": os.path.basename(args.series)})
-    print(f"wrote {path}")
+    _write_outputs(args, {"fit.json": result}, text, None)
     print(
         f"alpha_hat={[round(a, 6) for a in result['alpha_hat']]} "
         f"k_n={fit.k_n} iterations={fit.iterations} converged={fit.converged}"
@@ -298,19 +306,13 @@ def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
     spec = RateStudySpec(**_study_kwargs(args, config))
     result = rate_study(spec, threads=args.threads)
-    out = _ensure_out(args)
-    rows_path = os.path.join(out, "rate_rows.csv")
-    write_rows_csv(rows_path, result.rows)
     summary = {
         "slope_spectrum": result.slope_spectrum,
         "slope_variance": result.slope_variance,
         "n_list": list(spec.n_list),
         "replications": spec.replications,
     }
-    summary_path = write_json(os.path.join(out, "rate_summary.json"), summary)
-    write_metadata(out, "rate-study", text, spec.seed)
-    print(f"wrote {rows_path}")
-    print(f"wrote {summary_path}")
+    _write_outputs(args, {"rate_rows.csv": result.rows, "rate_summary.json": summary}, text, spec.seed)
     print(f"slope_spectrum={result.slope_spectrum:.4f} slope_variance={result.slope_variance:.4f}")
     return 0
 
@@ -328,11 +330,7 @@ def _cmd_tail_study(args):
     design = settings.pop("design")
     spec = _tail_spec(design, **settings)
     rows = chi2_tail_study(spec)
-    out = _ensure_out(args)
-    path = os.path.join(out, "tail_rows.csv")
-    write_rows_csv(path, rows)
-    write_metadata(out, "tail-study", text, spec.seed, extra={"design": design, "n": spec.n})
-    print(f"wrote {path}")
+    _write_outputs(args, {"tail_rows.csv": rows}, text, spec.seed, extra={"design": design, "n": spec.n})
     for row in rows:
         print(
             f"eta={row['eta']:g} empirical={row['empirical']:.3e} "
@@ -355,16 +353,12 @@ def _cmd_clt_study(args):
         "center": sample.center,
         "empirical_variance": emp,
         "limit_variance": limit,
-        "ratio": emp / limit if limit > 0 else float("nan"),
+        "ratio": emp / limit if limit > 0 else None,  # null: a zero weight has no limit to compare with
     }
-    out = _ensure_out(args)
-    path = write_json(os.path.join(out, "clt_summary.json"), result)
-    dev_path = os.path.join(out, "clt_deviations.csv")
-    write_rows_csv(dev_path, [{"deviation": float(d)} for d in sample.deviations])
-    write_metadata(out, "clt-study", text, sample.seed, extra={"n": n})
-    print(f"wrote {path}")
-    print(f"wrote {dev_path}")
-    print(f"empirical_variance={emp:.6g} limit_variance={limit:.6g} ratio={result['ratio']:.4f}")
+    files = {"clt_summary.json": result, "clt_deviations.csv": ({"deviation": float(d)} for d in sample.deviations)}
+    _write_outputs(args, files, text, sample.seed, extra={"n": n})
+    ratio = "None" if result["ratio"] is None else f"{result['ratio']:.4f}"
+    print(f"empirical_variance={emp:.6g} limit_variance={limit:.6g} ratio={ratio}")
     return 0
 
 
@@ -373,11 +367,7 @@ def _cmd_prop33(args):
     kwargs = {**PROP33_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
     kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     rows = bias_scaling_study(**kwargs)
-    out = _ensure_out(args)
-    path = os.path.join(out, "bias_rows.csv")
-    write_rows_csv(path, rows)
-    write_metadata(out, "prop33", text, kwargs["seed"], extra={"n_list": [row["n"] for row in rows]})
-    print(f"wrote {path}")
+    _write_outputs(args, {"bias_rows.csv": rows}, text, kwargs["seed"], extra={"n_list": [row["n"] for row in rows]})
     for row in rows:
         print(
             f"n={row['n']} sqrt_n_bias={row['sqrt_n_bias']:.4e} "
@@ -390,11 +380,7 @@ def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
     kwargs = {"seed": EQUIVALENCE_SEED, **_study_kwargs(args, config)}
     rows = likelihood_equivalence_decay(**kwargs)
-    out = _ensure_out(args)
-    path = os.path.join(out, "equivalence_rows.csv")
-    write_rows_csv(path, rows)
-    write_metadata(out, "equivalence", text, kwargs["seed"])
-    print(f"wrote {path}")
+    _write_outputs(args, {"equivalence_rows.csv": rows}, text, kwargs["seed"])
     for row in rows:
         print(f"n={row['n']} median_gap={row['median_gap']:.6e}")
     return 0

@@ -9,6 +9,7 @@ rerunning a study reproduces its files byte for byte.
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -266,19 +267,18 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     return rows
 
 
-def write_rows_csv(path, rows, fieldnames=None):
-    """Write dicts as CSV with full float precision.
-
-    rows is a list, or any iterable of dicts when fieldnames is given.
-    """
-    if not rows:
+def write_rows_csv(path, rows):
+    """Write any iterable of dicts as CSV with full float precision, with
+    the columns of the first dict."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise ValueError("nothing to write")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
+    columns = list(first)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        writer.writerows([_format_cell(row.get(k)) for k in fieldnames] for row in rows)
+        writer.writerow(columns)
+        writer.writerows([_format_cell(row.get(k)) for k in columns] for row in itertools.chain([first], rows))
 
 
 def _format_cell(value):
@@ -329,12 +329,17 @@ def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):
     }
     if extra:
         payload.update(extra)
-    return write_json(os.path.join(out_dir, "metadata.json"), payload)
+    path = os.path.join(out_dir, "metadata.json")
+    write_json(path, payload)
+    return path
 
 
 def write_json(path, payload):
-    """Write payload as JSON, indented, keys sorted, newline-terminated."""
+    """Write payload as strict JSON, indented, keys sorted, newline-terminated.
+
+    Raises ValueError, before the file is opened, on a NaN or infinite float,
+    which JSON cannot hold.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+        fh.write(text + "\n")

@@ -160,10 +160,6 @@ class TimeSeries:
     def n(self):
         return len(self.values)
 
-    def rescaled_times(self):
-        """The design points t/n for t = 1..n."""
-        return np.arange(1, self.n + 1) / self.n
-
     def to_csv(self, path):
         """Write a header 'x', then repr of one value per line, each line
         ending in CRLF (the bytes csv.writer writes for these rows).  The
@@ -213,9 +209,6 @@ class TimeSeries:
             lineno, cell = _series_cells(path, header)[int(np.argmin(finite))]
             raise ValueError(f"{path}, line {lineno}: {cell!r} is not finite")
         return cls(values)
-
-    def __len__(self):
-        return self.n
 
     def __repr__(self):
         return f"TimeSeries(n={self.n}, seed={self.seed!r})"
@@ -340,18 +333,6 @@ def _step_times(start, stop, burn_in, n):
     return u
 
 
-def _simulation_steps(model, n):
-    """The steps the simulator runs: (burn_in, sigma2, alpha).
-
-    The recursion runs model.burn_in + n steps at the times of
-    :func:`_step_times`.  sigma2 holds the innovation variance and alpha the
-    coefficient row of each step, shapes (burn_in + n,) and (burn_in + n, p).
-    """
-    n = as_number(n, "n", int, 1)
-    u = _step_times(0, model.burn_in + n, model.burn_in, n)
-    return model.burn_in, model.sigma2.values(u), model.alpha_matrix(u)
-
-
 def _covariance_band(model, n, max_lag):
     """Exact covariances of the n values :func:`simulate_tvar` returns.
 
@@ -366,10 +347,11 @@ def _covariance_band(model, n, max_lag):
 
     Time O((burn_in + n) L p), memory O((burn_in + n) L).
     """
-    burn_in, s2, a = _simulation_steps(model, n)
-    p = model.p
+    n = as_number(n, "n", int, 1)
+    burn_in, p = model.burn_in, model.p
+    u = _step_times(0, burn_in + n, burn_in, n)  # the simulator's steps
+    a, s2 = model.alpha_matrix(u).tolist(), model.sigma2.values(u).tolist()
     L = max(int(max_lag), p)
-    a, s2 = a.tolist(), s2.tolist()
     C = []  # C[s][k], s counted from the first burn-in step
     for s in range(len(s2)):
         at = a[s]

@@ -662,3 +662,53 @@ def test_config_value_runs_or_exits_with_message(tmp_path, probe_series, command
     except SystemExit as exc:
         assert str(exc.code).startswith(f"{command}: ")
         assert not out.exists()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+# Every subcommand on a small input, with the result files it writes in the
+# order it writes them.
+OUTPUT_RUNS = {
+    "simulate": (["--n", "32", "--seed", "1"], None, ["series.csv"]),
+    "preperiodogram": (["--series", "{series}", "--grid-size", "4", "--times", "1,2"], None, ["preperiodogram.csv"]),
+    "likelihood-eval": (["--series", "{series}"], _MODEL, ["likelihood.json"]),
+    "fit": (["--series", "{series}"], None, ["fit.json"]),
+    "rate-study": ([], PROBE_BASES["rate-study"][0], ["rate_rows.csv", "rate_summary.json"]),
+    "tail-study": ([], PROBE_BASES["tail-study"][0], ["tail_rows.csv"]),
+    "clt-study": ([], PROBE_BASES["clt-study"][0], ["clt_summary.json", "clt_deviations.csv"]),
+    "prop33": ([], PROBE_BASES["prop33"][0], ["bias_rows.csv"]),
+    "equivalence": ([], PROBE_BASES["equivalence"][0], ["equivalence_rows.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_RUNS)
+def test_every_command_writes_through_one_path(tmp_path, probe_series, capsys, command):
+    argv, config, names = OUTPUT_RUNS[command]
+    argv = [arg.format(series=probe_series) for arg in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    run(command, *argv, "--out", str(out))
+    wrote = [line[len("wrote ") :] for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    assert wrote == [str(out / name) for name in names]
+    assert sorted(os.listdir(out)) == sorted([*names, "metadata.json"])
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["command"] == command
+    assert meta.get("series") == ("series.csv" if "--series" in argv else None)
+
+
+def test_clt_study_zero_weight_ratio_is_null(tmp_path, capsys):
+    cfg = tmp_path / "clt.json"
+    cfg.write_text(json.dumps({"phi": {"type": "constant", "value": 0}, "n": 32, "replications": 20}))
+    out = tmp_path / "clt"
+    run("clt-study", "--config", str(cfg), "--out", str(out))
+    summary = json.loads((out / "clt_summary.json").read_text(), parse_constant=_refuse_constant)
+    assert summary["limit_variance"] == 0.0
+    assert summary["ratio"] is None
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" ratio=None")

@@ -16,6 +16,7 @@ from locstat.harness import (
     read_rows_csv,
     study_knots,
     wavy_alpha_model,
+    write_json,
     write_metadata,
     write_rows_csv,
 )
@@ -158,12 +159,16 @@ def test_rows_csv_round_trip_exact(tmp_path):
     write_rows_csv(path, rows)
     back = read_rows_csv(path)
     assert back == rows  # repr round-trips floats exactly
-    with pytest.raises(ValueError):
-        write_rows_csv(tmp_path / "empty.csv", [])
+    for empty in ([], iter([])):
+        with pytest.raises(ValueError, match="nothing to write"):
+            write_rows_csv(tmp_path / "empty.csv", empty)
+    assert not (tmp_path / "empty.csv").exists()
 
 
-def dict_writer_oracle(path, rows, fieldnames):
-    """The csv.DictWriter form the rows CSV was defined by."""
+def dict_writer_oracle(path, rows):
+    """The csv.DictWriter form the rows CSV was defined by: the columns of
+    the first row."""
+    fieldnames = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -171,17 +176,25 @@ def dict_writer_oracle(path, rows, fieldnames):
             writer.writerow({k: harness._format_cell(row.get(k)) for k in fieldnames})
 
 
-@pytest.mark.parametrize("fieldnames", [None, ["label", "n", "missing", "err"]])
-def test_rows_csv_bytes_equal_dict_writer(tmp_path, fieldnames):
+@pytest.mark.parametrize("form", [list, lambda rows: (row for row in rows)], ids=["list", "generator"])
+def test_rows_csv_bytes_equal_dict_writer(tmp_path, form):
     rows = [
         {"n": np.int64(256), "err": np.float64(0.1) + 0.2, "label": "a, b", "flag": True, "none": None},
         {"n": 7, "err": 1.0 / 3.0, "label": 'say "x"', "flag": np.float32(0.1), "none": None},
         {"n": -1, "err": 5e-324, "label": "", "flag": False, "none": "line\nbreak"},
+        {"err": 2.5, "n": 3, "label": "keys reordered, two missing"},
     ]
-    names = fieldnames or list(rows[0])
-    write_rows_csv(tmp_path / "new.csv", iter(rows) if fieldnames else rows, fieldnames)
-    dict_writer_oracle(tmp_path / "old.csv", rows, names)
+    write_rows_csv(tmp_path / "new.csv", form(rows))
+    dict_writer_oracle(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)
+def test_json_refuses_non_finite_floats_without_a_file(tmp_path, value):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(path, {"ok": 1.0, "nested": [value]})
+    assert not path.exists()
 
 
 def test_metadata_is_byte_deterministic(tmp_path):

@@ -611,11 +611,6 @@ def test_from_csv_missing_file(tmp_path):
         TimeSeries.from_csv(tmp_path / "none.csv")
 
 
-def test_rescaled_times():
-    x = TimeSeries(np.zeros(4))
-    np.testing.assert_allclose(x.rescaled_times(), [0.25, 0.5, 0.75, 1.0])
-
-
 def test_model_json_round_trip_all_curve_types():
     m = TvARModel(
         2,
