@@ -3,7 +3,7 @@
 Three views of the same fitting objective:
 
 - whittle_contrast: frequency-domain contrast of a candidate spectrum
-  against the pre-periodogram (exact lag-domain evaluation for AR fields);
+  against the pre-periodogram (exact lag-domain evaluation for AR models);
 - conditional_likelihood: time-domain Gaussian likelihood of the residuals,
   defined for constant AR coefficients;
 - the identity (1/2)(conditional - log 2 pi) = whittle + O(1/n) boundary
@@ -19,7 +19,6 @@ import numpy as np
 from locstat import (
     ConstantCurve,
     SampledCurve,
-    SpectrumField,
     conditional_likelihood,
     divergence_sandwich,
     kl_contrast,
@@ -43,7 +42,7 @@ def main(seed=5):
     print("== candidate ordering under both contrasts ==")
     print(f"{'candidate':14s} {'whittle':>10s} {'(cond-log2pi)/2':>16s}")
     for name, (alpha, sigma2) in candidates.items():
-        g = SpectrumField.from_coefficients(alpha, sigma2)
+        g = TvARModel.from_coefficients(alpha, sigma2)
         ln = whittle_contrast(x, g)
         lt = 0.5 * (conditional_likelihood(x, alpha, sigma2) - np.log(2 * np.pi))
         print(f"{name:14s} {ln:10.4f} {lt:16.4f}")
@@ -55,8 +54,8 @@ def main(seed=5):
         print(f"n={row['n']:5d}  median worst-candidate gap {row['median_gap']:.2e}")
 
     print("\n== divergence sandwich ==")
-    f = SpectrumField.from_coefficients(np.array([0.5]), truth.sigma2)
-    g = SpectrumField.from_coefficients(np.array([0.2]), ConstantCurve(1.3))
+    f = TvARModel.from_coefficients(np.array([0.5]), truth.sigma2)
+    g = TvARModel.from_coefficients(np.array([0.2]), ConstantCurve(1.3))
     report = divergence_sandwich(g, f)
     excess = kl_contrast(g, f) - kl_contrast(f, f)
     print(

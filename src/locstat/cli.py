@@ -37,6 +37,7 @@ from .espec import (
 )
 from .estimator import FitConfig, fit_monotone_tvar
 from .harness import (
+    EQUIVALENCE_SEED,
     RateStudySpec,
     default_rate_model,
     likelihood_equivalence_decay,
@@ -47,7 +48,6 @@ from .harness import (
 )
 from .likelihood import conditional_likelihood, whittle_contrast
 from .process import (
-    SpectrumField,
     TimeSeries,
     TvARModel,
     model_from_json,
@@ -64,7 +64,6 @@ __all__ = ["main", "build_parser"]
 TAIL_DEFAULTS = {"design": "unit", "n": 1024, "replications": 200000, "etas": [0.5 * k for k in range(1, 11)]}
 CLT_DEFAULTS = {"seed": 0, "n": 512, "replications": 2000}
 PROP33_DEFAULTS = {"seed": 0, "n_list": (64, 128, 256, 512), "replications": 400}
-EQUIVALENCE_SEED = 7
 
 
 def _read_config(args, allowed):
@@ -236,8 +235,7 @@ def _cmd_likelihood_eval(args):
         model = _config_model(config)  # accept fit.json output directly
     else:
         model = model_from_json(config, "config")
-    g = SpectrumField.from_model(model)
-    whittle = whittle_contrast(x, g)
+    whittle = whittle_contrast(x, model)
 
     constant_alpha = all(isinstance(c, ConstantCurve) for c in model.alpha)
     conditional = None
@@ -264,12 +262,7 @@ def _cmd_fit(args):
     config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
     cfg = FitConfig(**config)
     fit = fit_monotone_tvar(x, cfg)
-    fitted_model = TvARModel(
-        cfg.p,
-        [ConstantCurve(a) for a in fit.alpha_hat],
-        fit.sigma2_hat,
-        validate=False,
-    )
+    fitted_model = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     result = {
         "n": x.n,
         "alpha_hat": [float(a) for a in fit.alpha_hat],
@@ -345,7 +338,7 @@ def _cmd_clt_study(args):
     phi = kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     sample = spectral_process_sample(**kwargs)
     n = sample.n
-    limit = limit_covariance(phi, phi, SpectrumField.from_model(kwargs["model"]))
+    limit = limit_covariance(phi, phi, kwargs["model"])
     emp = sample.variance()
     result = {
         "n": n,

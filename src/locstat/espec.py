@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import as_number, as_numbers
-from .process import REPLICATION_CHUNK, _covariance_band, ar_autocov, as_field, simulate_tvar_batch
+from .process import REPLICATION_CHUNK, _as_model, _covariance_band, ar_autocov, simulate_tvar_batch
 from .spectral import _lag_functionals, _lag_index, _time_grid, spectral_functional_limit
 
 __all__ = [
@@ -382,11 +382,11 @@ def limit_covariance(phi_j, phi_k, f, u_grid_size=512):
     Parameters
     ----------
     phi_j, phi_k : TestFunction
-    f : SpectrumField or TvARModel
+    f : TvARModel
     u_grid_size : int
         Midpoint rule resolution in rescaled time, >= 1.
     """
-    model = as_field(f).ar_model
+    model = _as_model(f)
     u = _time_grid(u_grid_size)
     Jj, Jk = phi_j.lag_support, phi_k.lag_support
     c_sq = ar_autocov(model, u, Jj + Jk, squared=True)

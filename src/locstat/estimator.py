@@ -402,8 +402,8 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
 def inverse_l2_distance(g, f, u_grid_size=512):
     """L2 distance of the inverse spectra on (0,1] x [-pi, pi].
 
-    sqrt( int int (1/g - 1/f)^2 dlam du ) for two SpectrumFields or
-    TvARModels, the time integral a midpoint rule with u_grid_size cells.
+    sqrt( int int (1/g - 1/f)^2 dlam du ) for two TvARModels, the time
+    integral a midpoint rule with u_grid_size cells.
     The frequency integral is an exact lag sum; it equals the mesh sum on
     any frequency grid with more than 2p nodes.
     """

@@ -29,7 +29,7 @@ from .estimator import (
     inverse_l2_distance,
 )
 from .likelihood import conditional_likelihood, whittle_contrast
-from .process import SpectrumField, TvARModel, simulate_tvar_batch
+from .process import TvARModel, simulate_tvar_batch
 
 __all__ = [
     "default_rate_model",
@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 RATE_U_GRID = 2048  # midpoint cells of the rate study's error integrals
+EQUIVALENCE_SEED = 7  # likelihood_equivalence_decay's default seed, which the CLI records
 
 
 def default_rate_model():
@@ -140,11 +141,11 @@ def _median(values):
     return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
 
 
-def _rate_one(spec, model, truth_field, x):
+def _rate_one(spec, model, x):
     n = len(x)
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
-    fitted_field = SpectrumField.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
-    err_spec = inverse_l2_distance(fitted_field, truth_field, u_grid_size=RATE_U_GRID)
+    fitted = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
+    err_spec = inverse_l2_distance(fitted, model, u_grid_size=RATE_U_GRID)
     err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2, u_grid_size=RATE_U_GRID)
     return {
         "err_spectrum": err_spec,
@@ -185,7 +186,6 @@ def rate_study(spec=None, threads=1):
     """
     spec = spec or RateStudySpec()
     model = spec.resolved_model()
-    truth_field = SpectrumField.from_model(model)
 
     rows = []
     for n in spec.n_list:
@@ -193,7 +193,7 @@ def rate_study(spec=None, threads=1):
         # for every n, so cross-n median comparisons see the systematic trend
         # rather than independent per-n draws
         batch = simulate_tvar_batch(model, n, [replication_seed(spec.seed, r) for r in range(spec.replications)])
-        results = [_rate_one(spec, model, truth_field, x) for x in batch]
+        results = [_rate_one(spec, model, x) for x in batch]
         cfg_k, cfg_eps = spec.fit_config_for(n).resolve(n)
         on_bounds = sum(res["knots_on_bounds"] for res in results)
         rows.append(
@@ -229,7 +229,7 @@ def default_equivalence_candidates():
     ]
 
 
-def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=7):
+def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=EQUIVALENCE_SEED):
     """Gap between the conditional likelihood and the exact Whittle contrast.
 
     For each candidate (alpha, sigma2) of
@@ -249,16 +249,13 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
     candidates = default_equivalence_candidates()
-    fields = [
-        SpectrumField.from_coefficients(alpha, sigma2)
-        for alpha, sigma2 in candidates
-    ]
+    spectra = [TvARModel.from_coefficients(alpha, sigma2) for alpha, sigma2 in candidates]
     rows = []
     for n in n_list:
         gaps = []
         for x in simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)]):
             worst = 0.0
-            for (alpha, sigma2), g in zip(candidates, fields):
+            for (alpha, sigma2), g in zip(candidates, spectra):
                 lt = conditional_likelihood(x, alpha, sigma2)
                 ln = whittle_contrast(x, g)
                 worst = max(worst, abs(0.5 * (lt - math.log(2 * math.pi)) - ln))

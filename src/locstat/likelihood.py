@@ -8,7 +8,7 @@ The central object is the local Whittle contrast
 with J the pre-periodogram: a log integral plus the spectral functional of
 the weight 1/g.  The population contrast (an asymptotic Kullback-Leibler
 functional) replaces J by the true spectrum f.  Every spectrum here is that
-of a time-varying AR model (a SpectrumField or TvARModel), so both parts are
+of a time-varying AR model (a TvARModel), so both parts are
 exact: the log term via the Kolmogorov identity
 int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for stable coefficients, and
 the functional as a finite sum over the lags |m| <= p of 1/g.  Only the
@@ -20,7 +20,7 @@ for the fitting algorithms.
 import numpy as np
 
 from .curves import ConstantCurve, Curve, as_number
-from .process import SpectrumField, as_field, coeff_autocorr, transfer_abs2
+from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2
 from .spectral import FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
@@ -48,13 +48,13 @@ def whittle_contrast(series, g):
     Parameters
     ----------
     series : TimeSeries or array_like
-    g : SpectrumField (or TvARModel, which is wrapped)
+    g : TvARModel
 
     Returns
     -------
     float
     """
-    model = as_field(g).ar_model
+    model = _as_model(g)
     x = _series_values(series)
     n = len(x)
     log_part = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
@@ -84,20 +84,20 @@ def _log_integral(model, u):
 
 
 def _separable(g, f, grid, u):
-    """Factors of two AR fields whose coefficient rows are constant in u.
+    """Factors of two AR spectra whose coefficient rows are constant in u.
 
-    Such a field is sigma^2(u) h(lam) with h = 1 / (2 pi |1 + sum_j alpha_j
+    Such a spectrum is sigma^2(u) h(lam) with h = 1 / (2 pi |1 + sum_j alpha_j
     e^{i lam j}|^2), so every sum and sup over the mesh is a product of sums
     and sups over u and over lam.  Returns ((sigma^2_g, h_g), (sigma^2_f,
-    h_f)) on the times u and the grid nodes, or None when either field has
+    h_f)) on the times u and the grid nodes, or None when either model has
     time-varying coefficients.  Raises unless both variances are positive.
     """
-    rows = [m.alpha_matrix(u) for m in (g.ar_model, f.ar_model)]
+    rows = [m.alpha_matrix(u) for m in (g, f)]
     if any(np.any(a != a[:1]) for a in rows):
         return None
     return [
         (_positive(m.sigma2.values(u)), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
-        for m, a in zip((g.ar_model, f.ar_model), rows)
+        for m, a in zip((g, f), rows)
     ]
 
 
@@ -131,7 +131,7 @@ def _inverse_distance_sq(g, f, u_grid_size):
     more than 2p nodes, because the midpoint grid integrates the degree-2p
     integrand exactly.
     """
-    g, f = as_field(g).ar_model, as_field(f).ar_model
+    g, f = _as_model(g), _as_model(f)
     u = _time_grid(u_grid_size)
     order = max(g.p, f.p)
     d = _inverse_lags(g, u, order) - _inverse_lags(f, u, order)
@@ -148,7 +148,7 @@ def kl_contrast(g, f, u_grid_size=KL_TIME_GRID):
     :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
     against f, so it is exact in lam.
     """
-    g, f = as_field(g).ar_model, as_field(f).ar_model
+    g, f = _as_model(g), _as_model(f)
     u = _time_grid(u_grid_size)
     log_part = np.mean(_log_integral(g, u))
     _positive(f.sigma2.values(u))
@@ -181,18 +181,18 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     larger of the two spectrum sups, both taken on the same mesh.  The chain
     holds pointwise on the mesh, so the inequalities are exact up to rounding.
 
-    Two fields whose coefficients are constant in u take the exact path:
+    Two models whose coefficients are constant in u take the exact path:
     rho^2 as a lag sum (equal to the mesh sum whenever grid has more than 2p
     nodes), the divergence from separate sums over u and lam, and M* and
     Omega as products of the maxima of the positive time and frequency
-    factors, which are the mesh sups.  Fields with time-varying coefficients
+    factors, which are the mesh sups.  Models with time-varying coefficients
     are evaluated on the mesh.
 
     Returns
     -------
     dict with keys divergence, rho_sq, lower, upper, m_star, omega.
     """
-    g, f = as_field(g), as_field(f)
+    g, f = _as_model(g), _as_model(f)
     grid = FrequencyGrid() if grid is None else grid
     u = _time_grid(u_grid_size)
     factors = _separable(g, f, grid, u)
@@ -202,7 +202,7 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
         m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
         omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
     else:
-        gv, fv = (_positive(h.values(u[:, None], grid.nodes[None, :])) for h in (g, f))
+        gv, fv = (_positive(spectral_density(h, u[:, None], grid.nodes[None, :])) for h in (g, f))
         cell = grid.weight / len(u)
         divergence = float(_phi_sum(fv / gv) * cell / (4 * np.pi))
         rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
@@ -268,7 +268,7 @@ def log_riemann_remainder(g, n, u_grid_size=KL_TIME_GRID):
     du }.  It vanishes whenever g does not vary in time and decays like the
     variation of g over a 1/n mesh otherwise.
     """
-    model = as_field(g).ar_model
+    model = _as_model(g)
     n = as_number(n, "n", int, 1)
     design = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
     integral = np.mean(_log_integral(model, _time_grid(u_grid_size)))

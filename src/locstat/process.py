@@ -17,10 +17,9 @@ density at rescaled time u is
 
 This module is the one place that evaluates such spectra: the transfer
 polynomial, the coefficient autocorrelation that turns frequency integrals
-against 1/f into finite lag sums, the Yule-Walker autocovariances that do the
-same for integrals against f, and the SpectrumField wrapper every population
-functional and contrast accepts.  Every spectrum the package integrates is
-such a model's, so each of those integrals is a finite lag sum or the
+against 1/f into finite lag sums and the Yule-Walker autocovariances that do
+the same for integrals against f.  Every spectrum the package integrates is
+a TvARModel's, so each of those integrals is a finite lag sum or the
 Kolmogorov identity rather than a frequency mesh.
 """
 
@@ -35,7 +34,6 @@ __all__ = [
     "TimeSeries",
     "TvARModel",
     "SpectrumField",
-    "as_field",
     "check_stability",
     "simulate_tvar",
     "simulate_tvar_batch",
@@ -278,6 +276,15 @@ class TvARModel:
         if self.p == 0:
             return np.zeros(u.shape + (0,))
         return np.stack([c.values(u) for c in self.alpha], axis=-1)
+
+    @classmethod
+    def from_coefficients(cls, alpha, sigma2, validate=True):
+        """Model with constant coefficients alpha and variance sigma2, a Curve
+        or a positive number."""
+        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+        if not isinstance(sigma2, Curve):
+            sigma2 = ConstantCurve(sigma2)
+        return cls(len(alpha), [ConstantCurve(a) for a in alpha], sigma2, validate=validate)
 
     def describe(self):
         return {
@@ -624,50 +631,22 @@ def spectral_density(model, u, lam):
     return s2 / (2 * np.pi) / w
 
 
+def _as_model(g):
+    """g itself, a TvARModel: the one spectrum type that every population
+    functional and contrast takes, so each is exact in the model's
+    coefficients.  Raises ValueError for anything else."""
+    if not isinstance(g, TvARModel):
+        raise ValueError(f"expected a TvARModel, got {g!r}")
+    return g
+
+
 class SpectrumField:
-    """Strictly positive spectrum g(u, lam) of a TvARModel.
+    """Two constructors of a spectrum, each returning a TvARModel:
+    from_model checks that its argument is one and from_coefficients builds
+    one with constant coefficients."""
 
-    Every population functional and contrast takes its candidate spectra in
-    this form, so each of them is exact in the model's coefficients.
-    """
-
-    def __init__(self, model):
-        if not isinstance(model, TvARModel):
-            raise ValueError(f"SpectrumField needs a TvARModel, got {model!r}")
-        self.ar_model = model
-
-    @classmethod
-    def from_model(cls, model):
-        return cls(model)
-
-    @classmethod
-    def from_coefficients(cls, alpha, sigma2, validate=True):
-        """AR-backed field from a constant coefficient vector and a variance curve."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if not isinstance(sigma2, Curve):
-            sigma2 = ConstantCurve(sigma2)
-        model = TvARModel(
-            len(alpha),
-            [ConstantCurve(a) for a in alpha],
-            sigma2,
-            validate=validate,
-        )
-        return cls(model)
-
-    def values(self, u, lam):
-        return spectral_density(self.ar_model, u, lam)
-
-    def __repr__(self):
-        return f"SpectrumField({self.ar_model!r})"
-
-
-def as_field(g):
-    """The SpectrumField of a SpectrumField or TvARModel g."""
-    if isinstance(g, SpectrumField):
-        return g
-    if isinstance(g, TvARModel):
-        return SpectrumField.from_model(g)
-    raise ValueError(f"expected a SpectrumField or TvARModel, got {g!r}")
+    from_model = staticmethod(_as_model)
+    from_coefficients = staticmethod(TvARModel.from_coefficients)
 
 
 def tv_covariance(model, u, k):

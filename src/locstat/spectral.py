@@ -22,7 +22,7 @@ and norm bounds in this module are stated for that convention.
 import numpy as np
 
 from .curves import ConstantCurve, Curve, as_number
-from .process import ar_autocov, as_field, coeff_autocorr, spectral_density
+from .process import _as_model, ar_autocov, coeff_autocorr
 
 __all__ = [
     "FrequencyGrid",
@@ -232,12 +232,10 @@ def periodogram(series, lam):
 
 
 class TestFunction:
-    """Weight function phi(u, lam) with known lag coefficients.
+    """Weight function phi(u, lam), given by its lag coefficients.
 
     Parameters
     ----------
-    values_fn : callable
-        values_fn(u, lam) -> phi(u, lam), broadcasting its arguments.
     lag_fn : callable
         lag_fn(u, j) -> int phi(u, lam) e^{i lam j} dlam for integer j,
         vectorized over the array u.
@@ -248,13 +246,19 @@ class TestFunction:
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, values_fn, lag_fn, lag_support):
-        self._values_fn = values_fn
+    def __init__(self, lag_fn, lag_support):
         self._lag_fn = lag_fn
         self.lag_support = as_number(lag_support, "lag support", int, 0)
 
     def values(self, u, lam):
-        return np.asarray(self._values_fn(np.asarray(u, dtype=float), np.asarray(lam, dtype=float)), dtype=float)
+        """phi(u, lam) = (1/2 pi) sum_{|j|<=J} c_phi(u, j) cos(j lam), u and
+        lam broadcast; the real weight that the lag coefficients fix."""
+        u = np.asarray(u, dtype=float)
+        lam = np.asarray(lam, dtype=float)
+        out = np.zeros(np.broadcast_shapes(u.shape, lam.shape))
+        for j in range(-self.lag_support, self.lag_support + 1):
+            out += self.lag(u, j) * np.cos(j * lam)
+        return out / (2 * np.pi)
 
     def lag(self, u, j):
         """Lag coefficient c_phi(u, j), unnormalized convention."""
@@ -271,14 +275,10 @@ def constant_weight(value=1.0):
     """phi(u, lam) = value; single lag coefficient 2 pi value at j = 0."""
     value = as_number(value, "weight value", float)
 
-    def values_fn(u, lam):
-        ub, lb = np.broadcast_arrays(u, lam)
-        return np.full(ub.shape, value)
-
     def lag_fn(u, j):
         return np.full(np.shape(u), 2 * np.pi * value if j == 0 else 0.0)
 
-    return TestFunction(values_fn, lag_fn, lag_support=0)
+    return TestFunction(lag_fn, lag_support=0)
 
 
 def lag_curve_weight(curves):
@@ -289,7 +289,7 @@ def lag_curve_weight(curves):
     curves : dict
         Maps nonnegative lag j to a Curve (or constant) giving the lag
         coefficient c_phi(u, j); negative lags mirror the positive ones.
-        The field is phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j},
+        The weight is phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j},
         real and even in lam.
     """
     table = {}
@@ -300,22 +300,13 @@ def lag_curve_weight(curves):
         raise ValueError("need at least one lag coefficient curve")
     support = max(table)
 
-    def values_fn(u, lam):
-        ub, lb = np.broadcast_arrays(np.asarray(u, float), np.asarray(lam, float))
-        out = np.zeros(ub.shape)
-        for j, c in table.items():
-            vals = c.values(ub)
-            term = vals * np.cos(lb * j)
-            out = out + (term if j == 0 else 2 * term)
-        return out / (2 * np.pi)
-
     def lag_fn(u, j):
         c = table.get(abs(int(j)))
         if c is None:
             return np.zeros(np.shape(u))
         return c.values(np.asarray(u, float))
 
-    return TestFunction(values_fn, lag_fn, lag_support=support)
+    return TestFunction(lag_fn, lag_support=support)
 
 
 def ar_inverse_weight(model, scale=1.0):
@@ -328,14 +319,11 @@ def ar_inverse_weight(model, scale=1.0):
     """
     scale = as_number(scale, "weight scale", float)
 
-    def values_fn(u, lam):
-        return scale / spectral_density(model, u, lam)
-
     def lag_fn(u, j):
         # TestFunction.lag passes u as an array and only the lags |j| <= p
         return scale * (4 * np.pi ** 2) * coeff_autocorr(model, u, j) / model.sigma2.values(u)
 
-    return TestFunction(values_fn, lag_fn, lag_support=model.p)
+    return TestFunction(lag_fn, lag_support=model.p)
 
 
 def quadratic_form_matrix(phi, n):
@@ -437,11 +425,11 @@ def spectral_functional_limit(phi, f, u_grid_size=512):
     Parameters
     ----------
     phi : TestFunction
-    f : SpectrumField or TvARModel
+    f : TvARModel
     u_grid_size : int
         Midpoint rule resolution in rescaled time, >= 1.
     """
-    model = as_field(f).ar_model
+    model = _as_model(f)
     u = _time_grid(u_grid_size)
     J = phi.lag_support
     cov = ar_autocov(model, u, J)

@@ -1,7 +1,7 @@
 """Frequency-mesh oracles for the exact spectral paths of locstat.
 
-Each function evaluates the spectra of its SpectrumFields or TvARModels
-through ``process.spectral_density`` on the mesh of a midpoint u-grid of
+Each function evaluates the spectra of its TvARModels through
+``process.spectral_density`` on the mesh of a midpoint u-grid of
 ``cells`` cells times the nodes of a FrequencyGrid, and sums the integrand
 there.  This is the slow path that every exact path of the library (lag
 sums, the Kolmogorov identity, the separable sandwich) must reproduce to
@@ -21,7 +21,7 @@ def midpoints(cells):
 
 def density(g, u, grid):
     """The spectrum of g on the mesh u x grid.nodes, checked positive."""
-    values = process.spectral_density(process.as_field(g).ar_model, u[:, None], grid.nodes[None, :])
+    values = process.spectral_density(g, u[:, None], grid.nodes[None, :])
     if not (np.min(values) > 0 and np.max(values) < np.inf):
         raise ValueError("spectra must be strictly positive on the mesh")
     return values

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -275,6 +276,18 @@ def test_equivalence_passes_model_through(tmp_path):
     assert [r["median_gap"] for r in rows] == [r["median_gap"] for r in expected]
     default = likelihood_equivalence_decay(n_list=(64, 128), replications=2, seed=3)
     assert expected != default
+
+
+def test_equivalence_without_seed_runs_and_records_the_library_default(tmp_path):
+    cfg = tmp_path / "eq.json"
+    cfg.write_text(json.dumps({"n_list": [64, 128], "replications": 2}))
+    out = tmp_path / "eq"
+    run("equivalence", "--config", str(cfg), "--out", str(out))
+    rows = read_rows_csv(out / "equivalence_rows.csv")
+    expected = likelihood_equivalence_decay(n_list=(64, 128), replications=2)
+    assert [r["median_gap"] for r in rows] == [r["median_gap"] for r in expected]
+    default_seed = inspect.signature(likelihood_equivalence_decay).parameters["seed"].default
+    assert json.loads((out / "metadata.json").read_text())["seed"] == default_seed
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

@@ -331,7 +331,7 @@ def test_spectral_process_sample_validation():
             spectral_process_sample(model, phi, n, replications, seed)
     # a weight without lag support cannot be built, so no sample can take one
     with pytest.raises(ValueError, match="lag support"):
-        TestFunction(lambda u, lam: np.ones(np.broadcast(u, lam).shape), None, None)
+        TestFunction(None, None)
 
 
 def test_expected_functional_trace_white_noise_is_one():

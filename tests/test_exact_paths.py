@@ -4,6 +4,8 @@ The midpoint-mesh sums of the ``_mesh`` test helper stay as the oracle: every
 exact path must agree with them to rounding.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import bias_scaling_study, limit_covariance, spectral_process_sample
 from locstat.estimator import curve_inverse_l2_distance, inverse_l2_distance
 from locstat.likelihood import (
-    SpectrumField,
     divergence_sandwich,
     kl_contrast,
     kl_divergence,
@@ -41,7 +42,7 @@ CASES = {
         2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0])
     ),
 }
-OTHER = SpectrumField.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
+OTHER = TvARModel.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
 
 PAIR_CONSUMERS = {
     "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, u_grid_size=CELLS),
@@ -120,11 +121,19 @@ def test_limit_covariance_matches_mesh_oracle(case):
             assert fast == pytest.approx(oracle, **TOL)
 
 
+def patch_density(monkeypatch, replacement):
+    # in every locstat module that holds spectral_density, so that a mesh
+    # evaluation is seen whichever module makes it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("locstat") and getattr(module, "spectral_density", None) is spectral_density:
+            monkeypatch.setattr(module, "spectral_density", replacement)
+
+
 def forbid_density(monkeypatch):
     def forbidden(*args):
         raise AssertionError("density evaluated on the mesh")
 
-    monkeypatch.setattr(process, "spectral_density", forbidden)
+    patch_density(monkeypatch, forbidden)
 
 
 def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
@@ -165,8 +174,7 @@ def test_whittle_lag_path_matches_quadrature_oracle(case):
 
 def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):
     calls = []
-    density = process.spectral_density
-    monkeypatch.setattr(process, "spectral_density", lambda *a: calls.append(1) or density(*a))
+    patch_density(monkeypatch, lambda *a: calls.append(1) or spectral_density(*a))
     divergence_sandwich(CASES["time_varying_ar2"](), OTHER, grid=GRID, u_grid_size=CELLS)
     assert calls
 
@@ -193,10 +201,10 @@ def test_log_riemann_remainder_matches_mesh_oracle(case):
 def _spectrum_consumers(spectrum):
     # every library call that takes a spectrum, fed spectrum in each spectrum
     # position in turn
-    x = simulate_tvar(OTHER.ar_model, 32, seed=1)
+    x = simulate_tvar(OTHER, 32, seed=1)
     phi = constant_weight(1.0)
     calls = {
-        "as_field": lambda: process.as_field(spectrum),
+        "_as_model": lambda: process._as_model(spectrum),
         "whittle_contrast": lambda: whittle_contrast(x, spectrum),
         "log_riemann_remainder": lambda: log_riemann_remainder(spectrum, 16),
         "spectral_functional_limit": lambda: spectral_functional_limit(phi, spectrum),
@@ -210,8 +218,8 @@ def _spectrum_consumers(spectrum):
 
 @pytest.mark.parametrize("consumer", sorted(_spectrum_consumers(None)))
 def test_callable_spectra_are_refused(consumer):
-    callable_spectrum = lambda u, lam: spectral_density(OTHER.ar_model, u, lam)  # noqa: E731
-    with pytest.raises(ValueError, match="SpectrumField or TvARModel"):
+    callable_spectrum = lambda u, lam: spectral_density(OTHER, u, lam)  # noqa: E731
+    with pytest.raises(ValueError, match="expected a TvARModel"):
         _spectrum_consumers(callable_spectrum)[consumer]()
 
 

@@ -15,7 +15,7 @@ from locstat.likelihood import (
     log_riemann_remainder,
     whittle_contrast,
 )
-from locstat.process import TvARModel, simulate_tvar, white_noise_model
+from locstat.process import TvARModel, _as_model, simulate_tvar, spectral_density, white_noise_model
 from locstat.spectral import FrequencyGrid, periodogram
 
 
@@ -32,10 +32,11 @@ def step_model():
 def test_spectrum_field_from_model_matches_density():
     m = step_model()
     g = SpectrumField.from_model(m)
+    assert g is m
     lam = np.linspace(-np.pi, np.pi, 7)
     u = np.full(7, 0.25)
     expected = 1.0 / (2 * np.pi) / (1.25 + np.cos(lam))
-    np.testing.assert_allclose(g.values(u, lam), expected, rtol=1e-13)
+    np.testing.assert_allclose(spectral_density(g, u, lam), expected, rtol=1e-13)
 
 
 def test_spectrum_field_from_coefficients_validates():
@@ -43,6 +44,20 @@ def test_spectrum_field_from_coefficients_validates():
     with pytest.raises(ValueError):
         SpectrumField.from_coefficients(np.array([1.1]), 1.0)
     SpectrumField.from_coefficients(np.array([1.1]), 1.0, validate=False)
+
+
+@pytest.mark.parametrize("alpha, sigma2", [([0.5], 1.7), ([0.3, -0.1], SampledCurve([0.8, 1.4])), ([], 2.0)])
+def test_spectrum_field_from_coefficients_is_the_model_constructor(alpha, sigma2):
+    g = SpectrumField.from_coefficients(alpha, sigma2)
+    assert type(g) is TvARModel
+    assert g.describe() == TvARModel.from_coefficients(alpha, sigma2).describe()
+
+
+@pytest.mark.parametrize("spectrum", [1.0, "ar1", lambda u, lam: np.ones(np.broadcast(u, lam).shape)])
+@pytest.mark.parametrize("construct", [SpectrumField.from_model, _as_model])
+def test_only_a_model_is_a_spectrum(construct, spectrum):
+    with pytest.raises(ValueError, match="expected a TvARModel"):
+        construct(spectrum)
 
 
 def test_whittle_exact_path_matches_quadrature():
@@ -66,7 +81,7 @@ def test_whittle_stationary_candidate_is_classical_whittle():
     g = SpectrumField.from_coefficients(np.array([0.3]), 1.2)
     grid = FrequencyGrid(4096)
     per = periodogram(x, grid)
-    gv = g.values(np.full(grid.size, 0.5), grid.nodes)
+    gv = spectral_density(g, np.full(grid.size, 0.5), grid.nodes)
     classical = np.sum((np.log(gv) + per / gv) * grid.weight) / (4 * np.pi)
     assert whittle_contrast(x, g) == pytest.approx(classical, abs=1e-12)
 

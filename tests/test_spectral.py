@@ -223,7 +223,15 @@ def test_weight_lag_support_is_required(support):
     # every functional of a weight is a finite lag sum, so a weight without
     # a lag support of at least 0 cannot be built
     with pytest.raises(ValueError, match="lag support"):
-        TestFunction(lambda u, lam: np.cos(lam), lambda u, j: np.full(np.shape(u), np.pi * (abs(j) == 1)), support)
+        TestFunction(lambda u, j: np.full(np.shape(u), np.pi * (abs(j) == 1)), support)
+
+
+def test_weight_values_are_its_lag_sum():
+    # a weight is given by its lags alone: c(u, +-1) = pi is phi = cos lam
+    phi = TestFunction(lambda u, j: np.pi * (abs(j) == 1), 1)
+    lam = np.linspace(-np.pi, np.pi, 33)
+    np.testing.assert_allclose(phi.values(0.4, lam), np.cos(lam), rtol=0, atol=1e-15)
+    assert phi.values(np.full((3, 1), 0.4), lam[None, :]).shape == (3, 33)
 
 
 def test_constant_weight_lags():
