@@ -70,6 +70,7 @@ from .likelihood import (
     divergence_sandwich,
     kl_contrast,
     kl_divergence,
+    likelihood_gap,
     log_riemann_remainder,
     whittle_contrast,
 )
@@ -81,7 +82,6 @@ from .process import (
     ar_autocov,
     check_stability,
     model_from_json,
-    model_to_json,
     simulate_tvar,
     spectral_density,
     transfer_abs2,
@@ -126,7 +126,6 @@ __all__ = [
     "transfer_abs2",
     "tv_covariance",
     "ar_autocov",
-    "model_to_json",
     "model_from_json",
     "white_noise_model",
     "DEFAULT_BURN_IN",
@@ -150,6 +149,7 @@ __all__ = [
     "kl_divergence",
     "divergence_sandwich",
     "conditional_likelihood",
+    "likelihood_gap",
     "log_riemann_remainder",
     "ar_log_spectrum_integral",
     # isotonic

@@ -21,7 +21,6 @@ prop33          sqrt(n)-scaled bias of a spectral mean across sample sizes
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -46,7 +45,7 @@ from .harness import (
     write_metadata,
     write_rows_csv,
 )
-from .likelihood import conditional_likelihood, whittle_contrast
+from .likelihood import likelihood_gap
 from .process import (
     TimeSeries,
     TvARModel,
@@ -235,25 +234,10 @@ def _cmd_likelihood_eval(args):
         model = _config_model(config)  # accept fit.json output directly
     else:
         model = model_from_json(config, "config")
-    whittle = whittle_contrast(x, model)
-
     constant_alpha = all(isinstance(c, ConstantCurve) for c in model.alpha)
-    conditional = None
-    gap = None
-    if constant_alpha:
-        alpha = np.array([c.value for c in model.alpha])
-        conditional = conditional_likelihood(x, alpha, model.sigma2)
-        gap = abs(0.5 * (conditional - math.log(2 * math.pi)) - whittle)
-
-    result = {
-        "n": x.n,
-        "whittle": whittle,
-        "conditional": conditional,
-        "gap": gap,
-        "constant_alpha": constant_alpha,
-    }
+    result = {"n": x.n, **likelihood_gap(x, model), "constant_alpha": constant_alpha}
     _write_outputs(args, {"likelihood.json": result}, text, None)
-    print(f"whittle={whittle!r} conditional={conditional!r}")
+    print(f"whittle={result['whittle']!r} conditional={result['conditional']!r}")
     return 0
 
 

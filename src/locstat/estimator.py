@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import Curve, FourierCurve, MonotoneStepCurve, as_number
 from .isotonic import sieve_pava
-from .likelihood import _inverse_distance_sq, conditional_likelihood
+from .likelihood import _conditional, _inverse_distance_sq, _residuals
 from .process import STABILITY_GRID, check_stability
 from .spectral import _series_values, _time_grid
 
@@ -219,18 +219,14 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
         raise ValueError(f"need more than p={p} observations")
     k_n, eps = config.resolve(n)
 
-    def residuals(alpha):
-        r = x[p:].copy()
-        for j in range(1, p + 1):
-            r += alpha[j - 1] * x[p - j : n - j]
-        return r
-
+    u = np.arange(p + 1, n + 1) / n
     alpha = np.zeros(p)
     if sigma2_init is None:
-        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps)
+        sigma = sieve_pava(_residuals(x, alpha) ** 2, n, p, k_n, eps)
     else:
         sigma = sigma2_init
-    current = conditional_likelihood(x, alpha, sigma)
+    s2 = sigma.values(u)
+    current = _conditional(x, alpha, s2)
 
     result = FitResult(
         alpha_hat=alpha,
@@ -243,9 +239,10 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
     for it in range(1, config.max_iter + 1):
         if p:
             alpha = wls_ar(x, sigma, p)
-        after_wls = conditional_likelihood(x, alpha, sigma)
-        sigma = sieve_pava(residuals(alpha) ** 2, n, p, k_n, eps)
-        after_pava = conditional_likelihood(x, alpha, sigma)
+        after_wls = _conditional(x, alpha, s2)
+        sigma = sieve_pava(_residuals(x, alpha) ** 2, n, p, k_n, eps)
+        s2 = sigma.values(u)
+        after_pava = _conditional(x, alpha, s2)
         result.wls_trace.append(after_wls)
         result.objective_trace.append(after_pava)
         result.iterations = it

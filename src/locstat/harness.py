@@ -11,7 +11,6 @@ import csv
 import hashlib
 import itertools
 import json
-import math
 import os
 import platform
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .estimator import (
     fit_monotone_tvar,
     inverse_l2_distance,
 )
-from .likelihood import conditional_likelihood, whittle_contrast
+from .likelihood import likelihood_gap
 from .process import TvARModel, simulate_tvar_batch
 
 __all__ = [
@@ -119,7 +118,6 @@ class RateStudyResult:
     rows: list = field(default_factory=list)
     slope_spectrum: float = float("nan")
     slope_variance: float = float("nan")
-    spec: RateStudySpec | None = None
 
 
 def log_log_slope(ns, values):
@@ -211,7 +209,7 @@ def rate_study(spec=None, threads=1):
             }
         )
 
-    result = RateStudyResult(rows=rows, spec=spec)
+    result = RateStudyResult(rows=rows)
     ns = [row["n"] for row in rows]
     result.slope_spectrum = log_log_slope(ns, [row["median_err_spectrum"] for row in rows])
     result.slope_variance = log_log_slope(ns, [row["median_err_variance"] for row in rows])
@@ -219,24 +217,22 @@ def rate_study(spec=None, threads=1):
 
 
 def default_equivalence_candidates():
-    """Stable candidate (alpha, sigma2 curve) pairs, including the default
+    """Stable constant-coefficient candidate models, including the default
     rate model's truth, for the likelihood-equivalence study."""
     return [
-        (np.array([0.5]), SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0])),
-        (np.array([0.3]), ConstantCurve(1.0)),
-        (np.array([0.7]), SampledCurve([0.8, 1.2, 1.5, 2.5])),
-        (np.array([-0.4]), ConstantCurve(1.6)),
+        TvARModel.from_coefficients([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0])),
+        TvARModel.from_coefficients([0.3], 1.0),
+        TvARModel.from_coefficients([0.7], SampledCurve([0.8, 1.2, 1.5, 2.5])),
+        TvARModel.from_coefficients([-0.4], 1.6),
     ]
 
 
 def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=EQUIVALENCE_SEED):
     """Gap between the conditional likelihood and the exact Whittle contrast.
 
-    For each candidate (alpha, sigma2) of
-    :func:`default_equivalence_candidates` evaluates
-    d = | (1/2)(conditional - log 2 pi) - whittle | on simulated series and
+    For each candidate of :func:`default_equivalence_candidates` evaluates
+    the :func:`~locstat.likelihood.likelihood_gap` on simulated series and
     reports, per n, the median over replications of the worst candidate gap.
-    The gap comes from boundary terms only, so it decays at rate 1/n.
     Replication r shares its innovation stream across all n (common random
     numbers), as in the rate study.
 
@@ -249,17 +245,10 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
     candidates = default_equivalence_candidates()
-    spectra = [TvARModel.from_coefficients(alpha, sigma2) for alpha, sigma2 in candidates]
     rows = []
     for n in n_list:
-        gaps = []
-        for x in simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)]):
-            worst = 0.0
-            for (alpha, sigma2), g in zip(candidates, spectra):
-                lt = conditional_likelihood(x, alpha, sigma2)
-                ln = whittle_contrast(x, g)
-                worst = max(worst, abs(0.5 * (lt - math.log(2 * math.pi)) - ln))
-            gaps.append(worst)
+        batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
+        gaps = [max(likelihood_gap(x, g)["gap"] for g in candidates) for x in batch]
         rows.append({"n": n, "median_gap": _median(gaps)})
     return rows
 

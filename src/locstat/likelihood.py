@@ -17,9 +17,11 @@ mesh.  A conditional Gaussian likelihood on the same model class is provided
 for the fitting algorithms.
 """
 
+import math
+
 import numpy as np
 
-from .curves import ConstantCurve, Curve, as_number
+from .curves import as_number
 from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2
 from .spectral import FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
@@ -31,6 +33,7 @@ __all__ = [
     "kl_divergence",
     "divergence_sandwich",
     "conditional_likelihood",
+    "likelihood_gap",
     "log_riemann_remainder",
     "ar_log_spectrum_integral",
 ]
@@ -218,43 +221,67 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     }
 
 
-def conditional_likelihood(series, alpha, sigma2):
-    """Conditional Gaussian likelihood of a constant-coefficient candidate.
+def _residuals(x, a):
+    """e_t = x_t + sum_j a_j x_{t-j} for t = p+1..n, with a the constant row
+    of p coefficients or one row per t, shape (n - p, p)."""
+    p = a.shape[-1]
+    n = len(x)
+    resid = x[p:].copy()
+    for j in range(1, p + 1):
+        resid += a[..., j - 1] * x[p - j : n - j]
+    return resid
 
-    (1/n) sum_{t=p+1}^n { log sigma^2(t/n) + e_t(alpha)^2 / sigma^2(t/n) }
-    with residuals e_t = x_t + sum_j alpha_j x_{t-j}.  Note the 1/n
+
+def _conditional(x, a, s2):
+    """(1/n) sum_t { log s2_t + e_t^2 / s2_t } over t = p+1..n, with the
+    residuals of :func:`_residuals` and s2 the variances at those t."""
+    if np.min(s2) <= 0:
+        raise ValueError("sigma2 must be strictly positive at the design points")
+    return float(np.sum(np.log(s2) + _residuals(x, a) ** 2 / s2) / len(x))
+
+
+def conditional_likelihood(series, g):
+    """Conditional Gaussian likelihood of a candidate model.
+
+    (1/n) sum_{t=p+1}^n { log sigma^2(t/n) + e_t^2 / sigma^2(t/n) } with
+    residuals e_t = x_t + sum_j alpha_j(t/n) x_{t-j}.  Note the 1/n
     normalization even though the sum has n - p terms.
 
     Parameters
     ----------
     series : TimeSeries or array_like
-    alpha : sequence of float
-        Constant AR coefficients; empty for order 0.
-    sigma2 : Curve or positive float
-        Innovation variance curve.
+    g : TvARModel
 
     Returns
     -------
     float
     """
+    model = _as_model(g)
     x = _series_values(series)
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if alpha.size and not np.all(np.isfinite(alpha)):
-        raise ValueError("coefficients must be finite")
-    p = len(alpha)
     n = len(x)
-    if n <= p:
-        raise ValueError(f"need more than p={p} observations")
-    if not isinstance(sigma2, Curve):
-        sigma2 = ConstantCurve(sigma2)
-    resid = x[p:].copy()
-    for j in range(1, p + 1):
-        resid += alpha[j - 1] * x[p - j : n - j]
-    u = np.arange(p + 1, n + 1) / n
-    s2 = sigma2.values(u)
-    if np.min(s2) <= 0:
-        raise ValueError("sigma2 must be strictly positive at the design points")
-    return float(np.sum(np.log(s2) + resid ** 2 / s2) / n)
+    if n <= model.p:
+        raise ValueError(f"need more than p={model.p} observations")
+    u = np.arange(model.p + 1, n + 1) / n
+    return _conditional(x, model.alpha_matrix(u), model.sigma2.values(u))
+
+
+def likelihood_gap(series, g):
+    """Both contrasts of a candidate model and the gap between them.
+
+    The gap | (1/2)(conditional - log 2 pi) - whittle | comes from boundary
+    terms only, so it decays at rate 1/n.
+
+    Returns
+    -------
+    dict with keys whittle, conditional, gap.
+    """
+    whittle = whittle_contrast(series, g)
+    conditional = conditional_likelihood(series, g)
+    return {
+        "whittle": whittle,
+        "conditional": conditional,
+        "gap": abs(0.5 * (conditional - math.log(2 * math.pi)) - whittle),
+    }
 
 
 def log_riemann_remainder(g, n, u_grid_size=KL_TIME_GRID):

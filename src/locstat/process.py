@@ -23,7 +23,6 @@ a TvARModel's, so each of those integrals is a finite lag sum or the
 Kolmogorov identity rather than a frequency mesh.
 """
 
-import json
 import warnings
 
 import numpy as np
@@ -43,7 +42,6 @@ __all__ = [
     "spectral_density",
     "tv_covariance",
     "white_noise_model",
-    "model_to_json",
     "model_from_json",
 ]
 
@@ -668,11 +666,6 @@ def tv_covariance(model, u, k):
     """
     k = abs(int(k))
     return float(ar_autocov(model, np.array([float(u)]), k)[0, k])
-
-
-def model_to_json(model):
-    """The JSON text of :meth:`TvARModel.describe`, keys sorted."""
-    return json.dumps(model.describe(), indent=2, sort_keys=True)
 
 
 def model_from_json(payload, what="model"):

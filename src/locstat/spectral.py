@@ -22,7 +22,7 @@ and norm bounds in this module are stated for that convention.
 import numpy as np
 
 from .curves import ConstantCurve, Curve, as_number
-from .process import _as_model, ar_autocov, coeff_autocorr
+from .process import TimeSeries, _as_model, ar_autocov, coeff_autocorr
 
 __all__ = [
     "FrequencyGrid",
@@ -81,13 +81,8 @@ def _time_grid(size):
 
 
 def _series_values(series):
-    values = getattr(series, "values", series)
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("need a nonempty 1-d series")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("series values must be finite")
-    return x
+    # a TimeSeries or array_like, checked by the one series validator
+    return TimeSeries(getattr(series, "values", series)).values
 
 
 def _lag_index(n, k):

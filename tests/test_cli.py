@@ -9,9 +9,9 @@ import pytest
 
 import locstat
 from locstat.cli import build_parser, main
-from locstat.curves import ConstantCurve
+from locstat.curves import ConstantCurve, FourierCurve
 from locstat.harness import likelihood_equivalence_decay, read_rows_csv
-from locstat.process import TimeSeries, TvARModel, model_to_json
+from locstat.process import TimeSeries, TvARModel
 
 
 def run(*argv):
@@ -46,7 +46,7 @@ def test_simulate_reruns_byte_identical(tmp_path):
 def test_simulate_with_model_config(tmp_path):
     model = TvARModel(1, [ConstantCurve(-0.8)], ConstantCurve(1.0))
     cfg = tmp_path / "model.json"
-    cfg.write_text(model_to_json(model))
+    cfg.write_text(json.dumps(model.describe()))
     out = tmp_path / "out"
     run("simulate", "--n", "400", "--seed", "1", "--config", str(cfg), "--out", str(out))
     x = np.loadtxt(out / "series.csv", skiprows=1)
@@ -105,7 +105,7 @@ def test_likelihood_eval_constant_candidate(tmp_path):
     series = simulate_into(tmp_path, n=256)
     model = TvARModel(1, [ConstantCurve(0.4)], ConstantCurve(1.2))
     cfg = tmp_path / "candidate.json"
-    cfg.write_text(model_to_json(model))
+    cfg.write_text(json.dumps(model.describe()))
     out = tmp_path / "lik"
     run("likelihood-eval", "--series", str(series), "--config", str(cfg), "--out", str(out))
     res = json.loads((out / "likelihood.json").read_text())
@@ -113,6 +113,19 @@ def test_likelihood_eval_constant_candidate(tmp_path):
     assert res["conditional"] is not None
     assert res["gap"] < 0.1  # boundary terms only
     assert np.isfinite(res["whittle"])
+
+
+def test_likelihood_eval_time_varying_candidate(tmp_path):
+    series = simulate_into(tmp_path, n=256)
+    model = TvARModel(1, [FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
+    cfg = tmp_path / "candidate.json"
+    cfg.write_text(json.dumps(model.describe()))
+    out = tmp_path / "lik"
+    run("likelihood-eval", "--series", str(series), "--config", str(cfg), "--out", str(out))
+    res = json.loads((out / "likelihood.json").read_text())
+    assert res["constant_alpha"] is False
+    assert isinstance(res["conditional"], float) and np.isfinite(res["conditional"])
+    assert isinstance(res["gap"], float) and 0 <= res["gap"] < 0.1
 
 
 def test_fit_then_likelihood_eval_pipeline(tmp_path):
@@ -268,7 +281,7 @@ def test_unknown_config_key_rejected(tmp_path, command, extra):
 def test_equivalence_passes_model_through(tmp_path):
     model = TvARModel(1, [ConstantCurve(-0.3)], ConstantCurve(1.5))
     cfg = tmp_path / "eq.json"
-    cfg.write_text(json.dumps({"model": json.loads(model_to_json(model)), "n_list": [64, 128], "replications": 2}))
+    cfg.write_text(json.dumps({"model": model.describe(), "n_list": [64, 128], "replications": 2}))
     out = tmp_path / "eq"
     run("equivalence", "--config", str(cfg), "--seed", "3", "--out", str(out))
     rows = read_rows_csv(out / "equivalence_rows.csv")
@@ -463,7 +476,7 @@ def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
     if text is not None:
         series.write_bytes(text.encode())
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(model_to_json(TvARModel(0, [], ConstantCurve(1.0))))
+    cfg.write_text(json.dumps(TvARModel(0, [], ConstantCurve(1.0)).describe()))
     extra = [] if command == "preperiodogram" else ["--config", str(cfg)]
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: .*{message}"):
@@ -511,7 +524,7 @@ def test_overflowing_series_exits_with_message(tmp_path, command):
     series = tmp_path / "huge.csv"
     TimeSeries(np.full(64, 1e300)).to_csv(series)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(model_to_json(TvARModel(0, [], ConstantCurve(1.0))))
+    cfg.write_text(json.dumps(TvARModel(0, [], ConstantCurve(1.0)).describe()))
     extra = ["--config", str(cfg)] if command == "likelihood-eval" else []
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: .*overflow"):

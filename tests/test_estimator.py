@@ -166,7 +166,7 @@ def test_monotone_fit_near_profile_minimum():
     for da in (-0.05, -0.01, 0.01, 0.05):
         r = x.values[1:] + (a0 + da) * x.values[:-1]
         s = sieve_pava(r**2, n, 1, res.k_n, res.eps)
-        perturbed = conditional_likelihood(x, np.array([a0 + da]), s)
+        perturbed = conditional_likelihood(x, TvARModel.from_coefficients([a0 + da], s, validate=False))
         assert perturbed >= res.objective - 1e-6
 
 

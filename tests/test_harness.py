@@ -125,10 +125,11 @@ def test_median_of_tied_signed_zeros_equals_numpy_up_to_the_sign():
     assert harness._median([0.0, -0.0, 0.0]) == np.median([0.0, -0.0, 0.0]) == 0.0
 
 
-def test_equivalence_candidates_are_stable_pairs():
-    for alpha, sigma2 in default_equivalence_candidates():
-        assert check_stability(alpha)
-        assert np.all(sigma2.values(np.linspace(0.1, 1.0, 7)) > 0)
+def test_equivalence_candidates_are_stable_models():
+    for g in default_equivalence_candidates():
+        assert g.validated and g.p == 1
+        assert check_stability(g.alpha_matrix(np.array([0.5]))[0])
+        assert np.all(g.sigma2.values(np.linspace(0.1, 1.0, 7)) > 0)
 
 
 def test_likelihood_equivalence_gap_decays():

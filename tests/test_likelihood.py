@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _mesh
 from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
@@ -12,6 +13,7 @@ from locstat.likelihood import (
     divergence_sandwich,
     kl_contrast,
     kl_divergence,
+    likelihood_gap,
     log_riemann_remainder,
     whittle_contrast,
 )
@@ -96,40 +98,98 @@ def test_whittle_rejects_nonpositive_candidate():
 def test_conditional_likelihood_frozen_small_case():
     # x = (1, -1), alpha = 1, sigma2 = 1: single residual x_2 + x_1 = 0,
     # so the average of log sigma2 + e^2/sigma2 over t=2 is 0... divided by n
-    val = conditional_likelihood(np.array([1.0, -1.0]), np.array([1.0]), 1.0)
+    g = TvARModel.from_coefficients([1.0], 1.0, validate=False)
+    val = conditional_likelihood(np.array([1.0, -1.0]), g)
     assert val == 0.0
 
 
 def test_conditional_likelihood_white_noise_closed_form():
     x = np.array([1.0, 2.0, -1.0])
-    val = conditional_likelihood(x, np.array([]), 2.0)
+    val = conditional_likelihood(x, white_noise_model(2.0))
     expected = (3 * math.log(2.0) + np.sum(x**2) / 2.0) / 3
     assert val == pytest.approx(expected, rel=1e-14)
 
 
 def test_conditional_likelihood_accepts_curve_variance():
     x = simulate_tvar(step_model(), 50, seed=6)
-    a = conditional_likelihood(x, np.array([0.5]), SampledCurve([1.0, 2.0]))
-    b = conditional_likelihood(x, np.array([0.5]), SampledCurve([2.0, 4.0]))
+    a = conditional_likelihood(x, TvARModel.from_coefficients([0.5], SampledCurve([1.0, 2.0])))
+    b = conditional_likelihood(x, TvARModel.from_coefficients([0.5], SampledCurve([2.0, 4.0])))
     assert a != b
 
 
 def test_conditional_likelihood_errors():
-    with pytest.raises(ValueError):
-        conditional_likelihood(np.array([1.0]), np.array([0.5]), 1.0)  # n <= p
-    with pytest.raises(ValueError):
-        conditional_likelihood(np.array([1.0, 2.0]), np.array([0.5]), -1.0)
+    with pytest.raises(ValueError, match="need more than p=1"):
+        conditional_likelihood(np.array([1.0]), TvARModel.from_coefficients([0.5], 1.0))
+    negative = TvARModel.from_coefficients([0.5], -1.0, validate=False)
+    with pytest.raises(ValueError, match="strictly positive at the design points"):
+        conditional_likelihood(np.array([1.0, 2.0]), negative)
+    with pytest.raises(ValueError, match="expected a TvARModel"):
+        conditional_likelihood(np.array([1.0, 2.0]), 1.0)
+
+
+def _per_t_conditional(x, model):
+    # the definition, one t at a time: e_t = x_t + sum_j alpha_j(t/n) x_{t-j}
+    n, p = len(x), model.p
+    total = 0.0
+    for t in range(p + 1, n + 1):
+        u = np.array([t / n])
+        e = x[t - 1] + sum(float(model.alpha[j - 1].values(u)[0]) * x[t - 1 - j] for j in range(1, p + 1))
+        s2 = float(model.sigma2.values(u)[0])
+        total += math.log(s2) + e * e / s2
+    return total / n
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        [FourierCurve(0.0, a=[0.5], b=[0.0])],
+        [SampledCurve([0.2, -0.3, 0.4])],
+        [FourierCurve(0.3, a=[0.1], b=[0.05]), ConstantCurve(0.1)],
+        [SampledCurve([0.5, -0.2]), SampledCurve([0.1, 0.2, -0.1])],
+    ],
+)
+def test_time_varying_conditional_likelihood_matches_per_t_oracle(alpha):
+    model = TvARModel(len(alpha), alpha, SampledCurve([1.0, 2.0, 1.5]))
+    x = simulate_tvar(model, 300, seed=4).values
+    assert conditional_likelihood(x, model) == pytest.approx(_per_t_conditional(x, model), rel=1e-12)
+
+
+def _parent_conditional(x, alpha, sigma2):
+    # the constant-coefficient formula this contrast had before it took a model
+    p, n = len(alpha), len(x)
+    resid = x[p:].copy()
+    for j in range(1, p + 1):
+        resid += alpha[j - 1] * x[p - j : n - j]
+    s2 = sigma2.values(np.arange(p + 1, n + 1) / n)
+    return float(np.sum(np.log(s2) + resid**2 / s2) / n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=3),
+    values=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5),
+    n=st.integers(4, 80),
+    seed=st.integers(0, 2**16),
+)
+def test_constant_conditional_likelihood_is_the_scalar_formula_bit_for_bit(alpha, values, n, seed):
+    x = np.random.default_rng(seed).standard_normal(n)
+    sigma2 = SampledCurve(values)
+    model = TvARModel.from_coefficients(alpha, sigma2, validate=False)
+    assert conditional_likelihood(x, model) == _parent_conditional(x, np.array(alpha), sigma2)
+
+
+def test_likelihood_gap_is_the_distance_of_the_two_contrasts():
+    m = step_model()
+    x = simulate_tvar(m, 256, seed=7)
+    res = likelihood_gap(x, m)
+    assert res["whittle"] == whittle_contrast(x, m)
+    assert res["conditional"] == conditional_likelihood(x, m)
+    assert res["gap"] == abs(0.5 * (res["conditional"] - math.log(2 * math.pi)) - res["whittle"])
 
 
 def test_likelihood_equivalence_gap_shrinks_with_n():
     m = step_model()
-    g = SpectrumField.from_model(m)
-    gaps = {}
-    for n in (128, 1024):
-        x = simulate_tvar(m, n, seed=7)
-        lt = conditional_likelihood(x, np.array([0.5]), m.sigma2)
-        ln = whittle_contrast(x, g)
-        gaps[n] = abs(0.5 * (lt - math.log(2 * math.pi)) - ln)
+    gaps = {n: likelihood_gap(simulate_tvar(m, n, seed=7), m)["gap"] for n in (128, 1024)}
     assert gaps[1024] < gaps[128] / 2
 
 

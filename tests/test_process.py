@@ -21,7 +21,6 @@ from locstat.process import (
     ar_autocov,
     check_stability,
     model_from_json,
-    model_to_json,
     simulate_tvar,
     simulate_tvar_batch,
     spectral_density,
@@ -345,7 +344,7 @@ def test_burn_in_default_and_override():
 
 def test_burn_in_carried_by_model_json():
     m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=77)
-    m2 = model_from_json(json.loads(model_to_json(m)))
+    m2 = model_from_json(json.loads(json.dumps(m.describe())))
     assert m2.burn_in == 77
     np.testing.assert_array_equal(
         simulate_tvar(m, 50, seed=0).values, simulate_tvar(m2, 50, seed=0).values
@@ -618,7 +617,7 @@ def test_model_json_round_trip_all_curve_types():
         SampledCurve([1.0, 2.0]),
         delta=0.05,
     )
-    m2 = model_from_json(json.loads(model_to_json(m)))
+    m2 = model_from_json(json.loads(json.dumps(m.describe())))
     assert m2.p == 2 and m2.delta == 0.05
     np.testing.assert_array_equal(
         simulate_tvar(m, 64, seed=2).values, simulate_tvar(m2, 64, seed=2).values
@@ -627,7 +626,7 @@ def test_model_json_round_trip_all_curve_types():
 
 def test_model_json_needs_a_parsed_object(tmp_path):
     # the JSON text and a file holding it are refused: callers parse first
-    text = model_to_json(white_noise_model(1.5))
+    text = json.dumps(white_noise_model(1.5).describe())
     path = tmp_path / "model.json"
     path.write_text(text)
     for source in (text, str(path)):
