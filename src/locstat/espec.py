@@ -32,6 +32,8 @@ __all__ = [
     "replication_seed",
 ]
 
+UPPER_LEVEL = 0.99  # one-sided confidence level of clopper_pearson_upper, the tail rows' upper99
+COVARIANCE_CELLS = 512  # midpoint cells in u of limit_covariance
 # normals per chunk of chi2_tail_study, at most (one row if n is larger): 1 MB,
 # so squaring and reducing a chunk reads it from a 2 MB per-core L2 cache
 TAIL_CHUNK_VALUES = 1 << 17
@@ -86,14 +88,15 @@ class TailStudySpec:
         return cls(1.0 + np.arange(1, n + 1) / n, replications, etas, seed)
 
 
-def clopper_pearson_upper(successes, trials, level=0.99):
+def clopper_pearson_upper(successes, trials):
     """One-sided upper confidence limit for a binomial proportion.
 
-    The x with P(Bin(trials, x) <= successes) = 1 - level, the level quantile
-    of Beta(successes + 1, trials - successes), and 1.0 when every trial
-    succeeded.  Newton steps on w(x) = sqrt(-2 log P(Bin(trials, x) <=
-    successes)), which is close to linear in x in the upper tail, kept inside
-    a bisection bracket (rtsafe, Press et al., Numerical Recipes 9.4).  Each
+    The x with P(Bin(trials, x) <= successes) = 1 - level at level =
+    UPPER_LEVEL, the level quantile of Beta(successes + 1, trials -
+    successes), and 1.0 when every trial succeeded.  Newton steps on w(x) =
+    sqrt(-2 log P(Bin(trials, x) <= successes)), which is close to linear in
+    x in the upper tail, kept inside a bisection bracket (rtsafe, Press et
+    al., Numerical Recipes 9.4).  Each
     step sums the binomial terms in O(1) memory from a saddle-point form of
     the largest one, accurate to rounding at any trial count, so the limit is
     within a few ulps of the exact quantile.
@@ -101,19 +104,18 @@ def clopper_pearson_upper(successes, trials, level=0.99):
     Raises
     ------
     ValueError
-        Unless 0 <= successes <= trials, trials >= 1 and 0 < level < 1.
+        Unless successes and trials are integers with 0 <= successes <= trials
+        and trials >= 1.
     """
-    successes, trials = int(successes), int(trials)
-    if not 0 <= successes <= trials or trials < 1:
+    successes = as_number(successes, "successes", int, 0)
+    trials = as_number(trials, "trials", int, 1)
+    if successes > trials:
         raise ValueError("need 0 <= successes <= trials")
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
     if successes == trials:
         return 1.0
     if successes == 0:  # (1 - x)^trials = 1 - level
-        return -math.expm1(math.log1p(-level) / trials)
-    target = math.sqrt(-2.0 * math.log1p(-level))
+        return -math.expm1(math.log1p(-UPPER_LEVEL) / trials)
+    target = math.sqrt(-2.0 * math.log1p(-UPPER_LEVEL))
     lo, hi = 0.0, 1.0
     x = (successes + 1) / (trials + 1)  # the mean of the beta law
     before_last = last = 1.0
@@ -134,7 +136,7 @@ def clopper_pearson_upper(successes, trials, level=0.99):
             if not lo < new < hi:  # the bracket is two adjacent floats
                 return x
         before_last, last, x = last, new - x, new
-    raise ArithmeticError(f"no Clopper-Pearson limit found for {successes} of {trials} at level {level}")
+    raise ArithmeticError(f"no Clopper-Pearson limit found for {successes} of {trials}")
 
 
 def _binomial_log_cdf(k, trials, x):
@@ -308,7 +310,6 @@ def spectral_process_sample(
     replications,
     seed,
     centering="analytic",
-    u_grid_size=4096,
 ):
     """Simulate replications of the centered spectral functional.
 
@@ -338,7 +339,7 @@ def spectral_process_sample(
     values = _functional_sample(model, phi, n, [replication_seed(seed, r) for r in range(replications)])
 
     if centering == "analytic":
-        center = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
+        center = spectral_functional_limit(phi, model)
     else:
         center = math.fsum(values) / replications
     deviations = math.sqrt(n) * (values - center)
@@ -367,7 +368,7 @@ def _functional_sample(model, phi, n, seeds):
     )
 
 
-def limit_covariance(phi_j, phi_k, f, u_grid_size=512):
+def limit_covariance(phi_j, phi_k, f):
     """Limiting covariance of two centered spectral functionals.
 
     2 pi int_0^1 int phi_j(u, lam) { phi_k(u, lam) + phi_k(u, -lam) }
@@ -377,17 +378,16 @@ def limit_covariance(phi_j, phi_k, f, u_grid_size=512):
     The frequency integral is exact: with C(u, m) = int f^2 e^{i lam m} dlam
     from :func:`~locstat.process.ar_autocov` it is (1/4 pi^2) sum_{a,b}
     c_j(u, a) c_k(u, b) { C(u, a + b) + C(u, a - b) } over the lag supports
-    of the two weights.  The time integral is the midpoint rule.
+    of the two weights.  The time integral is the midpoint rule of
+    COVARIANCE_CELLS cells.
 
     Parameters
     ----------
     phi_j, phi_k : TestFunction
     f : TvARModel
-    u_grid_size : int
-        Midpoint rule resolution in rescaled time, >= 1.
     """
     model = _as_model(f)
-    u = _time_grid(u_grid_size)
+    u = _time_grid(COVARIANCE_CELLS)
     Jj, Jk = phi_j.lag_support, phi_k.lag_support
     c_sq = ar_autocov(model, u, Jj + Jk, squared=True)
     ck = {b: phi_k.lag(u, b) for b in range(-Jk, Jk + 1)}
@@ -398,7 +398,7 @@ def limit_covariance(phi_j, phi_k, f, u_grid_size=512):
     return float(np.mean(total) / (2 * np.pi))
 
 
-def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096):
+def bias_scaling_study(model, phi, n_list, replications, seed):
     """Bias of the mean functional against the population functional.
 
     For each n, estimates E[functional] by Monte Carlo and reports the
@@ -415,7 +415,7 @@ def bias_scaling_study(model, phi, n_list, replications, seed, u_grid_size=4096)
     n_list = as_numbers(n_list, "n_list", int, 1)
     replications = as_number(replications, "replications", int, 2)
     seed = as_number(seed, "seed", int, 0)
-    limit = spectral_functional_limit(phi, model, u_grid_size=u_grid_size)
+    limit = spectral_functional_limit(phi, model)
     rows = []
     for n in n_list:
         seeds = [replication_seed(seed, n, r) for r in range(replications)]
@@ -445,7 +445,7 @@ def expected_functional_trace(model, phi, n):
     the lag path, with E[x_i x_j] = C(max(i, j), |k|) from the simulator's
     own recursion.  Exact for every model and n; memory O((burn_in + n) max(K, p)).
     """
-    n = int(n)
+    n = as_number(n, "n", int, 1)
     K = min(phi.lag_support, n - 1)
     band = _covariance_band(model, n, K)
     total = 0.0

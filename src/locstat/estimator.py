@@ -43,6 +43,7 @@ class DegenerateDataError(ValueError):
 
 
 FOURIER_MARGIN = 1e-9  # a constrained Fourier fit keeps |alpha| <= 1 - FOURIER_MARGIN everywhere
+DISTANCE_CELLS = 2048  # midpoint cells in u of the inverse-spectrum distances, the rate study's errors
 
 
 def default_knots(n):
@@ -173,9 +174,17 @@ def wls_ar(series, sigma2, p):
         w = np.full(n - p, 1.0 / float(sigma2))
     if np.min(w) <= 0 or not np.all(np.isfinite(w)):
         raise ValueError("weights must be positive and finite")
+    return _wls(_lag_matrix(x, p), x[p:], w)
 
-    lags = np.column_stack([x[p - j : n - j] for j in range(1, p + 1)])
-    target = x[p:]
+
+def _lag_matrix(x, p):
+    """The regressors of wls_ar: columns x_{t-1}, ..., x_{t-p} for t = p+1..n."""
+    n = len(x)
+    return np.column_stack([x[p - j : n - j] for j in range(1, p + 1)])
+
+
+def _wls(lags, target, w):
+    """The coefficients that minimize sum_t w_t (target_t + lags_t a)^2."""
     # einsum, not a BLAS product: a threaded GEMM on these thin matrices is
     # slower, and its rounding depends on the thread count
     A = np.einsum("ti,t,tj->ij", lags, w, lags)
@@ -189,23 +198,21 @@ def wls_ar(series, sigma2, p):
     return coef
 
 
-def fit_monotone_tvar(series, config=None, sigma2_init=None):
+def fit_monotone_tvar(series, config=None):
     """Alternating fit of constant AR coefficients and a monotone variance.
 
-    Starts from the sieve-isotonized squared data (the alpha = 0 residuals,
-    or sigma2_init when given), then repeats: (i) weighted least squares for
-    alpha with the current variance as weights, (ii) the sieve variance step
-    on the new squared residuals.  Both half steps minimize the conditional
-    likelihood exactly over their blocks, so the objective trace is
-    nonincreasing.  The run is a pure function of (series, config,
-    sigma2_init).
+    Starts from the sieve-isotonized squared data (the alpha = 0 residuals),
+    then repeats: (i) weighted least squares for alpha with the current
+    variance as weights, (ii) the sieve variance step on the new squared
+    residuals.  Both half steps minimize the conditional likelihood exactly
+    over their blocks, so the objective trace is nonincreasing.  Each
+    iteration forms the squared residuals and the variances on the design
+    points once.  The run is a pure function of (series, config).
 
     Parameters
     ----------
     series : TimeSeries or array_like
     config : FitConfig, optional
-    sigma2_init : MonotoneStepCurve, optional
-        Warm start for the variance curve.
 
     Returns
     -------
@@ -220,13 +227,12 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
     k_n, eps = config.resolve(n)
 
     u = np.arange(p + 1, n + 1) / n
+    lags = _lag_matrix(x, p) if p else None
     alpha = np.zeros(p)
-    if sigma2_init is None:
-        sigma = sieve_pava(_residuals(x, alpha) ** 2, n, p, k_n, eps)
-    else:
-        sigma = sigma2_init
+    e2 = _residuals(x, alpha) ** 2
+    sigma = sieve_pava(e2, n, p, k_n, eps)
     s2 = sigma.values(u)
-    current = _conditional(x, alpha, s2)
+    current = _conditional(e2, s2, n)
 
     result = FitResult(
         alpha_hat=alpha,
@@ -238,11 +244,12 @@ def fit_monotone_tvar(series, config=None, sigma2_init=None):
 
     for it in range(1, config.max_iter + 1):
         if p:
-            alpha = wls_ar(x, sigma, p)
-        after_wls = _conditional(x, alpha, s2)
-        sigma = sieve_pava(_residuals(x, alpha) ** 2, n, p, k_n, eps)
+            alpha = _wls(lags, x[p:], 1.0 / s2)
+        e2 = _residuals(x, alpha) ** 2
+        after_wls = _conditional(e2, s2, n)
+        sigma = sieve_pava(e2, n, p, k_n, eps)
         s2 = sigma.values(u)
-        after_pava = _conditional(x, alpha, s2)
+        after_pava = _conditional(e2, s2, n)
         result.wls_trace.append(after_wls)
         result.objective_trace.append(after_pava)
         result.iterations = it
@@ -317,12 +324,13 @@ def _stability_qp(hess, grad, check, room):
     return theta, False
 
 
-def fit_fourier_tvar(series, k_n=1, eps=None):
+def fit_fourier_tvar(series, k_n=1):
     """Order-1 fit with a trigonometric coefficient curve and constant variance.
 
     The candidate curve is alpha(u) = a_0 + sum_{j<=k_n} a_j cos(2 pi j u)
     + b_j sin(2 pi j u).  The constant variance is profiled out of the exact
-    Whittle contrast, s^2 = clip(qbar, eps^2, 1/eps^2) with qbar = n^{-1}
+    Whittle contrast, s^2 = clip(qbar, eps^2, 1/eps^2) with eps =
+    (log n)^{-1/5} and qbar = n^{-1}
     (sum (1 + alpha_t^2) x_t^2 + 2 sum alpha_t x_t x_{t+1}).  The profiled
     objective increases in qbar, a convex quadratic in the curve
     coefficients theta, so the fit is one linear solve for theta.  Only when
@@ -340,8 +348,6 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     series : TimeSeries or array_like
     k_n : int
         Trigonometric order of the coefficient curve, >= 0.
-    eps : float, optional
-        Variance bound parameter; defaults to (log n)^{-1/5}.
 
     Returns
     -------
@@ -364,10 +370,7 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     room = (1.0 - FOURIER_MARGIN) * (1.0 - 0.5 * (np.pi * k_n / STABILITY_GRID) ** 2)
     if room <= 0:
         raise ValueError("curve order too high for the check nodes")
-    if eps is None:
-        eps = default_eps(n)
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
+    eps = default_eps(n)
 
     # n qbar = sum x_t^2 + theta' hess theta + 2 grad' theta
     xx = x * x
@@ -396,24 +399,25 @@ def fit_fourier_tvar(series, k_n=1, eps=None):
     return FourierFitResult(curve, float(s2), float(objective), constrained, converged)
 
 
-def inverse_l2_distance(g, f, u_grid_size=512):
+def inverse_l2_distance(g, f):
     """L2 distance of the inverse spectra on (0,1] x [-pi, pi].
 
     sqrt( int int (1/g - 1/f)^2 dlam du ) for two TvARModels, the time
-    integral a midpoint rule with u_grid_size cells.
+    integral a midpoint rule with DISTANCE_CELLS cells.
     The frequency integral is an exact lag sum; it equals the mesh sum on
     any frequency grid with more than 2p nodes.
     """
-    return float(np.sqrt(_inverse_distance_sq(g, f, u_grid_size)))
+    return float(np.sqrt(_inverse_distance_sq(g, f, DISTANCE_CELLS)))
 
 
-def curve_inverse_l2_distance(c1, c2, u_grid_size=4096):
+def curve_inverse_l2_distance(c1, c2):
     """L2 distance of inverse curves, sqrt( 2 pi int (1/c1 - 1/c2)^2 du ).
 
     The 2 pi factor makes a time-only function comparable with the
-    time-frequency distance above (constant in frequency).
+    time-frequency distance above (constant in frequency); the time integral
+    is a midpoint rule with DISTANCE_CELLS cells.
     """
-    u = _time_grid(u_grid_size)
+    u = _time_grid(DISTANCE_CELLS)
     v1 = c1.values(u) if isinstance(c1, Curve) else np.full(u.shape, float(c1))
     v2 = c2.values(u) if isinstance(c2, Curve) else np.full(u.shape, float(c2))
     if np.min(v1) <= 0 or np.min(v2) <= 0:

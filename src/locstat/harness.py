@@ -46,7 +46,6 @@ __all__ = [
     "write_json",
 ]
 
-RATE_U_GRID = 2048  # midpoint cells of the rate study's error integrals
 EQUIVALENCE_SEED = 7  # likelihood_equivalence_decay's default seed, which the CLI records
 
 
@@ -143,8 +142,8 @@ def _rate_one(spec, model, x):
     n = len(x)
     fit = fit_monotone_tvar(x, spec.fit_config_for(n))
     fitted = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
-    err_spec = inverse_l2_distance(fitted, model, u_grid_size=RATE_U_GRID)
-    err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2, u_grid_size=RATE_U_GRID)
+    err_spec = inverse_l2_distance(fitted, model)
+    err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2)
     return {
         "err_spectrum": err_spec,
         "err_variance": err_var,

@@ -28,25 +28,20 @@ class IsotonicFit:
     Attributes
     ----------
     values : ndarray
-        Fitted value for each input position, nondecreasing.
-    blocks : list of (start, stop)
-        Half-open index ranges of the level sets, in order.
+        Fitted value for each input position, nondecreasing.  Adjacent pooled
+        blocks have strictly increasing means, so each level set of values is
+        one block.
     """
 
-    def __init__(self, values, blocks):
+    def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
-        self.blocks = list(blocks)
-
-    @property
-    def block_values(self):
-        return np.array([self.values[b0] for b0, _ in self.blocks])
 
     def __repr__(self):
-        return f"IsotonicFit(values={self.values.tolist()!r}, blocks={self.blocks!r})"
+        return f"IsotonicFit(values={self.values.tolist()!r})"
 
 
 def _pool(values, weights):
-    """Stack-based pool-adjacent-violators; returns (pooled means, blocks)."""
+    """Stack-based pool-adjacent-violators; returns the pooled means."""
     # stack rows: [weight, weighted sum, count]
     w_stack = []
     s_stack = []
@@ -60,14 +55,7 @@ def _pool(values, weights):
             s_stack[-2] += s_stack[-1]
             c_stack[-2] += c_stack[-1]
             del w_stack[-1], s_stack[-1], c_stack[-1]
-    fitted = np.empty(len(values))
-    blocks = []
-    pos = 0
-    for w, s, c in zip(w_stack, s_stack, c_stack):
-        fitted[pos : pos + c] = s / w
-        blocks.append((pos, pos + c))
-        pos += c
-    return fitted, blocks
+    return np.repeat(np.divide(s_stack, w_stack), c_stack)
 
 
 def pava_monotone(values, weights=None):
@@ -101,7 +89,7 @@ def pava_monotone(values, weights=None):
             raise ValueError("weights must match values")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
-    return IsotonicFit(*_pool(values, weights))
+    return IsotonicFit(_pool(values, weights))
 
 
 def sieve_pava(squared_residuals, n, p, k_n, eps):

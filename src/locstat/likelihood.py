@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import as_number
 from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2
-from .spectral import FrequencyGrid, _series_values, _time_grid
+from .spectral import TIME_CELLS, FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "ar_log_spectrum_integral",
 ]
 
-KL_TIME_GRID = 4096
+SANDWICH_CELLS = 512  # midpoint cells in u of divergence_sandwich's mesh, against a FrequencyGrid()
 
 
 def whittle_contrast(series, g):
@@ -125,8 +125,8 @@ def _inverse_lags(model, u, order):
     return np.stack([coeff_autocorr(model, u, m) for m in range(order + 1)], axis=-1) / s2[:, None]
 
 
-def _inverse_distance_sq(g, f, u_grid_size):
-    """Mean over the midpoint u-grid of int (1/g - 1/f)^2 dlam.
+def _inverse_distance_sq(g, f, cells):
+    """Mean over the midpoint u-grid of cells cells of int (1/g - 1/f)^2 dlam.
 
     Parseval gives (2 pi)^3 sum_{|m|<=p} d(u, m)^2 with d the per-lag
     difference of the :func:`_inverse_lags`: exact and free of cancellation
@@ -135,31 +135,32 @@ def _inverse_distance_sq(g, f, u_grid_size):
     integrand exactly.
     """
     g, f = _as_model(g), _as_model(f)
-    u = _time_grid(u_grid_size)
+    u = _time_grid(cells)
     order = max(g.p, f.p)
     d = _inverse_lags(g, u, order) - _inverse_lags(f, u, order)
     per_u = d[:, 0] ** 2 + 2 * np.sum(d[:, 1:] ** 2, axis=1)
     return float((2 * np.pi) ** 3 * np.mean(per_u))
 
 
-def kl_contrast(g, f, u_grid_size=KL_TIME_GRID):
+def kl_contrast(g, f):
     """Population contrast (1/4 pi) int int { log g + f/g } dlam du.
 
     This is the almost-sure limit of the Whittle contrast when f is the true
     spectrum; it is minimized over positive candidates at g = f.  Computed
-    as the mean over the midpoint u-grid of :func:`_log_integral` plus
+    as the mean over the midpoint u-grid of TIME_CELLS cells of
+    :func:`_log_integral` plus
     :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
-    against f, so it is exact in lam.
+    against f, on the same grid, so it is exact in lam.
     """
     g, f = _as_model(g), _as_model(f)
-    u = _time_grid(u_grid_size)
+    u = _time_grid(TIME_CELLS)
     log_part = np.mean(_log_integral(g, u))
     _positive(f.sigma2.values(u))
-    functional = spectral_functional_limit(ar_inverse_weight(g), f, u_grid_size=len(u))
+    functional = spectral_functional_limit(ar_inverse_weight(g), f)
     return float((log_part + functional) / (4 * np.pi))
 
 
-def kl_divergence(g, f, u_grid_size=KL_TIME_GRID):
+def kl_divergence(g, f):
     """Divergence D(g, f) = (1/4 pi) int int { log(g/f) + f/g - 1 } dlam du.
 
     Computed as kl_contrast(g, f) - kl_contrast(f, f) on one u-grid, so exact
@@ -167,14 +168,14 @@ def kl_divergence(g, f, u_grid_size=KL_TIME_GRID):
     contrasts it can come out below zero by rounding, of the order of
     machine epsilon times the contrasts, when g is close to f.
     """
-    return kl_contrast(g, f, u_grid_size) - kl_contrast(f, f, u_grid_size)
+    return kl_contrast(g, f) - kl_contrast(f, f)
 
 
-def divergence_sandwich(g, f, grid=None, u_grid_size=512):
+def divergence_sandwich(g, f):
     """Divergence with its inverse-distance lower and upper bounds.
 
-    On one shared evaluation mesh of the midpoint u-grid and the nodes of
-    grid (default 1024), computes the squared L2 distance of the inverse
+    On one shared evaluation mesh of the midpoint u-grid of SANDWICH_CELLS
+    cells and the nodes of a FrequencyGrid() (1024 nodes), computes the squared L2 distance of the inverse
     spectra, rho^2 = int int (1/g - 1/f)^2, the divergence D(g, f), and the
     two-sided bounds
 
@@ -185,7 +186,7 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     holds pointwise on the mesh, so the inequalities are exact up to rounding.
 
     Two models whose coefficients are constant in u take the exact path:
-    rho^2 as a lag sum (equal to the mesh sum whenever grid has more than 2p
+    rho^2 as a lag sum (equal to the mesh sum, as the grid has more than 2p
     nodes), the divergence from separate sums over u and lam, and M* and
     Omega as products of the maxima of the positive time and frequency
     factors, which are the mesh sups.  Models with time-varying coefficients
@@ -196,12 +197,12 @@ def divergence_sandwich(g, f, grid=None, u_grid_size=512):
     dict with keys divergence, rho_sq, lower, upper, m_star, omega.
     """
     g, f = _as_model(g), _as_model(f)
-    grid = FrequencyGrid() if grid is None else grid
-    u = _time_grid(u_grid_size)
+    grid = FrequencyGrid()
+    u = _time_grid(SANDWICH_CELLS)
     factors = _separable(g, f, grid, u)
     if factors is not None:
         divergence = _separable_divergence(grid, len(u), *factors)
-        rho_sq = _inverse_distance_sq(g, f, u_grid_size)
+        rho_sq = _inverse_distance_sq(g, f, SANDWICH_CELLS)
         m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
         omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
     else:
@@ -232,12 +233,12 @@ def _residuals(x, a):
     return resid
 
 
-def _conditional(x, a, s2):
-    """(1/n) sum_t { log s2_t + e_t^2 / s2_t } over t = p+1..n, with the
-    residuals of :func:`_residuals` and s2 the variances at those t."""
+def _conditional(e2, s2, n):
+    """(1/n) sum_t { log s2_t + e_t^2 / s2_t } over t = p+1..n, with e2 the
+    squared residuals of :func:`_residuals` and s2 the variances at those t."""
     if np.min(s2) <= 0:
         raise ValueError("sigma2 must be strictly positive at the design points")
-    return float(np.sum(np.log(s2) + _residuals(x, a) ** 2 / s2) / len(x))
+    return float(np.sum(np.log(s2) + e2 / s2) / n)
 
 
 def conditional_likelihood(series, g):
@@ -262,7 +263,7 @@ def conditional_likelihood(series, g):
     if n <= model.p:
         raise ValueError(f"need more than p={model.p} observations")
     u = np.arange(model.p + 1, n + 1) / n
-    return _conditional(x, model.alpha_matrix(u), model.sigma2.values(u))
+    return _conditional(_residuals(x, model.alpha_matrix(u)) ** 2, model.sigma2.values(u), n)
 
 
 def likelihood_gap(series, g):
@@ -284,13 +285,13 @@ def likelihood_gap(series, g):
     }
 
 
-def log_riemann_remainder(g, n, u_grid_size=KL_TIME_GRID):
+def log_riemann_remainder(g, n):
     """Discretization gap of the log-spectrum between design sum and integral.
 
     (1/4 pi) int { (1/n) sum_t log g(t/n, lam) - int_0^1 log g(u, lam) du } dlam,
 
     the difference of two means of :func:`_log_integral`, at the design
-    points t/n and on the midpoint u-grid.  By the Kolmogorov identity this
+    points t/n and on the midpoint u-grid of TIME_CELLS cells.  By the Kolmogorov identity this
     is exactly (1/2) { (1/n) sum_t log sigma^2(t/n) - int_0^1 log sigma^2(u)
     du }.  It vanishes whenever g does not vary in time and decays like the
     variation of g over a 1/n mesh otherwise.
@@ -298,7 +299,7 @@ def log_riemann_remainder(g, n, u_grid_size=KL_TIME_GRID):
     model = _as_model(g)
     n = as_number(n, "n", int, 1)
     design = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
-    integral = np.mean(_log_integral(model, _time_grid(u_grid_size)))
+    integral = np.mean(_log_integral(model, _time_grid(TIME_CELLS)))
     return float((design - integral) / (4 * np.pi))
 
 

@@ -76,8 +76,7 @@ def check_stability(coeffs, delta=0.0):
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if coeffs.size and not np.all(np.isfinite(coeffs)):
         raise ValueError("AR coefficients must be finite")
-    if delta < 0:
-        raise ValueError("stability margin must be nonnegative")
+    delta = as_number(delta, "delta", float, 0)
     return bool(_root_condition(coeffs.reshape(1, -1), delta)[0])
 
 
@@ -577,9 +576,7 @@ def ar_autocov(model, u, max_lag, squared=False):
     ndarray of shape u.shape + (max_lag + 1,)
     """
     u = np.asarray(u, dtype=float)
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
+    max_lag = as_number(max_lag, "max_lag", int, 0)
     if not model.validated:
         model.validate()
     rows, inverse = np.unique(model.alpha_matrix(u).reshape(u.size, model.p), axis=0, return_inverse=True)

@@ -43,6 +43,7 @@ __all__ = [
 DEFAULT_GRID_SIZE = 1024
 MAX_DENSE_N = 4096
 VARIATION_GRID = 2048
+TIME_CELLS = 4096  # midpoint cells in u of spectral_functional_limit and the Kullback-Leibler integrals
 GRID_CHUNK_ROWS = 64  # pre-periodogram rows filled per pass of evaluate_grid
 GRID_BLOCK_NODES = 64  # grid nodes per cosine block in evaluate_grid, small enough to stay in cache
 
@@ -72,11 +73,7 @@ class FrequencyGrid:
 
 
 def _time_grid(size):
-    """Midpoints (i + 1/2)/size, i = 0..size-1, of a uniform grid on (0, 1).
-
-    size is the u_grid_size of a public caller, checked here for all of them.
-    """
-    size = as_number(size, "u_grid_size", int, 1)
+    """Midpoints (i + 1/2)/size, i = 0..size-1, of a uniform grid on (0, 1)."""
     return (np.arange(size) + 0.5) / size
 
 
@@ -409,23 +406,21 @@ def _lag_functionals(X, phi):
     return acc / (2 * np.pi * n)
 
 
-def spectral_functional_limit(phi, f, u_grid_size=512):
+def spectral_functional_limit(phi, f):
     """Population functional int_0^1 int phi(u, lam) f(u, lam) dlam du.
 
     The frequency integral is exact by Parseval:
     (1/2 pi) sum_{|j|<=J} c_phi(u, j) c_f(u, j) over the lag support J of phi,
     with the local autocovariances c_f of :func:`~locstat.process.ar_autocov`;
-    the time integral is the midpoint rule.
+    the time integral is the midpoint rule of TIME_CELLS cells.
 
     Parameters
     ----------
     phi : TestFunction
     f : TvARModel
-    u_grid_size : int
-        Midpoint rule resolution in rescaled time, >= 1.
     """
     model = _as_model(f)
-    u = _time_grid(u_grid_size)
+    u = _time_grid(TIME_CELLS)
     J = phi.lag_support
     cov = ar_autocov(model, u, J)
     total = sum(phi.lag(u, j) * cov[:, abs(j)] for j in range(-J, J + 1))
@@ -464,28 +459,25 @@ class NormReport:
         )
 
 
-def weight_norms(phi, n, u_resolution=VARIATION_GRID):
+def weight_norms(phi, n):
     """Compute the NormReport of a weight.
 
     Sups and total variations are taken over the union of a uniform
-    u_resolution-point grid and the design points t/n, so every value that
+    VARIATION_GRID-point grid and the design points t/n, so every value that
     enters the dense kernel for this n is covered.  L2 norms use the lag-space
     Parseval identity int phi(u,.)^2 dlam = (1/2 pi) sum_j c_phi(u, j)^2, the
-    time integral a midpoint rule with u_resolution cells.
+    time integral a midpoint rule with VARIATION_GRID cells.
 
     Parameters
     ----------
     phi : TestFunction
     n : int
         Sample size whose design points are included in the sup grids.
-    u_resolution : int
-        Grid resolution for sups, variations, and the time integral.
     """
     n = as_number(n, "n", int, 1)
-    u_resolution = as_number(u_resolution, "u_resolution", int, 1)
     J = phi.lag_support
-    sup_grid = np.union1d(np.arange(1, u_resolution + 1) / u_resolution, np.arange(1, n + 1) / n)
-    mid_grid = _time_grid(u_resolution)
+    sup_grid = np.union1d(np.arange(1, VARIATION_GRID + 1) / VARIATION_GRID, np.arange(1, n + 1) / n)
+    mid_grid = _time_grid(VARIATION_GRID)
     design = np.arange(1, n + 1) / n
 
     sq_mid = np.zeros(mid_grid.shape)

@@ -204,6 +204,7 @@ def test_tail_study_designs(tmp_path):
     rows = read_rows_csv(out / "tail_rows.csv")
     assert [r["eta"] for r in rows] == [1.0, 3.0]
     for r in rows:
+        assert 0 <= r["empirical"] <= r["upper99"] <= 1
         assert r["upper99"] <= r["bound_quadratic"]
 
     bad = tmp_path / "bad.json"
@@ -395,6 +396,7 @@ def test_fit_json_feeds_likelihood_eval(tmp_path):
     res = json.loads((out / "likelihood.json").read_text())
     assert res["constant_alpha"] is True
     assert np.isfinite(res["whittle"]) and np.isfinite(res["conditional"])
+    assert isinstance(res["gap"], float) and 0 <= res["gap"] < np.inf
 
 
 _MODEL = {"p": 1, "alpha": [{"type": "constant", "value": 0.5}], "sigma2": {"type": "constant", "value": 1.0}}
@@ -727,6 +729,35 @@ def test_every_command_writes_through_one_path(tmp_path, probe_series, capsys, c
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["command"] == command
     assert meta.get("series") == ("series.csv" if "--series" in argv else None)
+
+
+def test_simulate_fourier_model_passes_or_names_the_first_bad_node(tmp_path):
+    # a Fourier-coefficient model passes the root check on the whole
+    # validation grid, and one that leaves the unit disk is refused at its
+    # first node
+    def model(a):
+        return {"p": 1, "alpha": [{"type": "fourier", "a0": 0.0, "a": [a], "b": [0.0]}], "sigma2": _MODEL["sigma2"]}
+
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(model(0.5)))
+    run("simulate", "--config", str(cfg), "--n", "512", "--seed", "1", "--out", str(tmp_path / "wavy"))
+    assert len(TimeSeries.from_csv(tmp_path / "wavy" / "series.csv").values) == 512
+    cfg.write_text(json.dumps(model(1.2)))
+    out = tmp_path / "unstable"
+    with pytest.raises(SystemExit, match=r"^simulate: .*root condition at u=0\.001953$"):
+        main(["simulate", "--config", str(cfg), "--n", "512", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_clt_study_ar_inverse_weight_ratio_is_positive(tmp_path):
+    # the limit variance of an AR(1) model's inverse-spectrum weight is
+    # positive, so the ratio is a positive number
+    model = {**_MODEL, "sigma2": {"type": "sampled", "values": [1.0, 2.0]}, "burn_in": 30}
+    cfg = tmp_path / "clt.json"
+    cfg.write_text(json.dumps({"model": model, "phi": {"type": "ar_inverse"}, "n": 96, "replications": 40}))
+    run("clt-study", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "clt"))
+    ratio = json.loads((tmp_path / "clt" / "clt_summary.json").read_text())["ratio"]
+    assert isinstance(ratio, float) and ratio > 0
 
 
 def test_clt_study_zero_weight_ratio_is_null(tmp_path, capsys):

@@ -12,6 +12,7 @@ import locstat.espec as espec
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
 from locstat.espec import (
+    UPPER_LEVEL,
     TailStudySpec,
     bias_scaling_study,
     chi2_tail_study,
@@ -56,37 +57,38 @@ def test_clopper_pearson_upper():
         clopper_pearson_upper(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson_upper(-1, 4)
-    # a level outside (0, 1) is no confidence level: 1.5 and -1 gave nan, and
-    # 0 gave 0.0, below the point estimate
-    for level in (1.5, -1.0, 0.0, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="level"):
-            clopper_pearson_upper(5, 100, level)
+
+
+def test_clopper_pearson_upper_refuses_counts_that_are_not_integers():
+    # a fractional count is refused, not truncated
+    for successes, trials in [(2.5, 10), (2, 10.5), ("abc", 10), (None, 10), (float("nan"), 10), (2, 0)]:
+        with pytest.raises(ValueError, match="successes|trials"):
+            clopper_pearson_upper(successes, trials)
+    assert clopper_pearson_upper(2.0, 10.0) == clopper_pearson_upper(2, 10)
 
 
 def test_clopper_pearson_upper_equals_beta_quantile():
-    # the level quantile of Beta(k + 1, R - k), to 1e-12 relative; betaincinv
-    # itself is off by up to 9e-13 on this grid (R = 200000, k = 5, level 0.99),
-    # against a 40-digit root of the binomial sum
+    # the 0.99 quantile of Beta(k + 1, R - k), to 1e-12 relative; betaincinv
+    # itself is off by up to 9e-13 on this grid (R = 200000, k = 5), against a
+    # 40-digit root of the binomial sum
     from scipy import special
 
     for trials in (1, 7, 50, 1000, 10000, 200000):
         for k in sorted({0, 1, 2, 5, trials // 3, trials // 2, trials - 2, trials - 1} & set(range(trials))):
-            for level in (0.9, 0.99, 0.999):
-                expected = float(special.betaincinv(k + 1, trials - k, level))
-                assert clopper_pearson_upper(k, trials, level) == pytest.approx(expected, rel=1e-12, abs=0)
+            expected = float(special.betaincinv(k + 1, trials - k, UPPER_LEVEL))
+            assert clopper_pearson_upper(k, trials) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_clopper_pearson_upper_solves_the_binomial_identity():
-    # SciPy-free: P(Bin(R, upper) <= k) = 1 - level to 1e-12, or to the change
+    # SciPy-free: P(Bin(R, upper) <= k) = 1 - 0.99 to 1e-12, or to the change
     # one ulp of upper makes (the larger near 1: 1.9e-12 at R = 60, k = 59)
     for trials in (1, 2, 7, 20, 60):
-        for level in (0.5, 0.9, 0.99, 0.999):
-            limits = [clopper_pearson_upper(k, trials, level) for k in range(trials + 1)]
-            assert all(a < b for a, b in zip(limits, limits[1:]))
-            for k, x in enumerate(limits[:-1]):
-                cdf = math.fsum(math.comb(trials, i) * x**i * (1 - x) ** (trials - i) for i in range(k + 1))
-                slope = trials * math.comb(trials - 1, k) * x**k * (1 - x) ** (trials - 1 - k)
-                assert abs(cdf - (1 - level)) <= max(1e-12 * (1 - level), slope * math.ulp(x))
+        limits = [clopper_pearson_upper(k, trials) for k in range(trials + 1)]
+        assert all(a < b for a, b in zip(limits, limits[1:]))
+        for k, x in enumerate(limits[:-1]):
+            cdf = math.fsum(math.comb(trials, i) * x**i * (1 - x) ** (trials - i) for i in range(k + 1))
+            slope = trials * math.comb(trials - 1, k) * x**k * (1 - x) ** (trials - 1 - k)
+            assert abs(cdf - (1 - UPPER_LEVEL)) <= max(1e-12 * (1 - UPPER_LEVEL), slope * math.ulp(x))
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
@@ -339,6 +341,15 @@ def test_expected_functional_trace_white_noise_is_one():
     assert val == pytest.approx(1.0, rel=1e-12)
     # no cap on n: the covariance band takes O((burn_in + n) K) memory
     assert expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 4096) == 1.0
+
+
+def test_expected_functional_trace_refuses_a_fractional_n():
+    # a fractional n is refused, not truncated
+    model, phi = white_noise_model(1.0), constant_weight(1.0)
+    for n in (2.5, "abc", None, 0):
+        with pytest.raises(ValueError, match="n must"):
+            expected_functional_trace(model, phi, n)
+    assert expected_functional_trace(model, phi, 64.0) == expected_functional_trace(model, phi, 64)
 
 
 def test_expected_functional_trace_near_limit_for_stationary_ar():

@@ -1,7 +1,8 @@
 """The exact lag-space and separable paths against the mesh they replace.
 
 The midpoint-mesh sums of the ``_mesh`` test helper stay as the oracle: every
-exact path must agree with them to rounding.
+exact path must agree with them to rounding, on the library's own midpoint
+grid in u.
 """
 
 import sys
@@ -12,9 +13,10 @@ import pytest
 import _mesh
 import locstat.process as process
 from locstat.curves import ConstantCurve, FourierCurve, SampledCurve
-from locstat.espec import bias_scaling_study, limit_covariance, spectral_process_sample
-from locstat.estimator import curve_inverse_l2_distance, inverse_l2_distance
+from locstat.espec import COVARIANCE_CELLS, limit_covariance
+from locstat.estimator import DISTANCE_CELLS, inverse_l2_distance
 from locstat.likelihood import (
+    SANDWICH_CELLS,
     divergence_sandwich,
     kl_contrast,
     kl_divergence,
@@ -23,16 +25,15 @@ from locstat.likelihood import (
 )
 from locstat.process import TvARModel, simulate_tvar, spectral_density
 from locstat.spectral import (
+    TIME_CELLS,
     FrequencyGrid,
     ar_inverse_weight,
     constant_weight,
     lag_curve_weight,
     spectral_functional_limit,
-    weight_norms,
 )
 
 GRID = FrequencyGrid(128)
-CELLS = 32
 TOL = dict(rel=1e-12, abs=1e-14)
 
 CASES = {
@@ -45,12 +46,20 @@ CASES = {
 OTHER = TvARModel.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
 
 PAIR_CONSUMERS = {
-    "inverse_l2_distance": lambda g, f: inverse_l2_distance(g, f, u_grid_size=CELLS),
-    "divergence_sandwich": lambda g, f: divergence_sandwich(g, f, grid=GRID, u_grid_size=CELLS),
-    "kl_contrast": lambda g, f: kl_contrast(g, f, u_grid_size=CELLS),
-    "kl_divergence": lambda g, f: kl_divergence(g, f, u_grid_size=CELLS),
+    "inverse_l2_distance": inverse_l2_distance,
+    "divergence_sandwich": divergence_sandwich,
+    "kl_contrast": kl_contrast,
+    "kl_divergence": kl_divergence,
 }
-MESH_ORACLES = {name: lambda g, f, name=name: getattr(_mesh, name)(g, f, GRID, CELLS) for name in PAIR_CONSUMERS}
+# the mesh of each oracle: the library's u-grid, and for the sandwich, whose
+# sups are taken on the mesh, its frequency grid too
+ORACLE_MESHES = {
+    "inverse_l2_distance": (GRID, DISTANCE_CELLS),
+    "divergence_sandwich": (FrequencyGrid(), SANDWICH_CELLS),
+    "kl_contrast": (GRID, TIME_CELLS),
+    "kl_divergence": (GRID, TIME_CELLS),
+}
+MESH_ORACLES = {name: lambda g, f, name=name: getattr(_mesh, name)(g, f, *ORACLE_MESHES[name]) for name in PAIR_CONSUMERS}
 
 
 def assert_close(fast, oracle):
@@ -67,9 +76,8 @@ def assert_close(fast, oracle):
 def test_pair_consumers_match_mesh_oracle(case, consumer):
     f = CASES[case]()
     compute, oracle = PAIR_CONSUMERS[consumer], MESH_ORACLES[consumer]
-    for g in (OTHER, f):  # g = f exercises the values near 0
-        for a, b in ((g, f), (f, g)):
-            assert_close(compute(a, b), oracle(a, b))
+    for a, b in ((OTHER, f), (f, OTHER), (f, f)):  # g = f exercises the values near 0
+        assert_close(compute(a, b), oracle(a, b))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -82,8 +90,8 @@ def test_spectral_functional_limit_matches_mesh_oracle(case):
         lag_curve_weight({0: 1.0, 1: FourierCurve(0.2, a=[0.3]), 3: -0.4}),
     ]
     for phi in weights:
-        fast = spectral_functional_limit(phi, f, u_grid_size=CELLS)
-        oracle = _mesh.spectral_functional_limit(phi, f, GRID, CELLS)
+        fast = spectral_functional_limit(phi, f)
+        oracle = _mesh.spectral_functional_limit(phi, f, GRID, TIME_CELLS)
         assert fast == pytest.approx(oracle, **TOL)
 
 
@@ -116,8 +124,8 @@ def test_limit_covariance_matches_mesh_oracle(case):
     ]
     for phi_j in weights:
         for phi_k in weights:
-            fast = limit_covariance(phi_j, phi_k, f, u_grid_size=CELLS)
-            oracle = _mesh.limit_covariance(phi_j, phi_k, f, GRID, CELLS)
+            fast = limit_covariance(phi_j, phi_k, f)
+            oracle = _mesh.limit_covariance(phi_j, phi_k, f, GRID, COVARIANCE_CELLS)
             assert fast == pytest.approx(oracle, **TOL)
 
 
@@ -175,7 +183,7 @@ def test_whittle_lag_path_matches_quadrature_oracle(case):
 def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):
     calls = []
     patch_density(monkeypatch, lambda *a: calls.append(1) or spectral_density(*a))
-    divergence_sandwich(CASES["time_varying_ar2"](), OTHER, grid=GRID, u_grid_size=CELLS)
+    divergence_sandwich(CASES["time_varying_ar2"](), OTHER)
     assert calls
 
 
@@ -194,8 +202,8 @@ def test_exact_paths_reject_nonpositive_variance_like_the_mesh(consumer):
 def test_log_riemann_remainder_matches_mesh_oracle(case):
     f = CASES[case]()
     for n in (1, 33, 64):
-        oracle = _mesh.log_riemann_remainder(f, n, GRID, CELLS)
-        assert log_riemann_remainder(f, n, u_grid_size=CELLS) == pytest.approx(oracle, **TOL)
+        oracle = _mesh.log_riemann_remainder(f, n, GRID, TIME_CELLS)
+        assert log_riemann_remainder(f, n) == pytest.approx(oracle, **TOL)
 
 
 def _spectrum_consumers(spectrum):
@@ -224,30 +232,16 @@ def test_callable_spectra_are_refused(consumer):
 
 
 def _grid_size_consumers(size):
-    f, phi = CASES["ar1_step_variance"](), constant_weight(1.0)
-    return {
-        "FrequencyGrid": lambda: FrequencyGrid(size),
-        "spectral_functional_limit": lambda: spectral_functional_limit(phi, f, u_grid_size=size),
-        "limit_covariance": lambda: limit_covariance(phi, phi, f, u_grid_size=size),
-        "kl_contrast": lambda: kl_contrast(OTHER, f, u_grid_size=size),
-        "kl_divergence": lambda: kl_divergence(OTHER, f, u_grid_size=size),
-        "divergence_sandwich": lambda: divergence_sandwich(OTHER, f, u_grid_size=size),
-        "inverse_l2_distance": lambda: inverse_l2_distance(OTHER, f, u_grid_size=size),
-        "curve_inverse_l2_distance": lambda: curve_inverse_l2_distance(1.0, 2.0, u_grid_size=size),
-        "log_riemann_remainder": lambda: log_riemann_remainder(f, 16, u_grid_size=size),
-        "spectral_process_sample": lambda: spectral_process_sample(f, phi, 8, 2, 0, u_grid_size=size),
-        "bias_scaling_study": lambda: bias_scaling_study(f, phi, [8], 2, 0, u_grid_size=size),
-        "weight_norms": lambda: weight_norms(phi, 8, u_resolution=size),
-    }
+    # the one public grid size left: every time integral has a fixed resolution
+    return {"FrequencyGrid": lambda: FrequencyGrid(size)}
 
 
 @pytest.mark.parametrize("size", [0, 2.7, -4, "abc", None])
 @pytest.mark.parametrize("consumer", sorted(_grid_size_consumers(None)))
 def test_grid_sizes_are_checked_once(consumer, size):
-    # a size that is not an integer >= 1 (an even one >= 2 for FrequencyGrid)
-    # is refused by the one conversion, which names the parameter
-    name = {"FrequencyGrid": "grid size", "weight_norms": "u_resolution"}.get(consumer, "u_grid_size")
-    with pytest.raises(ValueError, match=name):
+    # a size that is not an even integer >= 2 is refused by the one
+    # conversion, which names the parameter
+    with pytest.raises(ValueError, match="grid size"):
         _grid_size_consumers(size)[consumer]()
     # an integral float is the same size
     assert repr(_grid_size_consumers(8.0)[consumer]()) == repr(_grid_size_consumers(8)[consumer]())

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +19,40 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve_once():
     assert not [export for export in locstat.__all__ if not hasattr(locstat, export)]
     assert len(set(locstat.__all__)) == len(locstat.__all__)
+
+
+# Every time integral has one resolution, a module constant; these options,
+# which only tests ever set, are gone.
+REMOVED_OPTIONS = {"u_grid_size", "u_resolution", "sigma2_init"}
+REMOVED_FROM = {"divergence_sandwich": {"grid"}, "fit_fourier_tvar": {"eps"}, "clopper_pearson_upper": {"level"}}
+
+
+def _public_callables():
+    """(name, callable) for every callable of locstat.__all__, with each
+    class's constructor and the methods it defines."""
+    for name in locstat.__all__:
+        obj = getattr(locstat, name)
+        if inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)) or inspect.isfunction(member):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+        elif callable(obj):
+            yield name, obj
+
+
+def test_no_public_callable_takes_a_removed_option():
+    offenders = {}
+    for name, fn in _public_callables():
+        try:
+            params = set(inspect.signature(fn).parameters)
+        except ValueError:  # a builtin without a signature
+            continue
+        taken = params & (REMOVED_OPTIONS | REMOVED_FROM.get(name, set()))
+        if taken:
+            offenders[name] = sorted(taken)
+    assert offenders == {}
+    # the checker sees what it is looking for
+    assert {"divergence_sandwich", "fit_fourier_tvar", "clopper_pearson_upper", "TvARModel.validate"} <= {
+        name for name, _ in _public_callables()
+    }

@@ -26,12 +26,19 @@ def max_min_fit(values, weights):
     return out
 
 
+def level_set_stops(values):
+    """Ends of the runs of equal values: adjacent PAVA blocks have strictly
+    increasing means, so each run is one pooled block."""
+    return [*(np.flatnonzero(np.diff(values)) + 1).tolist(), len(values)]
+
+
 def test_pava_frozen_examples():
     np.testing.assert_allclose(pava_monotone([3.0, 1.0, 2.0]).values, [2.0, 2.0, 2.0])
     fit = pava_monotone([1.0, 2.0, 0.5, 4.0])
     np.testing.assert_allclose(fit.values, [1.0, 1.25, 1.25, 4.0])
-    assert fit.blocks == [(0, 1), (1, 3), (3, 4)]
-    np.testing.assert_allclose(fit.block_values, [1.0, 1.25, 4.0])
+    stops = level_set_stops(fit.values)
+    assert stops == [1, 3, 4]
+    np.testing.assert_allclose(fit.values[np.array(stops) - 1], [1.0, 1.25, 4.0])
 
 
 def test_pava_already_monotone_is_identity():
@@ -95,7 +102,7 @@ def test_gcm_touches_diagram_at_block_ends():
         fit = pava_monotone(v, w)
         diagram = np.concatenate([[0.0], np.cumsum(w * v)])
         minorant = np.concatenate([[0.0], np.cumsum(w * fit.values)])
-        for _, stop in fit.blocks:
+        for stop in level_set_stops(fit.values):
             assert minorant[stop] == pytest.approx(diagram[stop], abs=1e-12)
         assert np.all(minorant <= diagram + 1e-12)
 

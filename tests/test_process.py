@@ -10,9 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import _mesh
 from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
-from locstat.espec import limit_covariance
-from locstat.estimator import inverse_l2_distance
-from locstat.likelihood import divergence_sandwich, kl_divergence
+from locstat.espec import COVARIANCE_CELLS, limit_covariance
+from locstat.estimator import DISTANCE_CELLS, inverse_l2_distance
+from locstat.likelihood import SANDWICH_CELLS, divergence_sandwich, kl_divergence
 import locstat.process as process
 from locstat.process import (
     SpectrumField,
@@ -28,7 +28,7 @@ from locstat.process import (
     tv_covariance,
     white_noise_model,
 )
-from locstat.spectral import FrequencyGrid, ar_inverse_weight, constant_weight, spectral_functional_limit
+from locstat.spectral import TIME_CELLS, FrequencyGrid, ar_inverse_weight, constant_weight, spectral_functional_limit
 
 
 def test_check_stability_known_polynomials():
@@ -48,6 +48,14 @@ def test_check_stability_margin():
     # root at -1/0.9 = -1.111..., inside the 0.2 margin
     assert check_stability(np.array([0.9]), delta=0.0)
     assert not check_stability(np.array([0.9]), delta=0.2)
+
+
+def test_check_stability_converts_the_margin():
+    # a nan margin must not call the stable [0.5] unstable; a numeric string converts
+    for delta in (float("nan"), "abc", None, -0.1):
+        with pytest.raises(ValueError, match="delta"):
+            check_stability([0.5], delta)
+    assert check_stability([0.5], "0.1") is check_stability([0.5], 0.1) is True
 
 
 def test_model_validation_rejects_unstable_region():
@@ -384,29 +392,31 @@ _OTHER = SpectrumField.from_coefficients([0.4], 1.2)
 _GRID = FrequencyGrid(32)
 _PHI = constant_weight(1.5)
 _FIELD_CONSUMERS = {
-    # (library call, its mesh oracle): the model path is exact; the midpoint
-    # sum of f/g aliases by 2.6e-4 on 32 nodes and by 1.1e-14 on 128
+    # (library call, its mesh oracle on the call's own u-grid): the model path
+    # is exact; the midpoint sum of f/g aliases by 2.6e-4 on 32 nodes and by
+    # 1.1e-14 on 128
     "kl_divergence": (
-        lambda f: kl_divergence(_OTHER, f, u_grid_size=16),
-        lambda f: _mesh.kl_divergence(_OTHER, f, FrequencyGrid(128), 16),
+        lambda f: kl_divergence(_OTHER, f),
+        lambda f: _mesh.kl_divergence(_OTHER, f, FrequencyGrid(128), TIME_CELLS),
     ),
+    # the sandwich's sups are taken on its own mesh, a FrequencyGrid()
     "divergence_sandwich": (
-        lambda f: divergence_sandwich(f, _OTHER, grid=_GRID, u_grid_size=16),
-        lambda f: _mesh.divergence_sandwich(f, _OTHER, _GRID, 16),
+        lambda f: divergence_sandwich(f, _OTHER),
+        lambda f: _mesh.divergence_sandwich(f, _OTHER, FrequencyGrid(), SANDWICH_CELLS),
     ),
     "inverse_l2_distance": (
-        lambda f: inverse_l2_distance(_OTHER, f, u_grid_size=16),
-        lambda f: _mesh.inverse_l2_distance(_OTHER, f, _GRID, 16),
+        lambda f: inverse_l2_distance(_OTHER, f),
+        lambda f: _mesh.inverse_l2_distance(_OTHER, f, _GRID, DISTANCE_CELLS),
     ),
     "spectral_functional_limit": (
-        lambda f: spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f, u_grid_size=16),
-        lambda f: _mesh.spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f, _GRID, 16),
+        lambda f: spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f),
+        lambda f: _mesh.spectral_functional_limit(ar_inverse_weight(_tv_ar2()), f, _GRID, TIME_CELLS),
     ),
     # the model path is exact; the midpoint sum of f^2 aliases by 1.4e-3 on
     # 32 nodes and by 5.6e-16 on 256
     "limit_covariance": (
-        lambda f: limit_covariance(_PHI, _PHI, f, u_grid_size=16),
-        lambda f: _mesh.limit_covariance(_PHI, _PHI, f, FrequencyGrid(256), 16),
+        lambda f: limit_covariance(_PHI, _PHI, f),
+        lambda f: _mesh.limit_covariance(_PHI, _PHI, f, FrequencyGrid(256), COVARIANCE_CELLS),
     ),
 }
 
@@ -453,6 +463,15 @@ def test_ar_autocov_white_noise_and_shape():
     np.testing.assert_array_equal(cov[:, 0, :], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         ar_autocov(m, [0.5], -1)
+
+
+def test_ar_autocov_refuses_a_fractional_lag():
+    # a fractional max_lag is refused, not truncated
+    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    for max_lag in (2.5, "abc", None):
+        with pytest.raises(ValueError, match="max_lag"):
+            ar_autocov(m, [0.5], max_lag)
+    np.testing.assert_array_equal(ar_autocov(m, [0.5], 2.0), ar_autocov(m, [0.5], 2))
 
 
 def test_tv_covariance_tracks_local_variance():
