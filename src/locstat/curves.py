@@ -237,6 +237,11 @@ def as_number(value, name, kind=int, minimum=None):
     return number
 
 
+def _as_curve(c):
+    """c itself if it is a Curve, else the ConstantCurve of the number c."""
+    return c if isinstance(c, Curve) else ConstantCurve(c)
+
+
 def as_numbers(values, name, kind=int, minimum=None):
     """Nonempty tuple of the entries of the list values, each converted by
     :func:`as_number`; raises ValueError when values is not a list (a string,

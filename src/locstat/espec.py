@@ -24,6 +24,8 @@ __all__ = [
     "TailStudySpec",
     "chi2_tail_study",
     "clopper_pearson_upper",
+    "tail_bound_quadratic",
+    "tail_bound_linear",
     "SpectralProcessSample",
     "spectral_process_sample",
     "limit_covariance",

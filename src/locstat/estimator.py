@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import Curve, FourierCurve, MonotoneStepCurve, as_number
+from .curves import FourierCurve, MonotoneStepCurve, _as_curve, as_number
 from .isotonic import sieve_pava
 from .likelihood import _conditional, _inverse_distance_sq, _residuals
 from .process import STABILITY_GRID, check_stability
@@ -31,6 +31,8 @@ __all__ = [
     "FitResult",
     "FourierFitResult",
     "wls_ar",
+    "default_knots",
+    "default_eps",
     "fit_monotone_tvar",
     "fit_fourier_tvar",
     "inverse_l2_distance",
@@ -168,10 +170,7 @@ def wls_ar(series, sigma2, p):
     n = len(x)
     if n <= p:
         raise ValueError(f"need more than p={p} observations")
-    if isinstance(sigma2, Curve):
-        w = 1.0 / sigma2.values(np.arange(p + 1, n + 1) / n)
-    else:
-        w = np.full(n - p, 1.0 / float(sigma2))
+    w = 1.0 / _as_curve(sigma2).values(np.arange(p + 1, n + 1) / n)
     if np.min(w) <= 0 or not np.all(np.isfinite(w)):
         raise ValueError("weights must be positive and finite")
     return _wls(_lag_matrix(x, p), x[p:], w)
@@ -418,8 +417,7 @@ def curve_inverse_l2_distance(c1, c2):
     is a midpoint rule with DISTANCE_CELLS cells.
     """
     u = _time_grid(DISTANCE_CELLS)
-    v1 = c1.values(u) if isinstance(c1, Curve) else np.full(u.shape, float(c1))
-    v2 = c2.values(u) if isinstance(c2, Curve) else np.full(u.shape, float(c2))
+    v1, v2 = _as_curve(c1).values(u), _as_curve(c2).values(u)
     if np.min(v1) <= 0 or np.min(v2) <= 0:
         raise ValueError("curves must be strictly positive")
     return float(np.sqrt(2 * np.pi * np.mean((1.0 / v1 - 1.0 / v2) ** 2)))

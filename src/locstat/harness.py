@@ -267,11 +267,10 @@ def write_rows_csv(path, rows):
 
 
 def _format_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    # np.float64 subclasses float, and under NumPy 2 its repr is "np.float64(...)"
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
     return value
 

@@ -22,12 +22,12 @@ import math
 import numpy as np
 
 from .curves import as_number
-from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2
+# SpectrumField stays importable from here; process.__all__ lists it
+from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2  # noqa: F401
 from .spectral import TIME_CELLS, FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
 __all__ = [
-    "SpectrumField",  # defined in locstat.process
     "whittle_contrast",
     "kl_contrast",
     "kl_divergence",

@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
+from .curves import ConstantCurve, Curve, _as_curve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
 
 __all__ = [
     "TimeSeries",
@@ -43,6 +43,7 @@ __all__ = [
     "tv_covariance",
     "white_noise_model",
     "model_from_json",
+    "DEFAULT_BURN_IN",
 ]
 
 DEFAULT_BURN_IN = 1000
@@ -138,18 +139,15 @@ class TimeSeries:
     ----------
     values : array_like
         Observations x_1, ..., x_n.
-    seed : int, optional
-        RNG seed the series was generated from, if any.
     """
 
-    def __init__(self, values, seed=None):
+    def __init__(self, values):
         v = np.asarray(values, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("need a nonempty 1-d array of observations")
         if not np.all(np.isfinite(v)):
             raise ValueError("observations must be finite")
         self.values = v
-        self.seed = seed
 
     @property
     def n(self):
@@ -206,7 +204,7 @@ class TimeSeries:
         return cls(values)
 
     def __repr__(self):
-        return f"TimeSeries(n={self.n}, seed={self.seed!r})"
+        return f"TimeSeries(n={self.n})"
 
 
 class TvARModel:
@@ -279,9 +277,7 @@ class TvARModel:
         """Model with constant coefficients alpha and variance sigma2, a Curve
         or a positive number."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if not isinstance(sigma2, Curve):
-            sigma2 = ConstantCurve(sigma2)
-        return cls(len(alpha), [ConstantCurve(a) for a in alpha], sigma2, validate=validate)
+        return cls(len(alpha), [ConstantCurve(a) for a in alpha], _as_curve(sigma2), validate=validate)
 
     def describe(self):
         return {
@@ -323,7 +319,7 @@ def simulate_tvar(model, n, seed):
     -------
     TimeSeries
     """
-    return TimeSeries(simulate_tvar_batch(model, n, [seed])[0], seed=seed)
+    return TimeSeries(simulate_tvar_batch(model, n, [seed])[0])
 
 
 def _step_times(start, stop, burn_in, n):
@@ -538,7 +534,7 @@ def coeff_autocorr(model, u, m):
     p = model.p
     a = model.alpha_matrix(u)
     coeff = [np.ones(u.shape)] + [a[..., j] for j in range(p)]
-    m = abs(int(m))
+    m = abs(as_number(m, "m"))
     acc = np.zeros(u.shape)
     for i in range(0, p - m + 1):
         acc = acc + coeff[i] * coeff[i + m]
@@ -661,8 +657,8 @@ def tv_covariance(model, u, k):
     -------
     float
     """
-    k = abs(int(k))
-    return float(ar_autocov(model, np.array([float(u)]), k)[0, k])
+    k = abs(as_number(k, "k"))
+    return float(ar_autocov(model, np.array([as_number(u, "u", float)]), k)[0, k])
 
 
 def model_from_json(payload, what="model"):

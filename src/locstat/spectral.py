@@ -21,7 +21,7 @@ and norm bounds in this module are stated for that convention.
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve, as_number
+from .curves import _as_curve, as_number
 from .process import TimeSeries, _as_model, ar_autocov, coeff_autocorr
 
 __all__ = [
@@ -112,7 +112,7 @@ class PrePeriodogram:
         products : ndarray
             x_i x_j with i = floor(t + 1/2 + k/2), j = floor(t + 1/2 - k/2).
         """
-        t, i, j = _lag_index(self.n, k)
+        t, i, j = _lag_index(self.n, as_number(k, "k"))
         return t, self.x[i] * self.x[j]
 
     def _rows(self, times):
@@ -287,7 +287,7 @@ def lag_curve_weight(curves):
     table = {}
     for j, c in curves.items():
         # nonnegative lags only; negatives mirror
-        table[as_number(j, "lag", int, 0)] = c if isinstance(c, Curve) else ConstantCurve(c)
+        table[as_number(j, "lag", int, 0)] = _as_curve(c)
     if not table:
         raise ValueError("need at least one lag coefficient curve")
     support = max(table)

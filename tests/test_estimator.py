@@ -89,6 +89,14 @@ def test_wls_order_zero_and_errors():
         wls_ar(np.zeros(50), 1.0, 1)
 
 
+def test_wls_ar_takes_a_number_as_its_constant_curve():
+    x = simulate_tvar(white_noise_model(1.0), 64, 0)
+    for value in (None, float("nan"), "abc"):
+        with pytest.raises(ValueError, match="curve value"):
+            wls_ar(x, value, 1)
+    assert wls_ar(x, 2.0, 2).tobytes() == wls_ar(x, ConstantCurve(2.0), 2).tobytes()
+
+
 def test_wls_residuals_orthogonal_to_weighted_regressors():
     m = step_model()
     for seed in range(5):
@@ -464,6 +472,16 @@ def test_inverse_l2_distance_rejects_nonpositive():
     bad = TvARModel(0, (), SampledCurve([1.0, -1.0]), validate=False)
     with pytest.raises(ValueError, match="strictly positive"):
         inverse_l2_distance(bad, f)
+
+
+def test_curve_inverse_l2_distance_takes_a_number_as_its_constant_curve():
+    for value in (float("nan"), None, "abc"):
+        with pytest.raises(ValueError, match="curve value"):
+            curve_inverse_l2_distance(value, 1.0)
+        with pytest.raises(ValueError, match="curve value"):
+            curve_inverse_l2_distance(ConstantCurve(1.0), value)
+    step = SampledCurve([1.0, 3.0])
+    assert curve_inverse_l2_distance(2.0, step) == curve_inverse_l2_distance(ConstantCurve(2.0), step)
 
 
 def test_curve_inverse_l2_distance_frozen():

@@ -1,12 +1,18 @@
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
 import locstat
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(locstat.__path__))
+# the library modules in the order the package exports them; cli is the one
+# module outside the package API
+LIBRARY = ("curves", "process", "spectral", "likelihood", "isotonic", "estimator", "espec", "harness")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -19,6 +25,19 @@ def test_module_exports_resolve(name):
 def test_package_exports_resolve_once():
     assert not [export for export in locstat.__all__ if not hasattr(locstat, export)]
     assert len(set(locstat.__all__)) == len(locstat.__all__)
+
+
+def test_package_exports_are_the_module_lists():
+    assert sorted(LIBRARY) == [name for name in MODULES if name != "cli"]
+    modules = [importlib.import_module(f"locstat.{name}") for name in LIBRARY]
+    assert locstat.__all__ == ["__version__"] + [export for module in modules for export in module.__all__]
+
+
+def test_package_import_loads_no_cli():
+    code = "import sys, locstat; print(sorted(m for m in sys.modules if m.startswith(('locstat', 'argparse'))))"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(locstat.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == repr(sorted(["locstat"] + [f"locstat.{name}" for name in LIBRARY]))
 
 
 # Every time integral has one resolution, a module constant; these options,

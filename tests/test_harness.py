@@ -168,13 +168,19 @@ def test_rows_csv_round_trip_exact(tmp_path):
 
 def dict_writer_oracle(path, rows):
     """The csv.DictWriter form the rows CSV was defined by: the columns of
-    the first row."""
+    the first row, floats written by repr(float) and NumPy integers as int."""
+
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return int(value) if isinstance(value, np.integer) else value
+
     fieldnames = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
-            writer.writerow({k: harness._format_cell(row.get(k)) for k in fieldnames})
+            writer.writerow({k: cell(row.get(k)) for k in fieldnames})
 
 
 @pytest.mark.parametrize("form", [list, lambda rows: (row for row in rows)], ids=["list", "generator"])
@@ -188,6 +194,11 @@ def test_rows_csv_bytes_equal_dict_writer(tmp_path, form):
     write_rows_csv(tmp_path / "new.csv", form(rows))
     dict_writer_oracle(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_rows_csv_round_trips_numpy_scalars(tmp_path):
+    write_rows_csv(tmp_path / "rows.csv", [{"a": np.float64(0.1), "b": np.int64(3), "c": np.float32(0.1)}])
+    assert read_rows_csv(tmp_path / "rows.csv") == [{"a": 0.1, "b": 3, "c": float(np.float32(0.1))}]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")], ids=repr)

@@ -20,6 +20,7 @@ from locstat.process import (
     TvARModel,
     ar_autocov,
     check_stability,
+    coeff_autocorr,
     model_from_json,
     simulate_tvar,
     simulate_tvar_batch,
@@ -472,6 +473,25 @@ def test_ar_autocov_refuses_a_fractional_lag():
         with pytest.raises(ValueError, match="max_lag"):
             ar_autocov(m, [0.5], max_lag)
     np.testing.assert_array_equal(ar_autocov(m, [0.5], 2.0), ar_autocov(m, [0.5], 2))
+
+
+def test_tv_covariance_refuses_a_fractional_lag():
+    # a fractional lag is refused, not truncated to the lag-1 value
+    model = white_noise_model(1.0)
+    for k in (1.5, "abc", None):
+        with pytest.raises(ValueError, match="k must"):
+            tv_covariance(model, 0.5, k)
+    with pytest.raises(ValueError, match="u must"):
+        tv_covariance(model, None, 0)
+    assert tv_covariance(model, 0.5, -1.0) == tv_covariance(model, 0.5, 1) == 0.0
+
+
+def test_coeff_autocorr_refuses_a_fractional_lag():
+    model = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    for m in (1.5, "abc", None):
+        with pytest.raises(ValueError, match="m must"):
+            coeff_autocorr(model, [0.5], m)
+    np.testing.assert_array_equal(coeff_autocorr(model, [0.5], -1.0), coeff_autocorr(model, [0.5], 1))
 
 
 def test_tv_covariance_tracks_local_variance():

@@ -91,6 +91,14 @@ class TestPrePeriodogram:
             np.testing.assert_array_equal(tp, tm)
             np.testing.assert_array_equal(vp, vm)
 
+    def test_lag_products_refuse_a_fractional_lag(self):
+        pre = PrePeriodogram(np.arange(1.0, 7.0))
+        for k in (1.5, "abc", None):
+            with pytest.raises(ValueError, match="k must"):
+                pre.lag_products(k)
+        for whole, integer in zip(pre.lag_products(2.0), pre.lag_products(2)):
+            np.testing.assert_array_equal(whole, integer)
+
     def test_out_of_range_lag_is_empty(self):
         pre = PrePeriodogram(np.ones(4))
         t, v = pre.lag_products(4)
