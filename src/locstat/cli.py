@@ -103,36 +103,20 @@ def _study_kwargs(args, config, model=None):
     return kwargs
 
 
-def _positive_int(text):
-    number = int(text)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
-    return number
-
-
-def _grid_size(text):
-    size = int(text)
-    if size < 2 or size % 2:
-        raise argparse.ArgumentTypeError(f"must be an even integer >= 2, got {size}")
-    return size
-
-
 def _parse_times(text):
     """Sorted distinct 1-based times of a --times value; None for "all".
 
-    Raises ValueError naming the first entry that is not an integer >= 1.
+    Raises ValueError naming the first entry that is not an integer; the
+    range 1..n is checked by :meth:`PrePeriodogram.evaluate_grid`.
     """
     if text == "all":
         return None
     times = set()
     for token in text.split(","):
         try:
-            t = int(token)
+            times.add(int(token))
         except ValueError:
             raise ValueError(f'--times entry {token!r} is not an integer; give 1-based times or "all"') from None
-        if t < 1:
-            raise ValueError(f"--times entry {token!r} is below 1")
-        times.add(t)
     return sorted(times)
 
 
@@ -205,11 +189,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_preperiodogram(args):
+    grid = FrequencyGrid(args.grid_size)
     times = _parse_times(args.times)
     x = TimeSeries.from_csv(args.series)
-    if times is not None and times[-1] > x.n:
-        raise ValueError(f"--times entries must lie in 1..{x.n}")
-    grid = FrequencyGrid(args.grid_size)
     values = PrePeriodogram(x).evaluate_grid(grid, times)
     if times is None:
         times = range(1, x.n + 1)
@@ -282,7 +264,7 @@ def _cmd_fit(args):
 def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
     spec = RateStudySpec(**_study_kwargs(args, config))
-    result = rate_study(spec, threads=args.threads)
+    result = rate_study(spec)
     summary = {
         "slope_spectrum": result.slope_spectrum,
         "slope_variance": result.slope_variance,
@@ -368,12 +350,10 @@ def build_parser():
         prog="locstat",
         description="Spectral estimation for locally stationary time series.",
     )
-    # every subcommand takes --threads and --out; --threads above 1 is
-    # refused in main() except by rate-study, where it has no effect
+    # every subcommand takes --threads and --out; main() refuses --threads
+    # other than 1
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads", type=_positive_int, default=1, help="accepted above 1 by rate-study only, with no effect (>= 1)"
-    )
+    common.add_argument("--threads", type=int, default=1, help="must be 1: locstat runs on one thread")
     common.add_argument("--out", default=".", help="output directory (created if missing)")
     configured = argparse.ArgumentParser(add_help=False, parents=[common])
     configured.add_argument("--config", default=None, help="path to a JSON config file")
@@ -383,12 +363,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[seeded], help="simulate a time-varying AR path")
-    p_sim.add_argument("--n", type=_positive_int, required=True, help="series length (>= 1)")
+    p_sim.add_argument("--n", type=int, required=True, help="series length (>= 1)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_pre = sub.add_parser("preperiodogram", parents=[common], help="tabulate the pre-periodogram")
     p_pre.add_argument("--series", required=True, help="input series CSV")
-    p_pre.add_argument("--grid-size", type=_grid_size, default=64, help="frequency grid size (even, >= 2)")
+    p_pre.add_argument("--grid-size", type=int, default=64, help="frequency grid size (even, >= 2)")
     p_pre.add_argument(
         "--times", default="all", help='comma-separated 1-based times, or "all"; only these rows are computed'
     )
@@ -433,16 +413,16 @@ def _parser():
 
 
 def main(argv=None):
-    """Run one subcommand.  Bad input, whether a config, a series, an --out
-    that cannot be written, data the fit cannot identify or data whose
-    arithmetic overflows (NumPy's overflow and invalid operations raise
-    here), raises ValueError, OSError or FloatingPointError somewhere below;
-    it exits here with "<command>: <message>".  Any other exception is a bug
-    and keeps its traceback."""
+    """Run one subcommand.  Bad input, whether a flag value, a config, a
+    series, an --out that cannot be written, data the fit cannot identify or
+    data whose arithmetic overflows (NumPy's overflow and invalid operations
+    raise here), raises ValueError, OSError or FloatingPointError somewhere
+    below; it exits here with "<command>: <message>".  Any other exception
+    is a bug and keeps its traceback."""
     args = _parser().parse_args(argv)
     try:
-        if args.threads > 1 and args.func is not _cmd_rate_study:
-            raise ValueError("--threads is used only by rate-study")
+        if args.threads != 1:
+            raise ValueError(f"--threads must be 1, got {args.threads}: locstat runs on one thread")
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
     except (ValueError, OSError, FloatingPointError) as exc:

@@ -156,11 +156,9 @@ class MonotoneStepCurve(Curve):
 
     def __init__(self, values, eps):
         v = np.asarray(values, dtype=float)
-        eps = as_number(eps, "eps", float)
+        eps = _check_eps(eps)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("need a nonempty 1-d array of knot values")
-        if not (0.0 < eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
         if not np.all(np.isfinite(v)):
             raise ValueError("knot values must be finite")
         if np.any(np.diff(v) < 0):
@@ -221,13 +219,13 @@ def as_number(value, name, kind=int, minimum=None):
     """value converted by kind (int or float) for the parameter called name.
 
     Raises ValueError naming the parameter and the value where kind rejects
-    it (null, a list, an object, a non-numeric string), where an int would
-    drop a fraction or a float is not finite, and where the number lies
-    below minimum.
+    it or it is a boolean (null, true, a list, an object, a non-numeric
+    string), where an int would drop a fraction or a float is not finite,
+    and where the number lies below minimum.
     """
     try:
         number = kind(value)
-        exact = math.isfinite(number) and float(number) == float(value)
+        exact = math.isfinite(number) and float(number) == float(value) and not isinstance(value, (bool, np.bool_))
     except (TypeError, ValueError, OverflowError):
         exact = False
     if not exact:
@@ -235,6 +233,15 @@ def as_number(value, name, kind=int, minimum=None):
     if minimum is not None and number < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
     return number
+
+
+def _check_eps(eps):
+    """eps as a float, checked as the parameter of the bounds [eps^2, 1/eps^2]:
+    0 < eps < 1, with eps^2 > 0 and 1/eps^2 finite."""
+    eps = as_number(eps, "eps", float)
+    if not (0.0 < eps < 1.0 and eps ** 2 > 0.0 and math.isfinite(1.0 / eps ** 2)):
+        raise ValueError(f"eps must lie in (0, 1) with eps^2 > 0 and 1/eps^2 finite, got {eps!r}")
+    return eps
 
 
 def _as_curve(c):

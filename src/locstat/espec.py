@@ -42,9 +42,10 @@ TAIL_CHUNK_VALUES = 1 << 17
 
 
 def replication_seed(master, *indices):
-    """Deterministic per-replication seed derived from (master, indices)."""
-    seq = np.random.SeedSequence([int(master)] + [int(i) for i in indices])
-    return int(seq.generate_state(1, np.uint64)[0])
+    """Deterministic per-replication seed derived from (master, indices),
+    each an integer >= 0; raises ValueError naming any other value."""
+    entropy = [as_number(master, "seed", int, 0)] + [as_number(i, "index", int, 0) for i in indices]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 @dataclass

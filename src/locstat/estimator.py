@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import FourierCurve, MonotoneStepCurve, _as_curve, as_number
+from .curves import FourierCurve, MonotoneStepCurve, _as_curve, _check_eps, as_number
 from .isotonic import sieve_pava
 from .likelihood import _conditional, _inverse_distance_sq, _residuals
 from .process import STABILITY_GRID, check_stability
@@ -91,9 +91,7 @@ class FitConfig:
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         if self.eps is not None:
-            self.eps = as_number(self.eps, "eps", float)
-            if not 0.0 < self.eps < 1.0:
-                raise ValueError("eps must lie in (0, 1)")
+            self.eps = _check_eps(self.eps)
         if self.k_n is not None:
             self.k_n = as_number(self.k_n, "k_n", int, 1)
 

@@ -22,7 +22,6 @@ from .espec import replication_seed
 from .estimator import (
     FitConfig,
     curve_inverse_l2_distance,
-    default_eps,
     default_knots,
     fit_monotone_tvar,
     inverse_l2_distance,
@@ -109,7 +108,7 @@ class RateStudySpec:
         return self.model if self.model is not None else default_rate_model()
 
     def fit_config_for(self, n):
-        return FitConfig(p=self.p, k_n=study_knots(n), eps=default_eps(n))
+        return FitConfig(p=self.p, k_n=study_knots(n))
 
 
 @dataclass

@@ -13,7 +13,7 @@ greatest convex minorant of the cumulative sum diagram.
 
 import numpy as np
 
-from .curves import MonotoneStepCurve, as_number
+from .curves import MonotoneStepCurve, _check_eps, as_number
 
 __all__ = [
     "IsotonicFit",
@@ -123,15 +123,13 @@ def sieve_pava(squared_residuals, n, p, k_n, eps):
     n = as_number(n, "n", int, 1)
     p = as_number(p, "p", int, 0)
     k_n = as_number(k_n, "k_n", int, 1)
-    eps = as_number(eps, "eps", float)
+    eps = _check_eps(eps)
     if n <= p:
         raise ValueError(f"need n > p, got n = {n} and p = {p}")
     if sq.ndim != 1 or sq.size != n - p:
         raise ValueError(f"expected {n - p} squared residuals, got {sq.size}")
     if np.any(sq < 0) or not np.all(np.isfinite(sq)):
         raise ValueError("squared residuals must be nonnegative and finite")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
 
     jmin = (k_n * (p + 1) + n - 1) // n
     if jmin > k_n:

@@ -105,31 +105,27 @@ def _root_condition(coeffs, delta):
     return ok
 
 
-def _series_cells(path, header):
-    """(1-based line, first cell) of each line of a CSV series whose first
-    cell is not blank, skipping the first line when header is 1."""
-    cells = []
+def _scan_series(path, header):
+    """The first cells of a CSV series parsed line by line, skipping the
+    first line when header is 1 and lines whose first cell is blank.
+
+    Raises ValueError naming the file and the 1-based line of the first cell
+    that is not a number or not finite.
+    """
+    values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             cell = line.split(",", 1)[0].strip()
-            if cell and lineno > header:
-                cells.append((lineno, cell))
-    return cells
-
-
-def _scan_series(path, header):
-    """The first cells of a CSV series parsed line by line.
-
-    Raises ValueError naming the file and the 1-based line of the first cell
-    that is not a number.
-    """
-    values = []
-    for lineno, cell in _series_cells(path, header):
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(f"{path}, line {lineno}: {cell!r} is not a number") from None
-    return values
+            if not cell or lineno <= header:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: {cell!r} is not a number") from None
+            if not np.isfinite(value):
+                raise ValueError(f"{path}, line {lineno}: {cell!r} is not finite")
+            values.append(value)
+    return np.array(values)
 
 
 class TimeSeries:
@@ -193,14 +189,12 @@ class TimeSeries:
         except ValueError:
             # loadtxt refuses whitespace-only lines and rows with an empty
             # first cell, and its row numbers start after the header
-            values = np.array(_scan_series(path, header))
+            values = None
+        if values is None or not np.isfinite(values).all():
+            # the file is scanned only now, so a good file is read once
+            values = _scan_series(path, header)
         if values.size == 0:
             raise ValueError(f"{path}: no observations (need a nonempty series)")
-        finite = np.isfinite(values)
-        if not finite.all():
-            # the cells are looked up only now, so a good file is read once
-            lineno, cell = _series_cells(path, header)[int(np.argmin(finite))]
-            raise ValueError(f"{path}, line {lineno}: {cell!r} is not finite")
         return cls(values)
 
     def __repr__(self):
@@ -677,10 +671,5 @@ def model_from_json(payload, what="model"):
         raise ValueError(f"{what} alpha must be a list of curve specs, got {alpha!r}")
     alpha = [curve_from_spec(s) for s in alpha]
     sigma2 = curve_from_spec(payload["sigma2"])
-    return TvARModel(
-        payload.get("p", len(alpha)),
-        alpha,
-        sigma2,
-        delta=payload.get("delta", 0.0),
-        burn_in=payload.get("burn_in", DEFAULT_BURN_IN),
-    )
+    options = {key: payload[key] for key in ("delta", "burn_in") if key in payload}
+    return TvARModel(payload.get("p", len(alpha)), alpha, sigma2, **options)

@@ -119,10 +119,11 @@ class PrePeriodogram:
         if times is None:
             return np.arange(1, self.n + 1)
         rows = np.asarray(times)
-        if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
-            raise ValueError("times must be a 1-d sequence of integers")
-        if rows.size and (rows.min() < 1 or rows.max() > self.n):
-            raise ValueError(f"times must lie in 1..{self.n}")
+        # an integer too large for int64 makes an object array, refused here too
+        if rows.ndim != 1 or (
+            rows.size and not (np.issubdtype(rows.dtype, np.integer) and 1 <= rows.min() and rows.max() <= self.n)
+        ):
+            raise ValueError(f"times must be a 1-d sequence of integers in 1..{self.n}")
         return rows
 
     def evaluate_grid(self, grid, times=None):

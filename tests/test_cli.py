@@ -24,6 +24,17 @@ def simulate_into(tmp_path, n=64, seed=3):
     return out / "series.csv"
 
 
+def refused(argv, capsys):
+    """The message main(argv) exits with, checked to be one line: a string
+    exit code, which Python prints to stderr with status 1, and no argparse
+    usage text."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+    assert "usage:" not in capsys.readouterr().err
+    return exc.value.code
+
+
 def test_simulate_writes_series_and_metadata(tmp_path):
     path = simulate_into(tmp_path)
     values = np.loadtxt(path, skiprows=1)
@@ -76,22 +87,12 @@ def test_preperiodogram_long_format(tmp_path):
     assert all(np.isfinite(r["value"]) for r in rows)
 
 
-def test_preperiodogram_rejects_out_of_range_times(tmp_path):
+def test_preperiodogram_rejects_out_of_range_times(tmp_path, capsys):
     series = simulate_into(tmp_path, n=16)
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "preperiodogram",
-                "--series",
-                str(series),
-                "--times",
-                "0,3",
-                "--out",
-                str(tmp_path / "x"),
-            ]
-        )
-    with pytest.raises(SystemExit, match=r"^preperiodogram: --times entries must lie in 1\.\.16$"):
-        main(["preperiodogram", "--series", str(series), "--times", "3,17", "--out", str(tmp_path / "x")])
+    # the range is the pre-periodogram's own check, made once the series is read
+    for times in ("0", "0,3", "3,-1", "3,17", f"3,{10**20}"):
+        argv = ["preperiodogram", "--series", str(series), "--times", times, "--out", str(tmp_path / "x")]
+        assert refused(argv, capsys) == "preperiodogram: times must be a 1-d sequence of integers in 1..16"
     assert not (tmp_path / "x").exists()
 
 
@@ -188,7 +189,7 @@ def test_rate_study_small_config(tmp_path):
     cfg = tmp_path / "rate.json"
     cfg.write_text(json.dumps({"n_list": [64, 128], "replications": 3}))
     out = tmp_path / "rate"
-    run("rate-study", "--config", str(cfg), "--seed", "5", "--threads", "2", "--out", str(out))
+    run("rate-study", "--config", str(cfg), "--seed", "5", "--out", str(out))
     rows = read_rows_csv(out / "rate_rows.csv")
     assert [r["n"] for r in rows] == [64, 128]
     summary = json.loads((out / "rate_summary.json").read_text())
@@ -305,10 +306,10 @@ def test_equivalence_without_seed_runs_and_records_the_library_default(tmp_path)
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
-def test_threads_below_one_rejected_at_parse_time(tmp_path, value):
+def test_threads_below_one_rejected_at_parse_time(tmp_path, capsys, value):
     out = tmp_path / "sim"
-    with pytest.raises(SystemExit):
-        main(["simulate", "--n", "16", "--threads", value, "--out", str(out)])
+    message = refused(["simulate", "--n", "16", "--threads", value, "--out", str(out)], capsys)
+    assert message == f"simulate: --threads must be 1, got {value}: locstat runs on one thread"
     assert not out.exists()
 
 
@@ -345,8 +346,16 @@ def test_threads_one_accepted_everywhere(argv):
 )
 def test_threads_above_one_rejected_outside_rate_study(tmp_path, argv):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit, match=f"^{argv[0]}: --threads is used only by rate-study$"):
+    with pytest.raises(SystemExit, match=f"^{argv[0]}: --threads must be 1, got 2: locstat runs on one thread$"):
         main([*argv, "--threads", "2", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["rate-study", "--threads", "2"], ["fit", "--series", "x.csv", "--threads", "0"]])
+def test_threads_other_than_one_rejected_by_every_command(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    message = refused([*argv, "--out", str(out)], capsys)
+    assert message == f"{argv[0]}: --threads must be 1, got {argv[-1]}: locstat runs on one thread"
     assert not out.exists()
 
 
@@ -441,7 +450,7 @@ def test_missing_nested_config_key_rejected(tmp_path, config, missing):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("times, token", [("5,abc", "'abc'"), ("", "''"), ("3,-1", "'-1'"), ("2,,4", "''")])
+@pytest.mark.parametrize("times, token", [("5,abc", "'abc'"), ("", "''"), ("2,,4", "''")])
 def test_preperiodogram_bad_times_rejected_before_reading(tmp_path, times, token):
     out = tmp_path / "out"
     # the series file does not exist: the times are checked first
@@ -453,10 +462,8 @@ def test_preperiodogram_bad_times_rejected_before_reading(tmp_path, times, token
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
     out = tmp_path / "sim"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--n", value, "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"--n: must be at least 1, got {int(value)}" in capsys.readouterr().err
+    message = refused(["simulate", "--n", value, "--out", str(out)], capsys)
+    assert message == f"simulate: n must be at least 1, got {value}"
     assert not out.exists()
 
 
@@ -470,8 +477,17 @@ def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
         ("x\r\n0.5\r\n\r\nabc\r\n", "series.csv, line 4: 'abc' is not a number"),
         ("x\n0.5\nnan\n", "series.csv, line 3: 'nan' is not finite"),
         ("0.5\n  \n-inf,1\n", "series.csv, line 3: '-inf' is not finite"),
+        ("x\n0.5\nnan\n1.0\nabc\n", "series.csv, line 3: 'nan' is not finite"),
     ],
-    ids=["missing", "empty", "header only", "bad cell", "nan cell", "inf cell after a whitespace line"],
+    ids=[
+        "missing",
+        "empty",
+        "header only",
+        "bad cell",
+        "nan cell",
+        "inf cell after a whitespace line",
+        "nan cell before a bad cell",
+    ],
 )
 def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
     series = tmp_path / "series.csv"
@@ -609,9 +625,14 @@ def test_fit_json_does_not_depend_on_blas_threads(tmp_path):
 
 
 @pytest.mark.parametrize("size", ["3", "0", "-2", "1"])
-def test_preperiodogram_bad_grid_size_rejected_at_parse_time(tmp_path, size):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["preperiodogram", "--series", "x.csv", "--grid-size", size])
+def test_preperiodogram_bad_grid_size_rejected_at_parse_time(tmp_path, capsys, size):
+    out = tmp_path / "out"
+    # the series file does not exist: the grid is built first
+    argv = ["preperiodogram", "--series", str(tmp_path / "none.csv"), "--grid-size", size, "--out", str(out)]
+    message = refused(argv, capsys)
+    reason = "must be at least 2" if int(size) < 2 else "must be even"
+    assert message == f"preperiodogram: grid size {reason}, got {size}"
+    assert not out.exists()
 
 
 def test_preperiodogram_all_times_match_requested_rows(tmp_path):
@@ -644,6 +665,8 @@ def test_preperiodogram_all_times_match_requested_rows(tmp_path):
         ("clt-study", {"phi": {"type": "lag_curves", "curves": [1.0]}}),
         ("clt-study", {"phi": {"type": ["constant"]}}),
         ("clt-study", {"phi": {"type": "constant", "value": None}}),
+        ("fit", {"max_iter": True}),
+        ("tail-study", {"n": True, "etas": [True]}),
     ],
 )
 def test_rejected_config_value_exits_with_message(tmp_path, command, config):
@@ -653,6 +676,17 @@ def test_rejected_config_value_exits_with_message(tmp_path, command, config):
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: "):
         main([command, *extra, "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", [1e-300, 1e-160])
+def test_fit_eps_without_finite_bounds_exits_with_one_line(tmp_path, capsys, eps):
+    series = simulate_into(tmp_path, n=64)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": eps}))
+    out = tmp_path / "out"
+    message = refused(["fit", "--series", str(series), "--config", str(cfg), "--out", str(out)], capsys)
+    assert message == f"fit: eps must lie in (0, 1) with eps^2 > 0 and 1/eps^2 finite, got {eps!r}"
     assert not out.exists()
 
 

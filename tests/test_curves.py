@@ -13,6 +13,8 @@ from locstat.curves import (
     curve_from_spec,
     curve_to_spec,
 )
+from locstat.estimator import FitConfig
+from locstat.isotonic import sieve_pava
 
 
 def test_constant_curve():
@@ -76,6 +78,18 @@ def test_monotone_step_curve_validation():
         MonotoneStepCurve([0.1, 1.0], eps=0.5)  # below eps^2
     with pytest.raises(ValueError):
         MonotoneStepCurve([1.0, 5.0], eps=0.5)  # above 1/eps^2
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1e-300, 1e-160])
+def test_eps_needs_finite_positive_bounds(eps):
+    # 1e-300 squares to 0 and 1e-160 to a subnormal whose inverse overflows
+    message = r"^eps must lie in \(0, 1\) with eps\^2 > 0 and 1/eps\^2 finite, got "
+    with pytest.raises(ValueError, match=message):
+        MonotoneStepCurve([1.0], eps=eps)
+    with pytest.raises(ValueError, match=message):
+        FitConfig(eps=eps)
+    with pytest.raises(ValueError, match=message):
+        sieve_pava(np.ones(9), 10, 1, 3, eps)
 
 
 def test_monotone_step_curve_exposes_bounds_and_knots():
@@ -151,7 +165,7 @@ def test_curve_from_spec_rejects_unknown_type():
 
 @pytest.mark.parametrize(
     "value, kind, expected",
-    [(3, int, 3), (3.0, int, 3), ("3", int, 3), (True, int, 1), (2, float, 2.0), ("0.5", float, 0.5)],
+    [(3, int, 3), (3.0, int, 3), ("3", int, 3), (2, float, 2.0), ("0.5", float, 0.5)],
 )
 def test_as_number_converts(value, kind, expected):
     number = as_number(value, "x", kind)
@@ -170,6 +184,8 @@ def test_as_number_converts(value, kind, expected):
         (float("nan"), float, "x must be a finite number, got nan"),
         ({}, float, r"x must be a finite number, got \{\}"),
         (-1, int, "x must be at least 0, got -1"),
+        (True, int, "x must be an integer, got True"),
+        (np.bool_(True), int, r"x must be an integer, got (np\.)?True_?"),
     ],
 )
 def test_as_number_names_rejected_value(value, kind, message):

@@ -47,6 +47,13 @@ def test_replication_seed_deterministic_and_distinct():
     assert replication_seed(7, 1, 2) != replication_seed(7, 2, 1)
 
 
+def test_replication_seed_refuses_what_it_would_truncate():
+    assert replication_seed(np.int64(3), 2.0) == replication_seed(3, 2)
+    for master, index, message in [(0, 1.5, "index"), (0.9, 1, "seed"), (0, -1, "index"), (True, 1, "seed")]:
+        with pytest.raises(ValueError, match=f"^{message} must be"):
+            replication_seed(master, index)
+
+
 def test_clopper_pearson_upper():
     assert clopper_pearson_upper(100, 100) == 1.0
     # k = 0 closed form: 1 - (1 - level)^{1/n}

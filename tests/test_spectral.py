@@ -200,8 +200,8 @@ class TestPrePeriodogram:
     def test_grid_rejects_bad_times(self):
         pre = PrePeriodogram(np.ones(5))
         g = FrequencyGrid(4)
-        for times in ([0, 2], [6], [1.5], [[1, 2]]):
-            with pytest.raises(ValueError):
+        for times in ([0, 2], [6], [1.5], [[1, 2]], [2, 10**20]):
+            with pytest.raises(ValueError, match=r"^times must be a 1-d sequence of integers in 1\.\.5$"):
                 pre.evaluate_grid(g, times)
 
     def test_grid_memory_linear_in_n_for_fixed_times(self):
