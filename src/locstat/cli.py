@@ -414,18 +414,18 @@ def _parser():
 
 def main(argv=None):
     """Run one subcommand.  Bad input, whether a flag value, a config, a
-    series, an --out that cannot be written, data the fit cannot identify or
+    series, an --out that cannot be written, data the fit cannot identify,
     data whose arithmetic overflows (NumPy's overflow and invalid operations
-    raise here), raises ValueError, OSError or FloatingPointError somewhere
-    below; it exits here with "<command>: <message>".  Any other exception
-    is a bug and keeps its traceback."""
+    raise here) or a size beyond memory, raises ValueError, OSError,
+    FloatingPointError or MemoryError below; it exits here with "<command>:
+    <message>".  Any other exception is a bug and keeps its traceback."""
     args = _parser().parse_args(argv)
     try:
         if args.threads != 1:
             raise ValueError(f"--threads must be 1, got {args.threads}: locstat runs on one thread")
         with np.errstate(over="raise", invalid="raise"):
             return args.func(args)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError, MemoryError) as exc:
         raise SystemExit(f"{args.command}: {exc}") from None
 
 

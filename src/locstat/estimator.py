@@ -292,9 +292,10 @@ def _stability_qp(hess, grad, check, room):
 
     Returns
     -------
-    (theta, converged)
-        converged is True when theta satisfies the KKT conditions, False if
-        the steps ran out first.
+    (theta, constrained, converged)
+        constrained is True when a bound is active at theta (W ends
+        nonempty); converged is True when theta satisfies the KKT
+        conditions, False if the steps ran out first.
     """
     normals = np.vstack([check, -check])  # normals @ theta <= room
     theta = np.zeros(hess.shape[0])
@@ -316,9 +317,9 @@ def _stability_qp(hess, grad, check, room):
         else:
             theta = theta + step
             if not work or multipliers.min() >= 0.0:
-                return theta, True
+                return theta, bool(work), True
             work.pop(int(np.argmin(multipliers)))
-    return theta, False
+    return theta, bool(work), False
 
 
 def fit_fourier_tvar(series, k_n=1):
@@ -330,12 +331,13 @@ def fit_fourier_tvar(series, k_n=1):
     (log n)^{-1/5} and qbar = n^{-1}
     (sum (1 + alpha_t^2) x_t^2 + 2 sum alpha_t x_t x_{t+1}).  The profiled
     objective increases in qbar, a convex quadratic in the curve
-    coefficients theta, so the fit is one linear solve for theta.  Only when
-    that solution reaches room = (1 - FOURIER_MARGIN)(1 - (pi k_n /
-    STABILITY_GRID)^2 / 2) on a check node u = j / STABILITY_GRID of
-    TvARModel.validate is a small QP solved, |alpha| <= room on those nodes,
-    by an active-set method started from the admissible theta = 0.  Either
-    way sup |alpha| <= 1 - FOURIER_MARGIN on all of [0, 1]: at a maximum of
+    coefficients theta, so the fit is the small QP of minimizing it subject
+    to |alpha| <= room = (1 - FOURIER_MARGIN)(1 - (pi k_n / STABILITY_GRID)^2
+    / 2) on the check nodes u = j / STABILITY_GRID of TvARModel.validate,
+    solved by an active-set method started from the admissible theta = 0.
+    Its first step is the one linear solve of the unconstrained fit, which
+    is the answer when it stays below room on every node.  The fitted curve
+    has sup |alpha| <= 1 - FOURIER_MARGIN on all of [0, 1]: at a maximum of
     |alpha| the derivative vanishes and |alpha''| <= (2 pi k_n)^2 sup |alpha|
     (Bernstein), so the nearest node reads at least room / (1 -
     FOURIER_MARGIN) of the sup.
@@ -350,8 +352,7 @@ def fit_fourier_tvar(series, k_n=1):
     -------
     FourierFitResult
         constrained is True when the bound on the check nodes is active;
-        converged then says whether the QP's solution satisfies the KKT
-        conditions, and is True otherwise.
+        converged says whether theta satisfies the QP's KKT conditions.
 
     Raises
     ------
@@ -375,18 +376,13 @@ def fit_fourier_tvar(series, k_n=1):
     basis = _fourier_basis(np.arange(1, n + 1) / n, k_n)
     hess = np.einsum("ti,t,tj->ij", basis, xx, basis)  # no threaded GEMM, as in wls_ar
     grad = basis.T @ np.append(cross, 0.0)
+    check = _fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
     try:
-        theta = np.linalg.solve(hess, -grad)
+        theta, constrained, converged = _stability_qp(hess, grad, check, room)
         if not np.all(np.isfinite(theta)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         raise DegenerateDataError("normal matrix of the Fourier fit is singular or not finite") from None
-
-    check = _fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
-    constrained = bool(np.max(np.abs(check @ theta)) >= room)
-    converged = True
-    if constrained:
-        theta, converged = _stability_qp(hess, grad, check, room)
 
     a_t = basis @ theta
     qbar = (np.sum((1.0 + a_t ** 2) * xx) + 2.0 * np.sum(a_t[:-1] * cross)) / n

@@ -11,10 +11,10 @@ functional) replaces J by the true spectrum f.  Every spectrum here is that
 of a time-varying AR model (a TvARModel), so both parts are
 exact: the log term via the Kolmogorov identity
 int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for stable coefficients, and
-the functional as a finite sum over the lags |m| <= p of 1/g.  Only the
-sups of :func:`divergence_sandwich` on time-varying pairs need a frequency
-mesh.  A conditional Gaussian likelihood on the same model class is provided
-for the fitting algorithms.
+the functional as a finite sum over the lags |m| <= p of 1/g.  Only
+:func:`divergence_sandwich` takes sums and sups over a frequency grid, once
+per run of equal coefficient rows.  A conditional Gaussian likelihood on the
+same model class is provided for the fitting algorithms.
 """
 
 import math
@@ -23,7 +23,7 @@ import numpy as np
 
 from .curves import as_number
 # SpectrumField stays importable from here; process.__all__ lists it
-from .process import SpectrumField, _as_model, coeff_autocorr, spectral_density, transfer_abs2  # noqa: F401
+from .process import SpectrumField, _as_model, _coefficient_runs, coeff_autocorr, transfer_abs2  # noqa: F401
 from .spectral import TIME_CELLS, FrequencyGrid, _series_values, _time_grid
 from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
 
@@ -86,36 +86,9 @@ def _log_integral(model, u):
     return 2 * np.pi * np.log(s2 / (2 * np.pi))
 
 
-def _separable(g, f, grid, u):
-    """Factors of two AR spectra whose coefficient rows are constant in u.
-
-    Such a spectrum is sigma^2(u) h(lam) with h = 1 / (2 pi |1 + sum_j alpha_j
-    e^{i lam j}|^2), so every sum and sup over the mesh is a product of sums
-    and sups over u and over lam.  Returns ((sigma^2_g, h_g), (sigma^2_f,
-    h_f)) on the times u and the grid nodes, or None when either model has
-    time-varying coefficients.  Raises unless both variances are positive.
-    """
-    rows = [m.alpha_matrix(u) for m in (g, f)]
-    if any(np.any(a != a[:1]) for a in rows):
-        return None
-    return [
-        (_positive(m.sigma2.values(u)), 1.0 / (2 * np.pi * transfer_abs2(a[0], grid.nodes)))
-        for m, a in zip((g, f), rows)
-    ]
-
-
-def _phi_sum(x):
-    # sum of x - 1 - log x, the divergence integrand at ratio x
-    return np.sum(np.log(1.0 / x) + x - 1.0)
-
-
-def _separable_divergence(grid, cells, g_factors, f_factors):
-    # with r = f/g = s(u) q(lam): phi(s q) = phi(s) + phi(q) + (s - 1)(q - 1),
-    # so the mesh sum of phi(r) needs sums over u and over lam only
-    s = f_factors[0] / g_factors[0]
-    q = f_factors[1] / g_factors[1]
-    total = grid.size * _phi_sum(s) + cells * _phi_sum(q) + np.sum(s - 1.0) * np.sum(q - 1.0)
-    return float(total * grid.weight / (4 * np.pi * cells))
+def _phi(x):
+    # x - 1 - log x, the divergence integrand at ratio x
+    return np.log(1.0 / x) + x - 1.0
 
 
 def _inverse_lags(model, u, order):
@@ -174,10 +147,10 @@ def kl_divergence(g, f):
 def divergence_sandwich(g, f):
     """Divergence with its inverse-distance lower and upper bounds.
 
-    On one shared evaluation mesh of the midpoint u-grid of SANDWICH_CELLS
-    cells and the nodes of a FrequencyGrid() (1024 nodes), computes the squared L2 distance of the inverse
-    spectra, rho^2 = int int (1/g - 1/f)^2, the divergence D(g, f), and the
-    two-sided bounds
+    On the mesh of the midpoint u-grid of SANDWICH_CELLS cells and the nodes
+    of a FrequencyGrid() (1024 nodes), computes the squared L2 distance of the
+    inverse spectra, rho^2 = int int (1/g - 1/f)^2, the divergence D(g, f),
+    and the two-sided bounds
 
         rho^2 / (8 pi M*^2)  <=  D(g, f)  <=  Omega^2 rho^2 / (4 pi),
 
@@ -185,12 +158,12 @@ def divergence_sandwich(g, f):
     larger of the two spectrum sups, both taken on the same mesh.  The chain
     holds pointwise on the mesh, so the inequalities are exact up to rounding.
 
-    Two models whose coefficients are constant in u take the exact path:
-    rho^2 as a lag sum (equal to the mesh sum, as the grid has more than 2p
-    nodes), the divergence from separate sums over u and lam, and M* and
-    Omega as products of the maxima of the positive time and frequency
-    factors, which are the mesh sups.  Models with time-varying coefficients
-    are evaluated on the mesh.
+    At time u each spectrum is sigma^2(u) h(lam), with h = 1 / (2 pi |A|^2)
+    fixed by the coefficient row at u, so h is computed once per run of equal
+    rows of the pair (one run for constant coefficients), and with f/g = s q,
+    phi(s q) = phi(s) + phi(q) + (s - 1)(q - 1) leaves sums over lam once per
+    run.  rho^2 is the exact lag sum, equal to the mesh sum on more than 2p
+    nodes.  Raises unless both spectra are positive and finite on the mesh.
 
     Returns
     -------
@@ -199,19 +172,18 @@ def divergence_sandwich(g, f):
     g, f = _as_model(g), _as_model(f)
     grid = FrequencyGrid()
     u = _time_grid(SANDWICH_CELLS)
-    factors = _separable(g, f, grid, u)
-    if factors is not None:
-        divergence = _separable_divergence(grid, len(u), *factors)
-        rho_sq = _inverse_distance_sq(g, f, SANDWICH_CELLS)
-        m_star = float(max(np.max(1.0 / s2) * np.max(1.0 / h) for s2, h in factors))
-        omega = float(max(np.max(s2) * np.max(h) for s2, h in factors))
-    else:
-        gv, fv = (_positive(spectral_density(h, u[:, None], grid.nodes[None, :])) for h in (g, f))
-        cell = grid.weight / len(u)
-        divergence = float(_phi_sum(fv / gv) * cell / (4 * np.pi))
-        rho_sq = float(np.sum((1.0 / gv - 1.0 / fv) ** 2) * cell)
-        m_star = float(max(np.max(1.0 / gv), np.max(1.0 / fv)))
-        omega = float(max(np.max(gv), np.max(fv)))
+    rows, owner = _coefficient_runs(np.concatenate([g.alpha_matrix(u), f.alpha_matrix(u)], axis=1))
+    # (sigma^2 on u, h per run) of g, then of f
+    (s2g, hg), (s2f, hf) = factors = [
+        (_positive(m.sigma2.values(u)), _positive(1.0 / (2 * np.pi * transfer_abs2(a[:, None, :], grid.nodes))))
+        for m, a in ((g, rows[:, : g.p]), (f, rows[:, g.p :]))
+    ]
+    s, q = s2f / s2g, hf / hg
+    per_u = grid.size * _phi(s) + np.sum(_phi(q), axis=1)[owner] + (s - 1.0) * np.sum(q - 1.0, axis=1)[owner]
+    divergence = float(np.sum(per_u) * grid.weight / (4 * np.pi * len(u)))
+    rho_sq = _inverse_distance_sq(g, f, SANDWICH_CELLS)
+    m_star = float(max(np.max(1.0 / s2 * np.max(1.0 / h, axis=1)[owner]) for s2, h in factors))
+    omega = float(max(np.max(s2 * np.max(h, axis=1)[owner]) for s2, h in factors))
     return {
         "divergence": divergence,
         "rho_sq": rho_sq,

@@ -317,9 +317,9 @@ def simulate_tvar(model, n, seed):
 
 
 def _step_times(start, stop, burn_in, n):
-    """Rescaled times of the simulator's steps start..stop-1: 1/n during the
-    burn_in steps (the coefficients are frozen there), and step s >= burn_in
-    at (s - burn_in + 1)/n."""
+    """Rescaled times of the simulator's steps start..stop-1: 1/n before step
+    burn_in (the coefficients are frozen there), and step s >= burn_in at
+    (s - burn_in + 1)/n."""
     u = np.empty(stop - start)
     frozen = min(max(burn_in - start, 0), stop - start)
     u[:frozen] = 1.0 / n
@@ -392,12 +392,12 @@ def simulate_tvar_batch(model, n, seeds):
     (p + B, width) buffer: per block, each replication's generator draws
     that block's normals, sigma and the coefficients are evaluated at that
     block's times only, the recursion runs in place with the top p rows
-    carrying the previous block's last values, and the steps past the
-    burn-in are copied into the result.  Normals drawn in pieces continue
-    one stream exactly and the curves are evaluated pointwise, so neither
-    the chunking nor the blocking changes a value, and memory is the result
-    plus one block buffer (512 KB) and the chunk's generators however long
-    model.burn_in + n is.
+    carrying the previous block's last values (zeros before the first), and
+    the steps past the burn-in are copied into the result.  Normals drawn in
+    pieces continue one stream exactly and the curves are evaluated
+    pointwise, so neither the chunking nor the blocking changes a value, and
+    memory is the result plus one block buffer (512 KB) and the chunk's
+    generators however long model.burn_in + n is.
 
     A batch of fewer than :func:`_row_form_min` seeds, 12-14 at p = 1-4,
     runs its replications in turn as loops over Python floats through the
@@ -433,68 +433,60 @@ def simulate_tvar_batch(model, n, seeds):
     # a step holds one buffer value per replication, and in the float loops
     # a Python float (32 bytes with its list slot) in each of p + 1 lists
     block = max(1, SIM_BLOCK_VALUES // (width + 4 * (p + 1) * floats))
-    # rows [p - carry, p) hold the last values of the previous block, the
-    # rows after them the drive sigma(t) eps_t, which the recursion turns
-    # into the series in place
+    # rows [0, p) hold the last values of the previous block, zeros before a
+    # chunk's first block, the rows after them the drive sigma(t) eps_t,
+    # which the recursion turns into the series in place
     buf = np.empty((p + block, width))
     for start in range(0, len(seeds), width):
         gens = [np.random.default_rng(seed) for seed in seeds[start : start + width]]
+        buf[:p] = 0.0
         for t0 in range(0, total, block):
             b = min(block, total - t0)
-            carry = min(p, t0)
-            u = _step_times(t0 - carry, t0 + b, burn_in, n)
-            x = buf[p - carry : p + b, : len(gens)]
-            drive = x[carry:]
+            u = _step_times(t0 - p, t0 + b, burn_in, n)
+            x = buf[: p + b, : len(gens)]
+            drive = x[p:]
             for k, gen in enumerate(gens):
                 drive[:, k] = gen.standard_normal(b)
-            drive *= np.sqrt(model.sigma2.values(u[carry:]))[:, None]
+            drive *= np.sqrt(model.sigma2.values(u[p:]))[:, None]
             if p:
                 cols = [c.tolist() for c in model.alpha_matrix(u).T]
                 if floats:
                     # Python floats: the faster loop for a few replications
                     for k in range(len(gens)):
                         values = x[:, k].tolist()
-                        _recursion(values, cols, carry)
+                        _recursion(values, cols)
                         x[:, k] = values
                 else:
-                    _recursion(list(x), cols, carry)
-                kept = min(p, carry + b)
-                buf[p - kept : p, : len(gens)] = x[len(x) - kept :]
+                    _recursion(list(x), cols)
+                buf[:p, : len(gens)] = x[b:]
             if t0 + b > burn_in:
                 first = max(burn_in - t0, 0)
                 out[start : start + len(gens), t0 + first - burn_in : t0 + b - burn_in] = drive[first:].T
     return out
 
 
-def _recursion(x, cols, start=0):
-    """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x[start:] in place.
+def _recursion(x, cols):
+    """Run X_t = x_t - sum_j cols[j-1][t] X_{t-j} over x[p:] in place.
 
-    x holds earlier values of the series before ``start`` and the drive
-    sigma(t) eps_t from there on, one entry per step: Python floats for one
-    replication, or the row views of one (time, replication) array;
-    ``acc -= ...`` rebinds a float and updates a row in place, so one loop
-    serves both.  cols holds the p >= 1 coefficient columns as lists of
-    floats aligned with x.  Step t subtracts its terms in the order
-    j = 1..min(p, t), the order every simulator output is defined by.
+    x holds the p values before the block, zeros at the start of a series,
+    and the drive sigma(t) eps_t from there on, one entry per step: Python
+    floats for one replication, or the row views of one (time, replication)
+    array; ``acc -= ...`` rebinds a float and updates a row in place, so one
+    loop serves both.  cols holds the p >= 1 coefficient columns as lists of
+    floats aligned with x.  Step t subtracts its terms in the order j = 1..p,
+    the order every simulator output is defined by; a zero predecessor
+    subtracts a signed zero, which leaves a nonzero drive as it is.
     """
     p = len(cols)
-    total = len(x)
-    lags = list(enumerate(cols, 1))
-    # the first p steps of a series have fewer than p predecessors
-    for t in range(start, min(p, total)):
-        acc = x[t]
-        for j, c in lags[:t]:
-            acc -= c[t] * x[t - j]
-        x[t] = acc
-    full = max(p, start)
     if p == 1 and isinstance(x[0], float):
         # carrying the previous value is the cheapest float step
         (c,) = cols
-        prev = x[full - 1]
-        for t in range(full, total):
+        prev = x[0]
+        for t in range(1, len(x)):
             prev = x[t] = x[t] - c[t] * prev
         return
-    for t in range(full, total):
+    lags = list(enumerate(cols, 1))
+    for t in range(p, len(x)):
         acc = x[t]
         for j, c in lags:
             acc -= c[t] * x[t - j]
@@ -535,16 +527,26 @@ def coeff_autocorr(model, u, m):
     return acc
 
 
+def _coefficient_runs(a):
+    """(rows, owner) for the runs of equal consecutive rows of an (m, p)
+    array a: the first row of each run, and the run that each row of a
+    belongs to, so rows[owner] equals a."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = np.any(a[1:] != a[:-1], axis=1)
+    return a[first], np.cumsum(first) - 1
+
+
 def ar_autocov(model, u, max_lag, squared=False):
     """Local autocovariances c_f(u, k) = int f(u, lam) e^{i lam k} dlam.
 
     For k = 0..max_lag, from the Yule-Walker equations
     c(k) + sum_j alpha_j c(|k - j|) = sigma^2 [k = 0], k = 0..p, and the
     recursion c(k) = -sum_j alpha_j c(k - j) beyond lag p.  The
-    (p+1) x (p+1) system is solved once per distinct coefficient row at unit
-    variance and scaled by sigma^2(u), so a constant-coefficient model costs
-    one solve however long u is.  The equations hold for stable coefficients
-    only, so an unvalidated model is validated first.
+    (p+1) x (p+1) system is solved once per run of equal coefficient rows
+    (:func:`_coefficient_runs`) at unit variance and scaled by sigma^2(u), so
+    a constant-coefficient model costs one solve however long u is.  The
+    equations hold for stable coefficients only, so an unvalidated model is
+    validated first.
 
     With squared=True the same is returned for f^2 instead,
     int f(u, lam)^2 e^{i lam k} dlam: f^2 = (sigma^4 / 2 pi) f_B with f_B the
@@ -569,10 +571,10 @@ def ar_autocov(model, u, max_lag, squared=False):
     max_lag = as_number(max_lag, "max_lag", int, 0)
     if not model.validated:
         model.validate()
-    rows, inverse = np.unique(model.alpha_matrix(u).reshape(u.size, model.p), axis=0, return_inverse=True)
+    rows, owner = _coefficient_runs(model.alpha_matrix(u).reshape(u.size, model.p))
     a = np.concatenate([np.ones((len(rows), 1)), rows], axis=1)  # (1, alpha_1, ..., alpha_p)
     if squared:
-        a = np.stack([np.convolve(row, row) for row in a])  # the coefficients of B = A^2
+        a = np.array([np.convolve(row, row) for row in a]).reshape(len(a), 2 * a.shape[1] - 1)  # B = A^2
     p = a.shape[1] - 1
     system = np.zeros((len(rows), p + 1, p + 1))
     for k in range(p + 1):
@@ -584,7 +586,7 @@ def ar_autocov(model, u, max_lag, squared=False):
     cov[:, : p + 1] = np.linalg.solve(system, rhs)[..., 0]
     for k in range(p + 1, max_lag + 1):
         cov[:, k] = np.sum(-a[:, 1:] * cov[:, k - p : k][:, ::-1], axis=1)
-    out = cov[inverse.reshape(-1), : max_lag + 1].reshape(u.shape + (max_lag + 1,))
+    out = cov[owner, : max_lag + 1].reshape(u.shape + (max_lag + 1,))
     s2 = model.sigma2.values(u)[..., None]
     return s2 * s2 / (2 * np.pi) * out if squared else s2 * out
 

@@ -591,6 +591,18 @@ def test_errors_other_than_bad_input_keep_their_traceback(tmp_path, monkeypatch)
         main(["simulate", "--n", "16", "--out", str(tmp_path / "out")])
 
 
+def test_memory_error_exits_with_message(tmp_path, monkeypatch, capsys):
+    # a request larger than memory, such as a huge --n, is refused like bad input
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr("locstat.cli.simulate_tvar", too_large)
+    out = tmp_path / "out"
+    message = refused(["simulate", "--n", "16", "--out", str(out)], capsys)
+    assert message == "simulate: Unable to allocate 7.11 PiB for an array"
+    assert not out.exists()
+
+
 def test_preperiodogram_metadata_does_not_depend_on_series_directory(tmp_path):
     series = simulate_into(tmp_path, n=16)
     metas = []

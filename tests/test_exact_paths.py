@@ -1,4 +1,5 @@
-"""The exact lag-space and separable paths against the mesh they replace.
+"""The exact lag-space paths, and the sandwich's per-run path, against the
+mesh they replace.
 
 The midpoint-mesh sums of the ``_mesh`` test helper stay as the oracle: every
 exact path must agree with them to rounding, on the library's own midpoint
@@ -42,6 +43,8 @@ CASES = {
     "time_varying_ar2": lambda: TvARModel(
         2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0])
     ),
+    # a few runs of equal coefficient rows, each many u-cells long
+    "step_ar1": lambda: TvARModel(1, [SampledCurve([0.2, 0.5, -0.3])], SampledCurve([1.0, 1.5, 2.0])),
 }
 OTHER = TvARModel.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
 
@@ -129,19 +132,15 @@ def test_limit_covariance_matches_mesh_oracle(case):
             assert fast == pytest.approx(oracle, **TOL)
 
 
-def patch_density(monkeypatch, replacement):
-    # in every locstat module that holds spectral_density, so that a mesh
-    # evaluation is seen whichever module makes it
-    for name, module in list(sys.modules.items()):
-        if name.startswith("locstat") and getattr(module, "spectral_density", None) is spectral_density:
-            monkeypatch.setattr(module, "spectral_density", replacement)
-
-
 def forbid_density(monkeypatch):
     def forbidden(*args):
         raise AssertionError("density evaluated on the mesh")
 
-    patch_density(monkeypatch, forbidden)
+    # in every locstat module that holds spectral_density, so that a mesh
+    # evaluation is seen whichever module makes it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("locstat") and getattr(module, "spectral_density", None) is spectral_density:
+            monkeypatch.setattr(module, "spectral_density", forbidden)
 
 
 def test_constant_coefficient_paths_never_evaluate_the_density(monkeypatch):
@@ -160,7 +159,7 @@ def test_limit_covariance_on_a_time_varying_ar_field_never_evaluates_the_density
     limit_covariance(ar_inverse_weight(f), ar_inverse_weight(f), f)
 
 
-@pytest.mark.parametrize("consumer", ["kl_contrast", "kl_divergence"])
+@pytest.mark.parametrize("consumer", ["divergence_sandwich", "kl_contrast", "kl_divergence"])
 def test_kl_on_time_varying_ar_fields_never_evaluates_the_density(monkeypatch, consumer):
     g, f = CASES["time_varying_ar2"](), OTHER
     forbid_density(monkeypatch)
@@ -178,13 +177,6 @@ def test_whittle_lag_path_matches_quadrature_oracle(case):
         # exactly; the grid sum of log g aliases far below rounding
         oracle = _mesh.whittle_contrast(x, g, FrequencyGrid(2 * n))
         assert whittle_contrast(x, g) == pytest.approx(oracle, **TOL)
-
-
-def test_time_varying_sandwich_falls_back_to_the_mesh(monkeypatch):
-    calls = []
-    patch_density(monkeypatch, lambda *a: calls.append(1) or spectral_density(*a))
-    divergence_sandwich(CASES["time_varying_ar2"](), OTHER)
-    assert calls
 
 
 @pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))

@@ -466,6 +466,26 @@ def test_ar_autocov_white_noise_and_shape():
         ar_autocov(m, [0.5], -1)
 
 
+def test_ar_autocov_of_no_times_is_empty():
+    m = TvARModel(1, [SampledCurve([0.2, -0.4])], ConstantCurve(1.0))
+    assert ar_autocov(m, np.array([]), 2).shape == (0, 3)
+    assert ar_autocov(m, np.array([]), 2, squared=True).shape == (0, 3)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_coefficient_runs_rebuild_their_rows(p):
+    rng = np.random.default_rng(p)
+    for m in (0, 1, 2, 17):
+        # rows drawn from a few values, so that runs of every length occur
+        a = rng.integers(0, 2, size=(m, p)).astype(float)
+        rows, owner = process._coefficient_runs(a)
+        np.testing.assert_array_equal(rows[owner], a)
+        assert owner.shape == (m,)
+        # one row per run: consecutive runs differ
+        assert np.all(np.any(rows[1:] != rows[:-1], axis=1))
+        assert len(rows) == (1 + np.count_nonzero(np.any(a[1:] != a[:-1], axis=1)) if m else 0)
+
+
 def test_ar_autocov_refuses_a_fractional_lag():
     # a fractional max_lag is refused, not truncated
     m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
