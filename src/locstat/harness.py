@@ -26,7 +26,7 @@ from .estimator import (
     fit_monotone_tvar,
     inverse_l2_distance,
 )
-from .likelihood import likelihood_gap
+from .likelihood import _contrasts
 from .process import TvARModel, simulate_tvar_batch
 
 __all__ = [
@@ -231,8 +231,9 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     For each candidate of :func:`default_equivalence_candidates` evaluates
     the :func:`~locstat.likelihood.likelihood_gap` on simulated series and
     reports, per n, the median over replications of the worst candidate gap.
-    Replication r shares its innovation stream across all n (common random
-    numbers), as in the rate study.
+    Each candidate is scored once per batch of replications.  Replication r
+    shares its innovation stream across all n (common random numbers), as in
+    the rate study.
 
     Returns
     -------
@@ -246,7 +247,7 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     rows = []
     for n in n_list:
         batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
-        gaps = [max(likelihood_gap(x, g)["gap"] for g in candidates) for x in batch]
+        gaps = np.max([_contrasts(batch, g)["gap"] for g in candidates], axis=0)
         rows.append({"n": n, "median_gap": _median(gaps)})
     return rows
 

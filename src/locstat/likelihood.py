@@ -12,29 +12,28 @@ of a time-varying AR model (a TvARModel), so both parts are
 exact: the log term via the Kolmogorov identity
 int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for stable coefficients, and
 the functional as a finite sum over the lags |m| <= p of 1/g.  Only
-:func:`divergence_sandwich` takes sums and sups over a frequency grid, once
-per run of equal coefficient rows.  A conditional Gaussian likelihood on the
-same model class is provided for the fitting algorithms.
+:func:`divergence_sandwich`, the one path of the divergence D(g, f), takes
+sums and sups over a frequency grid, once per run of equal coefficient rows.
+A conditional Gaussian likelihood on the same model class is provided for
+the fitting algorithms.  Both contrasts are computed for a batch of series
+at once, a single series being the one-row case.
 """
 
 import math
 
 import numpy as np
 
-from .curves import as_number
 # SpectrumField stays importable from here; process.__all__ lists it
 from .process import SpectrumField, _as_model, _coefficient_runs, coeff_autocorr, transfer_abs2  # noqa: F401
-from .spectral import TIME_CELLS, FrequencyGrid, _series_values, _time_grid
-from .spectral import ar_inverse_weight, spectral_functional, spectral_functional_limit
+from .spectral import TIME_CELLS, FrequencyGrid, _lag_functionals, _series_values, _time_grid
+from .spectral import ar_inverse_weight, spectral_functional_limit
 
 __all__ = [
     "whittle_contrast",
     "kl_contrast",
-    "kl_divergence",
     "divergence_sandwich",
     "conditional_likelihood",
     "likelihood_gap",
-    "log_riemann_remainder",
     "ar_log_spectrum_integral",
 ]
 
@@ -59,10 +58,15 @@ def whittle_contrast(series, g):
     """
     model = _as_model(g)
     x = _series_values(series)
-    n = len(x)
+    return float(_whittle_rows(x[None, :], model)[0])
+
+
+def _whittle_rows(X, model):
+    """:func:`whittle_contrast` of model on each row of X, shape (R, n), with
+    the log integral and the lag weights of 1/g built once for all rows."""
+    n = X.shape[1]
     log_part = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
-    functional = spectral_functional(x, ar_inverse_weight(model))
-    return float((log_part + functional) / (4 * np.pi))
+    return (log_part + _lag_functionals(X, ar_inverse_weight(model))) / (4 * np.pi)
 
 
 def _positive(values):
@@ -123,7 +127,8 @@ def kl_contrast(g, f):
     as the mean over the midpoint u-grid of TIME_CELLS cells of
     :func:`_log_integral` plus
     :func:`~locstat.spectral.spectral_functional_limit` of the weight 1/g
-    against f, on the same grid, so it is exact in lam.
+    against f, on the same grid, so it is exact in lam.  Its excess over
+    kl_contrast(f, f) is the divergence D(g, f) of :func:`divergence_sandwich`.
     """
     g, f = _as_model(g), _as_model(f)
     u = _time_grid(TIME_CELLS)
@@ -131,17 +136,6 @@ def kl_contrast(g, f):
     _positive(f.sigma2.values(u))
     functional = spectral_functional_limit(ar_inverse_weight(g), f)
     return float((log_part + functional) / (4 * np.pi))
-
-
-def kl_divergence(g, f):
-    """Divergence D(g, f) = (1/4 pi) int int { log(g/f) + f/g - 1 } dlam du.
-
-    Computed as kl_contrast(g, f) - kl_contrast(f, f) on one u-grid, so exact
-    in lam.  The divergence is nonnegative, but as a difference of two
-    contrasts it can come out below zero by rounding, of the order of
-    machine epsilon times the contrasts, when g is close to f.
-    """
-    return kl_contrast(g, f) - kl_contrast(f, f)
 
 
 def divergence_sandwich(g, f):
@@ -195,22 +189,24 @@ def divergence_sandwich(g, f):
 
 
 def _residuals(x, a):
-    """e_t = x_t + sum_j a_j x_{t-j} for t = p+1..n, with a the constant row
-    of p coefficients or one row per t, shape (n - p, p)."""
+    """e_t = x_t + sum_j a_j x_{t-j} for t = p+1..n along x's last axis, with a
+    the constant row of p coefficients or one row per t, shape (n - p, p)."""
     p = a.shape[-1]
-    n = len(x)
-    resid = x[p:].copy()
+    n = x.shape[-1]
+    resid = x[..., p:].copy()
     for j in range(1, p + 1):
-        resid += a[..., j - 1] * x[p - j : n - j]
+        resid += a[..., j - 1] * x[..., p - j : n - j]
     return resid
 
 
 def _conditional(e2, s2, n):
     """(1/n) sum_t { log s2_t + e_t^2 / s2_t } over t = p+1..n, with e2 the
-    squared residuals of :func:`_residuals` and s2 the variances at those t."""
+    squared residuals of :func:`_residuals` and s2 the variances at those t:
+    a float for one series, one value per row for rows of e2."""
     if np.min(s2) <= 0:
         raise ValueError("sigma2 must be strictly positive at the design points")
-    return float(np.sum(np.log(s2) + e2 / s2) / n)
+    values = np.sum(np.log(s2) + e2 / s2, axis=-1) / n
+    return float(values) if values.ndim == 0 else values
 
 
 def conditional_likelihood(series, g):
@@ -231,11 +227,32 @@ def conditional_likelihood(series, g):
     """
     model = _as_model(g)
     x = _series_values(series)
-    n = len(x)
+    return float(_conditional_rows(x[None, :], model)[0])
+
+
+def _conditional_rows(X, model):
+    """:func:`conditional_likelihood` of model on each row of X, shape (R, n),
+    with the coefficient rows and sigma^2 built once for all rows."""
+    n = X.shape[1]
     if n <= model.p:
         raise ValueError(f"need more than p={model.p} observations")
     u = np.arange(model.p + 1, n + 1) / n
-    return _conditional(_residuals(x, model.alpha_matrix(u)) ** 2, model.sigma2.values(u), n)
+    return _conditional(_residuals(X, model.alpha_matrix(u)) ** 2, model.sigma2.values(u), n)
+
+
+def _contrasts(X, model):
+    """:func:`likelihood_gap` of model on each row of X, a validated (R, n)
+    array, as arrays of R values, with the log integral, the lag weights of
+    1/g, the coefficient rows and sigma^2 built once.  Each row's values equal
+    the single-series ones bit for bit: lag products are dotted row by row,
+    residuals are elementwise and a C-contiguous row sums as one series does."""
+    whittle = _whittle_rows(X, model)
+    conditional = _conditional_rows(X, model)
+    return {
+        "whittle": whittle,
+        "conditional": conditional,
+        "gap": np.abs(0.5 * (conditional - math.log(2 * math.pi)) - whittle),
+    }
 
 
 def likelihood_gap(series, g):
@@ -248,31 +265,9 @@ def likelihood_gap(series, g):
     -------
     dict with keys whittle, conditional, gap.
     """
-    whittle = whittle_contrast(series, g)
-    conditional = conditional_likelihood(series, g)
-    return {
-        "whittle": whittle,
-        "conditional": conditional,
-        "gap": abs(0.5 * (conditional - math.log(2 * math.pi)) - whittle),
-    }
-
-
-def log_riemann_remainder(g, n):
-    """Discretization gap of the log-spectrum between design sum and integral.
-
-    (1/4 pi) int { (1/n) sum_t log g(t/n, lam) - int_0^1 log g(u, lam) du } dlam,
-
-    the difference of two means of :func:`_log_integral`, at the design
-    points t/n and on the midpoint u-grid of TIME_CELLS cells.  By the Kolmogorov identity this
-    is exactly (1/2) { (1/n) sum_t log sigma^2(t/n) - int_0^1 log sigma^2(u)
-    du }.  It vanishes whenever g does not vary in time and decays like the
-    variation of g over a 1/n mesh otherwise.
-    """
     model = _as_model(g)
-    n = as_number(n, "n", int, 1)
-    design = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
-    integral = np.mean(_log_integral(model, _time_grid(TIME_CELLS)))
-    return float((design - integral) / (4 * np.pi))
+    x = _series_values(series)
+    return {key: float(values[0]) for key, values in _contrasts(x[None, :], model).items()}
 
 
 def ar_log_spectrum_integral(alpha, grid_size=4096):

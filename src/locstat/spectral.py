@@ -43,7 +43,7 @@ __all__ = [
 DEFAULT_GRID_SIZE = 1024
 MAX_DENSE_N = 4096
 VARIATION_GRID = 2048
-TIME_CELLS = 4096  # midpoint cells in u of spectral_functional_limit and the Kullback-Leibler integrals
+TIME_CELLS = 4096  # midpoint cells in u of spectral_functional_limit and kl_contrast
 GRID_CHUNK_ROWS = 64  # pre-periodogram rows filled per pass of evaluate_grid
 GRID_BLOCK_NODES = 64  # grid nodes per cosine block in evaluate_grid, small enough to stay in cache
 

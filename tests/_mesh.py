@@ -41,28 +41,13 @@ def whittle_contrast(x, g, grid):
     return float((np.mean(log_integral(g, design, grid)) + functional) / (4 * np.pi))
 
 
-def _kl_contrast(gv, fv, grid, cells):
-    # the contrast from the two densities on the mesh, each evaluated once
+def kl_contrast(g, f, grid, cells):
+    """The population contrast with log g and f/g summed over the mesh."""
+    u = midpoints(cells)
+    gv, fv = density(g, u, grid), density(f, u, grid)
     log_part = np.mean(np.sum(np.log(gv), axis=1) * grid.weight)
     functional = np.sum((1.0 / gv) * fv) * grid.weight / cells
     return float((log_part + functional) / (4 * np.pi))
-
-
-def kl_contrast(g, f, grid, cells):
-    u = midpoints(cells)
-    return _kl_contrast(density(g, u, grid), density(f, u, grid), grid, cells)
-
-
-def kl_divergence(g, f, grid, cells):
-    u = midpoints(cells)
-    gv, fv = density(g, u, grid), density(f, u, grid)
-    return _kl_contrast(gv, fv, grid, cells) - _kl_contrast(fv, fv, grid, cells)
-
-
-def log_riemann_remainder(g, n, grid, cells):
-    design = np.mean(log_integral(g, np.arange(1, n + 1) / n, grid))
-    integral = np.mean(log_integral(g, midpoints(cells), grid))
-    return float((design - integral) / (4 * np.pi))
 
 
 def inverse_l2_distance(g, f, grid, cells):

@@ -20,8 +20,6 @@ from locstat.likelihood import (
     SANDWICH_CELLS,
     divergence_sandwich,
     kl_contrast,
-    kl_divergence,
-    log_riemann_remainder,
     whittle_contrast,
 )
 from locstat.process import TvARModel, simulate_tvar, spectral_density
@@ -52,7 +50,6 @@ PAIR_CONSUMERS = {
     "inverse_l2_distance": inverse_l2_distance,
     "divergence_sandwich": divergence_sandwich,
     "kl_contrast": kl_contrast,
-    "kl_divergence": kl_divergence,
 }
 # the mesh of each oracle: the library's u-grid, and for the sandwich, whose
 # sups are taken on the mesh, its frequency grid too
@@ -60,7 +57,6 @@ ORACLE_MESHES = {
     "inverse_l2_distance": (GRID, DISTANCE_CELLS),
     "divergence_sandwich": (FrequencyGrid(), SANDWICH_CELLS),
     "kl_contrast": (GRID, TIME_CELLS),
-    "kl_divergence": (GRID, TIME_CELLS),
 }
 MESH_ORACLES = {name: lambda g, f, name=name: getattr(_mesh, name)(g, f, *ORACLE_MESHES[name]) for name in PAIR_CONSUMERS}
 
@@ -159,7 +155,7 @@ def test_limit_covariance_on_a_time_varying_ar_field_never_evaluates_the_density
     limit_covariance(ar_inverse_weight(f), ar_inverse_weight(f), f)
 
 
-@pytest.mark.parametrize("consumer", ["divergence_sandwich", "kl_contrast", "kl_divergence"])
+@pytest.mark.parametrize("consumer", ["divergence_sandwich", "kl_contrast"])
 def test_kl_on_time_varying_ar_fields_never_evaluates_the_density(monkeypatch, consumer):
     g, f = CASES["time_varying_ar2"](), OTHER
     forbid_density(monkeypatch)
@@ -190,14 +186,6 @@ def test_exact_paths_reject_nonpositive_variance_like_the_mesh(consumer):
             compute(a, b)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_log_riemann_remainder_matches_mesh_oracle(case):
-    f = CASES[case]()
-    for n in (1, 33, 64):
-        oracle = _mesh.log_riemann_remainder(f, n, GRID, TIME_CELLS)
-        assert log_riemann_remainder(f, n) == pytest.approx(oracle, **TOL)
-
-
 def _spectrum_consumers(spectrum):
     # every library call that takes a spectrum, fed spectrum in each spectrum
     # position in turn
@@ -206,7 +194,6 @@ def _spectrum_consumers(spectrum):
     calls = {
         "_as_model": lambda: process._as_model(spectrum),
         "whittle_contrast": lambda: whittle_contrast(x, spectrum),
-        "log_riemann_remainder": lambda: log_riemann_remainder(spectrum, 16),
         "spectral_functional_limit": lambda: spectral_functional_limit(phi, spectrum),
         "limit_covariance": lambda: limit_covariance(phi, phi, spectrum),
     }

@@ -75,3 +75,23 @@ def test_no_public_callable_takes_a_removed_option():
     assert {"divergence_sandwich", "fit_fourier_tvar", "clopper_pearson_upper", "TvARModel.validate"} <= {
         name for name, _ in _public_callables()
     }
+
+
+# Names that are gone: the divergence D(g, f) has one path,
+# divergence_sandwich(g, f)["divergence"], and the design-sum remainder of the
+# log spectrum had no caller.
+REMOVED_NAMES = {"kl_divergence", "log_riemann_remainder"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_exports_a_removed_name(name):
+    module = importlib.import_module(f"locstat.{name}")
+    assert REMOVED_NAMES.isdisjoint(module.__all__)
+
+
+def test_removed_names_are_not_attributes():
+    import locstat.likelihood
+
+    for module in (locstat, locstat.likelihood):
+        assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+    assert REMOVED_NAMES.isdisjoint(locstat.__all__)

@@ -5,24 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _mesh
-from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
+from locstat.curves import ConstantCurve, Curve, FourierCurve, MonotoneStepCurve, SampledCurve
 from locstat.likelihood import (
     SpectrumField,
+    _contrasts,
+    _log_integral,
     ar_log_spectrum_integral,
     conditional_likelihood,
     divergence_sandwich,
     kl_contrast,
-    kl_divergence,
     likelihood_gap,
-    log_riemann_remainder,
     whittle_contrast,
 )
 from locstat.process import TvARModel, _as_model, simulate_tvar, spectral_density, white_noise_model
-from locstat.spectral import FrequencyGrid, periodogram
+from locstat.spectral import FrequencyGrid, ar_inverse_weight, periodogram, spectral_functional
 
 
 class ExpCurve(Curve):
-    # sigma^2(u) = e^u; log sigma^2 linear in u makes boundary terms exact
+    # sigma^2(u) = e^u, a variance that varies smoothly in time
     def values(self, u):
         return np.exp(np.asarray(u, dtype=float))
 
@@ -65,10 +65,13 @@ def test_only_a_model_is_a_spectrum(construct, spectrum):
 def test_whittle_exact_path_matches_quadrature():
     m = step_model()
     x = simulate_tvar(m, 64, seed=3)
-    g = SpectrumField.from_model(m)
-    exact = whittle_contrast(x, g)
-    quad = _mesh.whittle_contrast(x, g, FrequencyGrid(8192))
-    assert quad == pytest.approx(exact, abs=1e-10)
+    # white noise of variance e^u has the flat spectrum e^u / (2 pi): the mesh
+    # sum of its log over frequencies checks the Kolmogorov path of a
+    # time-varying variance
+    for g in (SpectrumField.from_model(m), TvARModel(0, (), ExpCurve())):
+        exact = whittle_contrast(x, g)
+        quad = _mesh.whittle_contrast(x, g, FrequencyGrid(8192))
+        assert quad == pytest.approx(exact, abs=1e-10)
 
 
 def test_whittle_white_noise_closed_form():
@@ -187,6 +190,68 @@ def test_likelihood_gap_is_the_distance_of_the_two_contrasts():
     assert res["gap"] == abs(0.5 * (res["conditional"] - math.log(2 * math.pi)) - res["whittle"])
 
 
+def _batch_candidate(kind, p, rng):
+    # coefficient curves bounded by 0.24, so sum_j |alpha_j(u)| < 1 keeps every
+    # row stable, and a variance of the same kind bounded away from 0
+    if kind == "step":
+        return TvARModel.from_coefficients(
+            rng.uniform(-0.24, 0.24, p), MonotoneStepCurve(np.sort(rng.uniform(0.5, 2.0, 4)), eps=0.5)
+        )
+    if kind == "sampled":
+        alpha = [SampledCurve(rng.uniform(-0.24, 0.24, 3)) for _ in range(p)]
+        return TvARModel(p, alpha, SampledCurve(rng.uniform(0.5, 2.0, 5)))
+    alpha = [FourierCurve(*rng.uniform(-0.08, 0.08, 3)) for _ in range(p)]
+    return TvARModel(p, alpha, FourierCurve(1.5, *rng.uniform(-0.5, 0.5, 2)))
+
+
+def _parent_whittle(x, model):
+    # the single-series formula this contrast had before it took rows
+    n = len(x)
+    log_part = np.mean(_log_integral(model, np.arange(1, n + 1) / n))
+    return float((log_part + spectral_functional(x, ar_inverse_weight(model))) / (4 * np.pi))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(["step", "sampled", "fourier"]),
+    p=st.integers(0, 3),
+    rows=st.integers(1, 20),
+    extra=st.integers(1, 2000),
+    seed=st.integers(0, 2**16),
+)
+def test_contrasts_rows_are_the_single_series_values_bit_for_bit(kind, p, rows, extra, seed):
+    rng = np.random.default_rng(seed)
+    model = _batch_candidate(kind, p, rng)
+    X = rng.standard_normal((rows, p + extra))
+    batch = _contrasts(X, model)
+    assert all(values.shape == (rows,) for values in batch.values())
+    for r, x in enumerate(X):
+        single = likelihood_gap(x, model)
+        assert single == {key: float(values[r]) for key, values in batch.items()}
+        assert single["whittle"] == whittle_contrast(x, model) == _parent_whittle(x, model)
+        assert single["conditional"] == conditional_likelihood(x, model)
+        if kind == "step":  # constant coefficients: the scalar formula
+            alpha = model.alpha_matrix(np.array([0.5]))[0]
+            assert single["conditional"] == _parent_conditional(x, alpha, model.sigma2)
+
+
+def test_contrasts_keep_the_single_series_errors():
+    model = TvARModel.from_coefficients([0.5, 0.1], 1.0)
+    with pytest.raises(ValueError, match=r"^need more than p=2 observations$"):
+        _contrasts(np.ones((3, 2)), model)
+    # a variance that is not positive: the Whittle part is checked first, as
+    # likelihood_gap checks it, and the conditional part alone keeps its message
+    negative = TvARModel.from_coefficients([0.5], SampledCurve([1.0, -1.0]), validate=False)
+    with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
+        _contrasts(np.ones((3, 8)), negative)
+    with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
+        likelihood_gap(np.ones(8), negative)
+    with pytest.raises(ValueError, match=r"^sigma2 must be strictly positive at the design points$"):
+        conditional_likelihood(np.ones(8), negative)
+    # the Whittle contrast alone takes a series of p observations or fewer
+    assert math.isfinite(whittle_contrast(np.ones(2), model))
+
+
 def test_likelihood_equivalence_gap_shrinks_with_n():
     m = step_model()
     gaps = {n: likelihood_gap(simulate_tvar(m, n, seed=7), m)["gap"] for n in (128, 1024)}
@@ -194,18 +259,23 @@ def test_likelihood_equivalence_gap_shrinks_with_n():
 
 
 def test_kl_divergence_zero_iff_equal():
+    # D(g, f) as the sandwich's mesh value and as the excess population contrast
     f = SpectrumField.from_model(step_model())
-    assert kl_divergence(f, f) == pytest.approx(0.0, abs=1e-14)
+    assert divergence_sandwich(f, f)["divergence"] == pytest.approx(0.0, abs=1e-14)
     g = SpectrumField.from_coefficients(np.array([0.3]), 1.5)
-    assert kl_divergence(g, f) > 1e-3
+    assert divergence_sandwich(g, f)["divergence"] > 1e-3
+    assert kl_contrast(g, f) - kl_contrast(f, f) > 1e-3
 
 
 def test_kl_divergence_equals_contrast_difference():
+    # the variance jumps at u = 1/2, a cell edge of both u-grids, and the
+    # integrand is analytic in lam, so the sandwich's mesh value is the exact
+    # contrast difference to rounding
     f = SpectrumField.from_model(step_model())
     g = SpectrumField.from_coefficients(np.array([0.2]), 1.4)
-    direct = kl_divergence(g, f)
+    direct = divergence_sandwich(g, f)["divergence"]
     via_contrast = kl_contrast(g, f) - kl_contrast(f, f)
-    assert direct == pytest.approx(via_contrast, rel=1e-9, abs=1e-12)
+    assert direct == pytest.approx(via_contrast, rel=1e-12)
 
 
 def test_kl_contrast_minimized_at_truth():
@@ -232,31 +302,6 @@ def test_divergence_sandwich_frozen_m_star():
     f = SpectrumField.from_coefficients(np.array([0.5]), 1.0)
     res = divergence_sandwich(f, f)
     assert res["m_star"] == pytest.approx(4.5 * np.pi, rel=1e-4)
-
-
-def test_log_riemann_remainder_exponential_variance():
-    # log sigma^2(u) = u: the design average minus the integral is exactly
-    # ((n+1)/2n - 1/2)/2 = 1/(4n)
-    for n in (10, 128):
-        m = TvARModel(1, [ConstantCurve(0.4)], ExpCurve())
-        g = SpectrumField.from_model(m)
-        assert log_riemann_remainder(g, n) == pytest.approx(1 / (4 * n), abs=1e-13)
-
-
-def test_log_riemann_remainder_generic_path_agrees():
-    # white noise of variance e^u has the flat spectrum e^u / (2 pi); the mesh
-    # sum of its log over frequencies is the oracle of the Kolmogorov path
-    flat_exp = TvARModel(0, (), ExpCurve())
-    n = 64
-    val = log_riemann_remainder(flat_exp, n)
-    assert val == pytest.approx(1 / (4 * n), abs=1e-10)
-    oracle = _mesh.log_riemann_remainder(flat_exp, n, FrequencyGrid(512), 4096)
-    assert val == pytest.approx(oracle, rel=1e-12)
-
-
-def test_log_riemann_remainder_zero_for_constant_variance():
-    g = SpectrumField.from_coefficients(np.array([0.5]), 1.7)
-    assert log_riemann_remainder(g, 33) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ar_log_spectrum_integral_vanishes_for_stable_models():

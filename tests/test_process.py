@@ -12,7 +12,7 @@ import _mesh
 from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
 from locstat.espec import COVARIANCE_CELLS, limit_covariance
 from locstat.estimator import DISTANCE_CELLS, inverse_l2_distance
-from locstat.likelihood import SANDWICH_CELLS, divergence_sandwich, kl_divergence
+from locstat.likelihood import SANDWICH_CELLS, divergence_sandwich, kl_contrast
 import locstat.process as process
 from locstat.process import (
     SpectrumField,
@@ -396,9 +396,9 @@ _FIELD_CONSUMERS = {
     # (library call, its mesh oracle on the call's own u-grid): the model path
     # is exact; the midpoint sum of f/g aliases by 2.6e-4 on 32 nodes and by
     # 1.1e-14 on 128
-    "kl_divergence": (
-        lambda f: kl_divergence(_OTHER, f),
-        lambda f: _mesh.kl_divergence(_OTHER, f, FrequencyGrid(128), TIME_CELLS),
+    "kl_contrast": (
+        lambda f: kl_contrast(_OTHER, f),
+        lambda f: _mesh.kl_contrast(_OTHER, f, FrequencyGrid(128), TIME_CELLS),
     ),
     # the sandwich's sups are taken on its own mesh, a FrequencyGrid()
     "divergence_sandwich": (
