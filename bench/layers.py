@@ -1,24 +1,27 @@
-"""Per-layer timings of locstat: best-of-k seconds and tracemalloc peak.
+"""Per-layer timings of locstat: best and median of k seconds, and tracemalloc peak.
 
 Times seven layers on the default rate model at each n: simulation, the
 pre-periodogram grid, the lag-path spectral functional, the Whittle and
 conditional contrasts, and the monotone and Fourier fits.  Each layer gets
-its best time over --repeats calls, then its tracemalloc peak on one more
+its best and its median time over --repeats calls (the median is the steadier
+of the two when the host is noisy), then its tracemalloc peak on one more
 call (tracing slows the call, so it is not timed).  The layers run at 1 and
 at 2 BLAS threads, each thread count in a fresh interpreter whose thread
 variables are set before NumPy loads.  Run from a checkout:
 
-    python bench/layers.py --out BENCH.json [--n 1024 4096 16384] [--repeats 5]
+    python bench/layers.py --out BENCH.json [--n 1024 4096 16384] [--repeats 50]
 
 The JSON holds the Python and NumPy versions, the line count of
-src/locstat, and one row per layer, n and thread count with best_s and
-peak_mib.  No timing is checked; the file is a trajectory across changes.
+src/locstat, and one row per layer, n and thread count with best_s,
+median_s and peak_mib.  No timing is checked; the file is a trajectory
+across changes.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -63,19 +66,19 @@ def layers(n):
 
 
 def measure(call, repeats):
-    """Best seconds of call over repeats calls, and the MiB peak of one traced call."""
-    best = float("inf")
+    """Best and median seconds of call over repeats calls, and the MiB peak of one traced call."""
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
-        best = min(best, time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return best, peak / 2**20
+    return min(times), statistics.median(times), peak / 2**20
 
 
 def run_layers(sizes, repeats, threads):
@@ -85,8 +88,8 @@ def run_layers(sizes, repeats, threads):
     rows = []
     for n in sizes:
         for name, call in layers(n):
-            best, peak = measure(call, repeats)
-            rows.append({"layer": name, "n": n, "threads": threads, "best_s": best, "peak_mib": peak})
+            best, median, peak = measure(call, repeats)
+            rows.append({"layer": name, "n": n, "threads": threads, "best_s": best, "median_s": median, "peak_mib": peak})
     return {"numpy": numpy.__version__, "rows": rows}
 
 
@@ -94,7 +97,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description="Per-layer timings of locstat.")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--n", type=int, nargs="+", default=[1024, 4096, 16384], help="series lengths")
-    parser.add_argument("--repeats", type=int, default=5, help="timed calls per layer and n; the best counts")
+    parser.add_argument("--repeats", type=int, default=50, help="timed calls per layer and n; the best and the median count")
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)  # set by the parent run
     args = parser.parse_args(argv)
     if args.repeats < 1:

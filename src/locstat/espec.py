@@ -393,9 +393,9 @@ def limit_covariance(phi_j, phi_k, f):
     u = _time_grid(COVARIANCE_CELLS)
     Jj, Jk = phi_j.lag_support, phi_k.lag_support
     c_sq = ar_autocov(model, u, Jj + Jk, squared=True)
-    ck = {b: phi_k.lag(u, b) for b in range(-Jk, Jk + 1)}
+    cj, ck = phi_j.lags(u), phi_k.lags(u)
     total = sum(
-        phi_j.lag(u, a) * sum(c * (c_sq[:, abs(a + b)] + c_sq[:, abs(a - b)]) for b, c in ck.items())
+        cj[:, abs(a)] * sum(ck[:, abs(b)] * (c_sq[:, abs(a + b)] + c_sq[:, abs(a - b)]) for b in range(-Jk, Jk + 1))
         for a in range(-Jj, Jj + 1)
     )
     return float(np.mean(total) / (2 * np.pi))
@@ -451,9 +451,10 @@ def expected_functional_trace(model, phi, n):
     n = as_number(n, "n", int, 1)
     K = min(phi.lag_support, n - 1)
     band = _covariance_band(model, n, K)
+    table = phi.lags(np.arange(1, n + 1) / n)
     total = 0.0
     for k in range(-K, K + 1):
         t, i, j = _lag_index(n, k)
         # 2 pi divided out first: a flat weight on unit noise then sums ones, exactly n
-        total += float(np.dot(phi.lag(t / n, -k) / (2 * np.pi), band[i if k >= 0 else j, abs(k)]))
+        total += float(np.dot(table[t - 1, abs(k)] / (2 * np.pi), band[i if k >= 0 else j, abs(k)]))
     return total / n

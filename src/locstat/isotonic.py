@@ -11,6 +11,8 @@ time by pool-adjacent-violators, equivalently as the right derivative of the
 greatest convex minorant of the cumulative sum diagram.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .curves import MonotoneStepCurve, _check_eps, as_number
@@ -22,7 +24,7 @@ __all__ = [
 ]
 
 
-class IsotonicFit:
+class IsotonicFit(NamedTuple):
     """Result of an isotonic regression.
 
     Attributes
@@ -33,11 +35,7 @@ class IsotonicFit:
         one block.
     """
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def __repr__(self):
-        return f"IsotonicFit(values={self.values.tolist()!r})"
+    values: np.ndarray
 
 
 def _pool(values, weights):

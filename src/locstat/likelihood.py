@@ -96,10 +96,10 @@ def _phi(x):
 
 
 def _inverse_lags(model, u, order):
-    # c(u, m) / sigma^2(u) for m = 0..order: 1/f(u, lam) is 2 pi times the
-    # trigonometric polynomial with these coefficients at lags +-m
+    # c(u, m) / sigma^2(u) for m = 0..order >= p, zero past p: 1/f(u, lam) is
+    # 2 pi times the trigonometric polynomial with these coefficients at lags +-m
     s2 = _positive(model.sigma2.values(u))
-    return np.stack([coeff_autocorr(model, u, m) for m in range(order + 1)], axis=-1) / s2[:, None]
+    return np.pad(coeff_autocorr(model, u) / s2[:, None], ((0, 0), (0, order - model.p)))
 
 
 def _inverse_distance_sq(g, f, cells):

@@ -508,22 +508,21 @@ def transfer_abs2(coeffs, lam):
     return np.abs(acc) ** 2
 
 
-def coeff_autocorr(model, u, m):
-    """sum_i a_i(u) a_{i+|m|}(u) for the sequence (1, alpha_1(u), ..., alpha_p(u)).
+def coeff_autocorr(model, u):
+    """c(u, m) = sum_i a_i(u) a_{i+m}(u) for m = 0..p and the sequence
+    (1, alpha_1(u), ..., alpha_p(u)); shape u.shape + (p + 1,).
 
-    These are the lag coefficients c(u, m) of the squared transfer
-    polynomial, |1 + sum_j alpha_j(u) e^{i lam j}|^2 = sum_{|m|<=p} c(u, m)
-    e^{i lam m}, so integrals against 1/f reduce to sums over |m| <= p.
-    Zero for |m| > p.
+    These are the lag coefficients of the squared transfer polynomial,
+    |1 + sum_j alpha_j(u) e^{i lam j}|^2 = sum_{|m|<=p} c(u, |m|) e^{i lam m},
+    so integrals against 1/f reduce to sums over |m| <= p.  The coefficient
+    curves are evaluated once, and each c(u, m) is summed over i in order.
     """
     u = np.asarray(u, dtype=float)
     p = model.p
-    a = model.alpha_matrix(u)
-    coeff = [np.ones(u.shape)] + [a[..., j] for j in range(p)]
-    m = abs(as_number(m, "m"))
-    acc = np.zeros(u.shape)
-    for i in range(0, p - m + 1):
-        acc = acc + coeff[i] * coeff[i + m]
+    coeff = np.concatenate([np.ones(u.shape + (1,)), model.alpha_matrix(u)], axis=-1)
+    acc = np.zeros(u.shape + (p + 1,))
+    for i in range(p + 1):
+        acc[..., : p + 1 - i] += coeff[..., i : i + 1] * coeff[..., i:]
     return acc
 
 

@@ -15,9 +15,14 @@ convention
 
     c_phi(u, j) = int_{-pi}^{pi} phi(u, lam) e^{i lam j} dlam,
 
-so that phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j}.  All matrix
-and norm bounds in this module are stated for that convention.
+so that phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j}.  Weights are
+real and even in lam, so c_phi(u, -j) = c_phi(u, j): each lag path builds one
+table c_phi(u, 0..J) per time grid (:meth:`TestFunction.lags`) and reads lag j
+at column |j|.  All matrix and norm bounds in this module are stated for that
+convention.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,18 +234,19 @@ class TestFunction:
 
     Parameters
     ----------
-    lag_fn : callable
-        lag_fn(u, j) -> int phi(u, lam) e^{i lam j} dlam for integer j,
-        vectorized over the array u.
+    lags_fn : callable
+        lags_fn(u) -> the table c_phi(u, j) for j = 0..J, shape
+        u.shape + (J + 1,), for an array u of times; the weight is real and
+        even in lam, so c_phi(u, -j) = c_phi(u, j).
     lag_support : int
-        Smallest J >= 0 with lag_fn(u, j) = 0 for all |j| > J.  Required:
+        Smallest J >= 0 with c_phi(u, j) = 0 for all |j| > J.  Required:
         every functional of the weight is a finite lag sum.
     """
 
     __test__ = False  # not a pytest collection target
 
-    def __init__(self, lag_fn, lag_support):
-        self._lag_fn = lag_fn
+    def __init__(self, lags_fn, lag_support):
+        self._lags_fn = lags_fn
         self.lag_support = as_number(lag_support, "lag support", int, 0)
 
     def values(self, u, lam):
@@ -248,17 +254,21 @@ class TestFunction:
         lam broadcast; the real weight that the lag coefficients fix."""
         u = np.asarray(u, dtype=float)
         lam = np.asarray(lam, dtype=float)
+        table = self.lags(u)
         out = np.zeros(np.broadcast_shapes(u.shape, lam.shape))
         for j in range(-self.lag_support, self.lag_support + 1):
-            out += self.lag(u, j) * np.cos(j * lam)
+            out += table[..., abs(j)] * np.cos(j * lam)
         return out / (2 * np.pi)
 
-    def lag(self, u, j):
-        """Lag coefficient c_phi(u, j), unnormalized convention."""
+    def lags(self, u):
+        """The table c_phi(u, j), j = 0..J, unnormalized convention; shape
+        u.shape + (J + 1,)."""
         u = np.asarray(u, dtype=float)
-        if abs(int(j)) > self.lag_support:
-            return np.zeros(u.shape)
-        return np.asarray(self._lag_fn(u, int(j)), dtype=float)
+        table = np.asarray(self._lags_fn(u), dtype=float)
+        expected = u.shape + (self.lag_support + 1,)
+        if table.shape != expected:
+            raise ValueError(f"lag table has shape {table.shape}, expected {expected}")
+        return table
 
     def __repr__(self):
         return f"TestFunction(lag_support={self.lag_support})"
@@ -266,12 +276,7 @@ class TestFunction:
 
 def constant_weight(value=1.0):
     """phi(u, lam) = value; single lag coefficient 2 pi value at j = 0."""
-    value = as_number(value, "weight value", float)
-
-    def lag_fn(u, j):
-        return np.full(np.shape(u), 2 * np.pi * value if j == 0 else 0.0)
-
-    return TestFunction(lag_fn, lag_support=0)
+    return lag_curve_weight({0: 2 * np.pi * as_number(value, "weight value", float)})
 
 
 def lag_curve_weight(curves):
@@ -281,25 +286,27 @@ def lag_curve_weight(curves):
     ----------
     curves : dict
         Maps nonnegative lag j to a Curve (or constant) giving the lag
-        coefficient c_phi(u, j); negative lags mirror the positive ones.
-        The weight is phi(u, lam) = (1/2 pi) sum_j c_phi(u, j) e^{-i lam j},
-        real and even in lam.
+        coefficient c_phi(u, j); negative lags mirror the positive ones, and
+        two keys naming one lag are refused.  The weight is phi(u, lam) =
+        (1/2 pi) sum_j c_phi(u, j) e^{-i lam j}, real and even in lam.
     """
     table = {}
     for j, c in curves.items():
-        # nonnegative lags only; negatives mirror
-        table[as_number(j, "lag", int, 0)] = _as_curve(c)
+        lag = as_number(j, "lag", int, 0)
+        if lag in table:
+            raise ValueError(f"lag {lag} is given twice")
+        table[lag] = _as_curve(c)
     if not table:
         raise ValueError("need at least one lag coefficient curve")
     support = max(table)
 
-    def lag_fn(u, j):
-        c = table.get(abs(int(j)))
-        if c is None:
-            return np.zeros(np.shape(u))
-        return c.values(np.asarray(u, float))
+    def lags_fn(u):
+        out = np.zeros(u.shape + (support + 1,))
+        for j, c in table.items():
+            out[..., j] = c.values(u)
+        return out
 
-    return TestFunction(lag_fn, lag_support=support)
+    return TestFunction(lags_fn, lag_support=support)
 
 
 def ar_inverse_weight(model, scale=1.0):
@@ -312,11 +319,14 @@ def ar_inverse_weight(model, scale=1.0):
     """
     scale = as_number(scale, "weight scale", float)
 
-    def lag_fn(u, j):
-        # TestFunction.lag passes u as an array and only the lags |j| <= p
-        return scale * (4 * np.pi ** 2) * coeff_autocorr(model, u, j) / model.sigma2.values(u)
+    def lags_fn(u):
+        # scaled in place: two table-sized temporaries raised the peak RSS of a long series' pipeline
+        c = coeff_autocorr(model, u)
+        c *= scale * (4 * np.pi ** 2)
+        c /= model.sigma2.values(u)[..., None]
+        return c
 
-    return TestFunction(lag_fn, lag_support=model.p)
+    return TestFunction(lags_fn, lag_support=model.p)
 
 
 def quadratic_form_matrix(phi, n):
@@ -331,11 +341,12 @@ def quadratic_form_matrix(phi, n):
         raise ResourceLimitError(f"dense kernel capped at n = {MAX_DENSE_N}")
     U = np.zeros((n, n))
     K = min(phi.lag_support, n - 1)
+    table = phi.lags(np.arange(1, n + 1) / n)
     for d in range(-K, K + 1):
         r = np.arange(max(1, 1 + d), min(n, n + d) + 1)
         s = r - d
         mids = (r + s) // 2
-        U[r - 1, s - 1] = phi.lag(mids / n, d)
+        U[r - 1, s - 1] = table[mids - 1, abs(d)]
     return U
 
 
@@ -390,18 +401,21 @@ def spectral_functional(series, phi, path="lag", grid=None):
 def _lag_functionals(X, phi):
     """The lag path of :func:`spectral_functional` for every row of X.
 
-    sum_k sum_t c_phi(t/n, -k) P_k(t) / (2 pi n), with the weights of each
-    lag built once for all rows.  Each row's products are a fresh array
-    dotted on its own, as for a single series: OpenBLAS's ddot can round
-    differently on row views of one product matrix, and every row must equal
-    the single-series value bit for bit.
+    sum_k sum_t c_phi(t/n, |k|) P_k(t) / (2 pi n), with the weight's lag
+    table on the design points t/n built once for all rows; its n x (J + 1)
+    values are fewer than the R x n batch whenever J < REPLICATION_CHUNK.
+    Each lag's weights and each row's products are fresh arrays dotted on
+    their own, as for a single series: OpenBLAS's ddot can round differently
+    on row views of one product matrix, and every row must equal the
+    single-series value bit for bit.
     """
     R, n = X.shape
     acc = np.zeros(R)
     K = min(phi.lag_support, n - 1)
+    table = phi.lags(np.arange(1, n + 1) / n)
     for k in range(-K, K + 1):
         t, i, j = _lag_index(n, k)
-        w = phi.lag(t / n, -k)
+        w = table[t - 1, abs(k)]
         for r, x in enumerate(X):
             acc[r] += float(np.dot(w, x[i] * x[j]))
     return acc / (2 * np.pi * n)
@@ -424,11 +438,12 @@ def spectral_functional_limit(phi, f):
     u = _time_grid(TIME_CELLS)
     J = phi.lag_support
     cov = ar_autocov(model, u, J)
-    total = sum(phi.lag(u, j) * cov[:, abs(j)] for j in range(-J, J + 1))
+    table = phi.lags(u)
+    total = sum(table[:, abs(j)] * cov[:, abs(j)] for j in range(-J, J + 1))
     return float(np.mean(total) / (2 * np.pi))
 
 
-class NormReport:
+class NormReport(NamedTuple):
     """Norm summary of a weight function.
 
     Attributes
@@ -445,19 +460,11 @@ class NormReport:
         Sum over lags of the same total variations.
     """
 
-    def __init__(self, l2, l2_discrete, lag_sup_sum, variation_sup, variation_sum):
-        self.l2 = float(l2)
-        self.l2_discrete = float(l2_discrete)
-        self.lag_sup_sum = float(lag_sup_sum)
-        self.variation_sup = float(variation_sup)
-        self.variation_sum = float(variation_sum)
-
-    def __repr__(self):
-        return (
-            f"NormReport(l2={self.l2:.6g}, l2_discrete={self.l2_discrete:.6g}, "
-            f"lag_sup_sum={self.lag_sup_sum:.6g}, variation_sup={self.variation_sup:.6g}, "
-            f"variation_sum={self.variation_sum:.6g})"
-        )
+    l2: float
+    l2_discrete: float
+    lag_sup_sum: float
+    variation_sup: float
+    variation_sum: float
 
 
 def weight_norms(phi, n):
@@ -467,7 +474,8 @@ def weight_norms(phi, n):
     VARIATION_GRID-point grid and the design points t/n, so every value that
     enters the dense kernel for this n is covered.  L2 norms use the lag-space
     Parseval identity int phi(u,.)^2 dlam = (1/2 pi) sum_j c_phi(u, j)^2, the
-    time integral a midpoint rule with VARIATION_GRID cells.
+    time integral a midpoint rule with VARIATION_GRID cells.  Each sum over
+    j in -J..J counts the lags j > 0 twice, since c_phi(u, -j) = c_phi(u, j).
 
     Parameters
     ----------
@@ -476,25 +484,17 @@ def weight_norms(phi, n):
         Sample size whose design points are included in the sup grids.
     """
     n = as_number(n, "n", int, 1)
-    J = phi.lag_support
     sup_grid = np.union1d(np.arange(1, VARIATION_GRID + 1) / VARIATION_GRID, np.arange(1, n + 1) / n)
-    mid_grid = _time_grid(VARIATION_GRID)
-    design = np.arange(1, n + 1) / n
-
-    sq_mid = np.zeros(mid_grid.shape)
-    sq_design = np.zeros(design.shape)
-    lag_sup_sum = 0.0
-    variation_sup = 0.0
-    variation_sum = 0.0
-    for j in range(-J, J + 1):
-        on_sup = phi.lag(sup_grid, j)
-        lag_sup_sum += float(np.max(np.abs(on_sup)))
-        tv = float(np.sum(np.abs(np.diff(on_sup))))
-        variation_sup = max(variation_sup, tv)
-        variation_sum += tv
-        sq_mid += phi.lag(mid_grid, j) ** 2
-        sq_design += phi.lag(design, j) ** 2
-
-    l2 = np.sqrt(np.mean(sq_mid) / (2 * np.pi))
-    l2_discrete = np.sqrt(np.mean(sq_design) / (2 * np.pi))
-    return NormReport(l2, l2_discrete, lag_sup_sum, variation_sup, variation_sum)
+    on_sup = phi.lags(sup_grid)
+    on_mid = phi.lags(_time_grid(VARIATION_GRID))
+    on_design = phi.lags(np.arange(1, n + 1) / n)
+    twice = np.where(np.arange(phi.lag_support + 1) > 0, 2.0, 1.0)  # lags +-j for j > 0
+    # one contiguous row per lag, so that each variation is summed as a 1-d array
+    tv = np.sum(np.abs(np.diff(np.ascontiguousarray(on_sup.T))), axis=1)
+    return NormReport(
+        l2=float(np.sqrt(np.mean(on_mid**2 @ twice) / (2 * np.pi))),
+        l2_discrete=float(np.sqrt(np.mean(on_design**2 @ twice) / (2 * np.pi))),
+        lag_sup_sum=float(np.max(np.abs(on_sup), axis=0) @ twice),
+        variation_sup=float(np.max(tv)),
+        variation_sum=float(tv @ twice),
+    )

@@ -574,6 +574,24 @@ def test_unwritable_out_exits_with_message_and_status_one(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("curves, lag", [({"0": 1.0, "00": 2.0}, 0), ({"1": 1, " 1": 5}, 1)])
+def test_clt_study_refuses_a_duplicate_lag(tmp_path, curves, lag):
+    # both keys name one lag: the first curve was dropped without a word
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phi": {"type": "lag_curves", "curves": curves}}))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(locstat.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "locstat.cli", "clt-study", "--config", str(cfg), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"clt-study: lag {lag} is given twice\n"
+    assert not out.exists()
+
+
 def test_likelihood_eval_without_config_names_command(tmp_path):
     series = simulate_into(tmp_path)
     with pytest.raises(SystemExit, match="^likelihood-eval: needs --config with a candidate model$"):

@@ -43,7 +43,13 @@ def test_package_import_loads_no_cli():
 # Every time integral has one resolution, a module constant; these options,
 # which only tests ever set, are gone.
 REMOVED_OPTIONS = {"u_grid_size", "u_resolution", "sigma2_init"}
-REMOVED_FROM = {"divergence_sandwich": {"grid"}, "fit_fourier_tvar": {"eps"}, "clopper_pearson_upper": {"level"}}
+REMOVED_FROM = {
+    "divergence_sandwich": {"grid"},
+    "fit_fourier_tvar": {"eps"},
+    "clopper_pearson_upper": {"level"},
+    # coeff_autocorr returns the whole table c(u, 0..p)
+    "coeff_autocorr": {"m"},
+}
 
 
 def _public_callables():
@@ -72,7 +78,7 @@ def test_no_public_callable_takes_a_removed_option():
             offenders[name] = sorted(taken)
     assert offenders == {}
     # the checker sees what it is looking for
-    assert {"divergence_sandwich", "fit_fourier_tvar", "clopper_pearson_upper", "TvARModel.validate"} <= {
+    assert {"divergence_sandwich", "fit_fourier_tvar", "clopper_pearson_upper", "coeff_autocorr", "TvARModel.validate"} <= {
         name for name, _ in _public_callables()
     }
 
@@ -95,3 +101,9 @@ def test_removed_names_are_not_attributes():
     for module in (locstat, locstat.likelihood):
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
     assert REMOVED_NAMES.isdisjoint(locstat.__all__)
+
+
+def test_weights_have_no_per_lag_accessor():
+    # a weight hands out its lag coefficients as one table, TestFunction.lags
+    assert not hasattr(locstat.TestFunction, "lag")
+    assert hasattr(locstat.TestFunction, "lags")

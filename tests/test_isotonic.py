@@ -41,6 +41,14 @@ def test_pava_frozen_examples():
     np.testing.assert_allclose(fit.values[np.array(stops) - 1], [1.0, 1.25, 4.0])
 
 
+def test_isotonic_fit_is_a_record():
+    fit = pava_monotone([3.0, 1.0, 2.0])
+    assert fit._fields == ("values",)
+    (values,) = fit
+    assert values is fit.values
+    assert repr(fit).startswith("IsotonicFit(values=array([2., 2., 2.]")
+
+
 def test_pava_already_monotone_is_identity():
     x = [0.5, 0.5, 1.0, 2.0]
     np.testing.assert_array_equal(pava_monotone(x).values, x)

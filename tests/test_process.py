@@ -506,12 +506,23 @@ def test_tv_covariance_refuses_a_fractional_lag():
     assert tv_covariance(model, 0.5, -1.0) == tv_covariance(model, 0.5, 1) == 0.0
 
 
-def test_coeff_autocorr_refuses_a_fractional_lag():
-    model = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
-    for m in (1.5, "abc", None):
-        with pytest.raises(ValueError, match="m must"):
-            coeff_autocorr(model, [0.5], m)
-    np.testing.assert_array_equal(coeff_autocorr(model, [0.5], -1.0), coeff_autocorr(model, [0.5], 1))
+@pytest.mark.parametrize("p", range(5))
+@pytest.mark.parametrize("kind", ["constant", "step", "fourier"])
+def test_coeff_autocorr_matches_a_correlate_oracle(p, kind):
+    # c(u, m) for m = 0..p is the autocorrelation of (1, alpha_1(u), ..., alpha_p(u))
+    curve = {
+        "constant": lambda j: ConstantCurve(0.3 / j),
+        "step": lambda j: SampledCurve([0.4 / j, -0.2, 0.1 * j]),
+        "fourier": lambda j: FourierCurve(0.1 * j, a=[0.2], b=[-0.15 / j]),
+    }[kind]
+    model = TvARModel(p, [curve(j) for j in range(1, p + 1)], ConstantCurve(1.0), validate=False)
+    u = np.linspace(0.01, 1.0, 37)
+    table = coeff_autocorr(model, u)
+    assert table.shape == (37, p + 1)
+    for row, a in zip(table, model.alpha_matrix(u)):
+        seq = np.concatenate([[1.0], a])
+        np.testing.assert_allclose(row, np.correlate(seq, seq, "full")[p:], rtol=0, atol=1e-15)
+    assert coeff_autocorr(model, 0.5).shape == (p + 1,)
 
 
 def test_tv_covariance_tracks_local_variance():

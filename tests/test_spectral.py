@@ -226,26 +226,50 @@ def test_periodogram_matches_fft():
     np.testing.assert_allclose(per, fft, rtol=1e-10)
 
 
+def _cos_lags(u):
+    # c(u, 0) = 0 and c(u, +-1) = pi: the weight phi = cos lam
+    return np.stack([np.zeros(u.shape), np.full(u.shape, np.pi)], axis=-1)
+
+
 @pytest.mark.parametrize("support", [None, -1, 1.5, "abc"])
 def test_weight_lag_support_is_required(support):
     # every functional of a weight is a finite lag sum, so a weight without
     # a lag support of at least 0 cannot be built
     with pytest.raises(ValueError, match="lag support"):
-        TestFunction(lambda u, j: np.full(np.shape(u), np.pi * (abs(j) == 1)), support)
+        TestFunction(_cos_lags, support)
 
 
 def test_weight_values_are_its_lag_sum():
-    # a weight is given by its lags alone: c(u, +-1) = pi is phi = cos lam
-    phi = TestFunction(lambda u, j: np.pi * (abs(j) == 1), 1)
+    # a weight is given by its lags alone
+    phi = TestFunction(_cos_lags, 1)
     lam = np.linspace(-np.pi, np.pi, 33)
     np.testing.assert_allclose(phi.values(0.4, lam), np.cos(lam), rtol=0, atol=1e-15)
     assert phi.values(np.full((3, 1), 0.4), lam[None, :]).shape == (3, 33)
 
 
+@pytest.mark.parametrize(
+    "lags_fn",
+    [
+        lambda u: np.pi,  # a scalar
+        lambda u: np.zeros(u.shape + (3,)),  # one lag too many
+        lambda u: np.zeros(u.shape + (1,)),  # one lag too few
+        lambda u: np.zeros((2,) + u.shape + (2,)),  # an extra leading axis
+    ],
+)
+def test_weight_lags_refuse_a_table_of_the_wrong_shape(lags_fn):
+    # a table that is not u.shape + (J + 1,) would broadcast silently
+    phi = TestFunction(lags_fn, 1)
+    u = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(ValueError, match=r"lag table has shape .*, expected \(3, 2\)"):
+        phi.lags(u)
+    with pytest.raises(ValueError, match="lag table"):
+        phi.values(u, 0.0)
+
+
 def test_constant_weight_lags():
     phi = constant_weight(2.0)
-    assert phi.lag(0.3, 0) == pytest.approx(4 * np.pi)
-    assert phi.lag(0.3, 1) == 0.0
+    np.testing.assert_array_equal(phi.lags(np.array([0.3, 1.0])), [[4 * np.pi], [4 * np.pi]])
+    assert phi.lag_support == 0
     np.testing.assert_allclose(phi.values(0.3, np.array([0.0, 1.0])), 2.0)
 
 
@@ -256,9 +280,19 @@ def test_lag_curve_weight_reconstruction():
     np.testing.assert_allclose(
         phi.values(0.5, lam), (1 + 2 * np.pi * np.cos(lam)) / (2 * np.pi), atol=1e-14
     )
-    assert phi.lag(0.2, 1) == pytest.approx(np.pi)
-    assert phi.lag(0.2, -1) == pytest.approx(np.pi)
-    assert phi.lag(0.2, 5) == 0.0
+    # lags 0..J only; -1 mirrors 1, and lags past J are zero by the support
+    np.testing.assert_array_equal(phi.lags(0.2), [1.0, np.pi])
+    # a lag inside the support without a curve is zero
+    np.testing.assert_array_equal(lag_curve_weight({2: 3.0}).lags(np.array([0.2])), [[0.0, 0.0, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "curves, lag", [({"0": 1.0, "00": 2.0}, 0), ({"1": 1, " 1": 5}, 1), ({0: 3.0, 2: 1.0, "2": 2.0}, 2)]
+)
+def test_lag_curve_weight_refuses_a_duplicate_lag(curves, lag):
+    # two keys naming one lag kept only the last one
+    with pytest.raises(ValueError, match=f"lag {lag} is given twice"):
+        lag_curve_weight(curves)
 
 
 def test_ar_inverse_weight_is_reciprocal_spectrum():
@@ -268,10 +302,10 @@ def test_ar_inverse_weight_is_reciprocal_spectrum():
     f = 1.0 / (2 * np.pi) / (1.25 + np.cos(lam))
     np.testing.assert_allclose(phi.values(np.full(33, 0.4), lam), 1.0 / f, rtol=1e-12)
     # lag coefficients int phi e^{i lam j} dlam:
-    # c_0 = 4 pi^2 (1 + alpha^2)/sigma^2, c_1 = 4 pi^2 alpha / sigma^2
-    assert phi.lag(0.4, 0) == pytest.approx(4 * np.pi**2 * 1.25)
-    assert phi.lag(0.4, 1) == pytest.approx(4 * np.pi**2 * 0.5)
-    assert phi.lag(0.4, 2) == 0.0
+    # c_0 = 4 pi^2 (1 + alpha^2)/sigma^2, c_1 = 4 pi^2 alpha / sigma^2, and
+    # the support is the order, so c_2 = 0
+    assert phi.lag_support == 1
+    np.testing.assert_allclose(phi.lags(0.4), [4 * np.pi**2 * 1.25, 4 * np.pi**2 * 0.5], rtol=1e-15)
 
 
 def test_spectral_functional_frozen_two_point_case():
@@ -330,9 +364,9 @@ def test_quadratic_form_matrix_values():
     phi = ar_inverse_weight(m)
     U = quadratic_form_matrix(phi, 4)
     # U[r, s] = lag coefficient at (floor((r+s)/2)/n, r-s), 1-based r, s
-    assert U[0, 0] == pytest.approx(phi.lag(1 / 4, 0))
-    assert U[0, 1] == pytest.approx(phi.lag(1 / 4, 1))   # floor(3/2) = 1
-    assert U[1, 2] == pytest.approx(phi.lag(2 / 4, 1))   # floor(5/2) = 2
+    assert U[0, 0] == pytest.approx(phi.lags(1 / 4)[0])
+    assert U[0, 1] == pytest.approx(phi.lags(1 / 4)[1])   # floor(3/2) = 1
+    assert U[1, 2] == pytest.approx(phi.lags(2 / 4)[1])   # floor(5/2) = 2
     assert U[0, 3] == 0.0  # beyond the support
     np.testing.assert_allclose(U, U.T, atol=1e-14)
 
@@ -355,6 +389,13 @@ def test_weight_norms_constant_weight():
     assert rep.lag_sup_sum == pytest.approx(2 * np.pi, rel=1e-12)
     assert rep.variation_sup == pytest.approx(0.0, abs=1e-12)
     assert rep.variation_sum == pytest.approx(0.0, abs=1e-12)
+
+
+def test_norm_report_is_a_record_of_floats():
+    rep = weight_norms(lag_curve_weight({0: 1.0, 2: FourierCurve(0.2, a=[0.3])}), 64)
+    assert rep._fields == ("l2", "l2_discrete", "lag_sup_sum", "variation_sup", "variation_sum")
+    assert all(type(value) is float for value in rep)
+    assert rep == (rep.l2, rep.l2_discrete, rep.lag_sup_sum, rep.variation_sup, rep.variation_sum)
 
 
 def test_weight_norms_ar_inverse_frozen_value():
