@@ -1,11 +1,14 @@
 """Per-layer timings of locstat: best and median of k seconds, and tracemalloc peak.
 
-Times seven layers on the default rate model at each n: simulation, the
-pre-periodogram grid, the lag-path spectral functional, the Whittle and
-conditional contrasts, and the monotone and Fourier fits.  Each layer gets
-its best and its median time over --repeats calls (the median is the steadier
-of the two when the host is noisy), then its tracemalloc peak on one more
-call (tracing slows the call, so it is not timed).  The layers run at 1 and
+Times ten layers at each n: on a series of the default rate model,
+simulation, the pre-periodogram grid, the lag-path spectral functional, the
+Whittle and conditional contrasts, the sieve PAVA step on the lag-1 squares,
+and the monotone and Fourier fits; the tail-study sampler on a linear design
+of n weights; and the divergence sandwich of a pair with step coefficient
+curves, which does not depend on n.  Each layer gets its best and its
+median time over --repeats calls (the median is the steadier of the two when
+the host is noisy), then its tracemalloc peak on one more call (tracing slows
+the call, so it is not timed).  The layers run at 1 and
 at 2 BLAS threads, each thread count in a fresh interpreter whose thread
 variables are set before NumPy loads.  Run from a checkout:
 
@@ -32,20 +35,31 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 THREADS = (1, 2)
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 GRID_SIZE = 64  # frequency nodes of the pre-periodogram grid layer
+TAIL_REPLICATIONS = 1000  # the fewest a TailStudySpec takes: one sampler chunk up to n = 131
+TAIL_ETAS = (1.0, 2.0, 4.0)
 
 
 def layers(n):
-    """(name, call) for each layer on a series of length n from the default rate model."""
+    """(name, call) for each layer at length n."""
     # imported here, so that NumPy loads only in the child interpreters
     from locstat import (
+        ConstantCurve,
         FitConfig,
         FrequencyGrid,
         PrePeriodogram,
+        SampledCurve,
+        TailStudySpec,
+        TvARModel,
         ar_inverse_weight,
+        chi2_tail_study,
         conditional_likelihood,
+        default_eps,
+        default_knots,
         default_rate_model,
+        divergence_sandwich,
         fit_fourier_tvar,
         fit_monotone_tvar,
+        sieve_pava,
         simulate_tvar,
         spectral_functional,
         whittle_contrast,
@@ -54,14 +68,21 @@ def layers(n):
     model = default_rate_model()
     x = simulate_tvar(model, n, 0)
     pre, grid, weight, config = PrePeriodogram(x), FrequencyGrid(GRID_SIZE), ar_inverse_weight(model), FitConfig(p=1)
+    squares, k_n, eps = x.values[1:] ** 2, default_knots(n), default_eps(n)
+    tail = TailStudySpec.linear_design(n, TAIL_REPLICATIONS, TAIL_ETAS)
+    g = TvARModel(1, [SampledCurve([0.5, -0.3])], model.sigma2)
+    f = TvARModel(1, [SampledCurve([0.2, 0.4, -0.1])], ConstantCurve(1.0))
     return [
         ("simulate_tvar", lambda: simulate_tvar(model, n, 0)),
         ("evaluate_grid", lambda: pre.evaluate_grid(grid)),
         ("spectral_functional", lambda: spectral_functional(x, weight)),
         ("whittle_contrast", lambda: whittle_contrast(x, model)),
         ("conditional_likelihood", lambda: conditional_likelihood(x, model)),
+        ("sieve_pava", lambda: sieve_pava(squares, n, 1, k_n, eps)),
         ("fit_monotone_tvar", lambda: fit_monotone_tvar(x, config)),
         ("fit_fourier_tvar", lambda: fit_fourier_tvar(x, 1)),
+        ("chi2_tail_study", lambda: chi2_tail_study(tail)),
+        ("divergence_sandwich", lambda: divergence_sandwich(g, f)),
     ]
 
 

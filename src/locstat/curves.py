@@ -55,9 +55,6 @@ class Curve:
     def values(self, u):
         raise NotImplementedError
 
-    def __call__(self, u):
-        return self.values(u)
-
 
 class ConstantCurve(Curve):
     """Curve that takes a single value everywhere."""

@@ -143,39 +143,25 @@ def clopper_pearson_upper(successes, trials):
 
 
 def _binomial_log_cdf(k, trials, x):
-    """log P(Bin(trials, x) <= k) and its derivative in x, for 0 <= k < trials.
-
-    Sums the terms outward from the one nearest the mode, as ratios to it, and
-    stops once a term falls below 1e-17 of the sum.
+    """log P(Bin(trials, x) <= k) and its derivative in x, for 1 <= k < trials
+    and k < (trials + 1) x: clopper_pearson_upper answers k = 0 and k = trials
+    in closed form and never steps below its start (k + 1)/(trials + 1), where
+    the tail exceeds 1 - UPPER_LEVEL.  Sums the terms from i = k down, as
+    ratios to the one at k, until one falls below 1e-17 of the sum.
     """
     r = (1.0 - x) / x
     term = total = 1.0
-    if k < (trials + 1) * x:
-        # the terms fall from i = k down
-        for i in range(k, 0, -1):
-            term *= r * i / (trials - i + 1)
-            total += term
-            if term < 1e-17 * total:
-                break
-        return _log_binomial_pmf(k, trials, x) + math.log(total), -(trials - k) / ((1.0 - x) * total)
-    # the terms fall from i = k + 1 up, and P(Bin <= k) >= 1/2
-    for i in range(k + 1, trials):
-        term *= (trials - i) / ((i + 1) * r)
+    for i in range(k, 0, -1):
+        term *= r * i / (trials - i + 1)
         total += term
         if term < 1e-17 * total:
             break
-    head = math.exp(_log_binomial_pmf(k + 1, trials, x))
-    upper = head * total
-    return math.log1p(-upper), -(k + 1) * head / (x * (1.0 - upper))
+    return _log_binomial_pmf(k, trials, x) + math.log(total), -(trials - k) / ((1.0 - x) * total)
 
 
 def _log_binomial_pmf(i, trials, x):
-    """log P(Bin(trials, x) = i) by Loader's saddle-point form, whose terms are
-    all O(1) or smaller: no difference of two large log-gammas."""
-    if i == 0:
-        return trials * math.log1p(-x)
-    if i == trials:
-        return trials * math.log(x)
+    """log P(Bin(trials, x) = i), 0 < i < trials, by Loader's saddle-point form,
+    whose terms are all O(1) or smaller: no difference of two large log-gammas."""
     j = trials - i
     return (
         _stirling_error(trials)

@@ -30,7 +30,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "FourierFitResult",
-    "wls_ar",
     "default_knots",
     "default_eps",
     "fit_monotone_tvar",
@@ -141,41 +140,9 @@ class FitResult:
         return int(np.count_nonzero(self.sigma2_hat.knot_values >= self.sigma2_hat.upper))
 
 
-def wls_ar(series, sigma2, p):
-    """Weighted least squares for constant AR coefficients.
-
-    Minimizes sum_{t>p} (x_t + sum_j a_j x_{t-j})^2 / sigma^2(t/n) and
-    returns the coefficient vector.  The fitted residuals are orthogonal to
-    the weighted lagged regressors.
-
-    Parameters
-    ----------
-    series : TimeSeries or array_like
-    sigma2 : Curve or positive float
-        Weight curve; observation t gets weight 1/sigma^2(t/n).
-    p : int
-        Order, >= 0 (order 0 returns an empty vector).
-
-    Raises
-    ------
-    DegenerateDataError
-        If the weighted normal equations are singular (constant-zero series).
-    """
-    x = _series_values(series)
-    p = as_number(p, "p", int, 0)
-    if p == 0:
-        return np.zeros(0)
-    n = len(x)
-    if n <= p:
-        raise ValueError(f"need more than p={p} observations")
-    w = 1.0 / _as_curve(sigma2).values(np.arange(p + 1, n + 1) / n)
-    if np.min(w) <= 0 or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be positive and finite")
-    return _wls(_lag_matrix(x, p), x[p:], w)
-
-
 def _lag_matrix(x, p):
-    """The regressors of wls_ar: columns x_{t-1}, ..., x_{t-p} for t = p+1..n."""
+    """The regressors of _wls in the alpha step of fit_monotone_tvar: columns
+    x_{t-1}, ..., x_{t-p} for t = p+1..n."""
     n = len(x)
     return np.column_stack([x[p - j : n - j] for j in range(1, p + 1)])
 
@@ -374,7 +341,7 @@ def fit_fourier_tvar(series, k_n=1):
     xx = x * x
     cross = x[:-1] * x[1:]
     basis = _fourier_basis(np.arange(1, n + 1) / n, k_n)
-    hess = np.einsum("ti,t,tj->ij", basis, xx, basis)  # no threaded GEMM, as in wls_ar
+    hess = np.einsum("ti,t,tj->ij", basis, xx, basis)  # no threaded GEMM, as in _wls
     grad = basis.T @ np.append(cross, 0.0)
     check = _fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, k_n)
     try:

@@ -270,8 +270,6 @@ def _format_cell(value):
     # np.float64 subclasses float, and under NumPy 2 its repr is "np.float64(...)"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 

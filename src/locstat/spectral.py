@@ -107,19 +107,6 @@ class PrePeriodogram:
         self.n = len(self.x)
         self._cosines = (None, None)  # (grid size, cosine blocks) of the last evaluate_grid
 
-    def lag_products(self, k):
-        """All admissible products at lag k.
-
-        Returns
-        -------
-        t : ndarray of int
-            1-based time points where lag k is admissible.
-        products : ndarray
-            x_i x_j with i = floor(t + 1/2 + k/2), j = floor(t + 1/2 - k/2).
-        """
-        t, i, j = _lag_index(self.n, as_number(k, "k"))
-        return t, self.x[i] * self.x[j]
-
     def _rows(self, times):
         if times is None:
             return np.arange(1, self.n + 1)
@@ -135,13 +122,14 @@ class PrePeriodogram:
         """Matrix of J(t/n, lam_m) for the requested t (rows) and grid nodes.
 
         Uses the cosine representation J = (P_0 + 2 sum_{k>=1} P_k cos(k lam))
-        / (2 pi) with the lag products P_k of :meth:`lag_products`: lag 2m
-        pairs x_{t+m} x_{t-m}, lag 2m+1 pairs x_{t+m+1} x_{t-m}.  On the M
-        nodes of a FrequencyGrid cos(k lam) has period 2M in k, so each row's
-        even and odd products are summed over m modulo p = min(M, n // 2 + 1),
-        then multiplied by the cosine matrix of the 2p lags below 2p.  J is
-        even in lam and the grid holds -lam for every node, so only the M/2
-        positive nodes are computed and the others mirror them.
+        / (2 pi) with the lag products P_k = x_i x_j at the indices of
+        :func:`_lag_index`: lag 2m pairs x_{t+m} x_{t-m}, lag 2m+1 pairs
+        x_{t+m+1} x_{t-m}.  On the M nodes of a FrequencyGrid cos(k lam) has
+        period 2M in k, so each row's even and odd products are summed over m
+        modulo p = min(M, n // 2 + 1), then multiplied by the cosine matrix of
+        the 2p lags below 2p.  J is even in lam and the grid holds -lam for
+        every node, so only the M/2 positive nodes are computed and the others
+        mirror them.
 
         Row t has min(t, n + 1 - t) even and min(t, n - t) odd admissible
         products, so a block of rows forms and sums only the periods up to

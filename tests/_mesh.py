@@ -1,6 +1,7 @@
 """Frequency-mesh oracles for the exact spectral paths of locstat.
 
-Each function evaluates the spectra of its TvARModels through
+lag_products reads the pre-periodogram's index rule off its definition.
+Each other function evaluates the spectra of its TvARModels through
 ``process.spectral_density`` on the mesh of a midpoint u-grid of
 ``cells`` cells times the nodes of a FrequencyGrid, and sums the integrand
 there.  This is the slow path that every exact path of the library (lag
@@ -12,6 +13,17 @@ import numpy as np
 
 from locstat import process
 from locstat.spectral import PrePeriodogram
+
+
+def lag_products(x, k):
+    """The 1-based times t at lag k whose indices i = floor(t + 1/2 + k/2)
+    and j = floor(t + 1/2 - k/2) both lie in 1..n, and the products x_i x_j."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    t = np.arange(1, n + 1)
+    i, j = np.floor(t + 0.5 + k / 2).astype(int), np.floor(t + 0.5 - k / 2).astype(int)
+    ok = (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= n)
+    return t[ok], x[i[ok] - 1] * x[j[ok] - 1]
 
 
 def midpoints(cells):

@@ -21,7 +21,7 @@ def test_constant_curve():
     c = ConstantCurve(2.5)
     u = np.array([0.1, 0.5, 1.0])
     assert np.all(c.values(u) == 2.5)
-    assert c(0.3) == 2.5
+    assert c.values(0.3) == 2.5
 
 
 def test_fourier_curve_matches_direct_formula():
@@ -40,18 +40,18 @@ def test_fourier_curve_matches_direct_formula():
 def test_fourier_curve_constant_term_only():
     c = FourierCurve(1.5)
     assert c.order == 0
-    assert c(0.7) == 1.5
+    assert c.values(0.7) == 1.5
 
 
 def test_sampled_curve_left_open_cells():
     # sample i covers ((i-1)/m, i/m]
     c = SampledCurve([1.0, 2.0, 3.0, 4.0])
-    assert c(0.25) == 1.0
-    assert c(0.25 + 1e-9) == 2.0
-    assert c(0.5) == 2.0
-    assert c(0.75) == 3.0
-    assert c(1.0) == 4.0
-    assert c(1e-12) == 1.0
+    assert c.values(0.25) == 1.0
+    assert c.values(0.25 + 1e-9) == 2.0
+    assert c.values(0.5) == 2.0
+    assert c.values(0.75) == 3.0
+    assert c.values(1.0) == 4.0
+    assert c.values(1e-12) == 1.0
 
 
 def test_sampled_curve_matches_design_points():
@@ -214,7 +214,7 @@ def test_sampled_curve_is_piecewise_constant(vals, u):
     m = len(vals)
     i = int(np.ceil(u * m - 1e-9))
     i = min(max(i, 1), m)
-    assert c(u) == vals[i - 1]
+    assert c.values(u) == vals[i - 1]
 
 
 @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=8))

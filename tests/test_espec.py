@@ -98,6 +98,30 @@ def test_clopper_pearson_upper_solves_the_binomial_identity():
             assert abs(cdf - (1 - UPPER_LEVEL)) <= max(1e-12 * (1 - UPPER_LEVEL), slope * math.ulp(x))
 
 
+def test_binomial_tail_sum_is_called_inside_its_lower_tail(monkeypatch):
+    # clopper_pearson_upper answers k = 0 and k = trials in closed form and
+    # starts at (k + 1)/(trials + 1), where the tail is above 1 - 0.99, so
+    # every sum it asks for has 1 <= k < trials and k < (trials + 1) x: the
+    # terms fall from i = k down, the one loop of _binomial_log_cdf
+    calls = []
+    real = espec._binomial_log_cdf
+
+    def recorder(k, trials, x):
+        calls.append((k, trials, x))
+        return real(k, trials, x)
+
+    monkeypatch.setattr(espec, "_binomial_log_cdf", recorder)
+    cases = [(k, trials) for trials in range(1, 121) for k in range(trials + 1)]
+    for trials in (10**3, 10**4, 2 * 10**5, 10**6, 10**7):
+        cases += [(k, trials) for k in sorted({0, 1, 2, 3, 10, trials // 100, trials // 2, trials - 2, trials - 1, trials})]
+    for k, trials in cases:
+        before = len(calls)
+        clopper_pearson_upper(k, trials)
+        assert (len(calls) == before) == (k in (0, trials))
+    assert len(calls) > len(cases)
+    assert all(1 <= k < trials and k < (trials + 1) * x for k, trials, x in calls)
+
+
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats and scipy.optimize take most of a second to import and
     # scipy.special a third of one.  No locstat process loads any SciPy

@@ -20,7 +20,6 @@ from locstat.estimator import (
     fit_fourier_tvar,
     fit_monotone_tvar,
     inverse_l2_distance,
-    wls_ar,
 )
 from locstat.isotonic import sieve_pava
 from locstat.likelihood import SpectrumField, _inverse_distance_sq, conditional_likelihood, whittle_contrast
@@ -71,30 +70,22 @@ def test_fit_config_validation():
     assert FitConfig(p=1, k_n=7, eps=0.3).resolve(256) == (7, 0.3)
 
 
+def wls(x, sigma2, p):
+    """The alpha step of fit_monotone_tvar: _wls on the lag matrix of x,
+    observation t weighted by 1/sigma2(t/n)."""
+    n = len(x)
+    return estimator._wls(estimator._lag_matrix(x, p), x[p:], 1.0 / sigma2.values(np.arange(p + 1, n + 1) / n))
+
+
 def test_wls_alternating_series_frozen():
     # x_t = -x_{t-1} exactly, so the order-1 coefficient is exactly 1
-    coef = wls_ar(np.array([1.0, -1.0, 1.0, -1.0]), 1.0, 1)
+    coef = wls(np.array([1.0, -1.0, 1.0, -1.0]), ConstantCurve(1.0), 1)
     assert coef[0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_wls_order_zero_and_errors():
-    assert wls_ar(np.array([1.0, 2.0]), 1.0, 0).size == 0
-    with pytest.raises(ValueError):
-        wls_ar(np.array([1.0, 2.0]), 1.0, -1)
-    with pytest.raises(ValueError):
-        wls_ar(np.array([1.0, 2.0]), 1.0, 2)
-    with pytest.raises(ValueError):
-        wls_ar(np.array([1.0, 2.0, 3.0]), -1.0, 1)
+def test_wls_singular_series_is_degenerate():
     with pytest.raises(DegenerateDataError):
-        wls_ar(np.zeros(50), 1.0, 1)
-
-
-def test_wls_ar_takes_a_number_as_its_constant_curve():
-    x = simulate_tvar(white_noise_model(1.0), 64, 0)
-    for value in (None, float("nan"), "abc"):
-        with pytest.raises(ValueError, match="curve value"):
-            wls_ar(x, value, 1)
-    assert wls_ar(x, 2.0, 2).tobytes() == wls_ar(x, ConstantCurve(2.0), 2).tobytes()
+        wls(np.zeros(50), ConstantCurve(1.0), 1)
 
 
 def test_wls_residuals_orthogonal_to_weighted_regressors():
@@ -104,7 +95,7 @@ def test_wls_residuals_orthogonal_to_weighted_regressors():
         n = len(x)
         p = 2
         sigma2 = SampledCurve([1.0, 2.0])
-        coef = wls_ar(x, sigma2, p)
+        coef = wls(x, sigma2, p)
         w = 1.0 / sigma2.values(np.arange(p + 1, n + 1) / n)
         resid = x[p:] + coef[0] * x[p - 1 : n - 1] + coef[1] * x[p - 2 : n - 2]
         scale = float(np.sum(np.abs(x)))
@@ -143,7 +134,7 @@ def test_monotone_fit_fixed_point_rerun():
     cfg = FitConfig(p=1)
     res = fit_monotone_tvar(x, cfg)
     # one more iteration from the fitted variance moves neither the objective nor alpha
-    alpha = wls_ar(x, res.sigma2_hat, 1)
+    alpha = wls(x.values, res.sigma2_hat, 1)
     resid = x.values[1:] + alpha[0] * x.values[:-1]
     sigma = sieve_pava(resid ** 2, len(x.values), 1, res.k_n, res.eps)
     again = conditional_likelihood(x, TvARModel.from_coefficients(alpha, sigma, validate=False))

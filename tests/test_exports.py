@@ -84,9 +84,10 @@ def test_no_public_callable_takes_a_removed_option():
 
 
 # Names that are gone: the divergence D(g, f) has one path,
-# divergence_sandwich(g, f)["divergence"], and the design-sum remainder of the
-# log spectrum had no caller.
-REMOVED_NAMES = {"kl_divergence", "log_riemann_remainder"}
+# divergence_sandwich(g, f)["divergence"], the design-sum remainder of the
+# log spectrum had no caller, and the weighted AR least squares is the alpha
+# step of fit_monotone_tvar alone.
+REMOVED_NAMES = {"kl_divergence", "log_riemann_remainder", "wls_ar"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -96,9 +97,10 @@ def test_no_module_exports_a_removed_name(name):
 
 
 def test_removed_names_are_not_attributes():
+    import locstat.estimator
     import locstat.likelihood
 
-    for module in (locstat, locstat.likelihood):
+    for module in (locstat, locstat.likelihood, locstat.estimator):
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
     assert REMOVED_NAMES.isdisjoint(locstat.__all__)
 
@@ -107,3 +109,12 @@ def test_weights_have_no_per_lag_accessor():
     # a weight hands out its lag coefficients as one table, TestFunction.lags
     assert not hasattr(locstat.TestFunction, "lag")
     assert hasattr(locstat.TestFunction, "lags")
+
+
+def test_lag_products_and_curve_calls_have_one_interface():
+    # the pre-periodogram's lag pairs are spectral._lag_index's, and a curve
+    # is evaluated by values(u) alone
+    assert not hasattr(locstat.PrePeriodogram, "lag_products")
+    curves = (locstat.ConstantCurve(1.0), locstat.FourierCurve(0.0, [0.5]), locstat.SampledCurve([1.0, 2.0]))
+    assert not any(callable(curve) for curve in curves)
+    assert [float(curve.values(0.5)) for curve in curves] == [1.0, -0.5, 1.0]

