@@ -69,7 +69,7 @@ def layers(n):
     x = simulate_tvar(model, n, 0)
     pre, grid, weight, config = PrePeriodogram(x), FrequencyGrid(GRID_SIZE), ar_inverse_weight(model), FitConfig(p=1)
     squares, k_n, eps = x.values[1:] ** 2, default_knots(n), default_eps(n)
-    tail = TailStudySpec.linear_design(n, TAIL_REPLICATIONS, TAIL_ETAS)
+    tail = TailStudySpec.from_design("linear", n, TAIL_REPLICATIONS, TAIL_ETAS)
     g = TvARModel(1, [SampledCurve([0.5, -0.3])], model.sigma2)
     f = TvARModel(1, [SampledCurve([0.2, 0.4, -0.1])], ConstantCurve(1.0))
     return [

@@ -12,36 +12,29 @@ write identical bytes.
 import os
 import tempfile
 
-from locstat import (
-    RateStudySpec,
-    rate_study,
-    read_rows_csv,
-    write_metadata,
-    write_rows_csv,
-)
+from locstat import rate_study, read_rows_csv, write_metadata, write_rows_csv
 
 
 def main(seed=2026):
-    spec = RateStudySpec(n_list=(256, 512, 1024, 2048), replications=12, seed=seed)
-    result = rate_study(spec)
+    rows, summary = rate_study(n_list=(256, 512, 1024, 2048), replications=12, seed=seed)
 
     print("== median fit errors over n (12 replications) ==")
     print(f"{'n':>6} {'k_n':>4} {'spectrum err':>14} {'variance err':>14}")
-    for row in result.rows:
+    for row in rows:
         print(f"{row['n']:>6} {row['k_n']:>4} {row['median_err_spectrum']:>14.6f} "
               f"{row['median_err_variance']:>14.6f}")
-    print(f"log-log slopes: spectrum {result.slope_spectrum:+.3f}, "
-          f"variance {result.slope_variance:+.3f}")
+    print(f"log-log slopes: spectrum {summary['slope_spectrum']:+.3f}, "
+          f"variance {summary['slope_variance']:+.3f}")
 
     print("\n== lossless CSV round trip, timestamp-free metadata ==")
     float_keys = ["eps", "median_err_spectrum", "median_err_variance", "median_iterations"]
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "rows.csv")
-        write_rows_csv(csv_path, result.rows)
+        write_rows_csv(csv_path, rows)
         again = read_rows_csv(csv_path)
         exact = all(
             row[k] == orig[k]
-            for row, orig in zip(again, result.rows)
+            for row, orig in zip(again, rows)
             for k in float_keys + ["n", "k_n"]
         )
         print(f"numeric cells exact after round trip: {exact}")

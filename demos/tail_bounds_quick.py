@@ -31,8 +31,8 @@ def show(title, spec):
 
 def main(seed=17):
     etas = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-    show("unit weights", TailStudySpec.unit_design(64, 200_000, etas, seed=seed))
-    show("linear weights 1 + i/n", TailStudySpec.linear_design(64, 200_000, etas, seed=seed + 1))
+    show("unit weights", TailStudySpec.from_design("unit", 64, 200_000, etas, seed=seed))
+    show("linear weights 1 + i/n", TailStudySpec.from_design("linear", 64, 200_000, etas, seed=seed + 1))
 
 
 if __name__ == "__main__":

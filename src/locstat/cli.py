@@ -20,6 +20,7 @@ prop33          sqrt(n)-scaled bias of a spectral mean across sample sizes
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -27,17 +28,9 @@ import sys
 import numpy as np
 
 from .curves import ConstantCurve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
-from .espec import (
-    TailStudySpec,
-    bias_scaling_study,
-    chi2_tail_study,
-    limit_covariance,
-    spectral_process_sample,
-)
+from .espec import TailStudySpec, bias_scaling_study, chi2_tail_study, limit_covariance, spectral_process_sample
 from .estimator import FitConfig, fit_monotone_tvar
 from .harness import (
-    EQUIVALENCE_SEED,
-    RateStudySpec,
     default_rate_model,
     likelihood_equivalence_decay,
     rate_study,
@@ -56,13 +49,6 @@ from .process import (
 from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant_weight, lag_curve_weight
 
 __all__ = ["main", "build_parser"]
-
-
-# the CLI's own defaults, for values the library call has no default for
-# (tail-study's etas are the acceptance suite's tail thresholds)
-TAIL_DEFAULTS = {"design": "unit", "n": 1024, "replications": 200000, "etas": [0.5 * k for k in range(1, 11)]}
-CLT_DEFAULTS = {"seed": 0, "n": 512, "replications": 2000}
-PROP33_DEFAULTS = {"seed": 0, "n_list": (64, 128, 256, 512), "replications": 400}
 
 
 def _read_config(args, allowed):
@@ -88,15 +74,17 @@ def _config_model(config, default=None):
     return model_from_json(config["model"]) if "model" in config else default
 
 
-def _study_kwargs(args, config, model=None):
-    """A study's config as keyword arguments of its library call: --seed,
-    when given, replaces the config's seed, the seed is checked, and the
-    model is built (model standing in for an absent one unless None)."""
-    kwargs = dict(config)
+def _study_kwargs(args, config, call, model=None):
+    """The keyword arguments of a study's library call: call's signature
+    defaults, with the config laid over them and --seed, when given, over
+    the config's seed; the seed is checked and the model is built (model
+    standing in for an absent one unless None)."""
+    params = inspect.signature(call).parameters.values()
+    kwargs = {param.name: param.default for param in params if param.default is not param.empty}
+    kwargs.update(config)
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if "seed" in kwargs:
-        kwargs["seed"] = as_number(kwargs["seed"], "seed", int, 0)
+    kwargs["seed"] = as_number(kwargs["seed"], "seed", int, 0)
     model = _config_model(config, model)
     if model is not None:
         kwargs["model"] = model
@@ -263,33 +251,19 @@ def _cmd_fit(args):
 
 def _cmd_rate_study(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
-    spec = RateStudySpec(**_study_kwargs(args, config))
-    result = rate_study(spec)
-    summary = {
-        "slope_spectrum": result.slope_spectrum,
-        "slope_variance": result.slope_variance,
-        "n_list": list(spec.n_list),
-        "replications": spec.replications,
-    }
-    _write_outputs(args, {"rate_rows.csv": result.rows, "rate_summary.json": summary}, text, spec.seed)
-    print(f"slope_spectrum={result.slope_spectrum:.4f} slope_variance={result.slope_variance:.4f}")
+    kwargs = _study_kwargs(args, config, rate_study)
+    rows, summary = rate_study(**kwargs)
+    _write_outputs(args, {"rate_rows.csv": rows, "rate_summary.json": summary}, text, kwargs["seed"])
+    print(f"slope_spectrum={summary['slope_spectrum']:.4f} slope_variance={summary['slope_variance']:.4f}")
     return 0
-
-
-def _tail_spec(design, **settings):
-    # a tuple, not a dict: a list or object design is compared, not hashed
-    if design not in ("unit", "linear"):
-        raise ValueError(f"unknown design {design!r}")
-    return getattr(TailStudySpec, f"{design}_design")(**settings)
 
 
 def _cmd_tail_study(args):
     config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
-    settings = {**TAIL_DEFAULTS, **_study_kwargs(args, config)}
-    design = settings.pop("design")
-    spec = _tail_spec(design, **settings)
+    kwargs = _study_kwargs(args, config, TailStudySpec.from_design)
+    spec = TailStudySpec.from_design(**kwargs)
     rows = chi2_tail_study(spec)
-    _write_outputs(args, {"tail_rows.csv": rows}, text, spec.seed, extra={"design": design, "n": spec.n})
+    _write_outputs(args, {"tail_rows.csv": rows}, text, kwargs["seed"], extra={"design": kwargs["design"], "n": spec.n})
     for row in rows:
         print(
             f"eta={row['eta']:g} empirical={row['empirical']:.3e} "
@@ -300,7 +274,7 @@ def _cmd_tail_study(args):
 
 def _cmd_clt_study(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
-    kwargs = {**CLT_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
+    kwargs = _study_kwargs(args, config, spectral_process_sample, white_noise_model())
     phi = kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     sample = spectral_process_sample(**kwargs)
     n = sample.n
@@ -315,7 +289,7 @@ def _cmd_clt_study(args):
         "ratio": emp / limit if limit > 0 else None,  # null: a zero weight has no limit to compare with
     }
     files = {"clt_summary.json": result, "clt_deviations.csv": ({"deviation": float(d)} for d in sample.deviations)}
-    _write_outputs(args, files, text, sample.seed, extra={"n": n})
+    _write_outputs(args, files, text, kwargs["seed"], extra={"n": n})
     ratio = "None" if result["ratio"] is None else f"{result['ratio']:.4f}"
     print(f"empirical_variance={emp:.6g} limit_variance={limit:.6g} ratio={ratio}")
     return 0
@@ -323,7 +297,7 @@ def _cmd_clt_study(args):
 
 def _cmd_prop33(args):
     config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
-    kwargs = {**PROP33_DEFAULTS, **_study_kwargs(args, config, white_noise_model())}
+    kwargs = _study_kwargs(args, config, bias_scaling_study, white_noise_model())
     kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     rows = bias_scaling_study(**kwargs)
     _write_outputs(args, {"bias_rows.csv": rows}, text, kwargs["seed"], extra={"n_list": [row["n"] for row in rows]})
@@ -337,7 +311,7 @@ def _cmd_prop33(args):
 
 def _cmd_equivalence(args):
     config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
-    kwargs = {"seed": EQUIVALENCE_SEED, **_study_kwargs(args, config)}
+    kwargs = _study_kwargs(args, config, likelihood_equivalence_decay)
     rows = likelihood_equivalence_decay(**kwargs)
     _write_outputs(args, {"equivalence_rows.csv": rows}, text, kwargs["seed"])
     for row in rows:

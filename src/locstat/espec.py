@@ -80,15 +80,15 @@ class TailStudySpec:
         return len(self.lambdas)
 
     @classmethod
-    def unit_design(cls, n, replications, etas, seed=0):
-        """lambda_i = 1 for all i."""
-        return cls(np.ones(as_number(n, "n", int, 1)), replications, etas, seed)
-
-    @classmethod
-    def linear_design(cls, n, replications, etas, seed=0):
-        """lambda_i = 1 + i/n for i = 1..n."""
+    def from_design(cls, design="unit", n=1024, replications=200000, etas=tuple(0.5 * k for k in range(1, 11)), seed=0):
+        """The study of n weights of a named design: "unit", lambda_i = 1,
+        or "linear", lambda_i = 1 + i/n for i = 1..n.  The default
+        thresholds are the acceptance suite's."""
+        # a tuple, not a dict: a list or object design is compared, not hashed
+        if design not in ("unit", "linear"):
+            raise ValueError(f"unknown design {design!r}")
         n = as_number(n, "n", int, 1)
-        return cls(1.0 + np.arange(1, n + 1) / n, replications, etas, seed)
+        return cls(np.ones(n) if design == "unit" else 1.0 + np.arange(1, n + 1) / n, replications, etas, seed)
 
 
 def clopper_pearson_upper(successes, trials):
@@ -199,8 +199,14 @@ def _deviance(i, mean):
 
 
 def tail_bound_quadratic(eta, r_sq, l_max, n):
-    """2 exp( -eta^2 / (8 (R^2 + L eta / sqrt(n))) )."""
-    return 2.0 * math.exp(-(eta ** 2) / (8.0 * (r_sq + l_max * eta / math.sqrt(n))))
+    """2 exp( -eta^2 / (8 (R^2 + L eta / sqrt(n))) ).
+
+    The exponent is computed as -eta / (8 (R^2 / eta + L / sqrt(n))) in
+    Python floats, where no eta^2 overflows and an overflowing quotient is
+    inf, not an error: the bound is 0.0 for every large finite eta, and 2.0,
+    its limit at 0, for an eta so small that R^2 / eta overflows."""
+    eta = float(eta)
+    return 2.0 * math.exp(-eta / (8.0 * (r_sq / eta + l_max / math.sqrt(n))))
 
 
 def tail_bound_linear(eta, r_sq):
@@ -292,14 +298,7 @@ class SpectralProcessSample:
         return float(np.var(self.deviations, ddof=1))
 
 
-def spectral_process_sample(
-    model,
-    phi,
-    n,
-    replications,
-    seed,
-    centering="analytic",
-):
+def spectral_process_sample(model, phi, n=512, replications=2000, seed=0, centering="analytic"):
     """Simulate replications of the centered spectral functional.
 
     Each replication r simulates the model (its burn-in included) with a
@@ -387,7 +386,7 @@ def limit_covariance(phi_j, phi_k, f):
     return float(np.mean(total) / (2 * np.pi))
 
 
-def bias_scaling_study(model, phi, n_list, replications, seed):
+def bias_scaling_study(model, phi, n_list=(64, 128, 256, 512), replications=400, seed=0):
     """Bias of the mean functional against the population functional.
 
     For each n, estimates E[functional] by Monte Carlo and reports the

@@ -1,6 +1,7 @@
 """Monte Carlo studies and reproducible output files.
 
-Every study is a pure function of its spec (model, sizes, replication count,
+Every study is one keyword call whose signature holds each of its parameters
+and defaults, and a pure function of them (model, sizes, replication count,
 master seed): each replication draws from a stream derived from
 (seed, n, replication), reductions use compensated summation or sorting by
 replication index, and outputs are written with full float precision -- so
@@ -13,7 +14,6 @@ import itertools
 import json
 import os
 import platform
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "default_rate_model",
     "wavy_alpha_model",
     "study_knots",
-    "RateStudySpec",
-    "RateStudyResult",
     "rate_study",
     "log_log_slope",
     "likelihood_equivalence_decay",
@@ -44,8 +42,6 @@ __all__ = [
     "write_metadata",
     "write_json",
 ]
-
-EQUIVALENCE_SEED = 7  # likelihood_equivalence_decay's default seed, which the CLI records
 
 
 def default_rate_model():
@@ -84,40 +80,6 @@ def study_knots(n):
     return 2 * default_knots(n)
 
 
-@dataclass
-class RateStudySpec:
-    """Specification of the error-decay study for the monotone fit."""
-
-    n_list: tuple = (256, 512, 1024, 2048, 4096)
-    replications: int = 50
-    seed: int = 2026
-    model: TvARModel | None = None
-    p: int = 1
-
-    def __post_init__(self):
-        self.n_list = as_numbers(self.n_list, "n_list", int, 8)
-        if len(self.n_list) < 2:
-            raise ValueError("need at least two sizes")
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ValueError("sizes must be strictly increasing")
-        self.replications = as_number(self.replications, "replications", int, 2)
-        self.seed = as_number(self.seed, "seed", int, 0)
-        self.p = as_number(self.p, "p", int, 0)
-
-    def resolved_model(self):
-        return self.model if self.model is not None else default_rate_model()
-
-    def fit_config_for(self, n):
-        return FitConfig(p=self.p, k_n=study_knots(n))
-
-
-@dataclass
-class RateStudyResult:
-    rows: list = field(default_factory=list)
-    slope_spectrum: float = float("nan")
-    slope_variance: float = float("nan")
-
-
 def log_log_slope(ns, values):
     """Least-squares slope of log(values) against log(ns)."""
     xs = np.log(np.asarray(ns, dtype=float))
@@ -137,9 +99,8 @@ def _median(values):
     return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
 
 
-def _rate_one(spec, model, x):
-    n = len(x)
-    fit = fit_monotone_tvar(x, spec.fit_config_for(n))
+def _rate_one(cfg, model, x):
+    fit = fit_monotone_tvar(x, cfg)
     fitted = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     err_spec = inverse_l2_distance(fitted, model)
     err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2)
@@ -153,13 +114,14 @@ def _rate_one(spec, model, x):
     }
 
 
-def rate_study(spec=None, threads=1):
+def rate_study(model=None, n_list=(256, 512, 1024, 2048, 4096), replications=50, seed=2026, p=1):
     """Monte Carlo decay of the fit errors over a grid of sample sizes.
 
     For each n, simulate all replications in one batch; for each
-    replication, run the monotone fit with the study's sieve schedule and
-    measure the inverse-spectrum L2 error of the full fitted spectrum and of
-    the variance curve alone.
+    replication, run the order-p monotone fit with the study's sieve
+    schedule :func:`study_knots` and measure the inverse-spectrum L2 error
+    of the full fitted spectrum and of the variance curve alone against
+    model (:func:`default_rate_model` if None).
     Reports per-n medians and the log-log slopes across n.  Replication r
     shares its innovation stream across all n (common random numbers), which
     sharpens cross-n comparisons of the medians without changing any per-n
@@ -167,30 +129,35 @@ def rate_study(spec=None, threads=1):
     left on the bounds [eps^2, 1/eps^2]: ``knots_on_bounds``, summed over
     the replications, and ``clipped_frac``, that sum over replications * k_n.
 
-    Parameters
-    ----------
-    spec : RateStudySpec, optional
-    threads : int
-        Accepted for compatibility and has no effect: the replications run
-        one after another.  The fits hold the GIL, so a thread pool only
-        slowed the study (0.70-0.99 s at one thread, 1.48-1.88 s at four,
-        2-core VM), and the output never depended on it.
+    Raises ValueError, before any simulation, unless n_list holds at least
+    two strictly increasing integers >= 8, replications is an integer >= 2
+    and seed and p are integers >= 0.
 
     Returns
     -------
-    RateStudyResult
+    (rows, summary)
+        rows: list of dict, one per n.  summary: dict with keys
+        slope_spectrum, slope_variance, n_list and replications.
     """
-    spec = spec or RateStudySpec()
-    model = spec.resolved_model()
+    n_list = as_numbers(n_list, "n_list", int, 8)
+    if len(n_list) < 2:
+        raise ValueError("need at least two sizes")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    replications = as_number(replications, "replications", int, 2)
+    seed = as_number(seed, "seed", int, 0)
+    p = as_number(p, "p", int, 0)
+    model = model if model is not None else default_rate_model()
 
     rows = []
-    for n in spec.n_list:
+    for n in n_list:
+        cfg = FitConfig(p=p, k_n=study_knots(n))
         # common random numbers: replication r reuses one innovation stream
         # for every n, so cross-n median comparisons see the systematic trend
         # rather than independent per-n draws
-        batch = simulate_tvar_batch(model, n, [replication_seed(spec.seed, r) for r in range(spec.replications)])
-        results = [_rate_one(spec, model, x) for x in batch]
-        cfg_k, cfg_eps = spec.fit_config_for(n).resolve(n)
+        batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
+        results = [_rate_one(cfg, model, x) for x in batch]
+        cfg_k, cfg_eps = cfg.resolve(n)
         on_bounds = sum(res["knots_on_bounds"] for res in results)
         rows.append(
             {
@@ -203,15 +170,17 @@ def rate_study(spec=None, threads=1):
                 "all_converged": bool(all(res["converged"] for res in results)),
                 "all_alpha_stable": bool(all(res["alpha_stable"] for res in results)),
                 "knots_on_bounds": on_bounds,
-                "clipped_frac": on_bounds / (spec.replications * cfg_k),
+                "clipped_frac": on_bounds / (replications * cfg_k),
             }
         )
 
-    result = RateStudyResult(rows=rows)
-    ns = [row["n"] for row in rows]
-    result.slope_spectrum = log_log_slope(ns, [row["median_err_spectrum"] for row in rows])
-    result.slope_variance = log_log_slope(ns, [row["median_err_variance"] for row in rows])
-    return result
+    summary = {
+        "slope_spectrum": log_log_slope(n_list, [row["median_err_spectrum"] for row in rows]),
+        "slope_variance": log_log_slope(n_list, [row["median_err_variance"] for row in rows]),
+        "n_list": list(n_list),
+        "replications": replications,
+    }
+    return rows, summary
 
 
 def default_equivalence_candidates():
@@ -225,7 +194,7 @@ def default_equivalence_candidates():
     ]
 
 
-def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=EQUIVALENCE_SEED):
+def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20, seed=7):
     """Gap between the conditional likelihood and the exact Whittle contrast.
 
     For each candidate of :func:`default_equivalence_candidates` evaluates

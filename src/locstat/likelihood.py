@@ -34,7 +34,6 @@ __all__ = [
     "divergence_sandwich",
     "conditional_likelihood",
     "likelihood_gap",
-    "ar_log_spectrum_integral",
 ]
 
 SANDWICH_CELLS = 512  # midpoint cells in u of divergence_sandwich's mesh, against a FrequencyGrid()
@@ -269,16 +268,3 @@ def likelihood_gap(series, g):
     x = _series_values(series)
     return {key: float(values[0]) for key, values in _contrasts(x[None, :], model).items()}
 
-
-def ar_log_spectrum_integral(alpha, grid_size=4096):
-    """int log |1 + sum_j alpha_j e^{i lam j}|^2 dlam by midpoint quadrature.
-
-    Zero (to quadrature accuracy) whenever the coefficients satisfy the root
-    condition; a direct numerical check of the identity that makes the
-    AR-backed contrast path exact.
-    """
-    grid = FrequencyGrid(grid_size)
-    w = transfer_abs2(alpha, grid.nodes)
-    if np.min(w) <= 0:
-        raise ValueError("transfer function vanishes at a grid node")
-    return float(np.sum(np.log(w)) * grid.weight)

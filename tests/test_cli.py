@@ -1,4 +1,3 @@
-import inspect
 import json
 import os
 import subprocess
@@ -10,7 +9,8 @@ import pytest
 import locstat
 from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve, FourierCurve
-from locstat.harness import likelihood_equivalence_decay, read_rows_csv
+from locstat.espec import TailStudySpec, chi2_tail_study
+from locstat.harness import likelihood_equivalence_decay, rate_study, read_rows_csv, write_rows_csv
 from locstat.process import TimeSeries, TvARModel
 
 
@@ -293,16 +293,39 @@ def test_equivalence_passes_model_through(tmp_path):
     assert expected != default
 
 
-def test_equivalence_without_seed_runs_and_records_the_library_default(tmp_path):
-    cfg = tmp_path / "eq.json"
-    cfg.write_text(json.dumps({"n_list": [64, 128], "replications": 2}))
-    out = tmp_path / "eq"
-    run("equivalence", "--config", str(cfg), "--out", str(out))
-    rows = read_rows_csv(out / "equivalence_rows.csv")
-    expected = likelihood_equivalence_decay(n_list=(64, 128), replications=2)
-    assert [r["median_gap"] for r in rows] == [r["median_gap"] for r in expected]
-    default_seed = inspect.signature(likelihood_equivalence_decay).parameters["seed"].default
-    assert json.loads((out / "metadata.json").read_text())["seed"] == default_seed
+# each study subcommand without --seed or a config seed, the seed its
+# metadata.json records (the library call's default) and the tiny config it runs
+DEFAULT_SEEDS = {
+    "rate-study": (2026, {"n_list": [64, 128], "replications": 2}),
+    "clt-study": (0, {"n": 64, "replications": 5}),
+    "prop33": (0, {"n_list": [32, 64], "replications": 4}),
+    "tail-study": (0, {"n": 64, "replications": 1000}),
+    "equivalence": (7, {"n_list": [64, 128], "replications": 2}),
+}
+
+
+@pytest.mark.parametrize("command", list(DEFAULT_SEEDS))
+def test_study_without_seed_runs_and_records_the_library_default(tmp_path, command):
+    seed, config = DEFAULT_SEEDS[command]
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "study"
+    run(command, "--config", str(cfg), "--out", str(out))
+    assert json.loads((out / "metadata.json").read_text())["seed"] == seed
+    # the outputs are the library call's at its own defaults
+    if command == "rate-study":
+        rows, summary = rate_study(n_list=(64, 128), replications=2)
+        write_rows_csv(tmp_path / "expected.csv", rows)
+        assert (out / "rate_rows.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert json.loads((out / "rate_summary.json").read_text()) == summary
+    elif command == "tail-study":
+        rows = chi2_tail_study(TailStudySpec.from_design(n=64, replications=1000))
+        write_rows_csv(tmp_path / "expected.csv", rows)
+        assert (out / "tail_rows.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    elif command == "equivalence":
+        rows = read_rows_csv(out / "equivalence_rows.csv")
+        expected = likelihood_equivalence_decay(n_list=(64, 128), replications=2)
+        assert [r["median_gap"] for r in rows] == [r["median_gap"] for r in expected]
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])

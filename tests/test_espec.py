@@ -197,10 +197,24 @@ def test_tail_bounds_frozen_values():
     assert tail_bound_linear(3.0, 1.0) == pytest.approx(6 * math.exp(-3 / 16), rel=1e-14)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_tail_bound_quadratic_has_no_overflow_at_any_threshold(n):
+    # eta^2 overflows from eta = 1.34e154 on, and R^2 / eta below 5.6e-309
+    with np.errstate(over="raise", invalid="raise"):
+        for eta in (1.34e154, 1e155, 1e300, 1.7976931348623157e308):
+            assert tail_bound_quadratic(np.float64(eta), 1.0, 2.0, n) == 0.0
+        for eta in (1e-320, 5e-324):
+            assert tail_bound_quadratic(np.float64(eta), 1.0, 2.0, n) == 2.0
+        # the two forms of the exponent agree to rounding where neither overflows
+        for eta in (1e-300, 0.5, 3.0, 1e150):
+            eta_sq_form = 2.0 * math.exp(-(eta**2) / (8.0 * (1.0 + 2.0 * eta / math.sqrt(n))))
+            assert tail_bound_quadratic(np.float64(eta), 1.0, 2.0, n) == pytest.approx(eta_sq_form, rel=1e-14)
+
+
 def test_tail_spec_designs_and_validation():
-    spec = TailStudySpec.unit_design(50, 1000, [1.0, 2.0])
+    spec = TailStudySpec.from_design("unit", 50, 1000, [1.0, 2.0])
     np.testing.assert_array_equal(spec.lambdas, np.ones(50))
-    lin = TailStudySpec.linear_design(4, 1000, [1.0])
+    lin = TailStudySpec.from_design("linear", 4, 1000, [1.0])
     np.testing.assert_allclose(lin.lambdas, [1.25, 1.5, 1.75, 2.0])
     assert spec.n == 50
     with pytest.raises(ValueError):
@@ -215,15 +229,23 @@ def test_tail_spec_designs_and_validation():
         chi2_tail_study("not a spec")
     for bad in ({"seed": -1}, {"etas": {}}, {"etas": 1.0}, {"replications": None}, {"n": "abc"}, {"n": 0}):
         with pytest.raises(ValueError):
-            TailStudySpec.linear_design(**{"n": 4, "replications": 1000, "etas": [1.0], **bad})
+            TailStudySpec.from_design(**{"design": "linear", "n": 4, "replications": 1000, "etas": [1.0], **bad})
+    # a list or object design is compared with the names, not hashed
+    for design in ("cube", ["unit"], {"unit": 1}, None):
+        with pytest.raises(ValueError, match="^unknown design "):
+            TailStudySpec.from_design(design, 4, 1000, [1.0])
+    default = TailStudySpec.from_design()
+    assert (default.n, default.replications, default.seed) == (1024, 200000, 0)
+    np.testing.assert_array_equal(default.lambdas, np.ones(1024))
+    np.testing.assert_array_equal(default.etas, 0.5 * np.arange(1, 11))
 
 
 def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
     etas = np.array([0.5, 1.0, 2.0])
-    a = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
-    b = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=5))
+    a = chi2_tail_study(TailStudySpec.from_design("unit", 20, 5000, etas, seed=5))
+    b = chi2_tail_study(TailStudySpec.from_design("unit", 20, 5000, etas, seed=5))
     assert [r["exceedances"] for r in a] == [r["exceedances"] for r in b]
-    d = chi2_tail_study(TailStudySpec.unit_design(20, 5000, etas, seed=6))
+    d = chi2_tail_study(TailStudySpec.from_design("unit", 20, 5000, etas, seed=6))
     assert [r["exceedances"] for r in a] != [r["exceedances"] for r in d]
     # chunked draws consume one stream and each row is reduced in a fixed
     # order, so the chunk size changes no bit of S: with thresholds set exactly
@@ -231,7 +253,7 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
     # would move a count.  One row per chunk, 700 rows per chunk (which leaves
     # a remainder) and one chunk of every replication, at n = 20 and at n = 1
     for n, replications in [(20, 5000), (1, 20000)]:
-        spec = TailStudySpec.linear_design(n, replications, [1.0], seed=5)
+        spec = TailStudySpec.from_design("linear", n, replications, [1.0], seed=5)
         z = np.random.default_rng(spec.seed).standard_normal((replications, n))
         abs_s = np.abs(np.einsum("ij,j->i", z * z - 1.0, spec.lambdas) / math.sqrt(n))
         spec = dataclasses.replace(spec, etas=np.sort(abs_s)[np.linspace(0, replications - 1, 12).astype(int)])
@@ -244,8 +266,8 @@ def test_chi2_tail_study_deterministic_and_chunk_invariant(monkeypatch):
 def _tail_study_peak(replications):
     """tracemalloc peak of a linear-design tail study with n = 1024, after a
     warm-up call, so that the lazy import of numpy.random is not counted."""
-    chi2_tail_study(TailStudySpec.linear_design(8, 1000, [1.0], seed=3))
-    spec = TailStudySpec.linear_design(1024, replications, [1.0, 2.0], seed=3)
+    chi2_tail_study(TailStudySpec.from_design("linear", 8, 1000, [1.0], seed=3))
+    spec = TailStudySpec.from_design("linear", 1024, replications, [1.0, 2.0], seed=3)
     tracemalloc.start()
     try:
         chi2_tail_study(spec)
@@ -266,8 +288,8 @@ def test_chi2_tail_study_peak_is_one_chunk():
 def test_chi2_tail_study_bounds_hold():
     etas = np.array([1.0, 2.0, 3.0, 4.0])
     for spec in (
-        TailStudySpec.unit_design(50, 20000, etas, seed=1),
-        TailStudySpec.linear_design(50, 20000, etas, seed=2),
+        TailStudySpec.from_design("unit", 50, 20000, etas, seed=1),
+        TailStudySpec.from_design("linear", 50, 20000, etas, seed=2),
     ):
         for row in chi2_tail_study(spec):
             assert row["upper99"] <= row["bound_quadratic"]

@@ -49,6 +49,8 @@ REMOVED_FROM = {
     "clopper_pearson_upper": {"level"},
     # coeff_autocorr returns the whole table c(u, 0..p)
     "coeff_autocorr": {"m"},
+    # the rate study is one keyword call, and it runs on one thread
+    "rate_study": {"spec", "threads"},
 }
 
 
@@ -78,16 +80,31 @@ def test_no_public_callable_takes_a_removed_option():
             offenders[name] = sorted(taken)
     assert offenders == {}
     # the checker sees what it is looking for
-    assert {"divergence_sandwich", "fit_fourier_tvar", "clopper_pearson_upper", "coeff_autocorr", "TvARModel.validate"} <= {
-        name for name, _ in _public_callables()
-    }
+    assert {
+        "divergence_sandwich",
+        "fit_fourier_tvar",
+        "clopper_pearson_upper",
+        "coeff_autocorr",
+        "rate_study",
+        "TvARModel.validate",
+        "TailStudySpec.from_design",
+    } <= {name for name, _ in _public_callables()}
 
 
 # Names that are gone: the divergence D(g, f) has one path,
 # divergence_sandwich(g, f)["divergence"], the design-sum remainder of the
-# log spectrum had no caller, and the weighted AR least squares is the alpha
-# step of fit_monotone_tvar alone.
-REMOVED_NAMES = {"kl_divergence", "log_riemann_remainder", "wls_ar"}
+# log spectrum had no caller, the weighted AR least squares is the alpha
+# step of fit_monotone_tvar alone, the rate study's parameters and defaults
+# are rate_study's keywords and its result is (rows, summary), and the
+# Kolmogorov identity of the AR log spectrum is a test oracle.
+REMOVED_NAMES = {
+    "kl_divergence",
+    "log_riemann_remainder",
+    "wls_ar",
+    "RateStudySpec",
+    "RateStudyResult",
+    "ar_log_spectrum_integral",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -98,9 +115,10 @@ def test_no_module_exports_a_removed_name(name):
 
 def test_removed_names_are_not_attributes():
     import locstat.estimator
+    import locstat.harness
     import locstat.likelihood
 
-    for module in (locstat, locstat.likelihood, locstat.estimator):
+    for module in (locstat, locstat.likelihood, locstat.estimator, locstat.harness):
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
     assert REMOVED_NAMES.isdisjoint(locstat.__all__)
 
@@ -118,3 +136,20 @@ def test_lag_products_and_curve_calls_have_one_interface():
     curves = (locstat.ConstantCurve(1.0), locstat.FourierCurve(0.0, [0.5]), locstat.SampledCurve([1.0, 2.0]))
     assert not any(callable(curve) for curve in curves)
     assert [float(curve.values(0.5)) for curve in curves] == [1.0, -0.5, 1.0]
+
+
+def test_tail_designs_have_one_constructor():
+    # the design is a keyword of TailStudySpec.from_design, like every other setting
+    assert not hasattr(locstat.TailStudySpec, "unit_design")
+    assert not hasattr(locstat.TailStudySpec, "linear_design")
+    assert hasattr(locstat.TailStudySpec, "from_design")
+
+
+def test_study_defaults_live_in_the_library_calls():
+    # the CLI lays a config over the signature defaults and keeps no table of its own
+    import locstat.cli
+    import locstat.harness
+
+    tables = ("TAIL_DEFAULTS", "CLT_DEFAULTS", "PROP33_DEFAULTS", "_tail_spec")
+    assert [name for name in tables if hasattr(locstat.cli, name)] == []
+    assert not hasattr(locstat.harness, "EQUIVALENCE_SEED")

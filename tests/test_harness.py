@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 import locstat.harness as harness
 from locstat.harness import (
-    RateStudySpec,
     default_equivalence_candidates,
     default_rate_model,
     likelihood_equivalence_decay,
@@ -21,7 +20,7 @@ from locstat.harness import (
     write_rows_csv,
 )
 from locstat.espec import replication_seed
-from locstat.estimator import fit_monotone_tvar
+from locstat.estimator import FitConfig, fit_monotone_tvar
 from locstat.process import check_stability, simulate_tvar_batch
 
 
@@ -50,25 +49,34 @@ def test_default_models_are_stable():
     assert float(np.max(np.abs(w.alpha[0].values(np.linspace(0.01, 1, 200))))) < 1.0
 
 
-def test_rate_spec_validation():
-    RateStudySpec(n_list=(64, 128), replications=2)
-    with pytest.raises(ValueError):
-        RateStudySpec(n_list=(64,))  # need at least two sizes
-    with pytest.raises(ValueError):
-        RateStudySpec(n_list=(128, 64))  # not increasing
-    with pytest.raises(ValueError):
-        RateStudySpec(n_list=(4, 64))  # too small
-    with pytest.raises(ValueError):
-        RateStudySpec(replications=1)
-    # checked when the spec is built, not when the study runs
-    for bad in ({"seed": -1}, {"p": -1}, {"replications": "abc"}, {"n_list": 64}, {"n_list": (64.5, 128)}):
-        with pytest.raises(ValueError):
-            RateStudySpec(**bad)
-    spec = RateStudySpec(n_list=[64.0, 128], replications=2.0, seed=3.0)
-    assert (spec.n_list, spec.replications, spec.seed) == ((64, 128), 2, 3)
-    cfg = RateStudySpec().fit_config_for(256)
-    assert cfg.k_n == 6
-    assert cfg.p == 1
+def test_rate_spec_validation(monkeypatch):
+    # every parameter is checked before the first simulation, in this order
+    def no_simulation(*args):
+        raise AssertionError("simulated before checking")
+
+    monkeypatch.setattr(harness, "simulate_tvar_batch", no_simulation)
+    for bad, message in [
+        ({"n_list": (64,)}, "need at least two sizes"),
+        ({"n_list": (128, 64)}, "sizes must be strictly increasing"),
+        ({"n_list": (4, 64)}, "n_list entry must be at least 8"),
+        ({"n_list": 64}, "n_list must be a list"),
+        ({"n_list": (64.5, 128)}, "n_list entry must be an integer"),
+        ({"replications": 1}, "replications must be at least 2"),
+        ({"replications": "abc"}, "replications must be"),
+        ({"seed": -1}, "seed must be at least 0"),
+        ({"p": -1}, "p must be at least 0"),
+        ({"n_list": (64,), "replications": 1, "seed": -1}, "need at least two sizes"),
+        ({"replications": 1, "seed": -1, "p": -1}, "replications must be at least 2"),
+        ({"seed": -1, "p": -1}, "seed must be at least 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            rate_study(**bad)
+    monkeypatch.undo()
+    # integral floats are taken as integers, and rows and summary record them
+    rows, summary = rate_study(n_list=[64.0, 128], replications=2.0, seed=3.0)
+    assert [row["n"] for row in rows] == [64, 128]
+    assert (summary["n_list"], summary["replications"]) == ([64, 128], 2)
+    assert (rows, summary) == rate_study(n_list=(64, 128), replications=2, seed=3)
 
 
 def test_log_log_slope_exact_on_power_law():
@@ -77,32 +85,33 @@ def test_log_log_slope_exact_on_power_law():
     assert log_log_slope(ns, values) == pytest.approx(-0.4, abs=1e-12)
 
 
-def test_rate_study_small_run_deterministic_and_threaded():
-    spec = RateStudySpec(n_list=(64, 128), replications=4, seed=9)
-    a = rate_study(spec)
-    for threads in (2, 3):
-        b = rate_study(spec, threads=threads)
-        assert a.rows == b.rows
-        assert a.slope_spectrum == b.slope_spectrum
-    for row in a.rows:
+def test_rate_study_small_run_deterministic():
+    rows, summary = rate_study(n_list=(64, 128), replications=4, seed=9)
+    assert (rows, summary) == rate_study(n_list=(64, 128), replications=4, seed=9)
+    assert list(summary) == ["slope_spectrum", "slope_variance", "n_list", "replications"]
+    ns = [row["n"] for row in rows]
+    assert summary["slope_spectrum"] == log_log_slope(ns, [row["median_err_spectrum"] for row in rows])
+    assert summary["slope_variance"] == log_log_slope(ns, [row["median_err_variance"] for row in rows])
+    for row in rows:
         assert row["all_converged"]
         assert np.isfinite(row["median_err_spectrum"])
-    assert a.rows[0]["k_n"] == study_knots(64)
+    assert [row["k_n"] for row in rows] == [study_knots(64), study_knots(128)]
 
 
 def test_rate_rows_count_the_knots_on_the_bounds():
     # at n = 256 the truth's variance 2 lies above 1/eps^2 = 1.98, so fits clip
-    spec = RateStudySpec(n_list=(256, 512), replications=6, seed=1)
-    rows = rate_study(spec).rows
+    replications, seed = 6, 1
+    rows, _ = rate_study(n_list=(256, 512), replications=replications, seed=seed)
     model = default_rate_model()
-    for row, n in zip(rows, spec.n_list):
+    for row, n in zip(rows, (256, 512)):
         # appended after the columns that were there before
         assert list(row)[-2:] == ["knots_on_bounds", "clipped_frac"]
-        seeds = [replication_seed(spec.seed, r) for r in range(spec.replications)]
-        fits = [fit_monotone_tvar(x, spec.fit_config_for(n)) for x in simulate_tvar_batch(model, n, seeds)]
+        seeds = [replication_seed(seed, r) for r in range(replications)]
+        cfg = FitConfig(p=1, k_n=study_knots(n))
+        fits = [fit_monotone_tvar(x, cfg) for x in simulate_tvar_batch(model, n, seeds)]
         assert all(fit.sigma2_hat.knots == row["k_n"] for fit in fits)
         assert row["knots_on_bounds"] == sum(fit.knots_at_lower + fit.knots_at_upper for fit in fits)
-        assert row["clipped_frac"] == row["knots_on_bounds"] / (spec.replications * row["k_n"])
+        assert row["clipped_frac"] == row["knots_on_bounds"] / (replications * row["k_n"])
     assert rows[0]["knots_on_bounds"] > 0
 
 

@@ -10,7 +10,6 @@ from locstat.likelihood import (
     SpectrumField,
     _contrasts,
     _log_integral,
-    ar_log_spectrum_integral,
     conditional_likelihood,
     divergence_sandwich,
     kl_contrast,
@@ -305,10 +304,15 @@ def test_divergence_sandwich_frozen_m_star():
 
 
 def test_ar_log_spectrum_integral_vanishes_for_stable_models():
-    # Szego/Kolmogorov: int log |1 + sum alpha_j e^{i lam j}|^2 dlam = 0
-    assert ar_log_spectrum_integral(np.array([0.5])) == pytest.approx(0.0, abs=1e-10)
-    assert ar_log_spectrum_integral(np.array([1.5, 0.56])) == pytest.approx(0.0, abs=1e-10)
-    assert ar_log_spectrum_integral(np.array([])) == pytest.approx(0.0, abs=1e-14)
+    # Szego/Kolmogorov: int log |1 + sum alpha_j e^{i lam j}|^2 dlam = 0, read
+    # off the mesh as -int log g for the spectrum g = 1/|A|^2 (sigma^2 = 2 pi)
+    def integral(alpha):
+        g = TvARModel.from_coefficients(np.array(alpha, dtype=float), 2 * np.pi)
+        return -float(_mesh.log_integral(g, np.array([0.5]), FrequencyGrid(4096))[0])
+
+    assert integral([0.5]) == pytest.approx(0.0, abs=1e-10)
+    assert integral([1.5, 0.56]) == pytest.approx(0.0, abs=1e-10)
+    assert integral([]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_whittle_contrast_orders_candidates_sensibly():
