@@ -6,9 +6,10 @@ trustworthy as the building block of the spectral functionals:
 
 1. integrating J(t/n, .) over frequency returns x_t^2 exactly;
 2. averaging J over t returns the ordinary periodogram pointwise;
-3. the functional mean_t int phi J dlam computes identically through the
-   lag-product path, the frequency-quadrature path, and the dense
-   quadratic-form path.
+3. the functional mean_t int phi J dlam of ``spectral_functional``, an exact
+   lag-product sum, equals the frequency-quadrature sum of
+   ``TestFunction.values`` against the ``PrePeriodogram.evaluate_grid`` table
+   and the quadratic form x' M x / (2 pi n) with M = ``quadratic_form_matrix``.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from locstat import (
     ar_inverse_weight,
     constant_weight,
     periodogram,
+    quadratic_form_matrix,
     simulate_tvar,
     spectral_functional,
 )
@@ -46,13 +48,15 @@ def main(seed=3, n=96):
     print(f"max pointwise gap on a {grid.size}-point grid: {err2:.2e}")
 
     print("\n== identity 3: three functional paths agree ==")
+    design = np.arange(1, n + 1) / n
     for phi, name in [
         (constant_weight(1.0), "phi = 1"),
         (ar_inverse_weight(model), "phi = 1/f"),
     ]:
-        lag = spectral_functional(series, phi, path="lag")
-        quad = spectral_functional(series, phi, path="quadrature", grid=grid)
-        mat = spectral_functional(series, phi, path="matrix")
+        lag = spectral_functional(series, phi)
+        weights = phi.values(design[:, None], grid.nodes[None, :])
+        quad = float(np.sum(weights * heat)) * grid.weight / n
+        mat = float(series.values @ quadratic_form_matrix(phi, n) @ series.values) / (2 * np.pi * n)
         spread = max(abs(lag - quad), abs(lag - mat))
         print(f"{name:10s} lag {lag:.10f}  spread across paths {spread:.2e}")
 

@@ -19,6 +19,7 @@ prop33          sqrt(n)-scaled bias of a spectral mean across sample sizes
 """
 
 import argparse
+import dataclasses
 import functools
 import inspect
 import json
@@ -51,9 +52,8 @@ from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant
 __all__ = ["main", "build_parser"]
 
 
-def _read_config(args, allowed):
-    """The --config JSON object ({} without --config) and its text; raises
-    ValueError on a top-level key outside ``allowed`` unless that is None."""
+def _read_config(args):
+    """The --config JSON object ({} without --config) and its text."""
     if args.config is None:
         return {}, ""
     with open(args.config) as fh:
@@ -64,8 +64,6 @@ def _read_config(args, allowed):
         raise ValueError(f"--config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError("--config must hold a JSON object")
-    if allowed is not None:
-        check_spec_keys(config, allowed, "config")
     return config, text
 
 
@@ -77,10 +75,12 @@ def _config_model(config, default=None):
 def _study_kwargs(args, config, call, model=None):
     """The keyword arguments of a study's library call: call's signature
     defaults, with the config laid over them and --seed, when given, over
-    the config's seed; the seed is checked and the model is built (model
-    standing in for an absent one unless None)."""
-    params = inspect.signature(call).parameters.values()
-    kwargs = {param.name: param.default for param in params if param.default is not param.empty}
+    the config's seed; a config key that names no parameter of call is
+    refused, the seed is checked and the model is built (model standing in
+    for an absent one unless None)."""
+    params = inspect.signature(call).parameters
+    check_spec_keys(config, params, "config")
+    kwargs = {name: param.default for name, param in params.items() if param.default is not param.empty}
     kwargs.update(config)
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -167,7 +167,7 @@ def _weight_from_spec(spec, model):
 
 
 def _cmd_simulate(args):
-    config, text = _read_config(args, None)  # the config is the model
+    config, text = _read_config(args)  # the config is the model
     model = model_from_json(config, "config") if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
@@ -199,7 +199,7 @@ def _cmd_likelihood_eval(args):
     x = TimeSeries.from_csv(args.series)
     if args.config is None:
         raise ValueError("needs --config with a candidate model")
-    config, text = _read_config(args, None)
+    config, text = _read_config(args)
     if "sigma2" not in config and "model" in config:
         model = _config_model(config)  # accept fit.json output directly
     else:
@@ -213,7 +213,8 @@ def _cmd_likelihood_eval(args):
 
 def _cmd_fit(args):
     x = TimeSeries.from_csv(args.series)
-    config, text = _read_config(args, ("p", "k_n", "eps", "max_iter", "rel_tol"))
+    config, text = _read_config(args)
+    check_spec_keys(config, [field.name for field in dataclasses.fields(FitConfig)], "config")
     cfg = FitConfig(**config)
     fit = fit_monotone_tvar(x, cfg)
     fitted_model = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
@@ -250,7 +251,7 @@ def _cmd_fit(args):
 
 
 def _cmd_rate_study(args):
-    config, text = _read_config(args, ("seed", "model", "n_list", "replications", "p"))
+    config, text = _read_config(args)
     kwargs = _study_kwargs(args, config, rate_study)
     rows, summary = rate_study(**kwargs)
     _write_outputs(args, {"rate_rows.csv": rows, "rate_summary.json": summary}, text, kwargs["seed"])
@@ -259,7 +260,7 @@ def _cmd_rate_study(args):
 
 
 def _cmd_tail_study(args):
-    config, text = _read_config(args, ("seed", "design", "n", "replications", "etas"))
+    config, text = _read_config(args)
     kwargs = _study_kwargs(args, config, TailStudySpec.from_design)
     spec = TailStudySpec.from_design(**kwargs)
     rows = chi2_tail_study(spec)
@@ -273,7 +274,7 @@ def _cmd_tail_study(args):
 
 
 def _cmd_clt_study(args):
-    config, text = _read_config(args, ("seed", "model", "phi", "n", "replications", "centering"))
+    config, text = _read_config(args)
     kwargs = _study_kwargs(args, config, spectral_process_sample, white_noise_model())
     phi = kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     sample = spectral_process_sample(**kwargs)
@@ -296,7 +297,7 @@ def _cmd_clt_study(args):
 
 
 def _cmd_prop33(args):
-    config, text = _read_config(args, ("seed", "model", "phi", "n_list", "replications"))
+    config, text = _read_config(args)
     kwargs = _study_kwargs(args, config, bias_scaling_study, white_noise_model())
     kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     rows = bias_scaling_study(**kwargs)
@@ -310,7 +311,7 @@ def _cmd_prop33(args):
 
 
 def _cmd_equivalence(args):
-    config, text = _read_config(args, ("seed", "model", "n_list", "replications"))
+    config, text = _read_config(args)
     kwargs = _study_kwargs(args, config, likelihood_equivalence_decay)
     rows = likelihood_equivalence_decay(**kwargs)
     _write_outputs(args, {"equivalence_rows.csv": rows}, text, kwargs["seed"])

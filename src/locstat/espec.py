@@ -291,7 +291,6 @@ class SpectralProcessSample:
     centering: str
     n: int
     replications: int
-    seed: int
 
     def variance(self):
         """Unbiased variance of the deviations."""
@@ -338,7 +337,6 @@ def spectral_process_sample(model, phi, n=512, replications=2000, seed=0, center
         centering=centering,
         n=n,
         replications=replications,
-        seed=seed,
     )
 
 

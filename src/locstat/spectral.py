@@ -105,7 +105,6 @@ class PrePeriodogram:
     def __init__(self, series):
         self.x = _series_values(series)
         self.n = len(self.x)
-        self._cosines = (None, None)  # (grid size, cosine blocks) of the last evaluate_grid
 
     def _rows(self, times):
         if times is None:
@@ -139,8 +138,7 @@ class PrePeriodogram:
         row's values do not depend on which other rows are requested or on
         the chunk size.  Memory is O(GRID_CHUNK_ROWS n + min(M, n) M) beyond
         the result, time O(sum_t min(t, n - t) + rows min(M, n) M) for rows
-        requested in time order.  The cosine matrix of the last grid size is
-        kept, so rows asked for block by block on one grid build it once.
+        requested in time order.
 
         Parameters
         ----------
@@ -164,14 +162,12 @@ class PrePeriodogram:
         pad = np.zeros(width)
         ahead = np.concatenate([pad, 2.0 * self.x, pad])
         behind = np.concatenate([pad, self.x[::-1], pad])
-        if self._cosines[0] != M:
-            lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
-            positive = grid.nodes[M // 2 :]
-            self._cosines = M, [
-                (col, np.cos(np.outer(lags, positive[col : col + GRID_BLOCK_NODES])))
-                for col in range(0, M // 2, GRID_BLOCK_NODES)
-            ]
-        cos_blocks = self._cosines[1]
+        lags = np.concatenate([np.arange(0, 2 * period, 2), np.arange(1, 2 * period, 2)])
+        positive = grid.nodes[M // 2 :]
+        cos_blocks = [
+            (col, np.cos(np.outer(lags, positive[col : col + GRID_BLOCK_NODES])))
+            for col in range(0, M // 2, GRID_BLOCK_NODES)
+        ]
         chunk = min(GRID_CHUNK_ROWS, len(rows))
         even = np.empty((chunk, width))
         odd = np.empty((chunk, width))
@@ -338,56 +334,30 @@ def quadratic_form_matrix(phi, n):
     return U
 
 
-def spectral_functional(series, phi, path="lag", grid=None):
+def spectral_functional(series, phi):
     """Empirical spectral functional mean_t int phi(t/n, lam) J(t/n, lam) dlam.
 
-    Three algebraically equivalent computation paths are provided so they can
-    be cross-checked:
-
-    - "lag": exact lag-product sum using the weight's lag coefficients;
-    - "quadrature": frequency-grid Riemann sum against the pre-periodogram
-      (grid argument required), formed GRID_CHUNK_ROWS rows at a time so
-      that memory is O(GRID_CHUNK_ROWS grid.size) besides the grid's own
-      cosine blocks;
-    - "matrix": quadratic form x' M x / (2 pi n) with the dense kernel.
+    Computed exactly by the lag sum
+    sum_k sum_t c_phi(t/n, |k|) x_i x_j / (2 pi n) over the lag products of
+    the pre-periodogram and the weight's lag coefficients.  The frequency
+    quadrature of phi against :meth:`PrePeriodogram.evaluate_grid` and the
+    quadratic form x' M x / (2 pi n) with M = :func:`quadratic_form_matrix`
+    equal it to rounding; the tests keep them as oracles.
 
     Parameters
     ----------
     series : TimeSeries or array_like
     phi : TestFunction
-    path : {"lag", "quadrature", "matrix"}
-    grid : FrequencyGrid, required for the quadrature path
 
     Returns
     -------
     float
     """
-    x = _series_values(series)
-    n = len(x)
-
-    if path == "lag":
-        return float(_lag_functionals(x[None, :], phi)[0])
-
-    if path == "quadrature":
-        if grid is None:
-            raise ValueError("quadrature path requires an explicit FrequencyGrid")
-        pre = PrePeriodogram(x)
-        total = 0.0
-        for start in range(1, n + 1, GRID_CHUNK_ROWS):
-            t = np.arange(start, min(start + GRID_CHUNK_ROWS, n + 1))
-            block = pre.evaluate_grid(grid, times=t)
-            total += float(np.sum(phi.values(t[:, None] / n, grid.nodes[None, :]) * block))
-        return total * grid.weight / n
-
-    if path == "matrix":
-        U = quadratic_form_matrix(phi, n)
-        return float(x @ U @ x) / (2 * np.pi * n)
-
-    raise ValueError(f"unknown path {path!r}")
+    return float(_lag_functionals(_series_values(series)[None, :], phi)[0])
 
 
 def _lag_functionals(X, phi):
-    """The lag path of :func:`spectral_functional` for every row of X.
+    """:func:`spectral_functional` for every row of X.
 
     sum_k sum_t c_phi(t/n, |k|) P_k(t) / (2 pi n), with the weight's lag
     table on the design points t/n built once for all rows; its n x (J + 1)

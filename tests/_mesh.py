@@ -1,7 +1,8 @@
 """Frequency-mesh oracles for the exact spectral paths of locstat.
 
-lag_products reads the pre-periodogram's index rule off its definition.
-Each other function evaluates the spectra of its TvARModels through
+lag_products reads the pre-periodogram's index rule off its definition, and
+spectral_functional sums a weight against the pre-periodogram on a
+FrequencyGrid.  Each other function evaluates the spectra of its TvARModels through
 ``process.spectral_density`` on the mesh of a midpoint u-grid of
 ``cells`` cells times the nodes of a FrequencyGrid, and sums the integrand
 there.  This is the slow path that every exact path of the library (lag
@@ -42,6 +43,17 @@ def density(g, u, grid):
 def log_integral(g, u, grid):
     """Riemann sum of int log g(u, lam) dlam at each u."""
     return np.sum(np.log(density(g, u, grid)), axis=1) * grid.weight
+
+
+def spectral_functional(x, phi, grid):
+    """Riemann sum of mean_t int phi(t/n, lam) J(t/n, lam) dlam over grid,
+    all rows of the pre-periodogram at once; exact to rounding when
+    grid.size >= n + phi.lag_support."""
+    x = np.asarray(getattr(x, "values", x), dtype=float)
+    n = len(x)
+    design = np.arange(1, n + 1) / n
+    weights = phi.values(design[:, None], grid.nodes[None, :])
+    return float(np.sum(weights * PrePeriodogram(x).evaluate_grid(grid)) * grid.weight / n)
 
 
 def whittle_contrast(x, g, grid):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 import locstat
 from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve, FourierCurve
-from locstat.espec import TailStudySpec, chi2_tail_study
+from locstat.espec import TailStudySpec, bias_scaling_study, chi2_tail_study, spectral_process_sample
+from locstat.estimator import FitConfig
 from locstat.harness import likelihood_equivalence_decay, rate_study, read_rows_csv, write_rows_csv
 from locstat.process import TimeSeries, TvARModel
 
@@ -278,6 +280,29 @@ def test_unknown_config_key_rejected(tmp_path, command, extra):
     with pytest.raises(SystemExit, match="unknown config key.*kn"):
         main([command, *extra, "--config", str(cfg), "--out", str(out)])
     assert not out.exists()
+
+
+# a config key names a parameter of the library call the command configures,
+# and the refusal lists every one of them, in the call's order
+@pytest.mark.parametrize(
+    "command, call",
+    [
+        ("rate-study", rate_study),
+        ("tail-study", TailStudySpec.from_design),
+        ("clt-study", spectral_process_sample),
+        ("prop33", bias_scaling_study),
+        ("equivalence", likelihood_equivalence_decay),
+        ("fit", FitConfig),
+    ],
+)
+def test_config_keys_are_the_call_parameters(tmp_path, capsys, command, call):
+    extra = ["--series", str(simulate_into(tmp_path, n=16))] if command == "fit" else []
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kn": 4}))
+    message = refused([command, *extra, "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
+    head, allowed = message.split("; allowed: ")
+    assert head == f"{command}: unknown config key(s) kn"
+    assert allowed.split(", ") == list(inspect.signature(call).parameters)
 
 
 def test_equivalence_passes_model_through(tmp_path):

@@ -327,7 +327,7 @@ def test_spectral_process_sample_deterministic():
 
 
 def per_replication_functionals(model, phi, n, seeds):
-    return [spectral_functional(simulate_tvar(model, n, s), phi, path="lag") for s in seeds]
+    return [spectral_functional(simulate_tvar(model, n, s), phi) for s in seeds]
 
 
 BATCH_CASES = [

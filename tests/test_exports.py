@@ -51,6 +51,9 @@ REMOVED_FROM = {
     "coeff_autocorr": {"m"},
     # the rate study is one keyword call, and it runs on one thread
     "rate_study": {"spec", "threads"},
+    # the empirical spectral functional is the lag sum alone; its quadrature
+    # and quadratic-form sums are test oracles
+    "spectral_functional": {"path", "grid"},
 }
 
 
@@ -86,6 +89,7 @@ def test_no_public_callable_takes_a_removed_option():
         "clopper_pearson_upper",
         "coeff_autocorr",
         "rate_study",
+        "spectral_functional",
         "TvARModel.validate",
         "TailStudySpec.from_design",
     } <= {name for name, _ in _public_callables()}

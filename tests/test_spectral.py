@@ -313,42 +313,11 @@ def test_spectral_functional_paths_agree():
     m = TvARModel(1, [FourierCurve(0.2, a=[0.3])], FourierCurve(1.5, a=[0.4]))
     x = simulate_tvar(m, 200, seed=5)
     phi = ar_inverse_weight(m)
-    a = spectral_functional(x, phi, path="lag")
-    b = spectral_functional(x, phi, path="matrix")
-    c = spectral_functional(x, phi, path="quadrature", grid=FrequencyGrid(1024))
+    a = spectral_functional(x, phi)
+    b = float(x.values @ quadratic_form_matrix(phi, 200) @ x.values) / (2 * np.pi * 200)
+    c = _mesh.spectral_functional(x, phi, FrequencyGrid(1024))
     assert b == pytest.approx(a, rel=1e-10)
     assert c == pytest.approx(a, rel=1e-10)
-
-
-def test_spectral_functional_quadrature_needs_grid():
-    x = rand_series(16, 6)
-    with pytest.raises(ValueError):
-        spectral_functional(x, constant_weight(1.0), path="quadrature")
-
-
-def test_spectral_functional_quadrature_memory_is_bounded_in_rows():
-    # rows are summed GRID_CHUNK_ROWS at a time, so the peak stays below one
-    # n x M matrix of floats; the whole weight and pre-periodogram matrices
-    # took about six of them
-    n, grid = 4096, FrequencyGrid(256)
-    x = rand_series(n, 3).values
-    phi = lag_curve_weight({0: 1.0, 1: FourierCurve(0.2, a=[0.3]), 3: -0.4})
-    tracemalloc.start()
-    try:
-        value = spectral_functional(x, phi, path="quadrature", grid=grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * grid.size * 8
-    t = np.arange(1, n + 1) / n
-    whole = np.sum(phi.values(t[:, None], grid.nodes[None, :]) * PrePeriodogram(x).evaluate_grid(grid))
-    assert value == pytest.approx(whole * grid.weight / n, rel=1e-12)
-
-
-def test_spectral_functional_unknown_path():
-    x = rand_series(16, 6)
-    with pytest.raises(ValueError):
-        spectral_functional(x, constant_weight(1.0), path="fft")
 
 
 def test_quadratic_form_matrix_values():
@@ -442,6 +411,6 @@ def test_lag_and_matrix_paths_agree_on_random_data(seed):
     c1 = float(rng.uniform(-1.0, 1.0))
     c2 = float(rng.uniform(-0.5, 0.5))
     phi = lag_curve_weight({0: c0, 1: c1, 2: c2})
-    a = spectral_functional(x, phi, path="lag")
-    b = spectral_functional(x, phi, path="matrix")
+    a = spectral_functional(x, phi)
+    b = float(x @ quadratic_form_matrix(phi, n) @ x) / (2 * np.pi * n)
     assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
