@@ -2,7 +2,8 @@
 
 Times ten layers at each n: on a series of the default rate model,
 simulation, the pre-periodogram grid, the lag-path spectral functional, the
-Whittle and conditional contrasts, the sieve PAVA step on the lag-1 squares,
+Whittle contrast alone and with the conditional contrast (likelihood_gap,
+which scores both), the sieve PAVA step on the lag-1 squares,
 and the monotone and Fourier fits; the tail-study sampler on a linear design
 of n weights; and the divergence sandwich of a pair with step coefficient
 curves, which does not depend on n.  Each layer gets its best and its
@@ -52,13 +53,13 @@ def layers(n):
         TvARModel,
         ar_inverse_weight,
         chi2_tail_study,
-        conditional_likelihood,
         default_eps,
         default_knots,
         default_rate_model,
         divergence_sandwich,
         fit_fourier_tvar,
         fit_monotone_tvar,
+        likelihood_gap,
         sieve_pava,
         simulate_tvar,
         spectral_functional,
@@ -77,7 +78,7 @@ def layers(n):
         ("evaluate_grid", lambda: pre.evaluate_grid(grid)),
         ("spectral_functional", lambda: spectral_functional(x, weight)),
         ("whittle_contrast", lambda: whittle_contrast(x, model)),
-        ("conditional_likelihood", lambda: conditional_likelihood(x, model)),
+        ("likelihood_gap", lambda: likelihood_gap(x, model)),
         ("sieve_pava", lambda: sieve_pava(squares, n, 1, k_n, eps)),
         ("fit_monotone_tvar", lambda: fit_monotone_tvar(x, config)),
         ("fit_fourier_tvar", lambda: fit_fourier_tvar(x, 1)),

@@ -4,7 +4,8 @@ Three views of the same fitting objective:
 
 - whittle_contrast: frequency-domain contrast of a candidate spectrum
   against the pre-periodogram (exact lag-domain evaluation for AR models);
-- conditional_likelihood: time-domain Gaussian likelihood of the residuals;
+- the conditional contrast, likelihood_gap(...)["conditional"]: time-domain
+  Gaussian likelihood of the residuals;
 - the identity (1/2)(conditional - log 2 pi) = whittle + O(1/n) boundary
   terms, so the two orderings of candidates agree for moderate n
   (likelihood_gap evaluates both and the gap).

@@ -7,7 +7,7 @@ the sign convention: the model is
 
 coefficients on the LEFT, so alpha = +0.5 induces NEGATIVE lag-1
 correlation.  Also shows the local variance tracking sigma^2(u) and the
-time-varying covariance/spectral-density evaluators.
+local autocovariance and spectral-density evaluators.
 """
 
 import numpy as np
@@ -16,9 +16,9 @@ from locstat import (
     ConstantCurve,
     SampledCurve,
     TvARModel,
+    ar_autocov,
     simulate_tvar,
     spectral_density,
-    tv_covariance,
     wavy_alpha_model,
 )
 
@@ -47,8 +47,7 @@ def main(seed=11, n=4000):
 
     print("\n== evaluators at fixed rescaled time ==")
     for u in (0.25, 0.75):
-        c0 = tv_covariance(model, u, 0)
-        c1 = tv_covariance(model, u, 1)
+        c0, c1 = ar_autocov(model, u, 1)
         f0 = spectral_density(model, u, 0.0)
         print(f"u={u}: cov(0)={c0:.3f} cov(1)={c1:.3f} f(u,0)={f0:.3f}")
 

@@ -136,12 +136,13 @@ class SampledCurve(Curve):
         return f"SampledCurve({self.samples.tolist()!r})"
 
 
-class MonotoneStepCurve(Curve):
-    """Nondecreasing step curve on a uniform knot grid with hard bounds.
+class MonotoneStepCurve(SampledCurve):
+    """Sampled curve whose samples are nondecreasing and bounded.
 
-    Knot j (1-based, j = 1..k) is the value on ((j-1)/k, j/k].  Values must be
-    nondecreasing and lie in [eps^2, 1/eps^2]; this is the shape produced by
-    the sieve variance estimator.
+    The samples, or knot values, must be nondecreasing and lie in
+    [eps^2, 1/eps^2]; knot j (1-based, j = 1..k) is the value on
+    ((j-1)/k, j/k].  This is the shape produced by the sieve variance
+    estimator.
 
     Parameters
     ----------
@@ -152,24 +153,23 @@ class MonotoneStepCurve(Curve):
     """
 
     def __init__(self, values, eps):
-        v = np.asarray(values, dtype=float)
-        eps = _check_eps(eps)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("need a nonempty 1-d array of knot values")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("knot values must be finite")
+        self.eps = _check_eps(eps)
+        super().__init__(values)
+        v = self.samples
         if np.any(np.diff(v) < 0):
             raise ValueError("knot values must be nondecreasing")
-        lower, upper = eps ** 2, 1.0 / eps ** 2
-        slack = 1e-12 * max(1.0, upper)
-        if v[0] < lower - slack or v[-1] > upper + slack:
+        slack = 1e-12 * max(1.0, self.upper)
+        if v[0] < self.lower - slack or v[-1] > self.upper + slack:
             raise ValueError("knot values must lie within [eps^2, 1/eps^2]")
-        self.knot_values = v
-        self.eps = eps
+
+    @property
+    def knot_values(self):
+        """The samples, read-only as an attribute."""
+        return self.samples
 
     @property
     def knots(self):
-        return len(self.knot_values)
+        return len(self.samples)
 
     @property
     def lower(self):
@@ -179,13 +179,8 @@ class MonotoneStepCurve(Curve):
     def upper(self):
         return 1.0 / self.eps ** 2
 
-    def values(self, u):
-        u = _as_unit_time(u)
-        idx = _step_index(u, self.knots)
-        return self.knot_values[idx - 1]
-
     def __repr__(self):
-        return f"MonotoneStepCurve({self.knot_values.tolist()!r}, eps={self.eps!r})"
+        return f"MonotoneStepCurve({self.samples.tolist()!r}, eps={self.eps!r})"
 
 
 def curve_to_spec(curve):
@@ -194,8 +189,9 @@ def curve_to_spec(curve):
         return {"type": "constant", "value": curve.value}
     if isinstance(curve, FourierCurve):
         return {"type": "fourier", "a0": curve.a0, "a": curve.a.tolist(), "b": curve.b.tolist()}
+    # a MonotoneStepCurve is a SampledCurve, so it is tested first
     if isinstance(curve, MonotoneStepCurve):
-        return {"type": "monotone_step", "values": curve.knot_values.tolist(), "eps": curve.eps}
+        return {"type": "monotone_step", "values": curve.samples.tolist(), "eps": curve.eps}
     if isinstance(curve, SampledCurve):
         return {"type": "sampled", "values": curve.samples.tolist()}
     raise ValueError(f"cannot serialize curve of type {type(curve).__name__}")

@@ -204,15 +204,19 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     shares its innovation stream across all n (common random numbers), as in
     the rate study.
 
+    Raises ValueError, before any simulation, unless n_list is a nonempty
+    list of integers above the largest candidate order, replications is an
+    integer >= 2 and seed is an integer >= 0.
+
     Returns
     -------
     list of dict with keys n, median_gap.
     """
-    n_list = as_numbers(n_list, "n_list", int, 1)
+    candidates = default_equivalence_candidates()
+    n_list = as_numbers(n_list, "n_list", int, max(g.p for g in candidates) + 1)
     replications = as_number(replications, "replications", int, 2)
     seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
-    candidates = default_equivalence_candidates()
     rows = []
     for n in n_list:
         batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])

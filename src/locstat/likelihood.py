@@ -14,9 +14,10 @@ int log |1 + sum_j a_j e^{i lam j}|^2 dlam = 0 for stable coefficients, and
 the functional as a finite sum over the lags |m| <= p of 1/g.  Only
 :func:`divergence_sandwich`, the one path of the divergence D(g, f), takes
 sums and sups over a frequency grid, once per run of equal coefficient rows.
-A conditional Gaussian likelihood on the same model class is provided for
-the fitting algorithms.  Both contrasts are computed for a batch of series
-at once, a single series being the one-row case.
+The conditional Gaussian likelihood of the same candidate, the objective of
+the monotone fit, is the "conditional" entry of :func:`likelihood_gap`, which
+returns both contrasts and their gap.  Both are computed for a batch of
+series at once, a single series being the one-row case.
 """
 
 import math
@@ -32,7 +33,6 @@ __all__ = [
     "whittle_contrast",
     "kl_contrast",
     "divergence_sandwich",
-    "conditional_likelihood",
     "likelihood_gap",
 ]
 
@@ -208,45 +208,18 @@ def _conditional(e2, s2, n):
     return float(values) if values.ndim == 0 else values
 
 
-def conditional_likelihood(series, g):
-    """Conditional Gaussian likelihood of a candidate model.
-
-    (1/n) sum_{t=p+1}^n { log sigma^2(t/n) + e_t^2 / sigma^2(t/n) } with
-    residuals e_t = x_t + sum_j alpha_j(t/n) x_{t-j}.  Note the 1/n
-    normalization even though the sum has n - p terms.
-
-    Parameters
-    ----------
-    series : TimeSeries or array_like
-    g : TvARModel
-
-    Returns
-    -------
-    float
-    """
-    model = _as_model(g)
-    x = _series_values(series)
-    return float(_conditional_rows(x[None, :], model)[0])
-
-
-def _conditional_rows(X, model):
-    """:func:`conditional_likelihood` of model on each row of X, shape (R, n),
-    with the coefficient rows and sigma^2 built once for all rows."""
-    n = X.shape[1]
-    if n <= model.p:
-        raise ValueError(f"need more than p={model.p} observations")
-    u = np.arange(model.p + 1, n + 1) / n
-    return _conditional(_residuals(X, model.alpha_matrix(u)) ** 2, model.sigma2.values(u), n)
-
-
 def _contrasts(X, model):
     """:func:`likelihood_gap` of model on each row of X, a validated (R, n)
     array, as arrays of R values, with the log integral, the lag weights of
     1/g, the coefficient rows and sigma^2 built once.  Each row's values equal
     the single-series ones bit for bit: lag products are dotted row by row,
     residuals are elementwise and a C-contiguous row sums as one series does."""
+    n = X.shape[1]
     whittle = _whittle_rows(X, model)
-    conditional = _conditional_rows(X, model)
+    if n <= model.p:
+        raise ValueError(f"need more than p={model.p} observations")
+    u = np.arange(model.p + 1, n + 1) / n
+    conditional = _conditional(_residuals(X, model.alpha_matrix(u)) ** 2, model.sigma2.values(u), n)
     return {
         "whittle": whittle,
         "conditional": conditional,
@@ -257,8 +230,21 @@ def _contrasts(X, model):
 def likelihood_gap(series, g):
     """Both contrasts of a candidate model and the gap between them.
 
-    The gap | (1/2)(conditional - log 2 pi) - whittle | comes from boundary
-    terms only, so it decays at rate 1/n.
+    whittle is :func:`whittle_contrast`.  conditional is the conditional
+    Gaussian likelihood
+
+        (1/n) sum_{t=p+1}^n { log sigma^2(t/n) + e_t^2 / sigma^2(t/n) },
+
+    with residuals e_t = x_t + sum_j alpha_j(t/n) x_{t-j}; note the 1/n
+    normalization even though the sum has n - p terms.  The gap
+    | (1/2)(conditional - log 2 pi) - whittle | comes from boundary terms
+    only, so it decays at rate 1/n.  Raises ValueError unless the series
+    has more than p observations.
+
+    Parameters
+    ----------
+    series : TimeSeries or array_like
+    g : TvARModel
 
     Returns
     -------

@@ -40,7 +40,6 @@ __all__ = [
     "coeff_autocorr",
     "ar_autocov",
     "spectral_density",
-    "tv_covariance",
     "white_noise_model",
     "model_from_json",
     "DEFAULT_BURN_IN",
@@ -538,7 +537,7 @@ def _coefficient_runs(a):
 def ar_autocov(model, u, max_lag, squared=False):
     """Local autocovariances c_f(u, k) = int f(u, lam) e^{i lam k} dlam.
 
-    For k = 0..max_lag, from the Yule-Walker equations
+    For k = 0..max_lag (c_f is even in k), from the Yule-Walker equations
     c(k) + sum_j alpha_j c(|k - j|) = sigma^2 [k = 0], k = 0..p, and the
     recursion c(k) = -sum_j alpha_j c(k - j) beyond lag p.  The
     (p+1) x (p+1) system is solved once per run of equal coefficient rows
@@ -633,27 +632,6 @@ class SpectrumField:
 
     from_model = staticmethod(_as_model)
     from_coefficients = staticmethod(TvARModel.from_coefficients)
-
-
-def tv_covariance(model, u, k):
-    """Local covariance c(u, k) = int f(u, lam) e^{i lam k} dlam.
-
-    Exact: one Yule-Walker solve through :func:`ar_autocov`.
-
-    Parameters
-    ----------
-    model : TvARModel
-    u : float
-        Rescaled time in (0, 1].
-    k : int
-        Lag; c(u, -k) = c(u, k).
-
-    Returns
-    -------
-    float
-    """
-    k = abs(as_number(k, "k"))
-    return float(ar_autocov(model, np.array([as_number(u, "u", float)]), k)[0, k])
 
 
 def model_from_json(payload, what="model"):

@@ -22,7 +22,7 @@ from locstat.estimator import (
     inverse_l2_distance,
 )
 from locstat.isotonic import sieve_pava
-from locstat.likelihood import SpectrumField, _inverse_distance_sq, conditional_likelihood, whittle_contrast
+from locstat.likelihood import SpectrumField, _conditional, _inverse_distance_sq, likelihood_gap, whittle_contrast
 from locstat.harness import default_rate_model
 from locstat.process import STABILITY_GRID, TimeSeries, TvARModel, simulate_tvar, white_noise_model
 
@@ -133,11 +133,15 @@ def test_monotone_fit_fixed_point_rerun():
     x = simulate_tvar(m, 512, seed=5)
     cfg = FitConfig(p=1)
     res = fit_monotone_tvar(x, cfg)
-    # one more iteration from the fitted variance moves neither the objective nor alpha
+    # one more iteration from the fitted variance moves neither the objective nor alpha;
+    # the fit scores its candidates without validating them, and so does this rerun
+    n = len(x.values)
     alpha = wls(x.values, res.sigma2_hat, 1)
     resid = x.values[1:] + alpha[0] * x.values[:-1]
-    sigma = sieve_pava(resid ** 2, len(x.values), 1, res.k_n, res.eps)
-    again = conditional_likelihood(x, TvARModel.from_coefficients(alpha, sigma, validate=False))
+    sigma = sieve_pava(resid ** 2, n, 1, res.k_n, res.eps)
+    again = _conditional(resid ** 2, sigma.values(np.arange(2, n + 1) / n), n)
+    # the fitted alpha is stable, so the public contrast gives the same score
+    assert again == likelihood_gap(x, TvARModel.from_coefficients(alpha, sigma))["conditional"]
     assert abs(again - res.objective) <= cfg.rel_tol * max(1.0, abs(res.objective))
     assert abs(alpha[0] - res.alpha_hat[0]) < 1e-3
 
@@ -199,7 +203,7 @@ def test_monotone_fit_near_profile_minimum():
     for da in (-0.05, -0.01, 0.01, 0.05):
         r = x.values[1:] + (a0 + da) * x.values[:-1]
         s = sieve_pava(r**2, n, 1, res.k_n, res.eps)
-        perturbed = conditional_likelihood(x, TvARModel.from_coefficients([a0 + da], s, validate=False))
+        perturbed = _conditional(r**2, s.values(np.arange(2, n + 1) / n), n)
         assert perturbed >= res.objective - 1e-6
 
 

@@ -99,8 +99,10 @@ def test_no_public_callable_takes_a_removed_option():
 # divergence_sandwich(g, f)["divergence"], the design-sum remainder of the
 # log spectrum had no caller, the weighted AR least squares is the alpha
 # step of fit_monotone_tvar alone, the rate study's parameters and defaults
-# are rate_study's keywords and its result is (rows, summary), and the
-# Kolmogorov identity of the AR log spectrum is a test oracle.
+# are rate_study's keywords and its result is (rows, summary), the
+# Kolmogorov identity of the AR log spectrum is a test oracle, the local
+# covariance is ar_autocov(model, u, k)[..., k] and the conditional contrast
+# is likelihood_gap(series, g)["conditional"].
 REMOVED_NAMES = {
     "kl_divergence",
     "log_riemann_remainder",
@@ -108,6 +110,8 @@ REMOVED_NAMES = {
     "RateStudySpec",
     "RateStudyResult",
     "ar_log_spectrum_integral",
+    "tv_covariance",
+    "conditional_likelihood",
 }
 
 
@@ -121,8 +125,9 @@ def test_removed_names_are_not_attributes():
     import locstat.estimator
     import locstat.harness
     import locstat.likelihood
+    import locstat.process
 
-    for module in (locstat, locstat.likelihood, locstat.estimator, locstat.harness):
+    for module in (locstat, locstat.process, locstat.likelihood, locstat.estimator, locstat.harness):
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
     assert REMOVED_NAMES.isdisjoint(locstat.__all__)
 
@@ -135,11 +140,14 @@ def test_weights_have_no_per_lag_accessor():
 
 def test_lag_products_and_curve_calls_have_one_interface():
     # the pre-periodogram's lag pairs are spectral._lag_index's, and a curve
-    # is evaluated by values(u) alone
+    # is evaluated by values(u) alone; the monotone step is a bounded sampled
+    # curve and evaluates as one
     assert not hasattr(locstat.PrePeriodogram, "lag_products")
     curves = (locstat.ConstantCurve(1.0), locstat.FourierCurve(0.0, [0.5]), locstat.SampledCurve([1.0, 2.0]))
     assert not any(callable(curve) for curve in curves)
     assert [float(curve.values(0.5)) for curve in curves] == [1.0, -0.5, 1.0]
+    assert issubclass(locstat.MonotoneStepCurve, locstat.SampledCurve)
+    assert "values" not in vars(locstat.MonotoneStepCurve)
 
 
 def test_tail_designs_have_one_constructor():

@@ -160,6 +160,17 @@ def test_likelihood_equivalence_rejects_bad_arguments_before_simulating(monkeypa
         likelihood_equivalence_decay(**{"n_list": (16, 32), "replications": 2, **bad})
 
 
+def test_likelihood_equivalence_checks_its_sizes_before_simulating(monkeypatch):
+    # a size no larger than the largest candidate order (1) is refused before
+    # the first size is simulated and scored
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking its sizes")
+
+    monkeypatch.setattr(harness, "simulate_tvar_batch", no_simulation)
+    with pytest.raises(ValueError, match="^n_list entry must be at least 2, got 1$"):
+        likelihood_equivalence_decay(n_list=[2, 1], replications=2)
+
+
 def test_rows_csv_round_trip_exact(tmp_path):
     rows = [
         {"n": 256, "err": 0.1 + 0.2, "label": "a"},

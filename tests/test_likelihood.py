@@ -8,15 +8,16 @@ import _mesh
 from locstat.curves import ConstantCurve, Curve, FourierCurve, MonotoneStepCurve, SampledCurve
 from locstat.likelihood import (
     SpectrumField,
+    _conditional,
     _contrasts,
     _log_integral,
-    conditional_likelihood,
+    _residuals,
     divergence_sandwich,
     kl_contrast,
     likelihood_gap,
     whittle_contrast,
 )
-from locstat.process import TvARModel, _as_model, simulate_tvar, spectral_density, white_noise_model
+from locstat.process import TvARModel, _as_model, check_stability, simulate_tvar, spectral_density, white_noise_model
 from locstat.spectral import FrequencyGrid, ar_inverse_weight, periodogram, spectral_functional
 
 
@@ -97,36 +98,50 @@ def test_whittle_rejects_nonpositive_candidate():
         whittle_contrast(x, bad)
 
 
+def _fit_conditional(x, alpha, sigma2):
+    # the conditional contrast as fit_monotone_tvar scores its candidates: a
+    # constant coefficient row, stable or not, and a variance curve
+    n, p = len(x), len(alpha)
+    e2 = _residuals(x, np.asarray(alpha, dtype=float)) ** 2
+    return _conditional(e2, sigma2.values(np.arange(p + 1, n + 1) / n), n)
+
+
 def test_conditional_likelihood_frozen_small_case():
     # x = (1, -1), alpha = 1, sigma2 = 1: single residual x_2 + x_1 = 0,
-    # so the average of log sigma2 + e^2/sigma2 over t=2 is 0... divided by n
-    g = TvARModel.from_coefficients([1.0], 1.0, validate=False)
-    val = conditional_likelihood(np.array([1.0, -1.0]), g)
-    assert val == 0.0
+    # so the average of log sigma2 + e^2/sigma2 over t=2 is 0... divided by n;
+    # alpha = 1 is not stable, so only the fit's core scores it
+    assert _fit_conditional(np.array([1.0, -1.0]), [1.0], ConstantCurve(1.0)) == 0.0
+    # the same residual from the stable alpha = 0.5, through the public contrast
+    g = TvARModel.from_coefficients([0.5], 1.0)
+    assert likelihood_gap(np.array([2.0, -1.0]), g)["conditional"] == 0.0
 
 
 def test_conditional_likelihood_white_noise_closed_form():
     x = np.array([1.0, 2.0, -1.0])
-    val = conditional_likelihood(x, white_noise_model(2.0))
+    val = likelihood_gap(x, white_noise_model(2.0))["conditional"]
     expected = (3 * math.log(2.0) + np.sum(x**2) / 2.0) / 3
     assert val == pytest.approx(expected, rel=1e-14)
 
 
 def test_conditional_likelihood_accepts_curve_variance():
     x = simulate_tvar(step_model(), 50, seed=6)
-    a = conditional_likelihood(x, TvARModel.from_coefficients([0.5], SampledCurve([1.0, 2.0])))
-    b = conditional_likelihood(x, TvARModel.from_coefficients([0.5], SampledCurve([2.0, 4.0])))
+    a = likelihood_gap(x, TvARModel.from_coefficients([0.5], SampledCurve([1.0, 2.0])))["conditional"]
+    b = likelihood_gap(x, TvARModel.from_coefficients([0.5], SampledCurve([2.0, 4.0])))["conditional"]
     assert a != b
 
 
 def test_conditional_likelihood_errors():
     with pytest.raises(ValueError, match="need more than p=1"):
-        conditional_likelihood(np.array([1.0]), TvARModel.from_coefficients([0.5], 1.0))
+        likelihood_gap(np.array([1.0]), TvARModel.from_coefficients([0.5], 1.0))
+    # a variance that is not positive is refused by the Whittle part, which is scored first
     negative = TvARModel.from_coefficients([0.5], -1.0, validate=False)
-    with pytest.raises(ValueError, match="strictly positive at the design points"):
-        conditional_likelihood(np.array([1.0, 2.0]), negative)
+    with pytest.raises(ValueError, match="^spectra must be strictly positive on the mesh$"):
+        likelihood_gap(np.array([1.0, 2.0]), negative)
     with pytest.raises(ValueError, match="expected a TvARModel"):
-        conditional_likelihood(np.array([1.0, 2.0]), 1.0)
+        likelihood_gap(np.array([1.0, 2.0]), 1.0)
+    # the fit's core keeps its own refusal of a variance that is not positive
+    with pytest.raises(ValueError, match="^sigma2 must be strictly positive at the design points$"):
+        _fit_conditional(np.array([1.0, 2.0]), [0.5], ConstantCurve(-1.0))
 
 
 def _per_t_conditional(x, model):
@@ -153,7 +168,7 @@ def _per_t_conditional(x, model):
 def test_time_varying_conditional_likelihood_matches_per_t_oracle(alpha):
     model = TvARModel(len(alpha), alpha, SampledCurve([1.0, 2.0, 1.5]))
     x = simulate_tvar(model, 300, seed=4).values
-    assert conditional_likelihood(x, model) == pytest.approx(_per_t_conditional(x, model), rel=1e-12)
+    assert likelihood_gap(x, model)["conditional"] == pytest.approx(_per_t_conditional(x, model), rel=1e-12)
 
 
 def _parent_conditional(x, alpha, sigma2):
@@ -176,8 +191,11 @@ def _parent_conditional(x, alpha, sigma2):
 def test_constant_conditional_likelihood_is_the_scalar_formula_bit_for_bit(alpha, values, n, seed):
     x = np.random.default_rng(seed).standard_normal(n)
     sigma2 = SampledCurve(values)
-    model = TvARModel.from_coefficients(alpha, sigma2, validate=False)
-    assert conditional_likelihood(x, model) == _parent_conditional(x, np.array(alpha), sigma2)
+    expected = _parent_conditional(x, np.array(alpha), sigma2)
+    assert _fit_conditional(x, alpha, sigma2) == expected
+    # likelihood_gap validates its candidate, so it scores the stable ones
+    if check_stability(alpha):
+        assert likelihood_gap(x, TvARModel.from_coefficients(alpha, sigma2))["conditional"] == expected
 
 
 def test_likelihood_gap_is_the_distance_of_the_two_contrasts():
@@ -185,7 +203,7 @@ def test_likelihood_gap_is_the_distance_of_the_two_contrasts():
     x = simulate_tvar(m, 256, seed=7)
     res = likelihood_gap(x, m)
     assert res["whittle"] == whittle_contrast(x, m)
-    assert res["conditional"] == conditional_likelihood(x, m)
+    assert res["conditional"] == _parent_conditional(x.values, np.array([0.5]), m.sigma2)
     assert res["gap"] == abs(0.5 * (res["conditional"] - math.log(2 * math.pi)) - res["whittle"])
 
 
@@ -228,7 +246,6 @@ def test_contrasts_rows_are_the_single_series_values_bit_for_bit(kind, p, rows, 
         single = likelihood_gap(x, model)
         assert single == {key: float(values[r]) for key, values in batch.items()}
         assert single["whittle"] == whittle_contrast(x, model) == _parent_whittle(x, model)
-        assert single["conditional"] == conditional_likelihood(x, model)
         if kind == "step":  # constant coefficients: the scalar formula
             alpha = model.alpha_matrix(np.array([0.5]))[0]
             assert single["conditional"] == _parent_conditional(x, alpha, model.sigma2)
@@ -239,14 +256,14 @@ def test_contrasts_keep_the_single_series_errors():
     with pytest.raises(ValueError, match=r"^need more than p=2 observations$"):
         _contrasts(np.ones((3, 2)), model)
     # a variance that is not positive: the Whittle part is checked first, as
-    # likelihood_gap checks it, and the conditional part alone keeps its message
+    # likelihood_gap checks it
     negative = TvARModel.from_coefficients([0.5], SampledCurve([1.0, -1.0]), validate=False)
     with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
         _contrasts(np.ones((3, 8)), negative)
     with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
         likelihood_gap(np.ones(8), negative)
     with pytest.raises(ValueError, match=r"^sigma2 must be strictly positive at the design points$"):
-        conditional_likelihood(np.ones(8), negative)
+        _fit_conditional(np.ones(8), [0.5], negative.sigma2)
     # the Whittle contrast alone takes a series of p observations or fewer
     assert math.isfinite(whittle_contrast(np.ones(2), model))
 

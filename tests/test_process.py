@@ -26,7 +26,6 @@ from locstat.process import (
     simulate_tvar_batch,
     spectral_density,
     transfer_abs2,
-    tv_covariance,
     white_noise_model,
 )
 from locstat.spectral import TIME_CELLS, FrequencyGrid, ar_inverse_weight, constant_weight, spectral_functional_limit
@@ -433,13 +432,13 @@ def test_model_field_and_callable_give_equal_results(consumer):
 
 
 def test_tv_covariance_stationary_ar1_closed_form():
+    # the local covariance c(u, k) is ar_autocov(model, u, k)[..., k]
     # x_t + 0.5 x_{t-1} = e_t: phi = -0.5, c(0) = 1/(1-phi^2) = 4/3,
     # c(1) = phi c(0) = -2/3
     m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
-    assert tv_covariance(m, 0.5, 0) == pytest.approx(4 / 3, abs=1e-12)
-    assert tv_covariance(m, 0.5, 1) == pytest.approx(-2 / 3, abs=1e-12)
-    assert tv_covariance(m, 0.5, -1) == pytest.approx(-2 / 3, abs=1e-12)
-    assert tv_covariance(m, 0.5, 2) == pytest.approx(1 / 3, abs=1e-12)
+    assert ar_autocov(m, 0.5, 0)[0] == pytest.approx(4 / 3, abs=1e-12)
+    assert ar_autocov(m, 0.5, 1)[1] == pytest.approx(-2 / 3, abs=1e-12)
+    assert ar_autocov(m, 0.5, 2)[2] == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_tv_covariance_stationary_ar2_closed_form():
@@ -452,8 +451,7 @@ def test_tv_covariance_stationary_ar2_closed_form():
         rho.append(phi1 * rho[-1] + phi2 * rho[-2])
     expected = c0 * np.array(rho)
     for k in range(5):
-        assert tv_covariance(m, 0.3, k) == pytest.approx(expected[k], rel=0, abs=1e-13)
-        assert tv_covariance(m, 0.3, -k) == pytest.approx(expected[k], rel=0, abs=1e-13)
+        assert ar_autocov(m, 0.3, k)[k] == pytest.approx(expected[k], rel=0, abs=1e-13)
     np.testing.assert_allclose(ar_autocov(m, [0.2, 0.9], 4), [expected, expected], rtol=0, atol=1e-13)
 
 
@@ -496,14 +494,14 @@ def test_ar_autocov_refuses_a_fractional_lag():
 
 
 def test_tv_covariance_refuses_a_fractional_lag():
-    # a fractional lag is refused, not truncated to the lag-1 value
+    # a fractional lag is refused, not truncated to the lag-1 value, and so is a time of None
     model = white_noise_model(1.0)
     for k in (1.5, "abc", None):
-        with pytest.raises(ValueError, match="k must"):
-            tv_covariance(model, 0.5, k)
-    with pytest.raises(ValueError, match="u must"):
-        tv_covariance(model, None, 0)
-    assert tv_covariance(model, 0.5, -1.0) == tv_covariance(model, 0.5, 1) == 0.0
+        with pytest.raises(ValueError, match="max_lag must"):
+            ar_autocov(model, 0.5, k)
+    with pytest.raises(ValueError, match="rescaled time must be finite"):
+        ar_autocov(model, None, 0)
+    assert ar_autocov(model, 0.5, 1.0)[1] == ar_autocov(model, 0.5, 1)[1] == 0.0
 
 
 @pytest.mark.parametrize("p", range(5))
@@ -527,9 +525,9 @@ def test_coeff_autocorr_matches_a_correlate_oracle(p, kind):
 
 def test_tv_covariance_tracks_local_variance():
     m = TvARModel(0, [], SampledCurve([1.0, 3.0]))
-    assert tv_covariance(m, 0.25, 0) == pytest.approx(1.0, abs=1e-12)
-    assert tv_covariance(m, 0.75, 0) == pytest.approx(3.0, abs=1e-12)
-    assert tv_covariance(m, 0.75, 1) == pytest.approx(0.0, abs=1e-12)
+    assert ar_autocov(m, 0.25, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert ar_autocov(m, 0.75, 0)[0] == pytest.approx(3.0, abs=1e-12)
+    assert ar_autocov(m, 0.75, 1)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simulated_variance_follows_step_curve():
