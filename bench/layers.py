@@ -45,7 +45,6 @@ def layers(n):
     # imported here, so that NumPy loads only in the child interpreters
     from locstat import (
         ConstantCurve,
-        FitConfig,
         FrequencyGrid,
         PrePeriodogram,
         SampledCurve,
@@ -68,7 +67,7 @@ def layers(n):
 
     model = default_rate_model()
     x = simulate_tvar(model, n, 0)
-    pre, grid, weight, config = PrePeriodogram(x), FrequencyGrid(GRID_SIZE), ar_inverse_weight(model), FitConfig(p=1)
+    pre, grid, weight = PrePeriodogram(x), FrequencyGrid(GRID_SIZE), ar_inverse_weight(model)
     squares, k_n, eps = x.values[1:] ** 2, default_knots(n), default_eps(n)
     tail = TailStudySpec.from_design("linear", n, TAIL_REPLICATIONS, TAIL_ETAS)
     g = TvARModel(1, [SampledCurve([0.5, -0.3])], model.sigma2)
@@ -80,7 +79,7 @@ def layers(n):
         ("whittle_contrast", lambda: whittle_contrast(x, model)),
         ("likelihood_gap", lambda: likelihood_gap(x, model)),
         ("sieve_pava", lambda: sieve_pava(squares, n, 1, k_n, eps)),
-        ("fit_monotone_tvar", lambda: fit_monotone_tvar(x, config)),
+        ("fit_monotone_tvar", lambda: fit_monotone_tvar(x, p=1)),
         ("fit_fourier_tvar", lambda: fit_fourier_tvar(x, 1)),
         ("chi2_tail_study", lambda: chi2_tail_study(tail)),
         ("divergence_sandwich", lambda: divergence_sandwich(g, f)),

@@ -11,7 +11,6 @@ sieve-isotonic regression of the squared data.
 import numpy as np
 
 from locstat import (
-    FitConfig,
     curve_inverse_l2_distance,
     default_rate_model,
     fit_monotone_tvar,
@@ -24,7 +23,7 @@ def main(seed=11, n=2048):
     model = default_rate_model()  # alpha = 0.5, variance steps 1 -> 2 at u = 2/5
     series = simulate_tvar(model, n, seed=seed)
 
-    fit = fit_monotone_tvar(series, FitConfig(p=1))
+    fit = fit_monotone_tvar(series, p=1)
     print("== alternating fit, order p = 1 ==")
     print(f"k_n {fit.k_n}, eps {fit.eps:.4f}, iterations {fit.iterations}, "
           f"converged {fit.converged}, coefficients stable {fit.alpha_stable}")
@@ -40,7 +39,7 @@ def main(seed=11, n=2048):
     print(f"largest increase between consecutive iterations: {worst:.2e}")
 
     print("\n== order p = 0 collapses to one isotonic regression ==")
-    fit0 = fit_monotone_tvar(series, FitConfig(p=0))
+    fit0 = fit_monotone_tvar(series, p=0)
     direct = sieve_pava(series.values**2, n, 0, fit0.k_n, fit0.eps)
     gap = float(np.max(np.abs(fit0.sigma2_hat.knot_values - direct.knot_values)))
     print(f"iterations {fit0.iterations}, knot gap to direct sieve_pava: {gap:.2e}")

@@ -19,7 +19,6 @@ prop33          sqrt(n)-scaled bias of a spectral mean across sample sizes
 """
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import json
@@ -30,7 +29,7 @@ import numpy as np
 
 from .curves import ConstantCurve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
 from .espec import TailStudySpec, bias_scaling_study, chi2_tail_study, limit_covariance, spectral_process_sample
-from .estimator import FitConfig, fit_monotone_tvar
+from .estimator import fit_monotone_tvar
 from .harness import (
     default_rate_model,
     likelihood_equivalence_decay,
@@ -171,8 +170,9 @@ def _cmd_simulate(args):
     model = model_from_json(config, "config") if config else default_rate_model()
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
+    mean, var = float(np.mean(x.values)), float(np.var(x.values))  # an overflow here leaves no --out
     _write_outputs(args, {"series.csv": x}, text, seed, extra={"n": args.n, "model": model.describe()})
-    print(f"n={args.n} seed={seed} mean={float(np.mean(x.values)):.6g} var={float(np.var(x.values)):.6g}")
+    print(f"n={args.n} seed={seed} mean={mean:.6g} var={var:.6g}")
     return 0
 
 
@@ -214,9 +214,9 @@ def _cmd_likelihood_eval(args):
 def _cmd_fit(args):
     x = TimeSeries.from_csv(args.series)
     config, text = _read_config(args)
-    check_spec_keys(config, [field.name for field in dataclasses.fields(FitConfig)], "config")
-    cfg = FitConfig(**config)
-    fit = fit_monotone_tvar(x, cfg)
+    allowed = [name for name in inspect.signature(fit_monotone_tvar).parameters if name != "series"]
+    check_spec_keys(config, allowed, "config")
+    fit = fit_monotone_tvar(x, **config)
     fitted_model = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     result = {
         "n": x.n,

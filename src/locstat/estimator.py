@@ -27,7 +27,6 @@ from .spectral import _series_values, _time_grid
 
 __all__ = [
     "DegenerateDataError",
-    "FitConfig",
     "FitResult",
     "FourierFitResult",
     "default_knots",
@@ -56,49 +55,6 @@ def default_eps(n):
     """Bound parameter (log n)^{-1/5}; requires log n > 1."""
     n = as_number(n, "n", int, 3)
     return math.log(n) ** -0.2
-
-
-@dataclass
-class FitConfig:
-    """Configuration of the alternating monotone-variance fit.
-
-    Attributes
-    ----------
-    p : int
-        AR order.
-    k_n : int or None
-        Sieve size; None selects ceil(n^{1/3} (log n)^{-2/3}).
-    eps : float or None
-        Bound parameter in (0, 1); None selects (log n)^{-1/5}.
-    max_iter : int
-        Maximum number of full (WLS + PAVA) iterations.
-    rel_tol : float
-        Stop when the objective decrease falls below
-        rel_tol * max(1, |previous|).
-    """
-
-    p: int = 1
-    k_n: int | None = None
-    eps: float | None = None
-    max_iter: int = 100
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        self.p = as_number(self.p, "p", int, 0)
-        self.max_iter = as_number(self.max_iter, "max_iter", int, 1)
-        self.rel_tol = as_number(self.rel_tol, "rel_tol", float)
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.eps is not None:
-            self.eps = _check_eps(self.eps)
-        if self.k_n is not None:
-            self.k_n = as_number(self.k_n, "k_n", int, 1)
-
-    def resolve(self, n):
-        """Concrete (k_n, eps) for a sample size."""
-        k = self.k_n if self.k_n is not None else default_knots(n)
-        e = self.eps if self.eps is not None else default_eps(n)
-        return k, e
 
 
 @dataclass
@@ -162,7 +118,7 @@ def _wls(lags, target, w):
     return coef
 
 
-def fit_monotone_tvar(series, config=None):
+def fit_monotone_tvar(series, p=1, k_n=None, eps=None, max_iter=100, rel_tol=1e-8):
     """Alternating fit of constant AR coefficients and a monotone variance.
 
     Starts from the sieve-isotonized squared data (the alpha = 0 residuals),
@@ -171,24 +127,48 @@ def fit_monotone_tvar(series, config=None):
     residuals.  Both half steps minimize the conditional likelihood exactly
     over their blocks, so the objective trace is nonincreasing.  Each
     iteration forms the squared residuals and the variances on the design
-    points once.  The run is a pure function of (series, config).
+    points once.  The run is a pure function of its arguments.
 
     Parameters
     ----------
     series : TimeSeries or array_like
-    config : FitConfig, optional
+    p : int
+        AR order.
+    k_n : int or None
+        Sieve size; None selects default_knots(n) = ceil(n^{1/3} (log n)^{-2/3}).
+    eps : float or None
+        Bound parameter in (0, 1); None selects default_eps(n) = (log n)^{-1/5}.
+    max_iter : int
+        Maximum number of full (WLS + PAVA) iterations.
+    rel_tol : float
+        Stop when the objective decrease falls below
+        rel_tol * max(1, |previous|).
 
     Returns
     -------
     FitResult
+        Its k_n and eps are the values the fit used.
+
+    Raises
+    ------
+    ValueError
+        On a bad keyword, before the series is read, or a series too short.
     """
-    config = config or FitConfig()
+    p = as_number(p, "p", int, 0)
+    max_iter = as_number(max_iter, "max_iter", int, 1)
+    rel_tol = as_number(rel_tol, "rel_tol", float)
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
+    if eps is not None:
+        eps = _check_eps(eps)
+    if k_n is not None:
+        k_n = as_number(k_n, "k_n", int, 1)
     x = _series_values(series)
     n = len(x)
-    p = config.p
     if n <= p:
         raise ValueError(f"need more than p={p} observations")
-    k_n, eps = config.resolve(n)
+    k_n = k_n if k_n is not None else default_knots(n)
+    eps = eps if eps is not None else default_eps(n)
 
     u = np.arange(p + 1, n + 1) / n
     lags = _lag_matrix(x, p) if p else None
@@ -206,7 +186,7 @@ def fit_monotone_tvar(series, config=None):
         eps=eps,
     )
 
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if p:
             alpha = _wls(lags, x[p:], 1.0 / s2)
         e2 = _residuals(x, alpha) ** 2
@@ -217,7 +197,7 @@ def fit_monotone_tvar(series, config=None):
         result.wls_trace.append(after_wls)
         result.objective_trace.append(after_pava)
         result.iterations = it
-        if current - after_pava <= config.rel_tol * max(1.0, abs(current)):
+        if current - after_pava <= rel_tol * max(1.0, abs(current)):
             result.converged = True
             current = after_pava
             break

@@ -20,8 +20,8 @@ import numpy as np
 from .curves import ConstantCurve, FourierCurve, SampledCurve, as_number, as_numbers
 from .espec import replication_seed
 from .estimator import (
-    FitConfig,
     curve_inverse_l2_distance,
+    default_eps,
     default_knots,
     fit_monotone_tvar,
     inverse_l2_distance,
@@ -99,8 +99,8 @@ def _median(values):
     return float(v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2)
 
 
-def _rate_one(cfg, model, x):
-    fit = fit_monotone_tvar(x, cfg)
+def _rate_one(model, x, p, k_n, eps):
+    fit = fit_monotone_tvar(x, p=p, k_n=k_n, eps=eps)
     fitted = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     err_spec = inverse_l2_distance(fitted, model)
     err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2)
@@ -151,26 +151,25 @@ def rate_study(model=None, n_list=(256, 512, 1024, 2048, 4096), replications=50,
 
     rows = []
     for n in n_list:
-        cfg = FitConfig(p=p, k_n=study_knots(n))
+        k_n, eps = study_knots(n), default_eps(n)
         # common random numbers: replication r reuses one innovation stream
         # for every n, so cross-n median comparisons see the systematic trend
         # rather than independent per-n draws
         batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
-        results = [_rate_one(cfg, model, x) for x in batch]
-        cfg_k, cfg_eps = cfg.resolve(n)
+        results = [_rate_one(model, x, p, k_n, eps) for x in batch]
         on_bounds = sum(res["knots_on_bounds"] for res in results)
         rows.append(
             {
                 "n": n,
-                "k_n": cfg_k,
-                "eps": cfg_eps,
+                "k_n": k_n,
+                "eps": eps,
                 "median_err_spectrum": _median([res["err_spectrum"] for res in results]),
                 "median_err_variance": _median([res["err_variance"] for res in results]),
                 "median_iterations": _median([res["iterations"] for res in results]),
                 "all_converged": bool(all(res["converged"] for res in results)),
                 "all_alpha_stable": bool(all(res["alpha_stable"] for res in results)),
                 "knots_on_bounds": on_bounds,
-                "clipped_frac": on_bounds / (replications * cfg_k),
+                "clipped_frac": on_bounds / (replications * k_n),
             }
         )
 

@@ -19,7 +19,7 @@ from locstat.espec import (
     limit_covariance,
     spectral_process_sample,
 )
-from locstat.estimator import FitConfig, fit_fourier_tvar, fit_monotone_tvar
+from locstat.estimator import fit_fourier_tvar, fit_monotone_tvar
 from locstat.harness import (
     default_rate_model,
     likelihood_equivalence_decay,
@@ -325,9 +325,9 @@ def test_criterion_08_descent_and_determinism():
     fits = 0
     for seed in range(4):
         x = simulate_tvar(model, 512, seed=seed)
-        for cfg, slack in ((FitConfig(p=1, eps=0.01), 1e-12), (FitConfig(p=1), 1e-8)):
-            first = fit_monotone_tvar(x, cfg)
-            second = fit_monotone_tvar(x, cfg)
+        for cfg, slack in (({"p": 1, "eps": 0.01}, 1e-12), ({"p": 1}, 1e-8)):
+            first = fit_monotone_tvar(x, **cfg)
+            second = fit_monotone_tvar(x, **cfg)
             fits += 1
             trace = [first.objective_trace[0]]
             for a, b in zip(first.wls_trace, first.pava_trace):

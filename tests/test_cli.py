@@ -11,7 +11,7 @@ import locstat
 from locstat.cli import build_parser, main
 from locstat.curves import ConstantCurve, FourierCurve
 from locstat.espec import TailStudySpec, bias_scaling_study, chi2_tail_study, spectral_process_sample
-from locstat.estimator import FitConfig
+from locstat.estimator import fit_monotone_tvar
 from locstat.harness import likelihood_equivalence_decay, rate_study, read_rows_csv, write_rows_csv
 from locstat.process import TimeSeries, TvARModel
 
@@ -292,7 +292,7 @@ def test_unknown_config_key_rejected(tmp_path, command, extra):
         ("clt-study", spectral_process_sample),
         ("prop33", bias_scaling_study),
         ("equivalence", likelihood_equivalence_decay),
-        ("fit", FitConfig),
+        ("fit", fit_monotone_tvar),
     ],
 )
 def test_config_keys_are_the_call_parameters(tmp_path, capsys, command, call):
@@ -302,7 +302,8 @@ def test_config_keys_are_the_call_parameters(tmp_path, capsys, command, call):
     message = refused([command, *extra, "--config", str(cfg), "--out", str(tmp_path / "out")], capsys)
     head, allowed = message.split("; allowed: ")
     assert head == f"{command}: unknown config key(s) kn"
-    assert allowed.split(", ") == list(inspect.signature(call).parameters)
+    # the fit's series comes from --series, never from the config
+    assert allowed.split(", ") == [name for name in inspect.signature(call).parameters if name != "series"]
 
 
 def test_equivalence_passes_model_through(tmp_path):
@@ -512,6 +513,18 @@ def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
     out = tmp_path / "sim"
     message = refused(["simulate", "--n", value, "--out", str(out)], capsys)
     assert message == f"simulate: n must be at least 1, got {value}"
+    assert not out.exists()
+
+
+def test_simulate_summary_overflow_writes_nothing(tmp_path, capsys):
+    # the series is finite, but its squares overflow in the stdout summary,
+    # which is computed before --out is created
+    model = {"p": 1, "alpha": [{"type": "constant", "value": 0.999999}], "sigma2": {"type": "constant", "value": 1e308}}
+    cfg = tmp_path / "model.json"
+    cfg.write_text(json.dumps(model))
+    out = tmp_path / "sim"
+    message = refused(["simulate", "--n", "64", "--config", str(cfg), "--out", str(out)], capsys)
+    assert message.startswith("simulate: ")
     assert not out.exists()
 
 

@@ -13,7 +13,7 @@ from locstat.curves import (
     curve_from_spec,
     curve_to_spec,
 )
-from locstat.estimator import FitConfig
+from locstat.estimator import fit_monotone_tvar
 from locstat.isotonic import sieve_pava
 
 
@@ -87,7 +87,7 @@ def test_eps_needs_finite_positive_bounds(eps):
     with pytest.raises(ValueError, match=message):
         MonotoneStepCurve([1.0], eps=eps)
     with pytest.raises(ValueError, match=message):
-        FitConfig(eps=eps)
+        fit_monotone_tvar(np.ones(9), eps=eps)
     with pytest.raises(ValueError, match=message):
         sieve_pava(np.ones(9), 10, 1, 3, eps)
 

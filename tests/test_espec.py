@@ -164,7 +164,7 @@ def refuse(*args, **kwargs):
     raise AssertionError("eigensolver called")
 np.linalg.eigvals = np.linalg.eig = np.roots = refuse
 import locstat.cli
-from locstat.estimator import FitConfig, fit_monotone_tvar
+from locstat.estimator import fit_monotone_tvar
 from locstat.harness import wavy_alpha_model
 from locstat.process import TvARModel, check_stability, simulate_tvar
 from locstat.curves import ConstantCurve
@@ -178,7 +178,7 @@ model = wavy_alpha_model()
 assert check_stability([1.5, 0.56]) and not check_stability([1.2])
 TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.2)], ConstantCurve(1.0))
 # the fit reports alpha_stable through check_stability
-fit_monotone_tvar(simulate_tvar(model, 512, seed=0).values, FitConfig(p=2))
+fit_monotone_tvar(simulate_tvar(model, 512, seed=0).values, p=2)
 print("numpy.ma" in sys.modules)
 """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(process.__file__))}

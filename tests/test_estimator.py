@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 from collections import Counter
 
@@ -13,7 +14,6 @@ from locstat.estimator import (
     DISTANCE_CELLS,
     FOURIER_MARGIN,
     DegenerateDataError,
-    FitConfig,
     default_eps,
     default_knots,
     curve_inverse_l2_distance,
@@ -50,24 +50,41 @@ def test_default_knots_and_eps_frozen():
         default_eps(2)
 
 
-def test_fit_config_validation():
-    FitConfig(p=0, k_n=1, eps=0.5)
-    with pytest.raises(ValueError):
-        FitConfig(p=-1)
-    with pytest.raises(ValueError):
-        FitConfig(eps=1.0)
-    with pytest.raises(ValueError):
-        FitConfig(k_n=0)
-    with pytest.raises(ValueError):
-        FitConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        FitConfig(rel_tol=0.0)
+def test_fit_keywords_are_checked_before_the_series():
+    x = simulate_tvar(step_model(), 256, seed=7)
+    fit_monotone_tvar(x, p=0, k_n=1, eps=0.5)
+    with pytest.raises(ValueError, match="^p must be at least 0"):
+        fit_monotone_tvar(x, p=-1)
+    with pytest.raises(ValueError, match="^eps must lie in"):
+        fit_monotone_tvar(x, eps=1.0)
+    with pytest.raises(ValueError, match="^k_n must be at least 1"):
+        fit_monotone_tvar(x, k_n=0)
+    with pytest.raises(ValueError, match="^max_iter must be at least 1"):
+        fit_monotone_tvar(x, max_iter=0)
+    with pytest.raises(ValueError, match="^rel_tol must be positive$"):
+        fit_monotone_tvar(x, rel_tol=0.0)
     for bad in ({"k_n": "abc"}, {"k_n": 1.5}, {"eps": "abc"}, {"eps": [0.5]}, {"p": None}, {"max_iter": {}}):
-        with pytest.raises(ValueError):
-            FitConfig(**bad)
-    assert (FitConfig(k_n=4.0).k_n, FitConfig(eps="0.25").eps) == (4, 0.25)
-    assert FitConfig(p=1).resolve(256) == (3, pytest.approx(math.log(256) ** -0.2))
-    assert FitConfig(p=1, k_n=7, eps=0.3).resolve(256) == (7, 0.3)
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            fit_monotone_tvar(x, **bad)
+    # a bad keyword is named before the series is read, in the order p,
+    # max_iter, rel_tol, eps, k_n
+    with pytest.raises(ValueError, match="finite"):
+        fit_monotone_tvar(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="^eps must lie in"):
+        fit_monotone_tvar(np.array([1.0, np.nan]), eps=2.0)
+    with pytest.raises(ValueError, match="^max_iter must be"):
+        fit_monotone_tvar(x, k_n=0, eps=2.0, rel_tol=-1.0, max_iter=0)
+
+
+def test_fit_resolves_and_records_its_settings():
+    x = simulate_tvar(step_model(), 256, seed=7)
+    res = fit_monotone_tvar(x, p=1, k_n=4.0, eps="0.25")
+    assert (res.k_n, res.eps) == (4, 0.25)
+    assert (type(res.k_n), type(res.eps)) == (int, float)
+    res = fit_monotone_tvar(x, p=1)
+    assert (res.k_n, res.eps) == (3, math.log(256) ** -0.2) == (default_knots(256), default_eps(256))
+    res = fit_monotone_tvar(x, p=1, k_n=7, eps=0.3)
+    assert (res.k_n, res.eps) == (7, 0.3)
 
 
 def wls(x, sigma2, p):
@@ -109,7 +126,7 @@ def test_monotone_fit_descent_with_loose_bounds():
     # is an exact block minimizer, so the trace decreases to round-off
     m = step_model()
     x = simulate_tvar(m, 512, seed=3)
-    res = fit_monotone_tvar(x, FitConfig(p=1, eps=0.01))
+    res = fit_monotone_tvar(x, p=1, eps=0.01)
     full = [res.objective_trace[0]]
     for a, b in zip(res.wls_trace, res.pava_trace):
         full.extend([a, b])
@@ -120,7 +137,7 @@ def test_monotone_fit_descent_with_loose_bounds():
 def test_monotone_fit_descent_with_binding_bounds():
     m = step_model()
     x = simulate_tvar(m, 512, seed=4)
-    res = fit_monotone_tvar(x, FitConfig(p=1, eps=0.8))  # bounds [0.64, 1.5625] bind
+    res = fit_monotone_tvar(x, p=1, eps=0.8)  # bounds [0.64, 1.5625] bind
     full = [res.objective_trace[0]]
     for a, b in zip(res.wls_trace, res.pava_trace):
         full.extend([a, b])
@@ -131,8 +148,8 @@ def test_monotone_fit_descent_with_binding_bounds():
 def test_monotone_fit_fixed_point_rerun():
     m = step_model()
     x = simulate_tvar(m, 512, seed=5)
-    cfg = FitConfig(p=1)
-    res = fit_monotone_tvar(x, cfg)
+    res = fit_monotone_tvar(x, p=1)
+    rel_tol = inspect.signature(fit_monotone_tvar).parameters["rel_tol"].default
     # one more iteration from the fitted variance moves neither the objective nor alpha;
     # the fit scores its candidates without validating them, and so does this rerun
     n = len(x.values)
@@ -142,7 +159,7 @@ def test_monotone_fit_fixed_point_rerun():
     again = _conditional(resid ** 2, sigma.values(np.arange(2, n + 1) / n), n)
     # the fitted alpha is stable, so the public contrast gives the same score
     assert again == likelihood_gap(x, TvARModel.from_coefficients(alpha, sigma))["conditional"]
-    assert abs(again - res.objective) <= cfg.rel_tol * max(1.0, abs(res.objective))
+    assert abs(again - res.objective) <= rel_tol * max(1.0, abs(res.objective))
     assert abs(alpha[0] - res.alpha_hat[0]) < 1e-3
 
 
@@ -166,7 +183,7 @@ def test_monotone_fit_forms_each_quantity_once(monkeypatch):
     monkeypatch.setattr(TimeSeries, "__init__", counting("series", TimeSeries.__init__))
     x = simulate_tvar(default_rate_model(), 2048, seed=3)
     counts.clear()
-    res = fit_monotone_tvar(x, FitConfig(p=1))
+    res = fit_monotone_tvar(x, p=1)
     assert res.iterations == 3
     assert counts == {"residuals": 4, "values": 4, "series": 1}
 
@@ -174,7 +191,7 @@ def test_monotone_fit_forms_each_quantity_once(monkeypatch):
 def test_monotone_fit_recovers_step_model():
     m = step_model()
     x = simulate_tvar(m, 2048, seed=6)
-    res = fit_monotone_tvar(x, FitConfig(p=1))
+    res = fit_monotone_tvar(x, p=1)
     assert res.converged
     assert res.alpha_stable
     assert abs(res.alpha_hat[0] - 0.5) < 0.1
@@ -186,7 +203,7 @@ def test_monotone_fit_recovers_step_model():
 def test_monotone_fit_counts_knots_on_the_bounds(scale, at_lower, at_upper):
     # the sieve's bounds do not scale with the data, so rescaled series clip
     x = simulate_tvar(step_model(), 2048, seed=3).values * scale
-    res = fit_monotone_tvar(x, FitConfig(p=1))
+    res = fit_monotone_tvar(x, p=1)
     knots = res.sigma2_hat.knot_values
     assert res.sigma2_hat.knots == 4
     assert (res.knots_at_lower, res.knots_at_upper) == (at_lower, at_upper)
@@ -197,7 +214,7 @@ def test_monotone_fit_counts_knots_on_the_bounds(scale, at_lower, at_upper):
 def test_monotone_fit_near_profile_minimum():
     m = step_model()
     x = simulate_tvar(m, 512, seed=3)
-    res = fit_monotone_tvar(x, FitConfig(p=1))
+    res = fit_monotone_tvar(x, p=1)
     n = len(x.values)
     a0 = float(res.alpha_hat[0])
     for da in (-0.05, -0.01, 0.01, 0.05):
@@ -209,7 +226,7 @@ def test_monotone_fit_near_profile_minimum():
 
 def test_monotone_fit_order_zero_is_variance_only():
     x = simulate_tvar(step_model(), 256, seed=7)
-    res = fit_monotone_tvar(x, FitConfig(p=0, k_n=3, eps=0.1))
+    res = fit_monotone_tvar(x, p=0, k_n=3, eps=0.1)
     assert res.alpha_hat.size == 0
     direct = sieve_pava(x.values**2, 256, 0, 3, 0.1)
     np.testing.assert_array_equal(res.sigma2_hat.knot_values, direct.knot_values)
@@ -217,8 +234,8 @@ def test_monotone_fit_order_zero_is_variance_only():
 
 def test_monotone_fit_deterministic():
     x = simulate_tvar(step_model(), 300, seed=8)
-    r1 = fit_monotone_tvar(x, FitConfig(p=1))
-    r2 = fit_monotone_tvar(x, FitConfig(p=1))
+    r1 = fit_monotone_tvar(x, p=1)
+    r2 = fit_monotone_tvar(x, p=1)
     np.testing.assert_array_equal(r1.alpha_hat, r2.alpha_hat)
     np.testing.assert_array_equal(r1.sigma2_hat.knot_values, r2.sigma2_hat.knot_values)
     assert r1.objective_trace == r2.objective_trace
@@ -226,7 +243,7 @@ def test_monotone_fit_deterministic():
 
 def test_monotone_fit_short_series_raises():
     with pytest.raises(ValueError):
-        fit_monotone_tvar(np.array([1.0]), FitConfig(p=1))
+        fit_monotone_tvar(np.array([1.0]), p=1)
 
 
 def test_fourier_objective_is_whittle_contrast_of_fit():

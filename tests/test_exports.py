@@ -54,6 +54,8 @@ REMOVED_FROM = {
     # the empirical spectral functional is the lag sum alone; its quadrature
     # and quadratic-form sums are test oracles
     "spectral_functional": {"path", "grid"},
+    # the fit's settings are its keywords
+    "fit_monotone_tvar": {"config"},
 }
 
 
@@ -90,6 +92,7 @@ def test_no_public_callable_takes_a_removed_option():
         "coeff_autocorr",
         "rate_study",
         "spectral_functional",
+        "fit_monotone_tvar",
         "TvARModel.validate",
         "TailStudySpec.from_design",
     } <= {name for name, _ in _public_callables()}
@@ -101,8 +104,9 @@ def test_no_public_callable_takes_a_removed_option():
 # step of fit_monotone_tvar alone, the rate study's parameters and defaults
 # are rate_study's keywords and its result is (rows, summary), the
 # Kolmogorov identity of the AR log spectrum is a test oracle, the local
-# covariance is ar_autocov(model, u, k)[..., k] and the conditional contrast
-# is likelihood_gap(series, g)["conditional"].
+# covariance is ar_autocov(model, u, k)[..., k], the conditional contrast
+# is likelihood_gap(series, g)["conditional"] and the fit's settings are
+# fit_monotone_tvar's keywords.
 REMOVED_NAMES = {
     "kl_divergence",
     "log_riemann_remainder",
@@ -112,6 +116,7 @@ REMOVED_NAMES = {
     "ar_log_spectrum_integral",
     "tv_covariance",
     "conditional_likelihood",
+    "FitConfig",
 }
 
 
@@ -165,3 +170,13 @@ def test_study_defaults_live_in_the_library_calls():
     tables = ("TAIL_DEFAULTS", "CLT_DEFAULTS", "PROP33_DEFAULTS", "_tail_spec")
     assert [name for name in tables if hasattr(locstat.cli, name)] == []
     assert not hasattr(locstat.harness, "EQUIVALENCE_SEED")
+    # and so are the fit's, which no config class holds
+    defaults = {name: param.default for name, param in inspect.signature(locstat.fit_monotone_tvar).parameters.items()}
+    assert defaults == {
+        "series": inspect.Parameter.empty,
+        "p": 1,
+        "k_n": None,
+        "eps": None,
+        "max_iter": 100,
+        "rel_tol": 1e-8,
+    }

@@ -20,7 +20,7 @@ from locstat.harness import (
     write_rows_csv,
 )
 from locstat.espec import replication_seed
-from locstat.estimator import FitConfig, fit_monotone_tvar
+from locstat.estimator import fit_monotone_tvar
 from locstat.process import check_stability, simulate_tvar_batch
 
 
@@ -107,9 +107,8 @@ def test_rate_rows_count_the_knots_on_the_bounds():
         # appended after the columns that were there before
         assert list(row)[-2:] == ["knots_on_bounds", "clipped_frac"]
         seeds = [replication_seed(seed, r) for r in range(replications)]
-        cfg = FitConfig(p=1, k_n=study_knots(n))
-        fits = [fit_monotone_tvar(x, cfg) for x in simulate_tvar_batch(model, n, seeds)]
-        assert all(fit.sigma2_hat.knots == row["k_n"] for fit in fits)
+        fits = [fit_monotone_tvar(x, p=1, k_n=study_knots(n)) for x in simulate_tvar_batch(model, n, seeds)]
+        assert all(fit.sigma2_hat.knots == row["k_n"] and fit.eps == row["eps"] for fit in fits)
         assert row["knots_on_bounds"] == sum(fit.knots_at_lower + fit.knots_at_upper for fit in fits)
         assert row["clipped_frac"] == row["knots_on_bounds"] / (replications * row["k_n"])
     assert rows[0]["knots_on_bounds"] > 0
