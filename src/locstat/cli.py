@@ -196,7 +196,6 @@ def _cmd_preperiodogram(args):
 
 
 def _cmd_likelihood_eval(args):
-    x = TimeSeries.from_csv(args.series)
     if args.config is None:
         raise ValueError("needs --config with a candidate model")
     config, text = _read_config(args)
@@ -204,6 +203,7 @@ def _cmd_likelihood_eval(args):
         model = _config_model(config)  # accept fit.json output directly
     else:
         model = model_from_json(config, "config")
+    x = TimeSeries.from_csv(args.series)  # read once the config is checked
     constant_alpha = all(isinstance(c, ConstantCurve) for c in model.alpha)
     result = {"n": x.n, **likelihood_gap(x, model), "constant_alpha": constant_alpha}
     _write_outputs(args, {"likelihood.json": result}, text, None)
@@ -212,10 +212,10 @@ def _cmd_likelihood_eval(args):
 
 
 def _cmd_fit(args):
-    x = TimeSeries.from_csv(args.series)
     config, text = _read_config(args)
     allowed = [name for name in inspect.signature(fit_monotone_tvar).parameters if name != "series"]
     check_spec_keys(config, allowed, "config")
+    x = TimeSeries.from_csv(args.series)  # read once the config keys are checked
     fit = fit_monotone_tvar(x, **config)
     fitted_model = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
     result = {

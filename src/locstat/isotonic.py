@@ -11,31 +11,14 @@ time by pool-adjacent-violators, equivalently as the right derivative of the
 greatest convex minorant of the cumulative sum diagram.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .curves import MonotoneStepCurve, _check_eps, as_number
 
 __all__ = [
-    "IsotonicFit",
     "pava_monotone",
     "sieve_pava",
 ]
-
-
-class IsotonicFit(NamedTuple):
-    """Result of an isotonic regression.
-
-    Attributes
-    ----------
-    values : ndarray
-        Fitted value for each input position, nondecreasing.  Adjacent pooled
-        blocks have strictly increasing means, so each level set of values is
-        one block.
-    """
-
-    values: np.ndarray
 
 
 def _pool(values, weights):
@@ -72,7 +55,10 @@ def pava_monotone(values, weights=None):
 
     Returns
     -------
-    IsotonicFit
+    ndarray
+        Fitted value for each input position, nondecreasing.  Adjacent pooled
+        blocks have strictly increasing means, so each level set of the fit is
+        one block.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -87,7 +73,7 @@ def pava_monotone(values, weights=None):
             raise ValueError("weights must match values")
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ValueError("weights must be positive and finite")
-    return IsotonicFit(_pool(values, weights))
+    return _pool(values, weights)
 
 
 def sieve_pava(squared_residuals, n, p, k_n, eps):
@@ -149,7 +135,7 @@ def sieve_pava(squared_residuals, n, p, k_n, eps):
     fit = pava_monotone(means, kept_counts)
     # map fitted chunk values back to every knot j >= jmin
     owner = np.searchsorted(kept_t, t_of_j)
-    vals = np.clip(fit.values[owner], eps ** 2, 1.0 / eps ** 2)
+    vals = np.clip(fit[owner], eps ** 2, 1.0 / eps ** 2)
 
     full = np.concatenate([np.full(jmin - 1, vals[0]), vals])
     return MonotoneStepCurve(full, eps)

@@ -34,8 +34,6 @@ __all__ = [
     "PrePeriodogram",
     "TestFunction",
     "NormReport",
-    "ResourceLimitError",
-    "periodogram",
     "spectral_functional",
     "spectral_functional_limit",
     "quadratic_form_matrix",
@@ -51,10 +49,6 @@ VARIATION_GRID = 2048
 TIME_CELLS = 4096  # midpoint cells in u of spectral_functional_limit and kl_contrast
 GRID_CHUNK_ROWS = 64  # pre-periodogram rows filled per pass of evaluate_grid
 GRID_BLOCK_NODES = 64  # grid nodes per cosine block in evaluate_grid, small enough to stay in cache
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a dense matrix would exceed the documented size cap."""
 
 
 class FrequencyGrid:
@@ -196,23 +190,6 @@ class PrePeriodogram:
         return np.divide(out, 2 * np.pi, out=out)
 
 
-def periodogram(series, lam):
-    """Ordinary periodogram I(lam) = |sum_t x_t e^{-i lam t}|^2 / (2 pi n).
-
-    Parameters
-    ----------
-    series : TimeSeries or array_like
-    lam : FrequencyGrid or array_like
-        Evaluation frequencies.
-    """
-    x = _series_values(series)
-    nodes = lam.nodes if isinstance(lam, FrequencyGrid) else np.asarray(lam, dtype=float)
-    n = len(x)
-    t = np.arange(1, n + 1)
-    dft = np.exp(-1j * np.outer(nodes, t)) @ x
-    return np.abs(dft) ** 2 / (2 * np.pi * n)
-
-
 class TestFunction:
     """Weight function phi(u, lam), given by its lag coefficients.
 
@@ -318,11 +295,11 @@ def quadratic_form_matrix(phi, n):
 
     For 1-based indices r, s in 1..n.  It represents the spectral functional
     as a quadratic form: mean-over-t of int phi J dlam equals
-    x' M x / (2 pi n).  Requires n <= 4096.
+    x' M x / (2 pi n).  Raises ValueError for n > MAX_DENSE_N = 4096.
     """
     n = as_number(n, "n", int, 1)
     if n > MAX_DENSE_N:
-        raise ResourceLimitError(f"dense kernel capped at n = {MAX_DENSE_N}")
+        raise ValueError(f"dense kernel capped at n = {MAX_DENSE_N}")
     U = np.zeros((n, n))
     K = min(phi.lag_support, n - 1)
     table = phi.lags(np.arange(1, n + 1) / n)

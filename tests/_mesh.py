@@ -1,8 +1,9 @@
 """Frequency-mesh oracles for the exact spectral paths of locstat.
 
-lag_products reads the pre-periodogram's index rule off its definition, and
-spectral_functional sums a weight against the pre-periodogram on a
-FrequencyGrid.  Each other function evaluates the spectra of its TvARModels through
+lag_products reads the pre-periodogram's index rule off its definition,
+periodogram is the ordinary periodogram that the pre-periodogram averages to
+over t, and spectral_functional sums a weight against the pre-periodogram on
+a FrequencyGrid.  Each other function evaluates the spectra of its TvARModels through
 ``process.spectral_density`` on the mesh of a midpoint u-grid of
 ``cells`` cells times the nodes of a FrequencyGrid, and sums the integrand
 there.  This is the slow path that every exact path of the library (lag
@@ -13,7 +14,7 @@ rounding, on any grid fine enough to integrate the integrand exactly.
 import numpy as np
 
 from locstat import process
-from locstat.spectral import PrePeriodogram
+from locstat.spectral import FrequencyGrid, PrePeriodogram
 
 
 def lag_products(x, k):
@@ -25,6 +26,17 @@ def lag_products(x, k):
     i, j = np.floor(t + 0.5 + k / 2).astype(int), np.floor(t + 0.5 - k / 2).astype(int)
     ok = (np.minimum(i, j) >= 1) & (np.maximum(i, j) <= n)
     return t[ok], x[i[ok] - 1] * x[j[ok] - 1]
+
+
+def periodogram(x, lam):
+    """Ordinary periodogram I(lam) = |sum_t x_t e^{-i lam t}|^2 / (2 pi n) at
+    the nodes of a FrequencyGrid or at an array of frequencies."""
+    x = np.asarray(getattr(x, "values", x), dtype=float)
+    nodes = lam.nodes if isinstance(lam, FrequencyGrid) else np.asarray(lam, dtype=float)
+    n = len(x)
+    t = np.arange(1, n + 1)
+    dft = np.exp(-1j * np.outer(nodes, t)) @ x
+    return np.abs(dft) ** 2 / (2 * np.pi * n)
 
 
 def midpoints(cells):

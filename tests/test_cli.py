@@ -508,6 +508,37 @@ def test_preperiodogram_bad_times_rejected_before_reading(tmp_path, times, token
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [('{"kn": 4}', "fit: unknown config key(s) kn; allowed: "), ("[4]", "fit: --config must hold a JSON object")],
+)
+def test_fit_config_is_checked_before_the_series(tmp_path, capsys, config, message):
+    # the series file does not exist: the config and its keys are checked first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    argv = ["fit", "--series", str(tmp_path / "none.csv"), "--config", str(cfg), "--out", str(out)]
+    assert refused(argv, capsys).startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (None, "likelihood-eval: needs --config with a candidate model"),
+        ('{"kn": 4}', "likelihood-eval: unknown config key(s) kn"),
+    ],
+)
+def test_likelihood_eval_config_is_checked_before_the_series(tmp_path, capsys, config, message):
+    # the series file does not exist: the candidate model is built first
+    argv = ["likelihood-eval", "--series", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert refused(argv, capsys).startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_simulate_n_below_one_rejected_at_parse_time(tmp_path, capsys, value):
     out = tmp_path / "sim"
@@ -554,8 +585,10 @@ def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
     series = tmp_path / "series.csv"
     if text is not None:
         series.write_bytes(text.encode())
+    # each command's config is valid, since it is checked before the series
+    config = {"fit": {"p": 1}, "likelihood-eval": TvARModel(0, [], ConstantCurve(1.0)).describe()}
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TvARModel(0, [], ConstantCurve(1.0)).describe()))
+    cfg.write_text(json.dumps(config.get(command)))
     extra = [] if command == "preperiodogram" else ["--config", str(cfg)]
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: .*{message}"):

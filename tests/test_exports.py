@@ -105,8 +105,10 @@ def test_no_public_callable_takes_a_removed_option():
 # are rate_study's keywords and its result is (rows, summary), the
 # Kolmogorov identity of the AR log spectrum is a test oracle, the local
 # covariance is ar_autocov(model, u, k)[..., k], the conditional contrast
-# is likelihood_gap(series, g)["conditional"] and the fit's settings are
-# fit_monotone_tvar's keywords.
+# is likelihood_gap(series, g)["conditional"], the fit's settings are
+# fit_monotone_tvar's keywords, the ordinary periodogram is a test oracle,
+# pava_monotone returns its fitted array and the dense-kernel cap raises
+# ValueError.
 REMOVED_NAMES = {
     "kl_divergence",
     "log_riemann_remainder",
@@ -117,6 +119,9 @@ REMOVED_NAMES = {
     "tv_covariance",
     "conditional_likelihood",
     "FitConfig",
+    "periodogram",
+    "IsotonicFit",
+    "ResourceLimitError",
 }
 
 
@@ -127,12 +132,8 @@ def test_no_module_exports_a_removed_name(name):
 
 
 def test_removed_names_are_not_attributes():
-    import locstat.estimator
-    import locstat.harness
-    import locstat.likelihood
-    import locstat.process
-
-    for module in (locstat, locstat.process, locstat.likelihood, locstat.estimator, locstat.harness):
+    modules = [locstat] + [importlib.import_module(f"locstat.{name}") for name in LIBRARY]
+    for module in modules:
         assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
     assert REMOVED_NAMES.isdisjoint(locstat.__all__)
 

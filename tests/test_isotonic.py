@@ -33,25 +33,24 @@ def level_set_stops(values):
 
 
 def test_pava_frozen_examples():
-    np.testing.assert_allclose(pava_monotone([3.0, 1.0, 2.0]).values, [2.0, 2.0, 2.0])
+    np.testing.assert_allclose(pava_monotone([3.0, 1.0, 2.0]), [2.0, 2.0, 2.0])
     fit = pava_monotone([1.0, 2.0, 0.5, 4.0])
-    np.testing.assert_allclose(fit.values, [1.0, 1.25, 1.25, 4.0])
-    stops = level_set_stops(fit.values)
+    np.testing.assert_allclose(fit, [1.0, 1.25, 1.25, 4.0])
+    stops = level_set_stops(fit)
     assert stops == [1, 3, 4]
-    np.testing.assert_allclose(fit.values[np.array(stops) - 1], [1.0, 1.25, 4.0])
+    np.testing.assert_allclose(fit[np.array(stops) - 1], [1.0, 1.25, 4.0])
 
 
-def test_isotonic_fit_is_a_record():
-    fit = pava_monotone([3.0, 1.0, 2.0])
-    assert fit._fields == ("values",)
-    (values,) = fit
-    assert values is fit.values
-    assert repr(fit).startswith("IsotonicFit(values=array([2., 2., 2.]")
+def test_pava_returns_the_fitted_array():
+    fit = pava_monotone([3.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    assert type(fit) is np.ndarray
+    assert fit.dtype == float and fit.shape == (3,)
+    assert repr(fit) == "array([2., 2., 2.])"
 
 
 def test_pava_already_monotone_is_identity():
     x = [0.5, 0.5, 1.0, 2.0]
-    np.testing.assert_array_equal(pava_monotone(x).values, x)
+    np.testing.assert_array_equal(pava_monotone(x), x)
 
 
 def test_pava_validation():
@@ -88,13 +87,13 @@ def gcm_slopes(values, weights):
 
 
 def test_gcm_matches_pava_and_frozen():
-    np.testing.assert_allclose(pava_monotone([5.0, 3.0]).values, [4.0, 4.0])
+    np.testing.assert_allclose(pava_monotone([5.0, 3.0]), [4.0, 4.0])
     np.testing.assert_allclose(gcm_slopes([5.0, 3.0], [1.0, 1.0]), [4.0, 4.0])
     rng = np.random.default_rng(5)
     for _ in range(30):
         v = rng.uniform(0.0, 3.0, 9)
         w = rng.uniform(0.5, 2.0, 9)
-        np.testing.assert_allclose(pava_monotone(v, w).values, gcm_slopes(v, w), atol=1e-12)
+        np.testing.assert_allclose(pava_monotone(v, w), gcm_slopes(v, w), atol=1e-12)
     with pytest.raises(ValueError):
         pava_monotone("not values")
 
@@ -109,8 +108,8 @@ def test_gcm_touches_diagram_at_block_ends():
         w = rng.uniform(0.5, 2.0, 12)
         fit = pava_monotone(v, w)
         diagram = np.concatenate([[0.0], np.cumsum(w * v)])
-        minorant = np.concatenate([[0.0], np.cumsum(w * fit.values)])
-        for stop in level_set_stops(fit.values):
+        minorant = np.concatenate([[0.0], np.cumsum(w * fit)])
+        for stop in level_set_stops(fit):
             assert minorant[stop] == pytest.approx(diagram[stop], abs=1e-12)
         assert np.all(minorant <= diagram + 1e-12)
 
@@ -120,7 +119,7 @@ def test_pava_matches_max_min_on_all_ternary_inputs():
     w = np.ones(6)
     worst = 0.0
     for combo in itertools.product(levels, repeat=6):
-        fit = pava_monotone(list(combo)).values
+        fit = pava_monotone(list(combo))
         oracle = max_min_fit(combo, w)
         worst = max(worst, float(np.max(np.abs(fit - oracle))))
     assert worst <= 1e-9
@@ -132,7 +131,7 @@ def test_pava_matches_max_min_with_weights():
     for _ in range(40):
         v = rng.choice([0.5, 1.0, 2.0, 3.0], 7)
         w = rng.uniform(0.2, 3.0, 7)
-        worst = max(worst, float(np.max(np.abs(pava_monotone(v, w).values - max_min_fit(v, w)))))
+        worst = max(worst, float(np.max(np.abs(pava_monotone(v, w) - max_min_fit(v, w)))))
     assert worst <= 1e-9
 
 
@@ -148,7 +147,7 @@ def test_pava_minimizes_gaussian_objective_over_grid():
     for _ in range(5):
         x = rng.uniform(0.3, 2.8, 4)
         w = rng.uniform(0.5, 2.0, 4)
-        best = obj(pava_monotone(x, w).values, x, w)
+        best = obj(pava_monotone(x, w), x, w)
         for cand in candidates:
             assert obj(cand, x, w) >= best - 1e-12
 
@@ -239,10 +238,10 @@ def test_sieve_pava_one_knot_is_clipped_global_mean():
 @settings(max_examples=200, deadline=None)
 def test_pava_properties(values):
     fit = pava_monotone(values)
-    assert np.all(np.diff(fit.values) >= 0)
-    assert np.sum(fit.values) == pytest.approx(np.sum(values), rel=1e-9, abs=1e-9)
-    again = pava_monotone(fit.values)
-    np.testing.assert_allclose(again.values, fit.values, rtol=0, atol=1e-12)
+    assert np.all(np.diff(fit) >= 0)
+    assert np.sum(fit) == pytest.approx(np.sum(values), rel=1e-9, abs=1e-9)
+    again = pava_monotone(fit)
+    np.testing.assert_allclose(again, fit, rtol=0, atol=1e-12)
 
 
 @given(

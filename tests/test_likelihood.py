@@ -18,7 +18,7 @@ from locstat.likelihood import (
     whittle_contrast,
 )
 from locstat.process import TvARModel, _as_model, check_stability, simulate_tvar, spectral_density, white_noise_model
-from locstat.spectral import FrequencyGrid, ar_inverse_weight, periodogram, spectral_functional
+from locstat.spectral import FrequencyGrid, ar_inverse_weight, spectral_functional
 
 
 class ExpCurve(Curve):
@@ -85,7 +85,7 @@ def test_whittle_stationary_candidate_is_classical_whittle():
     x = simulate_tvar(step_model(), 128, seed=5)
     g = SpectrumField.from_coefficients(np.array([0.3]), 1.2)
     grid = FrequencyGrid(4096)
-    per = periodogram(x, grid)
+    per = _mesh.periodogram(x, grid)
     gv = spectral_density(g, np.full(grid.size, 0.5), grid.nodes)
     classical = np.sum((np.log(gv) + per / gv) * grid.weight) / (4 * np.pi)
     assert whittle_contrast(x, g) == pytest.approx(classical, abs=1e-12)
