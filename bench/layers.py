@@ -44,7 +44,6 @@ def layers(n):
     """(name, call) for each layer at length n."""
     # imported here, so that NumPy loads only in the child interpreters
     from locstat import (
-        ConstantCurve,
         FrequencyGrid,
         PrePeriodogram,
         SampledCurve,
@@ -70,15 +69,15 @@ def layers(n):
     pre, grid, weight = PrePeriodogram(x), FrequencyGrid(GRID_SIZE), ar_inverse_weight(model)
     squares, k_n, eps = x.values[1:] ** 2, default_knots(n), default_eps(n)
     tail = TailStudySpec.from_design("linear", n, TAIL_REPLICATIONS, TAIL_ETAS)
-    g = TvARModel(1, [SampledCurve([0.5, -0.3])], model.sigma2)
-    f = TvARModel(1, [SampledCurve([0.2, 0.4, -0.1])], ConstantCurve(1.0))
+    g = TvARModel([SampledCurve([0.5, -0.3])], model.sigma2)
+    f = TvARModel([SampledCurve([0.2, 0.4, -0.1])], 1.0)
     return [
         ("simulate_tvar", lambda: simulate_tvar(model, n, 0)),
         ("evaluate_grid", lambda: pre.evaluate_grid(grid)),
         ("spectral_functional", lambda: spectral_functional(x, weight)),
         ("whittle_contrast", lambda: whittle_contrast(x, model)),
         ("likelihood_gap", lambda: likelihood_gap(x, model)),
-        ("sieve_pava", lambda: sieve_pava(squares, n, 1, k_n, eps)),
+        ("sieve_pava", lambda: sieve_pava(squares, n, k_n, eps)),
         ("fit_monotone_tvar", lambda: fit_monotone_tvar(x, p=1)),
         ("fit_fourier_tvar", lambda: fit_fourier_tvar(x, 1)),
         ("chi2_tail_study", lambda: chi2_tail_study(tail)),

@@ -40,7 +40,7 @@ def main(seed=11, n=2048):
 
     print("\n== order p = 0 collapses to one isotonic regression ==")
     fit0 = fit_monotone_tvar(series, p=0)
-    direct = sieve_pava(series.values**2, n, 0, fit0.k_n, fit0.eps)
+    direct = sieve_pava(series.values**2, n, fit0.k_n, fit0.eps)
     gap = float(np.max(np.abs(fit0.sigma2_hat.knot_values - direct.knot_values)))
     print(f"iterations {fit0.iterations}, knot gap to direct sieve_pava: {gap:.2e}")
 

@@ -16,7 +16,6 @@ a constant as n grows.
 import numpy as np
 
 from locstat import (
-    ConstantCurve,
     FourierCurve,
     SampledCurve,
     TvARModel,
@@ -26,21 +25,20 @@ from locstat import (
     limit_covariance,
     spectral_functional_limit,
     spectral_process_sample,
-    white_noise_model,
 )
 
 
 def main(seed=21, n=512, replications=3000):
     flat = constant_weight(1.0)
-    ar1 = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    ar1 = TvARModel([0.5], 1.0)
     cases = [
         # phi = 1 on unit noise: 2 pi * 2 * (1/2pi)^2 * 2pi = 2
-        ("unit noise, flat weight", white_noise_model(1.0), flat, 2.0),
+        ("unit noise, flat weight", TvARModel((), 1.0), flat, 2.0),
         # phi = 1, sigma^2 steps 1 -> 2: 2 mean(sigma^4) = (1 + 4) = 5
         ("variance step 1 -> 2, flat weight",
-         TvARModel(0, [], SampledCurve([1.0, 2.0])), flat, 5.0),
+         TvARModel([], SampledCurve([1.0, 2.0])), flat, 5.0),
         # phi = 2 pi (1.25 + cos lam) on unit noise: 4 pi int (1.25+cos)^2 = 16.5 pi^2
-        ("unit noise, AR-inverse weight", white_noise_model(1.0),
+        ("unit noise, AR-inverse weight", TvARModel((), 1.0),
          ar_inverse_weight(ar1), 16.5 * np.pi**2),
     ]
 
@@ -53,7 +51,7 @@ def main(seed=21, n=512, replications=3000):
 
     print("\n== exact finite-n expectation via the trace identity ==")
     phi = ar_inverse_weight(ar1)
-    wavy = TvARModel(1, [FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
+    wavy = TvARModel([FourierCurve(0.0, a=[0.5], b=[0.0])], 1.0)
     limit = spectral_functional_limit(phi, ar1)
     flat_limit = spectral_functional_limit(flat, ar1)
     wavy_limit = spectral_functional_limit(phi, wavy)

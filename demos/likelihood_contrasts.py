@@ -18,7 +18,6 @@ truth.
 import numpy as np
 
 from locstat import (
-    ConstantCurve,
     SampledCurve,
     divergence_sandwich,
     kl_contrast,
@@ -30,13 +29,13 @@ from locstat import (
 
 
 def main(seed=5):
-    truth = TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
+    truth = TvARModel([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
     x = simulate_tvar(truth, 1024, seed=seed)
 
     candidates = {
         "truth": truth,
-        "wrong alpha": TvARModel.from_coefficients([0.1], truth.sigma2),
-        "frozen sigma": TvARModel.from_coefficients([0.5], 1.6),
+        "wrong alpha": TvARModel([0.1], truth.sigma2),
+        "frozen sigma": TvARModel([0.5], 1.6),
     }
 
     print("== candidate ordering under both contrasts ==")
@@ -53,8 +52,8 @@ def main(seed=5):
         print(f"n={row['n']:5d}  median worst-candidate gap {row['median_gap']:.2e}")
 
     print("\n== divergence sandwich ==")
-    f = TvARModel.from_coefficients(np.array([0.5]), truth.sigma2)
-    g = TvARModel.from_coefficients(np.array([0.2]), ConstantCurve(1.3))
+    f = TvARModel([0.5], truth.sigma2)
+    g = TvARModel([0.2], 1.3)
     report = divergence_sandwich(g, f)
     excess = kl_contrast(g, f) - kl_contrast(f, f)
     print(

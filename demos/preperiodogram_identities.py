@@ -15,7 +15,6 @@ trustworthy as the building block of the spectral functionals:
 import numpy as np
 
 from locstat import (
-    ConstantCurve,
     FrequencyGrid,
     PrePeriodogram,
     SampledCurve,
@@ -29,7 +28,7 @@ from locstat import (
 
 
 def main(seed=3, n=96):
-    model = TvARModel(1, [ConstantCurve(0.4)], SampledCurve([0.8, 1.6]))
+    model = TvARModel([0.4], SampledCurve([0.8, 1.6]))
     series = simulate_tvar(model, n, seed=seed)
     J = PrePeriodogram(series)
     grid = FrequencyGrid(2 * n + 8)  # midpoint rule is exact at this size

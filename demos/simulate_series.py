@@ -13,7 +13,6 @@ local autocovariance and spectral-density evaluators.
 import numpy as np
 
 from locstat import (
-    ConstantCurve,
     SampledCurve,
     TvARModel,
     ar_autocov,
@@ -29,12 +28,12 @@ def lag1_corr(x):
 
 def main(seed=11, n=4000):
     # constant coefficient, variance stepping 1 -> 2 at u = 2/5
-    model = TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
+    model = TvARModel([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
     x = simulate_tvar(model, n, seed=seed).values
 
     print("== sign convention ==")
     print(f"alpha = +0.5 on the left  -> sample lag-1 corr {lag1_corr(x):+.3f} (theory -0.5)")
-    flipped = TvARModel(1, [ConstantCurve(-0.5)], ConstantCurve(1.0))
+    flipped = TvARModel([-0.5], 1.0)
     y = simulate_tvar(flipped, n, seed=seed).values
     print(f"alpha = -0.5 on the left  -> sample lag-1 corr {lag1_corr(y):+.3f} (theory +0.5)")
 

@@ -44,7 +44,6 @@ from .process import (
     TvARModel,
     model_from_json,
     simulate_tvar,
-    white_noise_model,
 )
 from .spectral import FrequencyGrid, PrePeriodogram, ar_inverse_weight, constant_weight, lag_curve_weight
 
@@ -217,7 +216,7 @@ def _cmd_fit(args):
     check_spec_keys(config, allowed, "config")
     x = TimeSeries.from_csv(args.series)  # read once the config keys are checked
     fit = fit_monotone_tvar(x, **config)
-    fitted_model = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
+    fitted_model = TvARModel(fit.alpha_hat, fit.sigma2_hat, validate=False)
     result = {
         "n": x.n,
         "alpha_hat": [float(a) for a in fit.alpha_hat],
@@ -275,7 +274,7 @@ def _cmd_tail_study(args):
 
 def _cmd_clt_study(args):
     config, text = _read_config(args)
-    kwargs = _study_kwargs(args, config, spectral_process_sample, white_noise_model())
+    kwargs = _study_kwargs(args, config, spectral_process_sample, TvARModel((), 1.0))
     phi = kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     sample = spectral_process_sample(**kwargs)
     n = sample.n
@@ -298,7 +297,7 @@ def _cmd_clt_study(args):
 
 def _cmd_prop33(args):
     config, text = _read_config(args)
-    kwargs = _study_kwargs(args, config, bias_scaling_study, white_noise_model())
+    kwargs = _study_kwargs(args, config, bias_scaling_study, TvARModel((), 1.0))
     kwargs["phi"] = _weight_from_spec(config.get("phi", {}), kwargs["model"])
     rows = bias_scaling_study(**kwargs)
     _write_outputs(args, {"bias_rows.csv": rows}, text, kwargs["seed"], extra={"n_list": [row["n"] for row in rows]})

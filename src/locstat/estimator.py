@@ -174,7 +174,7 @@ def fit_monotone_tvar(series, p=1, k_n=None, eps=None, max_iter=100, rel_tol=1e-
     lags = _lag_matrix(x, p) if p else None
     alpha = np.zeros(p)
     e2 = _residuals(x, alpha) ** 2
-    sigma = sieve_pava(e2, n, p, k_n, eps)
+    sigma = sieve_pava(e2, n, k_n, eps)
     s2 = sigma.values(u)
     current = _conditional(e2, s2, n)
 
@@ -191,7 +191,7 @@ def fit_monotone_tvar(series, p=1, k_n=None, eps=None, max_iter=100, rel_tol=1e-
             alpha = _wls(lags, x[p:], 1.0 / s2)
         e2 = _residuals(x, alpha) ** 2
         after_wls = _conditional(e2, s2, n)
-        sigma = sieve_pava(e2, n, p, k_n, eps)
+        sigma = sieve_pava(e2, n, k_n, eps)
         s2 = sigma.values(u)
         after_pava = _conditional(e2, s2, n)
         result.wls_trace.append(after_wls)

@@ -17,7 +17,7 @@ import platform
 
 import numpy as np
 
-from .curves import ConstantCurve, FourierCurve, SampledCurve, as_number, as_numbers
+from .curves import FourierCurve, SampledCurve, as_number, as_numbers
 from .espec import replication_seed
 from .estimator import (
     curve_inverse_l2_distance,
@@ -57,14 +57,14 @@ def default_rate_model():
     carries both approximation and estimation error, the regime the sieve
     schedule is designed for, and the error decay shows the intended
     n^{-1/3}-ish exponent."""
-    return TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
+    return TvARModel([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0]))
 
 
 def wavy_alpha_model():
     """Order-1 demo model with oscillating coefficient 0.5 cos(2 pi u) and
     unit variance; stable everywhere but outside the constant-coefficient
     fitted class."""
-    return TvARModel(1, [FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
+    return TvARModel([FourierCurve(0.0, a=[0.5], b=[0.0])], 1.0)
 
 
 def study_knots(n):
@@ -101,7 +101,7 @@ def _median(values):
 
 def _rate_one(model, x, p, k_n, eps):
     fit = fit_monotone_tvar(x, p=p, k_n=k_n, eps=eps)
-    fitted = TvARModel.from_coefficients(fit.alpha_hat, fit.sigma2_hat, validate=False)
+    fitted = TvARModel(fit.alpha_hat, fit.sigma2_hat, validate=False)
     err_spec = inverse_l2_distance(fitted, model)
     err_var = curve_inverse_l2_distance(fit.sigma2_hat, model.sigma2)
     return {
@@ -186,10 +186,10 @@ def default_equivalence_candidates():
     """Stable constant-coefficient candidate models, including the default
     rate model's truth, for the likelihood-equivalence study."""
     return [
-        TvARModel.from_coefficients([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0])),
-        TvARModel.from_coefficients([0.3], 1.0),
-        TvARModel.from_coefficients([0.7], SampledCurve([0.8, 1.2, 1.5, 2.5])),
-        TvARModel.from_coefficients([-0.4], 1.6),
+        TvARModel([0.5], SampledCurve([1.0, 1.0, 2.0, 2.0, 2.0])),
+        TvARModel([0.3], 1.0),
+        TvARModel([0.7], SampledCurve([0.8, 1.2, 1.5, 2.5])),
+        TvARModel([-0.4], 1.6),
     ]
 
 

@@ -76,10 +76,11 @@ def pava_monotone(values, weights=None):
     return _pool(values, weights)
 
 
-def sieve_pava(squared_residuals, n, p, k_n, eps):
+def sieve_pava(squared_residuals, n, k_n, eps):
     """Monotone variance estimate on a k_n-knot sieve.
 
-    Aggregates the squared residuals e_{p+1}^2, ..., e_n^2 into the chunks
+    Aggregates the squared residuals e_{p+1}^2, ..., e_n^2 of an AR(p) fit,
+    p = n - len(squared_residuals), into the chunks
     induced by the knot grid t(j) = floor(n j / k_n), isotonizes the chunk
     means by PAVA (which minimizes the Gaussian likelihood objective over the
     sieve), and applies the bound [eps^2, 1/eps^2].
@@ -87,11 +88,9 @@ def sieve_pava(squared_residuals, n, p, k_n, eps):
     Parameters
     ----------
     squared_residuals : array_like
-        Nonnegative, length n - p, ordered by t.
+        e_{p+1}^2, ..., e_n^2: nonnegative, ordered by t, 1 to n of them.
     n : int
         Sample size.
-    p : int
-        AR order (residuals start at t = p + 1).
     k_n : int
         Number of knots, >= 1.
     eps : float
@@ -105,13 +104,11 @@ def sieve_pava(squared_residuals, n, p, k_n, eps):
     """
     sq = np.asarray(squared_residuals, dtype=float)
     n = as_number(n, "n", int, 1)
-    p = as_number(p, "p", int, 0)
     k_n = as_number(k_n, "k_n", int, 1)
     eps = _check_eps(eps)
-    if n <= p:
-        raise ValueError(f"need n > p, got n = {n} and p = {p}")
-    if sq.ndim != 1 or sq.size != n - p:
-        raise ValueError(f"expected {n - p} squared residuals, got {sq.size}")
+    if sq.ndim != 1 or not 1 <= sq.size <= n:
+        raise ValueError(f"need 1 to {n} squared residuals, got {sq.size}")
+    p = n - sq.size
     if np.any(sq < 0) or not np.all(np.isfinite(sq)):
         raise ValueError("squared residuals must be nonnegative and finite")
 

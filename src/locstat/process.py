@@ -27,7 +27,7 @@ import warnings
 
 import numpy as np
 
-from .curves import ConstantCurve, Curve, _as_curve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
+from .curves import _as_curve, as_number, check_spec_keys, curve_from_spec, curve_to_spec
 
 __all__ = [
     "TimeSeries",
@@ -40,7 +40,6 @@ __all__ = [
     "coeff_autocorr",
     "ar_autocov",
     "spectral_density",
-    "white_noise_model",
     "model_from_json",
     "DEFAULT_BURN_IN",
 ]
@@ -52,6 +51,7 @@ REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_
 SIM_BLOCK_VALUES = 1 << 16
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
+BOM = "\ufeff"  # the byte-order mark "CSV UTF-8" files start with
 
 
 def check_stability(coeffs, delta=0.0):
@@ -106,7 +106,8 @@ def _root_condition(coeffs, delta):
 
 def _scan_series(path, header):
     """The first cells of a CSV series parsed line by line, skipping the
-    first line when header is 1 and lines whose first cell is blank.
+    first line when header is 1 and lines whose first cell is blank.  One
+    byte-order mark at the start of the file is dropped.
 
     Raises ValueError naming the file and the 1-based line of the first cell
     that is not a number or not finite.
@@ -114,6 +115,8 @@ def _scan_series(path, header):
     values = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
+            if lineno == 1:
+                line = line.removeprefix(BOM)
             cell = line.split(",", 1)[0].strip()
             if not cell or lineno <= header:
                 continue
@@ -163,9 +166,11 @@ class TimeSeries:
         """Read the first column of a CSV series, such as one written by
         :meth:`to_csv`.
 
-        The first line may be a header 'x' (any case).  Line ends may be LF or
-        CRLF, cells may carry surrounding whitespace, blank lines are skipped,
-        and further columns are ignored.
+        The first line may be a header 'x' (any case), and one UTF-8
+        byte-order mark at the start of the file, which spreadsheet programs
+        write, is ignored.  Line ends may be LF or CRLF, cells may carry
+        surrounding whitespace, blank lines are skipped, and further columns
+        are ignored.
 
         Raises
         ------
@@ -178,7 +183,7 @@ class TimeSeries:
         """
         with open(path) as fh:
             first = fh.readline()
-        header = int(first.split(",", 1)[0].strip().lower() == "x")
+        header = int(first.removeprefix(BOM).split(",", 1)[0].strip().lower() == "x")
         try:
             with warnings.catch_warnings():
                 # an empty file, or one holding only the header, parses to no
@@ -205,12 +210,12 @@ class TvARModel:
 
     Parameters
     ----------
-    p : int
-        Autoregressive order, >= 0.
-    alpha : sequence of Curve
-        Coefficient curves alpha_1, ..., alpha_p.
-    sigma2 : Curve
-        Innovation variance curve, must be strictly positive.
+    alpha : sequence of Curve or float
+        Coefficient curves alpha_1, ..., alpha_p; the order p is their
+        number, and a number stands for its ConstantCurve.
+    sigma2 : Curve or float
+        Innovation variance curve, must be strictly positive; a number stands
+        for its ConstantCurve.
     delta : float
         Stability margin used when validating the coefficient curves.
     burn_in : int
@@ -219,23 +224,17 @@ class TvARModel:
     Raises
     ------
     ValueError
-        If the coefficient curves violate the root condition at any point of
-        a uniform validation grid, or sigma2 is not positive there.
+        If alpha is a string or a dict, an entry of alpha or sigma2 is
+        neither a Curve nor a finite number, the coefficient curves violate the root condition at any
+        point of a uniform validation grid, or sigma2 is not positive there.
     """
 
-    def __init__(self, p, alpha, sigma2, delta=0.0, burn_in=DEFAULT_BURN_IN, validate=True):
-        p = as_number(p, "p", int, 0)
-        alpha = tuple(alpha)
-        if len(alpha) != p:
-            raise ValueError(f"expected {p} coefficient curves, got {len(alpha)}")
-        for c in alpha:
-            if not isinstance(c, Curve):
-                raise ValueError("alpha entries must be Curve instances")
-        if not isinstance(sigma2, Curve):
-            raise ValueError("sigma2 must be a Curve instance")
-        self.p = p
-        self.alpha = alpha
-        self.sigma2 = sigma2
+    def __init__(self, alpha, sigma2, delta=0.0, burn_in=DEFAULT_BURN_IN, validate=True):
+        if isinstance(alpha, (str, dict)):  # its items are strings, which as_number reads as numbers
+            raise ValueError(f"alpha must be a sequence of curves or numbers, got {alpha!r}")
+        self.alpha = tuple(_as_curve(c) for c in alpha)
+        self.p = len(self.alpha)
+        self.sigma2 = _as_curve(sigma2)
         self.delta = as_number(delta, "delta", float, 0)
         self.burn_in = as_number(burn_in, "burn_in", int, 0)
         self.validated = False
@@ -265,13 +264,6 @@ class TvARModel:
             return np.zeros(u.shape + (0,))
         return np.stack([c.values(u) for c in self.alpha], axis=-1)
 
-    @classmethod
-    def from_coefficients(cls, alpha, sigma2, validate=True):
-        """Model with constant coefficients alpha and variance sigma2, a Curve
-        or a positive number."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return cls(len(alpha), [ConstantCurve(a) for a in alpha], _as_curve(sigma2), validate=validate)
-
     def describe(self):
         return {
             "p": self.p,
@@ -283,11 +275,6 @@ class TvARModel:
 
     def __repr__(self):
         return f"TvARModel(p={self.p}, alpha={list(self.alpha)!r}, sigma2={self.sigma2!r})"
-
-
-def white_noise_model(sigma2=1.0):
-    """Convenience constructor for the order-0 model."""
-    return TvARModel(0, (), ConstantCurve(sigma2))
 
 
 def simulate_tvar(model, n, seed):
@@ -627,11 +614,11 @@ def _as_model(g):
 
 class SpectrumField:
     """Two constructors of a spectrum, each returning a TvARModel:
-    from_model checks that its argument is one and from_coefficients builds
-    one with constant coefficients."""
+    from_model checks that its argument is one and from_coefficients is
+    TvARModel itself."""
 
     from_model = staticmethod(_as_model)
-    from_coefficients = staticmethod(TvARModel.from_coefficients)
+    from_coefficients = staticmethod(TvARModel)
 
 
 def model_from_json(payload, what="model"):
@@ -640,7 +627,8 @@ def model_from_json(payload, what="model"):
 
     Raises ValueError on a payload that is not a dict ("<what> must be a JSON
     object, got ..."), on a key that describe does not write ("unknown <what>
-    key(s)") and on a missing sigma2.
+    key(s)"), on a missing sigma2 and on an optional order p that is not the
+    number of alpha curves, checked after the curve specs are parsed.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be a JSON object, got {payload!r}")
@@ -650,5 +638,8 @@ def model_from_json(payload, what="model"):
         raise ValueError(f"{what} alpha must be a list of curve specs, got {alpha!r}")
     alpha = [curve_from_spec(s) for s in alpha]
     sigma2 = curve_from_spec(payload["sigma2"])
+    p = as_number(payload.get("p", len(alpha)), "p", int, 0)
+    if p != len(alpha):
+        raise ValueError(f"expected {p} coefficient curves, got {len(alpha)}")
     options = {key: payload[key] for key in ("delta", "burn_in") if key in payload}
-    return TvARModel(payload.get("p", len(alpha)), alpha, sigma2, **options)
+    return TvARModel(alpha, sigma2, **options)

@@ -28,7 +28,7 @@ from locstat.harness import (
 )
 from locstat.isotonic import pava_monotone
 from locstat.likelihood import SpectrumField, divergence_sandwich
-from locstat.process import TvARModel, check_stability, simulate_tvar, white_noise_model
+from locstat.process import TvARModel, check_stability, simulate_tvar
 from locstat.spectral import (
     FrequencyGrid,
     PrePeriodogram,
@@ -73,12 +73,11 @@ def test_criterion_01_preperiodogram_identities():
         n = int(rng.integers(16, 513))
         kind = i % 3
         if kind == 0:
-            model = white_noise_model(float(rng.uniform(0.5, 2.0)))
+            model = TvARModel((), float(rng.uniform(0.5, 2.0)))
         elif kind == 1:
-            model = TvARModel(1, [ConstantCurve(float(rng.uniform(-0.7, 0.7)))], ConstantCurve(1.0))
+            model = TvARModel([ConstantCurve(float(rng.uniform(-0.7, 0.7)))], ConstantCurve(1.0))
         else:
             model = TvARModel(
-                1,
                 [ConstantCurve(float(rng.uniform(-0.6, 0.6)))],
                 SampledCurve(np.sort(rng.uniform(0.5, 2.0, 3))),
             )
@@ -98,7 +97,6 @@ def test_criterion_01_preperiodogram_identities():
 
         phi_alpha = _random_stable_alpha(rng, 1 + i % 2)
         phi_model = TvARModel(
-            len(phi_alpha),
             [ConstantCurve(a) for a in phi_alpha],
             ConstantCurve(float(rng.uniform(0.5, 2.0))),
             validate=False,
@@ -132,12 +130,12 @@ def test_criterion_02_quadratic_form_norm_bounds():
                 FourierCurve(a0, a=[amp * rng.choice([-1, 1])], b=[rng.uniform(-0.2, 0.2) * amp])
             ]
             variance = SampledCurve(np.sort(rng.uniform(0.5, 2.5, int(rng.integers(2, 5)))))
-            model = TvARModel(1, alpha, variance, validate=False)
+            model = TvARModel(alpha, variance, validate=False)
         else:
             order = int(rng.integers(1, 4))
             coef = rng.uniform(-0.4, 0.4, order)
             model = TvARModel(
-                order, [ConstantCurve(c) for c in coef], ConstantCurve(rng.uniform(0.5, 2.0)),
+                [ConstantCurve(c) for c in coef], ConstantCurve(rng.uniform(0.5, 2.0)),
                 validate=False,
             )
         phi = ar_inverse_weight(model)
@@ -228,7 +226,7 @@ def test_criterion_04_log_spectrum_integral():
         alpha = _random_stable_alpha(rng, 1 + i % 3)
         assert check_stability(alpha)
         # int log |A|^2 dlam is -int log g for the spectrum g = 1/|A|^2 (sigma^2 = 2 pi)
-        g = TvARModel.from_coefficients(alpha, 2 * np.pi)
+        g = TvARModel(alpha, 2 * np.pi)
         worst = max(worst, abs(float(_mesh.log_integral(g, np.array([0.5]), grid)[0])))
     ok = worst <= 1e-6
     assert _line(
@@ -263,14 +261,14 @@ def test_criterion_05_tail_bounds():
 
 
 def test_criterion_06_fluctuation_variance():
-    noise = white_noise_model(1.0)
+    noise = TvARModel((), 1.0)
     flat = SpectrumField.from_model(noise)
 
     phi_flat = None
     from locstat.spectral import constant_weight
 
     phi_flat = constant_weight(1.0)
-    phi_ar = ar_inverse_weight(TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0)))
+    phi_ar = ar_inverse_weight(TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0)))
 
     lim_flat = limit_covariance(phi_flat, phi_flat, flat)
     lim_ar = limit_covariance(phi_ar, phi_ar, flat)

@@ -57,7 +57,7 @@ def test_simulate_reruns_byte_identical(tmp_path):
 
 
 def test_simulate_with_model_config(tmp_path):
-    model = TvARModel(1, [ConstantCurve(-0.8)], ConstantCurve(1.0))
+    model = TvARModel([ConstantCurve(-0.8)], ConstantCurve(1.0))
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps(model.describe()))
     out = tmp_path / "out"
@@ -98,15 +98,9 @@ def test_preperiodogram_rejects_out_of_range_times(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_likelihood_eval_requires_config(tmp_path):
-    series = simulate_into(tmp_path)
-    with pytest.raises(SystemExit):
-        main(["likelihood-eval", "--series", str(series), "--out", str(tmp_path / "x")])
-
-
 def test_likelihood_eval_constant_candidate(tmp_path):
     series = simulate_into(tmp_path, n=256)
-    model = TvARModel(1, [ConstantCurve(0.4)], ConstantCurve(1.2))
+    model = TvARModel([ConstantCurve(0.4)], ConstantCurve(1.2))
     cfg = tmp_path / "candidate.json"
     cfg.write_text(json.dumps(model.describe()))
     out = tmp_path / "lik"
@@ -120,7 +114,7 @@ def test_likelihood_eval_constant_candidate(tmp_path):
 
 def test_likelihood_eval_time_varying_candidate(tmp_path):
     series = simulate_into(tmp_path, n=256)
-    model = TvARModel(1, [FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
+    model = TvARModel([FourierCurve(0.0, a=[0.5], b=[0.0])], ConstantCurve(1.0))
     cfg = tmp_path / "candidate.json"
     cfg.write_text(json.dumps(model.describe()))
     out = tmp_path / "lik"
@@ -307,7 +301,7 @@ def test_config_keys_are_the_call_parameters(tmp_path, capsys, command, call):
 
 
 def test_equivalence_passes_model_through(tmp_path):
-    model = TvARModel(1, [ConstantCurve(-0.3)], ConstantCurve(1.5))
+    model = TvARModel([ConstantCurve(-0.3)], ConstantCurve(1.5))
     cfg = tmp_path / "eq.json"
     cfg.write_text(json.dumps({"model": model.describe(), "n_list": [64, 128], "replications": 2}))
     out = tmp_path / "eq"
@@ -586,7 +580,7 @@ def test_unreadable_series_exits_with_message(tmp_path, command, text, message):
     if text is not None:
         series.write_bytes(text.encode())
     # each command's config is valid, since it is checked before the series
-    config = {"fit": {"p": 1}, "likelihood-eval": TvARModel(0, [], ConstantCurve(1.0)).describe()}
+    config = {"fit": {"p": 1}, "likelihood-eval": TvARModel([], ConstantCurve(1.0)).describe()}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config.get(command)))
     extra = [] if command == "preperiodogram" else ["--config", str(cfg)]
@@ -636,7 +630,7 @@ def test_overflowing_series_exits_with_message(tmp_path, command):
     series = tmp_path / "huge.csv"
     TimeSeries(np.full(64, 1e300)).to_csv(series)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TvARModel(0, [], ConstantCurve(1.0)).describe()))
+    cfg.write_text(json.dumps(TvARModel([], ConstantCurve(1.0)).describe()))
     extra = ["--config", str(cfg)] if command == "likelihood-eval" else []
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match=f"^{command}: .*overflow"):

@@ -89,7 +89,7 @@ def test_eps_needs_finite_positive_bounds(eps):
     with pytest.raises(ValueError, match=message):
         fit_monotone_tvar(np.ones(9), eps=eps)
     with pytest.raises(ValueError, match=message):
-        sieve_pava(np.ones(9), 10, 1, 3, eps)
+        sieve_pava(np.ones(9), 10, 3, eps)
 
 
 def test_monotone_step_curve_exposes_bounds_and_knots():

@@ -25,7 +25,7 @@ from locstat.espec import (
     tail_bound_quadratic,
 )
 from locstat.likelihood import SpectrumField
-from locstat.process import TvARModel, simulate_tvar, white_noise_model
+from locstat.process import TvARModel, simulate_tvar
 from locstat.spectral import (
     TestFunction,
     ar_inverse_weight,
@@ -37,7 +37,7 @@ from locstat.spectral import (
 
 
 def flat_noise_field():
-    return SpectrumField.from_model(white_noise_model(1.0))
+    return SpectrumField.from_model(TvARModel((), 1.0))
 
 
 def test_replication_seed_deterministic_and_distinct():
@@ -138,7 +138,7 @@ from locstat.process import TvARModel, simulate_tvar
 with open({str(tmp_path / "tail.json")!r}, "w") as f:
     json.dump({{"design": "linear", "n": 64, "replications": 1000, "etas": [1.0, 2.0]}}, f)
 locstat.cli.main(["tail-study", "--config", f.name, "--seed", "1", "--out", {str(tmp_path / "tail")!r}])
-model = TvARModel(1, [FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
+model = TvARModel([FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
 assert fit_fourier_tvar(simulate_tvar(model, 256, seed=0).values, k_n=3).constrained
 print([m for m in sys.modules if m.split(".")[0] == "scipy"])
 """
@@ -176,7 +176,7 @@ for name, config in [("rate-study", {{"n_list": [64, 128], "replications": 3}}),
     locstat.cli.main([name, "--config", path, "--out", {str(tmp_path)!r} + "/" + name])
 model = wavy_alpha_model()
 assert check_stability([1.5, 0.56]) and not check_stability([1.2])
-TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.2)], ConstantCurve(1.0))
+TvARModel([ConstantCurve(0.5), ConstantCurve(-0.2)], ConstantCurve(1.0))
 # the fit reports alpha_stable through check_stability
 fit_monotone_tvar(simulate_tvar(model, 512, seed=0).values, p=2)
 print("numpy.ma" in sys.modules)
@@ -307,18 +307,18 @@ def test_limit_covariance_flat_weight_is_two():
 def test_limit_covariance_ar_inverse_weight_frozen():
     # phi(lam) = 2 pi (1.25 + cos lam) on the flat spectrum 1/(2 pi):
     # 4 pi int (1.25 + cos lam)^2 dlam = 16.5 pi^2
-    phi = ar_inverse_weight(TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0)))
+    phi = ar_inverse_weight(TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0)))
     val = limit_covariance(phi, phi, flat_noise_field())
     assert val == pytest.approx(16.5 * np.pi**2, rel=1e-10)
 
 
 def test_limit_covariance_accepts_model():
     phi = constant_weight(1.0)
-    assert limit_covariance(phi, phi, white_noise_model(1.0)) == pytest.approx(2.0, rel=1e-12)
+    assert limit_covariance(phi, phi, TvARModel((), 1.0)) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_spectral_process_sample_deterministic():
-    model = white_noise_model(1.0)
+    model = TvARModel((), 1.0)
     phi = constant_weight(1.0)
     a = spectral_process_sample(model, phi, 64, 5, seed=3)
     b = spectral_process_sample(model, phi, 64, 5, seed=3)
@@ -331,8 +331,8 @@ def per_replication_functionals(model, phi, n, seeds):
 
 
 BATCH_CASES = [
-    (TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])), None),
-    (TvARModel(2, [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3])), 40),
+    (TvARModel([ConstantCurve(0.5)], SampledCurve([1.0, 2.0])), None),
+    (TvARModel([FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3])), 40),
 ]
 
 
@@ -340,7 +340,7 @@ BATCH_CASES = [
 def test_spectral_process_sample_equals_per_replication_loop(monkeypatch, model, burn_in):
     monkeypatch.setattr(process, "REPLICATION_CHUNK", 7)
     if burn_in is not None:
-        model = TvARModel(model.p, model.alpha, model.sigma2, burn_in=burn_in)
+        model = TvARModel(model.alpha, model.sigma2, burn_in=burn_in)
     phi = ar_inverse_weight(model)
     s = spectral_process_sample(model, phi, 96, 17, seed=21)
     expected = per_replication_functionals(model, phi, 96, [replication_seed(21, r) for r in range(17)])
@@ -358,7 +358,7 @@ def test_bias_scaling_study_equals_per_replication_loop():
 
 
 def test_spectral_process_sample_mean_centering_sums_to_zero():
-    model = white_noise_model(1.0)
+    model = TvARModel((), 1.0)
     phi = constant_weight(1.0)
     s = spectral_process_sample(model, phi, 64, 40, seed=4, centering="mean")
     assert abs(np.sum(s.deviations)) < 1e-10 * np.sum(np.abs(s.deviations))
@@ -367,7 +367,7 @@ def test_spectral_process_sample_mean_centering_sums_to_zero():
 
 
 def test_spectral_process_sample_analytic_center_is_population_value():
-    model = white_noise_model(2.0)
+    model = TvARModel((), 2.0)
     phi = constant_weight(1.0)
     s = spectral_process_sample(model, phi, 32, 5, seed=5)
     # int phi f = sigma^2 for the flat weight on white noise
@@ -375,7 +375,7 @@ def test_spectral_process_sample_analytic_center_is_population_value():
 
 
 def test_spectral_process_sample_validation():
-    model = white_noise_model(1.0)
+    model = TvARModel((), 1.0)
     phi = constant_weight(1.0)
     with pytest.raises(ValueError):
         spectral_process_sample(model, phi, 32, 1, seed=0)
@@ -390,15 +390,15 @@ def test_spectral_process_sample_validation():
 
 
 def test_expected_functional_trace_white_noise_is_one():
-    val = expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 64)
+    val = expected_functional_trace(TvARModel((), 1.0), constant_weight(1.0), 64)
     assert val == pytest.approx(1.0, rel=1e-12)
     # no cap on n: the covariance band takes O((burn_in + n) K) memory
-    assert expected_functional_trace(white_noise_model(1.0), constant_weight(1.0), 4096) == 1.0
+    assert expected_functional_trace(TvARModel((), 1.0), constant_weight(1.0), 4096) == 1.0
 
 
 def test_expected_functional_trace_refuses_a_fractional_n():
     # a fractional n is refused, not truncated
-    model, phi = white_noise_model(1.0), constant_weight(1.0)
+    model, phi = TvARModel((), 1.0), constant_weight(1.0)
     for n in (2.5, "abc", None, 0):
         with pytest.raises(ValueError, match="n must"):
             expected_functional_trace(model, phi, n)
@@ -408,7 +408,7 @@ def test_expected_functional_trace_refuses_a_fractional_n():
 def test_expected_functional_trace_near_limit_for_stationary_ar():
     from locstat.spectral import spectral_functional_limit
 
-    model = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    model = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     phi = constant_weight(1.0)
     trace = expected_functional_trace(model, phi, 128)
     limit = spectral_functional_limit(phi, model)
@@ -439,7 +439,7 @@ _TV_SIGMA2 = SampledCurve([1.0, 2.5, 1.5])
 @pytest.mark.parametrize("burn_in", [0, 7, 50])
 @pytest.mark.parametrize("n", [1, 2, 33, 64])
 def test_expected_functional_trace_matches_dense_recursion_oracle(p, burn_in, n):
-    model = TvARModel(p, _TV_ALPHA[:p], _TV_SIGMA2, burn_in=burn_in)
+    model = TvARModel(_TV_ALPHA[:p], _TV_SIGMA2, burn_in=burn_in)
     weights = [
         constant_weight(1.5),
         ar_inverse_weight(model),
@@ -452,7 +452,7 @@ def test_expected_functional_trace_matches_dense_recursion_oracle(p, burn_in, n)
 
 def test_expected_functional_trace_variance_only_model_is_mean_variance():
     sigma2 = SampledCurve([0.5, 1.0, 3.0, 2.0, 4.0])
-    model = TvARModel(0, [], sigma2)
+    model = TvARModel([], sigma2)
     n = 300
     exact = expected_functional_trace(model, constant_weight(1.0), n)
     assert exact == pytest.approx(np.mean(sigma2.values(np.arange(1, n + 1) / n)), rel=1e-15, abs=0)
@@ -469,12 +469,12 @@ def test_bias_scaling_study_rejects_bad_arguments_before_simulating(monkeypatch,
     monkeypatch.setattr(espec, "_functional_sample", no_simulation)
     kwargs = {"n_list": [16, 32], "replications": 4, "seed": 0, **bad}
     with pytest.raises(ValueError):
-        bias_scaling_study(white_noise_model(1.0), constant_weight(1.0), **kwargs)
+        bias_scaling_study(TvARModel((), 1.0), constant_weight(1.0), **kwargs)
 
 
 def test_bias_scaling_study_white_noise():
     rows = bias_scaling_study(
-        white_noise_model(1.0), constant_weight(1.0), [32, 64], 200, seed=11
+        TvARModel((), 1.0), constant_weight(1.0), [32, 64], 200, seed=11
     )
     assert [r["n"] for r in rows] == [32, 64]
     for r in rows:

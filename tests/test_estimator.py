@@ -24,20 +24,20 @@ from locstat.estimator import (
 from locstat.isotonic import sieve_pava
 from locstat.likelihood import SpectrumField, _conditional, _inverse_distance_sq, likelihood_gap, whittle_contrast
 from locstat.harness import default_rate_model
-from locstat.process import STABILITY_GRID, TimeSeries, TvARModel, simulate_tvar, white_noise_model
+from locstat.process import STABILITY_GRID, TimeSeries, TvARModel, simulate_tvar
 
 
 def step_model():
-    return TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0]))
+    return TvARModel([ConstantCurve(0.5)], SampledCurve([1.0, 2.0]))
 
 
 def wavy_model():
-    return TvARModel(1, [FourierCurve(0.0, a=[0.5])], ConstantCurve(1.0))
+    return TvARModel([FourierCurve(0.0, a=[0.5])], ConstantCurve(1.0))
 
 
 def near_unit_model():
     # alpha reaches -0.95 at u = 1/2, so short series fit past the unit bound
-    return TvARModel(1, [FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
+    return TvARModel([FourierCurve(-0.6, [0.35], [0.0])], ConstantCurve(1.0))
 
 
 def test_default_knots_and_eps_frozen():
@@ -155,10 +155,10 @@ def test_monotone_fit_fixed_point_rerun():
     n = len(x.values)
     alpha = wls(x.values, res.sigma2_hat, 1)
     resid = x.values[1:] + alpha[0] * x.values[:-1]
-    sigma = sieve_pava(resid ** 2, n, 1, res.k_n, res.eps)
+    sigma = sieve_pava(resid ** 2, n, res.k_n, res.eps)
     again = _conditional(resid ** 2, sigma.values(np.arange(2, n + 1) / n), n)
     # the fitted alpha is stable, so the public contrast gives the same score
-    assert again == likelihood_gap(x, TvARModel.from_coefficients(alpha, sigma))["conditional"]
+    assert again == likelihood_gap(x, TvARModel(alpha, sigma))["conditional"]
     assert abs(again - res.objective) <= rel_tol * max(1.0, abs(res.objective))
     assert abs(alpha[0] - res.alpha_hat[0]) < 1e-3
 
@@ -219,7 +219,7 @@ def test_monotone_fit_near_profile_minimum():
     a0 = float(res.alpha_hat[0])
     for da in (-0.05, -0.01, 0.01, 0.05):
         r = x.values[1:] + (a0 + da) * x.values[:-1]
-        s = sieve_pava(r**2, n, 1, res.k_n, res.eps)
+        s = sieve_pava(r**2, n, res.k_n, res.eps)
         perturbed = _conditional(r**2, s.values(np.arange(2, n + 1) / n), n)
         assert perturbed >= res.objective - 1e-6
 
@@ -228,7 +228,7 @@ def test_monotone_fit_order_zero_is_variance_only():
     x = simulate_tvar(step_model(), 256, seed=7)
     res = fit_monotone_tvar(x, p=0, k_n=3, eps=0.1)
     assert res.alpha_hat.size == 0
-    direct = sieve_pava(x.values**2, 256, 0, 3, 0.1)
+    direct = sieve_pava(x.values**2, 256, 3, 0.1)
     np.testing.assert_array_equal(res.sigma2_hat.knot_values, direct.knot_values)
 
 
@@ -250,13 +250,13 @@ def test_fourier_objective_is_whittle_contrast_of_fit():
     x = simulate_tvar(wavy_model(), 1024, seed=1)
     for k_n in (0, 1):
         res = fit_fourier_tvar(x, k_n=k_n)
-        model_hat = TvARModel(1, [res.alpha_curve], ConstantCurve(res.sigma2))
+        model_hat = TvARModel([res.alpha_curve], ConstantCurve(res.sigma2))
         w = whittle_contrast(x, SpectrumField.from_model(model_hat))
         assert res.objective == pytest.approx(w, abs=1e-12)
 
 
 def test_fourier_constant_fit_recovers_ar1():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     for seed in range(3):
         x = simulate_tvar(m, 1024, seed=10 + seed)
         res = fit_fourier_tvar(x, k_n=0)
@@ -328,7 +328,7 @@ def fourier_room(k_n):
 def profiled_whittle(x, theta, eps):
     """Whittle contrast of the curve theta, minimized over s^2 in [eps^2, 1/eps^2]."""
     curve = FourierCurve(theta[0], theta[1::2], theta[2::2])
-    unit = whittle_contrast(x, SpectrumField.from_model(TvARModel(1, [curve], ConstantCurve(1.0))))
+    unit = whittle_contrast(x, SpectrumField.from_model(TvARModel([curve], ConstantCurve(1.0))))
     qbar = 2.0 * unit + math.log(2 * math.pi)  # the unit-variance contrast is qbar/2 - log(2 pi)/2
     s2 = min(max(qbar, eps**2), eps**-2)
     return 0.5 * math.log(s2 / (2 * math.pi)) + qbar / (2 * s2)
@@ -356,7 +356,7 @@ def test_fourier_near_unit_fit_is_constrained_and_satisfies_kkt():
     x = simulate_tvar(near_unit_model(), 256, seed=0).values
     res = fit_fourier_tvar(x, k_n=3)
     assert res.constrained and res.converged
-    TvARModel(1, [res.alpha_curve], ConstantCurve(res.sigma2), validate=True)
+    TvARModel([res.alpha_curve], ConstantCurve(res.sigma2), validate=True)
     theta = fourier_theta(res.alpha_curve)
     check = fourier_basis(np.arange(1, STABILITY_GRID + 1) / STABILITY_GRID, 3)
     values = check @ theta
@@ -466,7 +466,7 @@ def test_fourier_fit_rejects_overflowing_series():
 def test_inverse_l2_distance_frozen_constants():
     # white noise of variance 1 and 2 has the constant spectra 1/(2 pi) and
     # 1/pi: |1/g - 1/f| = pi everywhere, so the distance is pi sqrt(2 pi)
-    f, g = white_noise_model(1.0), white_noise_model(2.0)
+    f, g = TvARModel((), 1.0), TvARModel((), 2.0)
     assert inverse_l2_distance(g, f) == pytest.approx(np.pi * np.sqrt(2 * np.pi), rel=1e-12)
     assert inverse_l2_distance(f, f) == 0.0
 
@@ -481,7 +481,7 @@ def test_inverse_l2_distance_mesh_refinement_stable():
 
 def test_inverse_l2_distance_rejects_nonpositive():
     f = SpectrumField.from_model(step_model())
-    bad = TvARModel(0, (), SampledCurve([1.0, -1.0]), validate=False)
+    bad = TvARModel((), SampledCurve([1.0, -1.0]), validate=False)
     with pytest.raises(ValueError, match="strictly positive"):
         inverse_l2_distance(bad, f)
 

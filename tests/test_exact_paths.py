@@ -36,15 +36,15 @@ GRID = FrequencyGrid(128)
 TOL = dict(rel=1e-12, abs=1e-14)
 
 CASES = {
-    "ar1_step_variance": lambda: TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
-    "constant_ar2": lambda: TvARModel(2, [ConstantCurve(-0.5), ConstantCurve(0.3)], ConstantCurve(1.7)),
+    "ar1_step_variance": lambda: TvARModel([ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
+    "constant_ar2": lambda: TvARModel([ConstantCurve(-0.5), ConstantCurve(0.3)], ConstantCurve(1.7)),
     "time_varying_ar2": lambda: TvARModel(
-        2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0])
+        [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0])
     ),
     # a few runs of equal coefficient rows, each many u-cells long
-    "step_ar1": lambda: TvARModel(1, [SampledCurve([0.2, 0.5, -0.3])], SampledCurve([1.0, 1.5, 2.0])),
+    "step_ar1": lambda: TvARModel([SampledCurve([0.2, 0.5, -0.3])], SampledCurve([1.0, 1.5, 2.0])),
 }
-OTHER = TvARModel.from_coefficients([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
+OTHER = TvARModel([0.3, -0.1], SampledCurve([0.8, 1.1, 1.4]))
 
 PAIR_CONSUMERS = {
     "inverse_l2_distance": inverse_l2_distance,
@@ -177,7 +177,7 @@ def test_whittle_lag_path_matches_quadrature_oracle(case):
 
 @pytest.mark.parametrize("consumer", sorted(PAIR_CONSUMERS))
 def test_exact_paths_reject_nonpositive_variance_like_the_mesh(consumer):
-    bad = TvARModel(1, [ConstantCurve(0.2)], SampledCurve([1.0, -1.0]), validate=False)
+    bad = TvARModel([ConstantCurve(0.2)], SampledCurve([1.0, -1.0]), validate=False)
     compute, oracle = PAIR_CONSUMERS[consumer], MESH_ORACLES[consumer]
     for a, b in ((bad, OTHER), (OTHER, bad)):
         with pytest.raises(ValueError, match="strictly positive on the mesh"):

@@ -56,6 +56,10 @@ REMOVED_FROM = {
     "spectral_functional": {"path", "grid"},
     # the fit's settings are its keywords
     "fit_monotone_tvar": {"config"},
+    # a model's order is the number of its coefficient curves, and the sieve
+    # step's is n minus the number of its squared residuals
+    "TvARModel": {"p"},
+    "sieve_pava": {"p"},
 }
 
 
@@ -93,6 +97,8 @@ def test_no_public_callable_takes_a_removed_option():
         "rate_study",
         "spectral_functional",
         "fit_monotone_tvar",
+        "TvARModel",
+        "sieve_pava",
         "TvARModel.validate",
         "TailStudySpec.from_design",
     } <= {name for name, _ in _public_callables()}
@@ -107,8 +113,8 @@ def test_no_public_callable_takes_a_removed_option():
 # covariance is ar_autocov(model, u, k)[..., k], the conditional contrast
 # is likelihood_gap(series, g)["conditional"], the fit's settings are
 # fit_monotone_tvar's keywords, the ordinary periodogram is a test oracle,
-# pava_monotone returns its fitted array and the dense-kernel cap raises
-# ValueError.
+# pava_monotone returns its fitted array, the dense-kernel cap raises
+# ValueError and the order-0 model is TvARModel((), sigma2).
 REMOVED_NAMES = {
     "kl_divergence",
     "log_riemann_remainder",
@@ -122,6 +128,7 @@ REMOVED_NAMES = {
     "periodogram",
     "IsotonicFit",
     "ResourceLimitError",
+    "white_noise_model",
 }
 
 
@@ -154,6 +161,15 @@ def test_lag_products_and_curve_calls_have_one_interface():
     assert [float(curve.values(0.5)) for curve in curves] == [1.0, -0.5, 1.0]
     assert issubclass(locstat.MonotoneStepCurve, locstat.SampledCurve)
     assert "values" not in vars(locstat.MonotoneStepCurve)
+
+
+def test_models_have_one_constructor():
+    # TvARModel(alpha, sigma2) counts its own order and takes numbers for
+    # constant curves; SpectrumField's constructor of a model is that class
+    assert not hasattr(locstat.TvARModel, "from_coefficients")
+    assert locstat.SpectrumField.from_coefficients is locstat.TvARModel
+    assert str(inspect.signature(locstat.TvARModel)) == "(alpha, sigma2, delta=0.0, burn_in=1000, validate=True)"
+    assert str(inspect.signature(locstat.sieve_pava)) == "(squared_residuals, n, k_n, eps)"
 
 
 def test_tail_designs_have_one_constructor():

@@ -153,10 +153,10 @@ def test_pava_minimizes_gaussian_objective_over_grid():
 
 
 def test_sieve_pava_frozen_layout():
-    # n=10, p=1, k_n=3: knots at t = 3, 6, 10; chunks (2..3), (4..6), (7..10),
+    # n=10 and 9 residuals (p=1), k_n=3: knots at t = 3, 6, 10; chunks (2..3), (4..6), (7..10),
     # matching the cells ((j-1)/3, j/3] the step curve evaluates at u = t/10
     sq = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0])
-    curve = sieve_pava(sq, n=10, p=1, k_n=3, eps=0.1)
+    curve = sieve_pava(sq, n=10, k_n=3, eps=0.1)
     assert curve.knots == 3
     np.testing.assert_allclose(curve.knot_values, [1.0, 2.0, 4.0])
     # cells are left-open: u in ((j-1)/3, j/3]
@@ -170,35 +170,38 @@ def test_sieve_pava_frozen_layout():
 
 def test_sieve_pava_pools_decreasing_chunks():
     sq = np.array([4.0, 4.0, 4.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    curve = sieve_pava(sq, n=10, p=1, k_n=3, eps=0.1)
+    curve = sieve_pava(sq, n=10, k_n=3, eps=0.1)
     np.testing.assert_allclose(curve.knot_values, [2.0, 2.0, 2.0])
 
 
 def test_sieve_pava_copies_first_value_before_admissible_knot():
-    # n=8, p=3, k_n=4: jmin = ceil(4*4/8) = 2, so knot 1 copies knot 2
+    # n=8 and 5 residuals (p=3), k_n=4: jmin = ceil(4*4/8) = 2, so knot 1 copies knot 2
     sq = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    curve = sieve_pava(sq, n=8, p=3, k_n=4, eps=0.05)
+    curve = sieve_pava(sq, n=8, k_n=4, eps=0.05)
     assert curve.knots == 4
     assert curve.knot_values[0] == curve.knot_values[1]
 
 
 def test_sieve_pava_clips_to_bounds():
     sq = np.array([0.0, 0.0, 0.0, 100.0, 100.0, 100.0, 10000.0, 10000.0, 10000.0])
-    curve = sieve_pava(sq, n=10, p=1, k_n=3, eps=0.5)
+    curve = sieve_pava(sq, n=10, k_n=3, eps=0.5)
     np.testing.assert_allclose(curve.knot_values, [0.25, 4.0, 4.0])
 
 
 def test_sieve_pava_validation():
-    with pytest.raises(ValueError, match="expected 9"):
-        sieve_pava(np.ones(10), n=10, p=1, k_n=3, eps=0.1)
+    # the order is n minus the number of residuals, so 1 to n are admissible
+    for k in (0, 11):
+        with pytest.raises(ValueError, match=f"^need 1 to 10 squared residuals, got {k}$"):
+            sieve_pava(np.ones(k), n=10, k_n=3, eps=0.1)
     with pytest.raises(ValueError):
-        sieve_pava(np.ones(9), n=10, p=1, k_n=0, eps=0.1)
+        sieve_pava(np.ones(9), n=10, k_n=0, eps=0.1)
     with pytest.raises(ValueError):
-        sieve_pava(np.ones(9), n=10, p=1, k_n=3, eps=1.5)
+        sieve_pava(np.ones(9), n=10, k_n=3, eps=1.5)
     with pytest.raises(ValueError):
-        sieve_pava(-np.ones(9), n=10, p=1, k_n=3, eps=0.1)
-    with pytest.raises(ValueError):
-        sieve_pava(np.ones(0), n=3, p=3, k_n=2, eps=0.1)
+        sieve_pava(-np.ones(9), n=10, k_n=3, eps=0.1)
+    # an old call that passed the order after n cannot bind
+    with pytest.raises(TypeError):
+        sieve_pava(np.ones(9), 10, 1, 3, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -206,29 +209,29 @@ def test_sieve_pava_validation():
     [
         ({"k_n": 2.7}, "k_n must be an integer"),
         ({"n": 10.9}, "n must be an integer"),
-        ({"p": 1.5}, "p must be an integer"),
-        ({"p": -1}, "p must be at least 0"),
+        ({"k_n": 0}, "k_n must be at least 1"),
+        ({"n": 0}, "n must be at least 1"),
         ({"eps": "0.5x"}, "eps must be a finite number"),
         ({"eps": float("nan")}, "eps must be a finite number"),
         ({"eps": None}, "eps must be a finite number"),
     ],
 )
 def test_sieve_pava_converts_each_argument_once(kwargs, message):
-    args = {"n": 10, "p": 1, "k_n": 3, "eps": 0.1, **kwargs}
+    args = {"n": 10, "k_n": 3, "eps": 0.1, **kwargs}
     with pytest.raises(ValueError, match=message):
         sieve_pava(np.ones(9), **args)
 
 
 def test_sieve_pava_accepts_numeric_strings_and_integral_floats():
     sq = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0])
-    expected = sieve_pava(sq, n=10, p=1, k_n=3, eps=0.5).knot_values
-    got = sieve_pava(sq, n=10.0, p=np.int64(1), k_n=3.0, eps="0.5").knot_values
+    expected = sieve_pava(sq, n=10, k_n=3, eps=0.5).knot_values
+    got = sieve_pava(sq, n=10.0, k_n=3.0, eps="0.5").knot_values
     np.testing.assert_array_equal(got, expected)
 
 
 def test_sieve_pava_one_knot_is_clipped_global_mean():
     sq = np.array([1.0, 2.0, 3.0, 4.0])
-    curve = sieve_pava(sq, n=5, p=1, k_n=1, eps=0.2)
+    curve = sieve_pava(sq, n=5, k_n=1, eps=0.2)
     np.testing.assert_allclose(curve.knot_values, [2.5])
 
 
@@ -256,7 +259,7 @@ def test_sieve_pava_properties(p, k_n, n, seed):
         return
     rng = np.random.default_rng(seed)
     sq = rng.uniform(0.0, 5.0, n - p)
-    curve = sieve_pava(sq, n=n, p=p, k_n=k_n, eps=0.1)
+    curve = sieve_pava(sq, n=n, k_n=k_n, eps=0.1)
     vals = curve.knot_values
     assert vals.size == k_n
     assert np.all(np.diff(vals) >= -1e-12)

@@ -17,7 +17,7 @@ from locstat.likelihood import (
     likelihood_gap,
     whittle_contrast,
 )
-from locstat.process import TvARModel, _as_model, check_stability, simulate_tvar, spectral_density, white_noise_model
+from locstat.process import TvARModel, _as_model, check_stability, simulate_tvar, spectral_density
 from locstat.spectral import FrequencyGrid, ar_inverse_weight, spectral_functional
 
 
@@ -28,7 +28,7 @@ class ExpCurve(Curve):
 
 
 def step_model():
-    return TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0]))
+    return TvARModel([ConstantCurve(0.5)], SampledCurve([1.0, 2.0]))
 
 
 def test_spectrum_field_from_model_matches_density():
@@ -52,7 +52,7 @@ def test_spectrum_field_from_coefficients_validates():
 def test_spectrum_field_from_coefficients_is_the_model_constructor(alpha, sigma2):
     g = SpectrumField.from_coefficients(alpha, sigma2)
     assert type(g) is TvARModel
-    assert g.describe() == TvARModel.from_coefficients(alpha, sigma2).describe()
+    assert g.describe() == TvARModel([ConstantCurve(a) for a in alpha], sigma2).describe()
 
 
 @pytest.mark.parametrize("spectrum", [1.0, "ar1", lambda u, lam: np.ones(np.broadcast(u, lam).shape)])
@@ -68,7 +68,7 @@ def test_whittle_exact_path_matches_quadrature():
     # white noise of variance e^u has the flat spectrum e^u / (2 pi): the mesh
     # sum of its log over frequencies checks the Kolmogorov path of a
     # time-varying variance
-    for g in (SpectrumField.from_model(m), TvARModel(0, (), ExpCurve())):
+    for g in (SpectrumField.from_model(m), TvARModel((), ExpCurve())):
         exact = whittle_contrast(x, g)
         quad = _mesh.whittle_contrast(x, g, FrequencyGrid(8192))
         assert quad == pytest.approx(exact, abs=1e-10)
@@ -76,7 +76,7 @@ def test_whittle_exact_path_matches_quadrature():
 
 def test_whittle_white_noise_closed_form():
     x = simulate_tvar(step_model(), 100, seed=4)
-    val = whittle_contrast(x, SpectrumField.from_model(white_noise_model(1.0)))
+    val = whittle_contrast(x, SpectrumField.from_model(TvARModel((), 1.0)))
     closed = 0.5 * math.log(1 / (2 * math.pi)) + 0.5 * np.mean(x.values**2)
     assert val == pytest.approx(closed, abs=1e-12)
 
@@ -92,8 +92,8 @@ def test_whittle_stationary_candidate_is_classical_whittle():
 
 
 def test_whittle_rejects_nonpositive_candidate():
-    x = simulate_tvar(white_noise_model(1.0), 32, seed=0)
-    bad = TvARModel(0, (), SampledCurve([1.0, -1.0]), validate=False)
+    x = simulate_tvar(TvARModel((), 1.0), 32, seed=0)
+    bad = TvARModel((), SampledCurve([1.0, -1.0]), validate=False)
     with pytest.raises(ValueError, match="strictly positive"):
         whittle_contrast(x, bad)
 
@@ -112,29 +112,29 @@ def test_conditional_likelihood_frozen_small_case():
     # alpha = 1 is not stable, so only the fit's core scores it
     assert _fit_conditional(np.array([1.0, -1.0]), [1.0], ConstantCurve(1.0)) == 0.0
     # the same residual from the stable alpha = 0.5, through the public contrast
-    g = TvARModel.from_coefficients([0.5], 1.0)
+    g = TvARModel([0.5], 1.0)
     assert likelihood_gap(np.array([2.0, -1.0]), g)["conditional"] == 0.0
 
 
 def test_conditional_likelihood_white_noise_closed_form():
     x = np.array([1.0, 2.0, -1.0])
-    val = likelihood_gap(x, white_noise_model(2.0))["conditional"]
+    val = likelihood_gap(x, TvARModel((), 2.0))["conditional"]
     expected = (3 * math.log(2.0) + np.sum(x**2) / 2.0) / 3
     assert val == pytest.approx(expected, rel=1e-14)
 
 
 def test_conditional_likelihood_accepts_curve_variance():
     x = simulate_tvar(step_model(), 50, seed=6)
-    a = likelihood_gap(x, TvARModel.from_coefficients([0.5], SampledCurve([1.0, 2.0])))["conditional"]
-    b = likelihood_gap(x, TvARModel.from_coefficients([0.5], SampledCurve([2.0, 4.0])))["conditional"]
+    a = likelihood_gap(x, TvARModel([0.5], SampledCurve([1.0, 2.0])))["conditional"]
+    b = likelihood_gap(x, TvARModel([0.5], SampledCurve([2.0, 4.0])))["conditional"]
     assert a != b
 
 
 def test_conditional_likelihood_errors():
     with pytest.raises(ValueError, match="need more than p=1"):
-        likelihood_gap(np.array([1.0]), TvARModel.from_coefficients([0.5], 1.0))
+        likelihood_gap(np.array([1.0]), TvARModel([0.5], 1.0))
     # a variance that is not positive is refused by the Whittle part, which is scored first
-    negative = TvARModel.from_coefficients([0.5], -1.0, validate=False)
+    negative = TvARModel([0.5], -1.0, validate=False)
     with pytest.raises(ValueError, match="^spectra must be strictly positive on the mesh$"):
         likelihood_gap(np.array([1.0, 2.0]), negative)
     with pytest.raises(ValueError, match="expected a TvARModel"):
@@ -166,7 +166,7 @@ def _per_t_conditional(x, model):
     ],
 )
 def test_time_varying_conditional_likelihood_matches_per_t_oracle(alpha):
-    model = TvARModel(len(alpha), alpha, SampledCurve([1.0, 2.0, 1.5]))
+    model = TvARModel(alpha, SampledCurve([1.0, 2.0, 1.5]))
     x = simulate_tvar(model, 300, seed=4).values
     assert likelihood_gap(x, model)["conditional"] == pytest.approx(_per_t_conditional(x, model), rel=1e-12)
 
@@ -195,7 +195,7 @@ def test_constant_conditional_likelihood_is_the_scalar_formula_bit_for_bit(alpha
     assert _fit_conditional(x, alpha, sigma2) == expected
     # likelihood_gap validates its candidate, so it scores the stable ones
     if check_stability(alpha):
-        assert likelihood_gap(x, TvARModel.from_coefficients(alpha, sigma2))["conditional"] == expected
+        assert likelihood_gap(x, TvARModel(alpha, sigma2))["conditional"] == expected
 
 
 def test_likelihood_gap_is_the_distance_of_the_two_contrasts():
@@ -211,14 +211,14 @@ def _batch_candidate(kind, p, rng):
     # coefficient curves bounded by 0.24, so sum_j |alpha_j(u)| < 1 keeps every
     # row stable, and a variance of the same kind bounded away from 0
     if kind == "step":
-        return TvARModel.from_coefficients(
+        return TvARModel(
             rng.uniform(-0.24, 0.24, p), MonotoneStepCurve(np.sort(rng.uniform(0.5, 2.0, 4)), eps=0.5)
         )
     if kind == "sampled":
         alpha = [SampledCurve(rng.uniform(-0.24, 0.24, 3)) for _ in range(p)]
-        return TvARModel(p, alpha, SampledCurve(rng.uniform(0.5, 2.0, 5)))
+        return TvARModel(alpha, SampledCurve(rng.uniform(0.5, 2.0, 5)))
     alpha = [FourierCurve(*rng.uniform(-0.08, 0.08, 3)) for _ in range(p)]
-    return TvARModel(p, alpha, FourierCurve(1.5, *rng.uniform(-0.5, 0.5, 2)))
+    return TvARModel(alpha, FourierCurve(1.5, *rng.uniform(-0.5, 0.5, 2)))
 
 
 def _parent_whittle(x, model):
@@ -252,12 +252,12 @@ def test_contrasts_rows_are_the_single_series_values_bit_for_bit(kind, p, rows, 
 
 
 def test_contrasts_keep_the_single_series_errors():
-    model = TvARModel.from_coefficients([0.5, 0.1], 1.0)
+    model = TvARModel([0.5, 0.1], 1.0)
     with pytest.raises(ValueError, match=r"^need more than p=2 observations$"):
         _contrasts(np.ones((3, 2)), model)
     # a variance that is not positive: the Whittle part is checked first, as
     # likelihood_gap checks it
-    negative = TvARModel.from_coefficients([0.5], SampledCurve([1.0, -1.0]), validate=False)
+    negative = TvARModel([0.5], SampledCurve([1.0, -1.0]), validate=False)
     with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
         _contrasts(np.ones((3, 8)), negative)
     with pytest.raises(ValueError, match=r"^spectra must be strictly positive on the mesh$"):
@@ -324,7 +324,7 @@ def test_ar_log_spectrum_integral_vanishes_for_stable_models():
     # Szego/Kolmogorov: int log |1 + sum alpha_j e^{i lam j}|^2 dlam = 0, read
     # off the mesh as -int log g for the spectrum g = 1/|A|^2 (sigma^2 = 2 pi)
     def integral(alpha):
-        g = TvARModel.from_coefficients(np.array(alpha, dtype=float), 2 * np.pi)
+        g = TvARModel(np.array(alpha, dtype=float), 2 * np.pi)
         return -float(_mesh.log_integral(g, np.array([0.5]), FrequencyGrid(4096))[0])
 
     assert integral([0.5]) == pytest.approx(0.0, abs=1e-10)
@@ -348,7 +348,7 @@ def test_whittle_contrast_orders_candidates_sensibly():
 def test_whittle_time_varying_alpha_uses_local_coefficients():
     # a candidate with alpha(u) matching the generating curve must beat the
     # frozen-coefficient candidate on average for a strongly varying model
-    m = TvARModel(1, [FourierCurve(0.0, a=[0.6])], ConstantCurve(1.0))
+    m = TvARModel([FourierCurve(0.0, a=[0.6])], ConstantCurve(1.0))
     g_var = SpectrumField.from_model(m)
     g_const = SpectrumField.from_coefficients(np.array([0.0]), 1.0)
     wins = 0

@@ -26,7 +26,6 @@ from locstat.process import (
     simulate_tvar_batch,
     spectral_density,
     transfer_abs2,
-    white_noise_model,
 )
 from locstat.spectral import TIME_CELLS, FrequencyGrid, ar_inverse_weight, constant_weight, spectral_functional_limit
 
@@ -61,7 +60,7 @@ def test_check_stability_converts_the_margin():
 def test_model_validation_rejects_unstable_region():
     # alpha(u) = 1.2 cos(2 pi u) exceeds 1 in modulus near u = 0 and 1
     with pytest.raises(ValueError):
-        TvARModel(1, [FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
+        TvARModel([FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
 
 
 def roots_oracle(coeffs, delta=0.0):
@@ -133,10 +132,10 @@ def test_validation_matches_a_per_row_roots_oracle(data, p, delta):
     assume(min(gap for _, gap in verdicts) > 1e-6)
     first_bad = next((i for i, (stable, _) in enumerate(verdicts) if not stable), None)
     if first_bad is None:
-        assert TvARModel(p, alpha, ConstantCurve(1.0), delta=delta).validated
+        assert TvARModel(alpha, ConstantCurve(1.0), delta=delta).validated
     else:
         with pytest.raises(ValueError, match=rf"root condition at u={u[first_bad]:.6f}$"):
-            TvARModel(p, alpha, ConstantCurve(1.0), delta=delta)
+            TvARModel(alpha, ConstantCurve(1.0), delta=delta)
 
 
 class HalfNanCurve(Curve):
@@ -148,10 +147,10 @@ class HalfNanCurve(Curve):
 
 def test_validation_refuses_non_finite_coefficients():
     with pytest.raises(ValueError, match="AR coefficients must be finite"):
-        TvARModel(1, [HalfNanCurve()], ConstantCurve(1.0))
+        TvARModel([HalfNanCurve()], ConstantCurve(1.0))
     # the first bad row decides the message
     with pytest.raises(ValueError, match=r"root condition at u=0\.001953$"):
-        TvARModel(2, [HalfNanCurve(), SampledCurve([1.5, 0.0])], ConstantCurve(1.0))
+        TvARModel([HalfNanCurve(), SampledCurve([1.5, 0.0])], ConstantCurve(1.0))
     with pytest.raises(ValueError, match="AR coefficients must be finite"):
         check_stability([0.5, np.inf])
 
@@ -160,19 +159,19 @@ def test_validation_names_the_first_violating_u():
     # rows 1.5 (cell 2) and 1.2 (cell 3) both violate; sorted, 1.2 comes
     # first, but the first violating u lies in cell 2, at 129/512
     with pytest.raises(ValueError, match=r"u=0\.251953$"):
-        TvARModel(1, [SampledCurve([0.5, 1.5, 1.2, 0.5])], ConstantCurve(1.0))
+        TvARModel([SampledCurve([0.5, 1.5, 1.2, 0.5])], ConstantCurve(1.0))
     # a smoothly varying curve that violates near u = 0 fails at the first node
     with pytest.raises(ValueError, match=r"u=0\.001953$"):
-        TvARModel(1, [FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
+        TvARModel([FourierCurve(0.0, a=[1.2])], ConstantCurve(1.0))
 
 
 def test_model_validation_rejects_nonpositive_variance():
     with pytest.raises(ValueError):
-        TvARModel(0, [], FourierCurve(0.1, a=[0.5]))  # dips negative
+        TvARModel([], FourierCurve(0.1, a=[0.5]))  # dips negative
 
 
 def test_simulation_is_deterministic():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     a = simulate_tvar(m, 100, seed=42)
     b = simulate_tvar(m, 100, seed=42)
     np.testing.assert_array_equal(a.values, b.values)
@@ -183,8 +182,8 @@ def test_simulation_is_deterministic():
 def test_sign_convention_of_coefficients():
     # x_t + alpha x_{t-1} = e_t.  alpha = -0.9 means x_t = 0.9 x_{t-1} + e_t:
     # strong positive lag-1 correlation.  alpha = +0.9 flips the sign.
-    pos = TvARModel(1, [ConstantCurve(-0.9)], ConstantCurve(1.0))
-    neg = TvARModel(1, [ConstantCurve(0.9)], ConstantCurve(1.0))
+    pos = TvARModel([ConstantCurve(-0.9)], ConstantCurve(1.0))
+    neg = TvARModel([ConstantCurve(0.9)], ConstantCurve(1.0))
     for model, sign in [(pos, 1.0), (neg, -1.0)]:
         x = simulate_tvar(model, 4000, seed=1).values
         r1 = np.dot(x[1:], x[:-1]) / np.dot(x, x)
@@ -195,7 +194,7 @@ def with_burn_in(model, burn_in):
     """model with burn_in warm-up steps; model itself for None."""
     if burn_in is None:
         return model
-    return TvARModel(model.p, model.alpha, model.sigma2, model.delta, burn_in=burn_in)
+    return TvARModel(model.alpha, model.sigma2, model.delta, burn_in=burn_in)
 
 
 def simulate_oracle(model, n, seed):
@@ -220,14 +219,13 @@ def simulate_oracle(model, n, seed):
 
 
 ORACLE_MODELS = {
-    "white-tv-variance": TvARModel(0, [], FourierCurve(1.0, a=[0.3])),
-    "ar1": TvARModel(1, [ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
+    "white-tv-variance": TvARModel([], FourierCurve(1.0, a=[0.3])),
+    "ar1": TvARModel([ConstantCurve(0.5)], SampledCurve([1.0, 2.0])),
     "ar2-time-varying": TvARModel(
-        2, [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3]), burn_in=50
+        [FourierCurve(0.3, a=[0.2]), SampledCurve([-0.2, 0.1, 0.3])], FourierCurve(1.0, a=[0.3]), burn_in=50
     ),
     # without burn-in, n = 1 stops before the first full-order step
     "ar3-time-varying": TvARModel(
-        3,
         [FourierCurve(0.2, a=[0.1]), SampledCurve([-0.2, 0.1]), FourierCurve(0.05, b=[0.05])],
         SampledCurve([1.0, 2.0]),
         burn_in=0,
@@ -329,20 +327,20 @@ def test_batch_rejects_bad_sizes():
 def test_white_noise_fast_path_matches_generic_loop():
     # an order-1 model with zero coefficient must consume the stream exactly
     # like the order-0 fast path
-    trivial = TvARModel(1, [ConstantCurve(0.0)], ConstantCurve(2.0))
-    flat = white_noise_model(2.0)
+    trivial = TvARModel([ConstantCurve(0.0)], ConstantCurve(2.0))
+    flat = TvARModel((), 2.0)
     a = simulate_tvar(trivial, 257, seed=9)
     b = simulate_tvar(flat, 257, seed=9)
     np.testing.assert_allclose(a.values, b.values, rtol=0, atol=0)
 
 
 def test_white_noise_variance_scale():
-    x = simulate_tvar(white_noise_model(4.0), 20000, seed=3).values
+    x = simulate_tvar(TvARModel((), 4.0), 20000, seed=3).values
     assert abs(np.var(x) - 4.0) < 0.15
 
 
 def test_burn_in_default_and_override():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     a = simulate_tvar(m, 64, seed=5)
     b = simulate_tvar(with_burn_in(m, m.burn_in), 64, seed=5)
     np.testing.assert_array_equal(a.values, b.values)
@@ -351,7 +349,7 @@ def test_burn_in_default_and_override():
 
 
 def test_burn_in_carried_by_model_json():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=77)
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=77)
     m2 = model_from_json(json.loads(json.dumps(m.describe())))
     assert m2.burn_in == 77
     np.testing.assert_array_equal(
@@ -360,7 +358,7 @@ def test_burn_in_carried_by_model_json():
 
 
 def test_transfer_and_spectral_density_closed_form():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.3))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.3))
     lam = np.linspace(-np.pi, np.pi, 11)
     u = np.full(lam.shape, 0.5)
     # |1 + 0.5 e^{i lam}|^2 = 1.25 + cos(lam)
@@ -371,7 +369,7 @@ def test_transfer_and_spectral_density_closed_form():
 
 
 def test_transfer_abs2_broadcasts_coefficient_rows():
-    m = TvARModel(2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], ConstantCurve(1.0))
+    m = TvARModel([FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], ConstantCurve(1.0))
     u = (np.arange(9) + 0.5) / 9
     lam = FrequencyGrid(16).nodes
     coeffs = m.alpha_matrix(u)[:, None, :]  # (U, 1, p)
@@ -385,7 +383,7 @@ def test_transfer_abs2_broadcasts_coefficient_rows():
 
 
 def _tv_ar2():
-    return TvARModel(2, [FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0]))
+    return TvARModel([FourierCurve(0.3, a=[0.2], b=[0.1]), ConstantCurve(-0.2)], SampledCurve([1.0, 1.5, 2.0]))
 
 
 _OTHER = SpectrumField.from_coefficients([0.4], 1.2)
@@ -435,7 +433,7 @@ def test_tv_covariance_stationary_ar1_closed_form():
     # the local covariance c(u, k) is ar_autocov(model, u, k)[..., k]
     # x_t + 0.5 x_{t-1} = e_t: phi = -0.5, c(0) = 1/(1-phi^2) = 4/3,
     # c(1) = phi c(0) = -2/3
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     assert ar_autocov(m, 0.5, 0)[0] == pytest.approx(4 / 3, abs=1e-12)
     assert ar_autocov(m, 0.5, 1)[1] == pytest.approx(-2 / 3, abs=1e-12)
     assert ar_autocov(m, 0.5, 2)[2] == pytest.approx(1 / 3, abs=1e-12)
@@ -444,7 +442,7 @@ def test_tv_covariance_stationary_ar1_closed_form():
 def test_tv_covariance_stationary_ar2_closed_form():
     # x_t = phi1 x_{t-1} + phi2 x_{t-2} + sigma e_t, i.e. alpha = (-phi1, -phi2)
     phi1, phi2, s2 = 0.5, -0.3, 1.7
-    m = TvARModel(2, [ConstantCurve(-phi1), ConstantCurve(-phi2)], ConstantCurve(s2))
+    m = TvARModel([ConstantCurve(-phi1), ConstantCurve(-phi2)], ConstantCurve(s2))
     c0 = s2 * (1 - phi2) / ((1 + phi2) * ((1 - phi2) ** 2 - phi1 ** 2))
     rho = [1.0, phi1 / (1 - phi2)]
     for _ in range(3):
@@ -456,7 +454,7 @@ def test_tv_covariance_stationary_ar2_closed_form():
 
 
 def test_ar_autocov_white_noise_and_shape():
-    m = TvARModel(0, [], SampledCurve([1.0, 3.0]))
+    m = TvARModel([], SampledCurve([1.0, 3.0]))
     cov = ar_autocov(m, np.array([[0.25], [0.75]]), 2)
     assert cov.shape == (2, 1, 3)
     np.testing.assert_array_equal(cov[:, 0, :], [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
@@ -465,7 +463,7 @@ def test_ar_autocov_white_noise_and_shape():
 
 
 def test_ar_autocov_of_no_times_is_empty():
-    m = TvARModel(1, [SampledCurve([0.2, -0.4])], ConstantCurve(1.0))
+    m = TvARModel([SampledCurve([0.2, -0.4])], ConstantCurve(1.0))
     assert ar_autocov(m, np.array([]), 2).shape == (0, 3)
     assert ar_autocov(m, np.array([]), 2, squared=True).shape == (0, 3)
 
@@ -486,7 +484,7 @@ def test_coefficient_runs_rebuild_their_rows(p):
 
 def test_ar_autocov_refuses_a_fractional_lag():
     # a fractional max_lag is refused, not truncated
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     for max_lag in (2.5, "abc", None):
         with pytest.raises(ValueError, match="max_lag"):
             ar_autocov(m, [0.5], max_lag)
@@ -495,7 +493,7 @@ def test_ar_autocov_refuses_a_fractional_lag():
 
 def test_tv_covariance_refuses_a_fractional_lag():
     # a fractional lag is refused, not truncated to the lag-1 value, and so is a time of None
-    model = white_noise_model(1.0)
+    model = TvARModel((), 1.0)
     for k in (1.5, "abc", None):
         with pytest.raises(ValueError, match="max_lag must"):
             ar_autocov(model, 0.5, k)
@@ -513,7 +511,7 @@ def test_coeff_autocorr_matches_a_correlate_oracle(p, kind):
         "step": lambda j: SampledCurve([0.4 / j, -0.2, 0.1 * j]),
         "fourier": lambda j: FourierCurve(0.1 * j, a=[0.2], b=[-0.15 / j]),
     }[kind]
-    model = TvARModel(p, [curve(j) for j in range(1, p + 1)], ConstantCurve(1.0), validate=False)
+    model = TvARModel([curve(j) for j in range(1, p + 1)], ConstantCurve(1.0), validate=False)
     u = np.linspace(0.01, 1.0, 37)
     table = coeff_autocorr(model, u)
     assert table.shape == (37, p + 1)
@@ -524,21 +522,21 @@ def test_coeff_autocorr_matches_a_correlate_oracle(p, kind):
 
 
 def test_tv_covariance_tracks_local_variance():
-    m = TvARModel(0, [], SampledCurve([1.0, 3.0]))
+    m = TvARModel([], SampledCurve([1.0, 3.0]))
     assert ar_autocov(m, 0.25, 0)[0] == pytest.approx(1.0, abs=1e-12)
     assert ar_autocov(m, 0.75, 0)[0] == pytest.approx(3.0, abs=1e-12)
     assert ar_autocov(m, 0.75, 1)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_simulated_variance_follows_step_curve():
-    m = TvARModel(0, [], SampledCurve([1.0, 3.0]))
+    m = TvARModel([], SampledCurve([1.0, 3.0]))
     x = simulate_tvar(m, 40000, seed=8).values
     assert abs(np.var(x[:20000]) - 1.0) < 0.1
     assert abs(np.var(x[20000:]) - 3.0) < 0.25
 
 
 def test_time_series_csv_round_trip(tmp_path):
-    x = simulate_tvar(white_noise_model(1.0), 37, seed=11)
+    x = simulate_tvar(TvARModel((), 1.0), 37, seed=11)
     path = tmp_path / "x.csv"
     x.to_csv(path)
     y = TimeSeries.from_csv(path)
@@ -673,6 +671,26 @@ def test_from_csv_without_observations_is_refused_without_warning(tmp_path, text
             TimeSeries.from_csv(path)
 
 
+@pytest.mark.parametrize("header", ["x\n", ""], ids=["header", "no header"])
+def test_from_csv_ignores_a_leading_byte_order_mark(tmp_path, header):
+    # spreadsheet programs start a "CSV UTF-8" file with U+FEFF
+    from locstat.cli import main
+
+    values = np.random.default_rng(7).standard_normal(64)
+    text = header + "".join(f"{v!r}\n" for v in values.tolist())
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding=encoding)
+        assert TimeSeries.from_csv(path).values.tobytes() == values.tobytes()
+        assert main(["fit", "--series", str(path), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bom" / "fit.json").read_bytes() == (tmp_path / "plain" / "fit.json").read_bytes()
+    # a mark anywhere else is not a number
+    path = tmp_path / "late.csv"
+    path.write_text("x\n\ufeff1.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: '\\ufeff1.5' is not a number")):
+        TimeSeries.from_csv(path)
+
+
 def test_from_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         TimeSeries.from_csv(tmp_path / "none.csv")
@@ -680,7 +698,6 @@ def test_from_csv_missing_file(tmp_path):
 
 def test_model_json_round_trip_all_curve_types():
     m = TvARModel(
-        2,
         [FourierCurve(0.3, a=[0.1], b=[0.05]), ConstantCurve(0.1)],
         SampledCurve([1.0, 2.0]),
         delta=0.05,
@@ -694,7 +711,7 @@ def test_model_json_round_trip_all_curve_types():
 
 def test_model_json_needs_a_parsed_object(tmp_path):
     # the JSON text and a file holding it are refused: callers parse first
-    text = json.dumps(white_noise_model(1.5).describe())
+    text = json.dumps(TvARModel((), 1.5).describe())
     path = tmp_path / "model.json"
     path.write_text(text)
     for source in (text, str(path)):
@@ -711,22 +728,86 @@ def test_model_json_needs_a_parsed_object(tmp_path):
     ],
 )
 def test_model_json_rejects_unknown_keys(edit, unknown):
-    payload = TvARModel(1, [FourierCurve(0.3, a=[0.1])], ConstantCurve(1.0)).describe()
+    payload = TvARModel([FourierCurve(0.3, a=[0.1])], ConstantCurve(1.0)).describe()
     assert set(payload) == set(process.MODEL_KEYS)
     edit(payload)
     with pytest.raises(ValueError, match=f"unknown .*key.* {unknown}"):
         model_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"p": 2, "alpha": [{"type": "constant", "value": 0.5}]}, "expected 2 coefficient curves, got 1"),
+        ({"p": 0, "alpha": [{"type": "constant", "value": 0.5}]}, "expected 0 coefficient curves, got 1"),
+        ({"p": -1}, "p must be at least 0, got -1"),
+        ({"p": True, "alpha": [{"type": "constant", "value": 0.5}]}, "p must be an integer, got True"),
+        ({"p": 1.5, "alpha": [{"type": "constant", "value": 0.5}]}, "p must be an integer, got 1.5"),
+        # the order is checked after the curve specs and before delta
+        ({"p": 2, "alpha": [{"type": "nope"}]}, "unknown curve type 'nope'"),
+        ({"p": 2, "alpha": [], "sigma2": {"type": "constant"}}, "constant curve lacks required key(s) value"),
+        ({"p": 2, "alpha": [], "delta": -1}, "expected 2 coefficient curves, got 0"),
+    ],
+)
+def test_model_json_checks_the_order_against_alpha(payload, message):
+    payload = {"sigma2": {"type": "constant", "value": 1.0}, **payload}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        model_from_json(payload)
+
+
+def test_model_json_order_is_optional():
+    payload = {"alpha": [{"type": "constant", "value": 0.5}], "sigma2": {"type": "constant", "value": 1.0}}
+    assert model_from_json(payload).describe() == model_from_json({"p": 1, **payload}).describe()
+
+
+def test_numbers_stand_for_constant_curves():
+    by_number = TvARModel([0.5, -0.2], 1.6, burn_in=20)
+    by_curve = TvARModel([ConstantCurve(0.5), ConstantCurve(-0.2)], ConstantCurve(1.6), burn_in=20)
+    assert by_number.p == 2
+    assert by_number.describe() == by_curve.describe()
+    assert simulate_tvar(by_number, 64, seed=4).values.tobytes() == simulate_tvar(by_curve, 64, seed=4).values.tobytes()
+    # an order-0 model, and numbers next to curves
+    assert TvARModel((), 2).describe() == TvARModel([], ConstantCurve(2.0)).describe()
+    mixed = TvARModel([FourierCurve(0.1, a=[0.2]), np.float64(-0.3)], SampledCurve([1.0, 2.0]))
+    assert mixed.describe()["alpha"][1] == {"type": "constant", "value": -0.3}
+
+
+@pytest.mark.parametrize(
+    "alpha, sigma2, bad",
+    [
+        (["0.5x"], 1.0, "'0.5x'"),
+        ([0.5], None, "None"),
+        ([lambda u: u], 1.0, "<function"),
+        ([0.5], [1.0, 2.0], r"\[1.0, 2.0\]"),
+    ],
+)
+def test_model_refuses_an_entry_that_is_neither_curve_nor_number(alpha, sigma2, bad):
+    with pytest.raises(ValueError, match=f"^curve value must be a finite number, got {bad}"):
+        TvARModel(alpha, sigma2)
+
+
+@pytest.mark.parametrize("alpha", ["05", {"0.5": 1}])
+def test_model_refuses_a_string_or_dict_of_coefficients(alpha):
+    # their items are numeric strings, which would pass as constant curves
+    with pytest.raises(ValueError, match="^alpha must be a sequence of curves or numbers, got "):
+        TvARModel(alpha, 1.0)
+
+
+def test_model_order_is_not_an_argument():
+    # an old call that passed the order first cannot bind
+    with pytest.raises(TypeError):
+        TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+
+
 def test_describe_mentions_order_and_burn_in():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=123)
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0), burn_in=123)
     d = m.describe()
     assert d["p"] == 1
     assert d["burn_in"] == 123
 
 
 def test_alpha_matrix_shape():
-    m = TvARModel(2, [ConstantCurve(0.5), ConstantCurve(-0.1)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5), ConstantCurve(-0.1)], ConstantCurve(1.0))
     u = np.array([0.2, 0.9])
     a = m.alpha_matrix(u)
     assert a.shape == (2, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import _mesh
 from locstat import spectral
 from locstat.curves import ConstantCurve, FourierCurve
-from locstat.process import TvARModel, simulate_tvar, white_noise_model
+from locstat.process import TvARModel, simulate_tvar
 from locstat.spectral import (
     FrequencyGrid,
     PrePeriodogram,
@@ -23,7 +23,7 @@ from locstat.spectral import (
 
 
 def rand_series(n, seed):
-    return simulate_tvar(white_noise_model(1.0), n, seed)
+    return simulate_tvar(TvARModel((), 1.0), n, seed)
 
 
 def products(x, k):
@@ -286,7 +286,7 @@ def test_lag_curve_weight_refuses_a_duplicate_lag(curves, lag):
 
 
 def test_ar_inverse_weight_is_reciprocal_spectrum():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     phi = ar_inverse_weight(m)
     lam = np.linspace(-np.pi, np.pi, 33)
     f = 1.0 / (2 * np.pi) / (1.25 + np.cos(lam))
@@ -308,7 +308,7 @@ def test_spectral_functional_frozen_two_point_case():
 
 
 def test_spectral_functional_paths_agree():
-    m = TvARModel(1, [FourierCurve(0.2, a=[0.3])], FourierCurve(1.5, a=[0.4]))
+    m = TvARModel([FourierCurve(0.2, a=[0.3])], FourierCurve(1.5, a=[0.4]))
     x = simulate_tvar(m, 200, seed=5)
     phi = ar_inverse_weight(m)
     a = spectral_functional(x, phi)
@@ -319,7 +319,7 @@ def test_spectral_functional_paths_agree():
 
 
 def test_quadratic_form_matrix_values():
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     phi = ar_inverse_weight(m)
     U = quadratic_form_matrix(phi, 4)
     # U[r, s] = lag coefficient at (floor((r+s)/2)/n, r-s), 1-based r, s
@@ -337,7 +337,7 @@ def test_quadratic_form_matrix_size_cap():
 
 def test_spectral_functional_limit_flat_case():
     # int int 1 * f = total variance 1 for unit white noise
-    val = spectral_functional_limit(constant_weight(1.0), white_noise_model(1.0))
+    val = spectral_functional_limit(constant_weight(1.0), TvARModel((), 1.0))
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
@@ -361,7 +361,7 @@ def test_weight_norms_ar_inverse_frozen_value():
     # alpha = 0.5, sigma2 = 1: lag coefficients 4pi^2(1.25) and 4pi^2(0.5)
     # twice, so the summed sup norm is 4pi^2(2.25) = 9 pi^2.  Scaling the
     # weight rescales every lag-based norm linearly.
-    m = TvARModel(1, [ConstantCurve(0.5)], ConstantCurve(1.0))
+    m = TvARModel([ConstantCurve(0.5)], ConstantCurve(1.0))
     rep = weight_norms(ar_inverse_weight(m), 64)
     assert rep.lag_sup_sum == pytest.approx(9 * np.pi**2, rel=1e-12)
     scaled = weight_norms(ar_inverse_weight(m, scale=1 / (2 * np.pi)), 64)
@@ -371,8 +371,8 @@ def test_weight_norms_ar_inverse_frozen_value():
 def test_weight_norms_elementary_relationships():
     # v_tilde <= v_sigma, rho2 <= rho_inf/sqrt(2pi), sup|phi| <= rho_inf/(2pi)
     models = [
-        TvARModel(1, [FourierCurve(0.1, a=[0.35])], FourierCurve(1.2, b=[0.3])),
-        TvARModel(2, [ConstantCurve(0.4), FourierCurve(0.0, a=[0.2])], ConstantCurve(0.9)),
+        TvARModel([FourierCurve(0.1, a=[0.35])], FourierCurve(1.2, b=[0.3])),
+        TvARModel([ConstantCurve(0.4), FourierCurve(0.0, a=[0.2])], ConstantCurve(0.9)),
     ]
     for m in models:
         rep = weight_norms(ar_inverse_weight(m), 128)
@@ -386,7 +386,7 @@ def test_weight_norms_elementary_relationships():
 
 
 def test_matrix_norm_bounds_hold():
-    m = TvARModel(1, [FourierCurve(0.2, a=[0.3])], FourierCurve(1.1, a=[-0.2]))
+    m = TvARModel([FourierCurve(0.2, a=[0.3])], FourierCurve(1.1, a=[-0.2]))
     phi = ar_inverse_weight(m)
     for n in (32, 64):
         rep = weight_norms(phi, n)
