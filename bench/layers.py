@@ -1,12 +1,14 @@
 """Per-layer timings of locstat: best and median of k seconds, and tracemalloc peak.
 
-Times ten layers at each n: on a series of the default rate model,
+Times eleven layers at each n: on a series of the default rate model,
 simulation, the pre-periodogram grid, the lag-path spectral functional, the
 Whittle contrast alone and with the conditional contrast (likelihood_gap,
 which scores both), the sieve PAVA step on the lag-1 squares,
 and the monotone and Fourier fits; the tail-study sampler on a linear design
-of n weights; and the divergence sandwich of a pair with step coefficient
-curves, which does not depend on n.  Each layer gets its best and its
+of n weights; the divergence sandwich of a pair with step coefficient
+curves, which does not depend on n; and the CSV writer on an n-row table of
+the pre-periodogram's columns t, lambda and value (the series as values),
+written to os.devnull, so that the disk does not count.  Each layer gets its best and its
 median time over --repeats calls (the median is the steadier of the two when
 the host is noisy), then its tracemalloc peak on one more call (tracing slows
 the call, so it is not timed).  The layers run at 1 and
@@ -62,7 +64,9 @@ def layers(n):
         simulate_tvar,
         spectral_functional,
         whittle_contrast,
+        write_rows_csv,
     )
+    import numpy as np
 
     model = default_rate_model()
     x = simulate_tvar(model, n, 0)
@@ -71,6 +75,8 @@ def layers(n):
     tail = TailStudySpec.from_design("linear", n, TAIL_REPLICATIONS, TAIL_ETAS)
     g = TvARModel([SampledCurve([0.5, -0.3])], model.sigma2)
     f = TvARModel([SampledCurve([0.2, 0.4, -0.1])], 1.0)
+    rows = np.arange(n)
+    table = {"t": rows // GRID_SIZE + 1, "lambda": grid.nodes[rows % GRID_SIZE], "value": x.values}
     return [
         ("simulate_tvar", lambda: simulate_tvar(model, n, 0)),
         ("evaluate_grid", lambda: pre.evaluate_grid(grid)),
@@ -82,6 +88,7 @@ def layers(n):
         ("fit_fourier_tvar", lambda: fit_fourier_tvar(x, 1)),
         ("chi2_tail_study", lambda: chi2_tail_study(tail)),
         ("divergence_sandwich", lambda: divergence_sandwich(g, f)),
+        ("write_rows_csv", lambda: write_rows_csv(os.devnull, table)),
     ]
 
 

@@ -111,21 +111,16 @@ def _write_outputs(args, files, config_text, seed, extra=None):
     print one "wrote <path>" line per result file.
 
     files maps each file name, in the order to write, to its contents: a
-    dict is written as JSON, a TimeSeries as its CSV and anything else as
-    rows of dicts.  --out is created here, once the command has computed
-    everything.  The metadata names args.command and, for a command that
-    reads --series, the series' basename, so it does not depend on where the
-    series lies.
+    ".json" file is written by :func:`write_json` and a ".csv" file, a table
+    of columns or a list of row dicts, by :func:`write_rows_csv`.  --out is
+    created here, once the command has computed everything.  The metadata
+    names args.command and, for a command that reads --series, the series'
+    basename, so it does not depend on where the series lies.
     """
     os.makedirs(args.out, exist_ok=True)
     paths = [os.path.join(args.out, name) for name in files]
     for path, contents in zip(paths, files.values()):
-        if isinstance(contents, dict):
-            write_json(path, contents)
-        elif isinstance(contents, TimeSeries):
-            contents.to_csv(path)
-        else:
-            write_rows_csv(path, contents)
+        (write_json if path.endswith(".json") else write_rows_csv)(path, contents)
     if "series" in args:
         extra = {**(extra or {}), "series": os.path.basename(args.series)}
     write_metadata(args.out, args.command, config_text, seed, extra=extra)
@@ -170,7 +165,7 @@ def _cmd_simulate(args):
     seed = args.seed if args.seed is not None else 0
     x = simulate_tvar(model, args.n, seed)
     mean, var = float(np.mean(x.values)), float(np.var(x.values))  # an overflow here leaves no --out
-    _write_outputs(args, {"series.csv": x}, text, seed, extra={"n": args.n, "model": model.describe()})
+    _write_outputs(args, {"series.csv": {"x": x.values}}, text, seed, extra={"n": args.n, "model": model.describe()})
     print(f"n={args.n} seed={seed} mean={mean:.6g} var={var:.6g}")
     return 0
 
@@ -182,14 +177,10 @@ def _cmd_preperiodogram(args):
     values = PrePeriodogram(x).evaluate_grid(grid, times)
     if times is None:
         times = range(1, x.n + 1)
-    rows = (
-        {"t": t, "lambda": float(lam), "value": float(value)}
-        for t, row in zip(times, values)
-        for lam, value in zip(grid.nodes, row)
-    )
+    table = {"t": np.repeat(times, grid.size), "lambda": np.tile(grid.nodes, len(times)), "value": values.ravel()}
     config_text = f"series={os.path.basename(args.series)} grid_size={args.grid_size} times={args.times}"
     extra = {"n": x.n, "grid_size": args.grid_size}
-    _write_outputs(args, {"preperiodogram.csv": rows}, config_text, None, extra=extra)
+    _write_outputs(args, {"preperiodogram.csv": table}, config_text, None, extra=extra)
     print(f"n={x.n} times={len(times)} grid_size={args.grid_size}")
     return 0
 
@@ -288,7 +279,7 @@ def _cmd_clt_study(args):
         "limit_variance": limit,
         "ratio": emp / limit if limit > 0 else None,  # null: a zero weight has no limit to compare with
     }
-    files = {"clt_summary.json": result, "clt_deviations.csv": ({"deviation": float(d)} for d in sample.deviations)}
+    files = {"clt_summary.json": result, "clt_deviations.csv": {"deviation": sample.deviations}}
     _write_outputs(args, files, text, kwargs["seed"], extra={"n": n})
     ratio = "None" if result["ratio"] is None else f"{result['ratio']:.4f}"
     print(f"empirical_variance={emp:.6g} limit_variance={limit:.6g} ratio={ratio}")
@@ -358,24 +349,15 @@ def build_parser():
     p_fit.add_argument("--series", required=True, help="input series CSV")
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_rate = sub.add_parser("rate-study", parents=[seeded], help="fit error decay across sample sizes")
-    p_rate.set_defaults(func=_cmd_rate_study)
-
-    p_tail = sub.add_parser("tail-study", parents=[seeded], help="quadratic-form tail frequencies vs. bounds")
-    p_tail.set_defaults(func=_cmd_tail_study)
-
-    p_clt = sub.add_parser("clt-study", parents=[seeded], help="scaled fluctuations vs. limit variance")
-    p_clt.set_defaults(func=_cmd_clt_study)
-
-    p_prop = sub.add_parser(
-        "prop33", parents=[seeded], help="sqrt(n)-scaled bias of a spectral mean across sample sizes"
-    )
-    p_prop.set_defaults(func=_cmd_prop33)
-
-    p_eq = sub.add_parser(
-        "equivalence", parents=[seeded], help="candidate likelihood gap decay across sample sizes"
-    )
-    p_eq.set_defaults(func=_cmd_equivalence)
+    studies = {
+        "rate-study": (_cmd_rate_study, "fit error decay across sample sizes"),
+        "tail-study": (_cmd_tail_study, "quadratic-form tail frequencies vs. bounds"),
+        "clt-study": (_cmd_clt_study, "scaled fluctuations vs. limit variance"),
+        "prop33": (_cmd_prop33, "sqrt(n)-scaled bias of a spectral mean across sample sizes"),
+        "equivalence": (_cmd_equivalence, "candidate likelihood gap decay across sample sizes"),
+    }
+    for name, (func, help_text) in studies.items():
+        sub.add_parser(name, parents=[seeded], help=help_text).set_defaults(func=func)
 
     return parser
 

@@ -10,7 +10,6 @@ rerunning a study reproduces its files byte for byte.
 
 import csv
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -149,13 +148,14 @@ def rate_study(model=None, n_list=(256, 512, 1024, 2048, 4096), replications=50,
     p = as_number(p, "p", int, 0)
     model = model if model is not None else default_rate_model()
 
+    # common random numbers: replication r reuses one innovation stream for
+    # every n, so cross-n median comparisons see the systematic trend rather
+    # than independent per-n draws
+    seeds = [replication_seed(seed, r) for r in range(replications)]
     rows = []
     for n in n_list:
         k_n, eps = study_knots(n), default_eps(n)
-        # common random numbers: replication r reuses one innovation stream
-        # for every n, so cross-n median comparisons see the systematic trend
-        # rather than independent per-n draws
-        batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
+        batch = simulate_tvar_batch(model, n, seeds)
         results = [_rate_one(model, x, p, k_n, eps) for x in batch]
         on_bounds = sum(res["knots_on_bounds"] for res in results)
         rows.append(
@@ -216,51 +216,78 @@ def likelihood_equivalence_decay(model=None, n_list=(256, 2048), replications=20
     replications = as_number(replications, "replications", int, 2)
     seed = as_number(seed, "seed", int, 0)
     model = model or default_rate_model()
+    seeds = [replication_seed(seed, r) for r in range(replications)]
     rows = []
     for n in n_list:
-        batch = simulate_tvar_batch(model, n, [replication_seed(seed, r) for r in range(replications)])
+        batch = simulate_tvar_batch(model, n, seeds)
         gaps = np.max([_contrasts(batch, g)["gap"] for g in candidates], axis=0)
         rows.append({"n": n, "median_gap": _median(gaps)})
     return rows
 
 
-def write_rows_csv(path, rows):
-    """Write any iterable of dicts as CSV with full float precision, with
-    the columns of the first dict."""
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
+CSV_BLOCK_CELLS = 1 << 13  # cells written at a time by write_rows_csv: about 1 MB of strings
+QUOTED_CHARS = frozenset(',"\r\n')  # the csv module quotes a cell holding one of these
+
+
+def write_rows_csv(path, table):
+    """Write a table as CSV, a header of its column names first and each line
+    ending in CRLF, in the csv module's bytes with floats (NumPy's too) by
+    ``repr(float)``, so they read back exactly.
+
+    table maps each column name to its cells, all of one length: a numeric
+    ndarray, written from its ``tolist()``, or a sequence, None being empty.
+    A list of row dicts, or any iterable of them, is taken over the first
+    row's keys, a key a row lacks being empty.
+
+    Raises ValueError, before the file is opened, when there is no row, the
+    columns differ in length, or a row holds a key the first row lacks.
+    """
+    if not isinstance(table, dict):
+        rows = list(table)
+        first = rows[0] if rows else {}
+        for key in (key for row in rows for key in row if key not in first):
+            raise ValueError(f"a row holds key {key!r}, which the first row lacks")
+        table = {key: [row.get(key) for row in rows] for key in first}
+    lengths = {name: len(cells) for name, cells in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns must be of one length, got {lengths}")
+    if not any(lengths.values()):
         raise ValueError("nothing to write")
-    columns = list(first)
+    lone, block = len(table) == 1, max(1, CSV_BLOCK_CELLS // len(table))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([_format_cell(row.get(k)) for k in columns] for row in itertools.chain([first], rows))
+        fh.write(",".join(_cell_texts(list(table), lone)) + "\r\n")
+        for start in range(0, max(lengths.values()), block):
+            columns = [_cell_texts(cells[start : start + block], lone) for cells in table.values()]
+            fh.write("\r\n".join(columns[0] if lone else map(",".join, zip(*columns))) + "\r\n")
 
 
-def _format_cell(value):
-    # np.float64 subclasses float, and under NumPy 2 its repr is "np.float64(...)"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
+def _cell_texts(cells, lone):
+    """The CSV text of each cell; lone: they are a table's only column, where an empty field is quoted."""
+    if isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "biuf":
+        return list(map(repr, cells.tolist()))
+    texts = []
+    for value in cells:
+        # np.float64 subclasses float, and under NumPy 2 its repr is "np.float64(...)"
+        text = repr(float(value)) if isinstance(value, (float, np.floating)) else "" if value is None else str(value)
+        if not QUOTED_CHARS.isdisjoint(text) or (lone and not text):
+            text = '"' + text.replace('"', '""') + '"'
+        texts.append(text)
+    return texts
 
 
 def read_rows_csv(path):
     """Read a CSV written by write_rows_csv; numeric cells are parsed."""
-    rows = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = {}
-            for k, v in row.items():
-                try:
-                    parsed[k] = int(v)
-                except (TypeError, ValueError):
-                    try:
-                        parsed[k] = float(v)
-                    except (TypeError, ValueError):
-                        parsed[k] = v
-            rows.append(parsed)
-    return rows
+        return [{key: _parse_cell(text) for key, text in row.items()} for row in csv.DictReader(fh)]
+
+
+def _parse_cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except (TypeError, ValueError):
+            pass
+    return text
 
 
 def write_metadata(out_dir, command, config_text=None, seed=None, extra=None):

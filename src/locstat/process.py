@@ -46,8 +46,8 @@ __all__ = [
 
 DEFAULT_BURN_IN = 1000
 REPLICATION_CHUNK = 256  # replications drawn and run together by simulate_tvar_batch
-# values per time block of simulate_tvar_batch and TimeSeries.to_csv (512 KB
-# of float64): 256-step blocks for a chunk of 256 replications
+# values per time block of simulate_tvar_batch (512 KB of float64): 256-step
+# blocks for a chunk of 256 replications
 SIM_BLOCK_VALUES = 1 << 16
 STABILITY_GRID = 512
 MODEL_KEYS = ("p", "alpha", "sigma2", "delta", "burn_in")  # TvARModel.describe()
@@ -151,20 +151,10 @@ class TimeSeries:
     def n(self):
         return len(self.values)
 
-    def to_csv(self, path):
-        """Write a header 'x', then repr of one value per line, each line
-        ending in CRLF (the bytes csv.writer writes for these rows).  The
-        lines are joined and written ``SIM_BLOCK_VALUES`` values at a time,
-        so memory does not grow with the series."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x\r\n")
-            for start in range(0, self.n, SIM_BLOCK_VALUES):
-                fh.write("\r\n".join(map(repr, self.values[start : start + SIM_BLOCK_VALUES].tolist())) + "\r\n")
-
     @classmethod
     def from_csv(cls, path):
-        """Read the first column of a CSV series, such as one written by
-        :meth:`to_csv`.
+        """Read the first column of a CSV series, such as the one
+        ``write_rows_csv(path, {"x": values})`` writes.
 
         The first line may be a header 'x' (any case), and one UTF-8
         byte-order mark at the start of the file, which spreadsheet programs

@@ -19,7 +19,7 @@ def test_layer_bench_writes_one_row_per_layer_n_and_thread_count(tmp_path):
     rows = result["rows"]
     assert all(set(row) == {"layer", "n", "threads", "best_s", "median_s", "peak_mib"} for row in rows)
     layers = {row["layer"] for row in rows}
-    assert len(layers) == 10
+    assert len(layers) == 11
     assert sorted((row["layer"], row["threads"]) for row in rows) == sorted((name, t) for name in layers for t in (1, 2))
     assert all(row["n"] == 64 and 0 < row["best_s"] <= row["median_s"] and row["peak_mib"] > 0 for row in rows)
 

@@ -171,7 +171,7 @@ def test_fit_reports_knots_on_the_bounds(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
     scaled = tmp_path / "scaled.csv"
-    TimeSeries(10.0 * TimeSeries.from_csv(series).values).to_csv(scaled)
+    write_rows_csv(scaled, {"x": 10.0 * TimeSeries.from_csv(series).values})
     run("fit", "--series", str(scaled), "--out", str(tmp_path / "scaled-fit"))
     fit = json.loads((tmp_path / "scaled-fit" / "fit.json").read_text())
     assert (fit["knots_at_lower"], fit["knots_at_upper"]) == (0, 4)
@@ -616,7 +616,7 @@ def test_missing_config_file_exits_with_message(tmp_path, command):
 
 def test_fit_on_all_zero_series_exits_with_message(tmp_path):
     series = tmp_path / "zeros.csv"
-    TimeSeries(np.zeros(64)).to_csv(series)
+    write_rows_csv(series, {"x": np.zeros(64)})
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match="^fit: normal equations are singular$"):
         main(["fit", "--series", str(series), "--out", str(out)])
@@ -628,7 +628,7 @@ def test_overflowing_series_exits_with_message(tmp_path, command):
     # squares and lag products of 1e300 overflow; the command stops there
     # instead of warning or writing Infinity and NaN
     series = tmp_path / "huge.csv"
-    TimeSeries(np.full(64, 1e300)).to_csv(series)
+    write_rows_csv(series, {"x": np.full(64, 1e300)})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(TvARModel([], ConstantCurve(1.0)).describe()))
     extra = ["--config", str(cfg)] if command == "likelihood-eval" else []

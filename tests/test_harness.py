@@ -1,9 +1,13 @@
 import csv
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import locstat.harness as harness
 from locstat.harness import (
@@ -213,6 +217,75 @@ def test_rows_csv_bytes_equal_dict_writer(tmp_path, form):
     write_rows_csv(tmp_path / "new.csv", form(rows))
     dict_writer_oracle(tmp_path / "old.csv", rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_rows_csv_refuses_a_key_the_first_row_lacks(tmp_path):
+    # csv.DictWriter over the first row's keys refuses the extra key too
+    rows = [{"n": 1, "err": 0.5}, {"n": 2, "err": 0.25, "extra": 3}]
+    with pytest.raises(ValueError, match="'extra'"):
+        csv.DictWriter(io.StringIO(), fieldnames=list(rows[0])).writerow(rows[1])
+    with pytest.raises(ValueError, match="^a row holds key 'extra', which the first row lacks$"):
+        write_rows_csv(tmp_path / "rows.csv", rows)
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_rows_csv_refuses_columns_of_different_lengths(tmp_path):
+    with pytest.raises(ValueError, match="^columns must be of one length, got {'t': 3, 'value': 2}$"):
+        write_rows_csv(tmp_path / "table.csv", {"t": np.arange(3), "value": [0.5, 1.5]})
+    assert not (tmp_path / "table.csv").exists()
+
+
+def csv_writer_oracle(path, table):
+    """csv.writer's bytes for a table of columns, floats (NumPy's too)
+    written by repr(float)."""
+
+    def cell(value):
+        return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(table))
+        writer.writerows(zip(*([cell(value) for value in cells] for cells in table.values())))
+
+
+QUOTING_TEXT = st.text(alphabet='a ,"\r\n', max_size=4)
+CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    QUOTING_TEXT,
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """A table of 1-3 columns of one length, each a list of mixed cells or a
+    float, integer or bool ndarray."""
+    n = draw(st.integers(1, 12))
+    names = draw(st.lists(QUOTING_TEXT, min_size=1, max_size=3, unique=True))
+    column = st.one_of(
+        st.lists(CELLS, min_size=n, max_size=n),
+        st.sampled_from([np.float64, np.int64, np.bool_]).flatmap(lambda dtype: hnp.arrays(dtype, n)),
+    )
+    return {name: draw(column) for name in names}
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables(), block=st.integers(1, 7))
+def test_rows_csv_bytes_equal_csv_writer(table, block):
+    # blocks of 1-7 cells split the 1-12 rows across block edges
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CSV_BLOCK_CELLS", block)
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        write_rows_csv(new, table)
+        csv_writer_oracle(old, table)
+        with open(new, "rb") as fh_new, open(old, "rb") as fh_old:
+            assert fh_new.read() == fh_old.read()
 
 
 def test_rows_csv_round_trips_numpy_scalars(tmp_path):

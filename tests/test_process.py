@@ -13,7 +13,9 @@ from locstat.curves import ConstantCurve, Curve, FourierCurve, SampledCurve
 from locstat.espec import COVARIANCE_CELLS, limit_covariance
 from locstat.estimator import DISTANCE_CELLS, inverse_l2_distance
 from locstat.likelihood import SANDWICH_CELLS, divergence_sandwich, kl_contrast
+import locstat.harness as harness
 import locstat.process as process
+from locstat.harness import write_rows_csv
 from locstat.process import (
     SpectrumField,
     TimeSeries,
@@ -538,14 +540,14 @@ def test_simulated_variance_follows_step_curve():
 def test_time_series_csv_round_trip(tmp_path):
     x = simulate_tvar(TvARModel((), 1.0), 37, seed=11)
     path = tmp_path / "x.csv"
-    x.to_csv(path)
+    write_rows_csv(path, {"x": x.values})
     y = TimeSeries.from_csv(path)
     np.testing.assert_array_equal(x.values, y.values)
     assert y.n == 37
 
 
 # The csv-module writer and reader the series format was defined by, kept as
-# the oracles of TimeSeries.to_csv and from_csv.
+# the oracles of write_rows_csv's series table and TimeSeries.from_csv.
 def csv_writer_oracle(values, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -575,7 +577,7 @@ def test_to_csv_bytes_equal_csv_writer(tmp_path, n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     values[: min(n, len(EDGE_VALUES))] = EDGE_VALUES[:n]
-    TimeSeries(values).to_csv(tmp_path / "new.csv")
+    write_rows_csv(tmp_path / "new.csv", {"x": values})
     csv_writer_oracle(values, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert TimeSeries.from_csv(tmp_path / "new.csv").values.tobytes() == values.tobytes()
@@ -584,8 +586,8 @@ def test_to_csv_bytes_equal_csv_writer(tmp_path, n):
 def test_to_csv_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch):
     # 37 values in blocks of 5 leave a last block of 2
     values = np.random.default_rng(5).standard_normal(37)
-    monkeypatch.setattr(process, "SIM_BLOCK_VALUES", 5)
-    TimeSeries(values).to_csv(tmp_path / "new.csv")
+    monkeypatch.setattr(harness, "CSV_BLOCK_CELLS", 5)
+    write_rows_csv(tmp_path / "new.csv", {"x": values})
     csv_writer_oracle(values, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
